@@ -1,4 +1,4 @@
-"""Galois orbits of radical points and conjugacy classes of binomial roots.
+"""Galois orbits of radical points, class polynomials and class norms.
 
 Setting: a point zeta * rho with rho = c0^(1/M0) > 0 in canonical form
 (c0 > 0 rational, M0 minimal) and zeta = e^(2 pi i t).  Every conjugate is
@@ -13,18 +13,23 @@ This is complete: the canonical form forces X^M0 - c0 irreducible, and the
 maximal abelian subfield of Q(rho) is Q(sqrt(c0)) for even M0 and Q for odd
 M0, so no deeper entanglement with the cyclotomic part is possible.
 
-Class norms: for a class of degree D inside X^N - a, with q' the order of
-e^(2 pi i M0 t),
+Class polynomials: for a class inside X^N - a, with q' the order of
+e^(2 pi i M0 t), multiplying out the m-fibers (prod_m (X - zeta_M0^m y) =
+X^M0 - y^M0) and collapsing the k-sum to primitive q'-th roots gives
 
-    |Nm(beta - alpha)| = |W|^(D / (M0 phi(q'))),
-    W = c0^phi(q') * Phi_{q'}(beta^M0 / c0),
+    W(X) = c0^phi(q') * Phi_{q'}(X^M0 / c0),
 
-obtained by multiplying out the m-fibers (prod_m (x - zeta_M0^m y) = x^M0 -
-y^M0) and collapsing the k-sum to primitive q'-th roots.  In the entangled
-case W covers the class together with its twin (angles shifted by 1/M0) and
-per-class splitting falls back to the expanded minimal polynomial.
-Valuations of W come from lifting-the-exponent arithmetic on the Moebius
-pieces x^j - 1, never from materializing W.
+monic of degree M0 phi(q').  W is the minimal polynomial of every class of
+that full degree: cyclotomic (M0 = 1), real radical, plain, and entangled
+classes equal to their own 1/M0-shifted twin.  Only a genuine twin (degree
+M0 phi(q')/2) is a proper factor of W; its polynomial comes from a
+numeric orbit expansion certified by exact division.
+
+Class norms: |Nm(beta - alpha)| = |f(beta)| for the class polynomial f.
+For a full class that is W(beta), whose valuations come from
+lifting-the-exponent arithmetic on the Moebius pieces x^j - 1
+(x = beta^M0 / c0), never from materializing W(beta); a genuine twin
+evaluates its cached f at beta exactly.
 """
 
 from __future__ import annotations
@@ -36,11 +41,15 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .errors import BetaIsConjugate, ZeroInput
+from .errors import (BetaIsConjugate, DegreeCapExceeded, RootIsolationFailure,
+                     ZeroInput)
 from .exactreal import PosReal
+from .polynomials import UniPoly, _moebius_divisors, cyclotomic_poly
 from .primes import (euler_phi, factorint, kronecker, ord_p,
                      quadratic_conductor, squarefree_kernel)
-from .radical import RadicalPoint
+from .radical import RadicalPoint, _mod1
+
+DEGREE_CAP = 512
 
 # ---------------------------------------------------------------------------
 # unit group generators
@@ -131,15 +140,6 @@ class ConjugacyClass:
         residues = {(t * self.M0) - int(t * self.M0) for t in self.angles}
         return len(residues)
 
-    def min_angle_distance_to(self, t0: Fraction) -> float:
-        """min over the orbit of the circular distance of angles to t0."""
-        best = min(abs(float(t - t0) - round(float(t - t0))) for t in self.angles)
-        return best
-
-
-def _mod1(t: Fraction) -> Fraction:
-    return t - (t.numerator // t.denominator)
-
 
 def entanglement(c0: Fraction, M0: int, L: int) -> tuple[bool, int]:
     """(entangled, chi conductor-discriminant) for sqrt(c0) against zeta_L."""
@@ -229,12 +229,103 @@ def class_of_point(x: RadicalPoint) -> ConjugacyClass:
     raise AssertionError("point missing from its own binomial")
 
 
-def galois_orbit_angles(x: RadicalPoint) -> tuple[Fraction, ...]:
-    return class_of_point(x).angles
+def twin_class(cls: ConjugacyClass) -> ConjugacyClass:
+    """The 1/M0-angle-shifted partner orbit (entangled case)."""
+    shifted = _mod1(cls.angles[0] + Fraction(1, cls.M0))
+    for cand in decompose_binomial_roots(cls.N, cls.a):
+        if shifted in cand.angles:
+            return cand
+    raise AssertionError("twin not found")
 
 
 # ---------------------------------------------------------------------------
-# class norms through W = c0^phi(q') Phi_{q'}(beta^M0 / c0)
+# class polynomials
+
+
+def class_polynomial(cls: ConjugacyClass,
+                     degree_cap: int = DEGREE_CAP) -> UniPoly:
+    """The monic minimal polynomial shared by the points of the class, exact.
+
+    W = c0^phi(q') Phi_{q'}(X^M0 / c0) for a class of full degree
+    M0 phi(q'); the orbit expansion for a genuine twin.  DegreeCapExceeded
+    past degree_cap, before anything is computed.
+    """
+    if cls.degree > degree_cap:
+        raise DegreeCapExceeded(f"degree {cls.degree} exceeds cap {degree_cap}")
+    q = cls.angle_order()
+    if cls.degree == cls.M0 * euler_phi(q):
+        return cyclotomic_poly(q).scale_arg(1 / cls.c0).monic() \
+            .compose_monomial(cls.M0)
+    return _orbit_polynomial(cls)
+
+
+@lru_cache(maxsize=1024)
+def _orbit_polynomial(cls: ConjugacyClass) -> UniPoly:
+    """Expand the orbit numerically at doubling precision; the
+    integer-rounded result is certified by exact division into the rational
+    binomial of the representative."""
+    n0, a0 = cls.representative.rational_binomial()
+    den, num = a0.denominator, a0.numerator
+    # the monic orbit product has coefficients in (1/lc) Z with lc | den
+    log2_mod = max(0.0, cls.modulus.log()) / math.log(2)
+    prec = int(cls.degree * (1.5 + log2_mod)) + 96
+    while prec <= 1 << 22:
+        with mp.workprec(prec):
+            mod = mp.e ** mp.mpf(_modulus_log_mp(cls.modulus))
+            coeffs = [mp.mpc(1)]
+            for t in cls.angles:
+                root = mod * mp.expjpi(2 * mp.mpf(t.numerator) / t.denominator)
+                coeffs = _mul_linear(coeffs, root)
+            for lc in _candidate_leads(den, cls):
+                rounded = []
+                ok = True
+                for c in coeffs[:-1]:
+                    re = mp.nint(c.real * lc)
+                    if abs(c.real * lc - re) > 0.25 or abs(c.imag * lc) > 0.25:
+                        ok = False
+                        break
+                    rounded.append(int(re))
+                if not ok:
+                    continue
+                cand = UniPoly.from_coeffs(
+                    [Fraction(r, lc) for r in rounded] + [Fraction(1)])
+                binom = UniPoly.binomial(n0, a0)
+                if (binom % cand).is_zero:
+                    return cand
+        prec *= 2
+    raise RootIsolationFailure("orbit polynomial reconstruction failed")
+
+
+def _candidate_leads(den: int, cls: ConjugacyClass):
+    # any multiple of the true leading coefficient works for the rounding,
+    # and lc | den(a0); try the usually-exact modulus-derived value first
+    out = []
+    exact = cls.modulus ** cls.degree
+    if exact.is_rational():
+        out.append(exact.as_fraction().denominator)
+    if den not in out:
+        out.append(den)
+    return out
+
+
+def _mul_linear(coeffs, root):
+    # multiply sum c_i X^i by (X - root)
+    out = [mp.mpc(0)] * (len(coeffs) + 1)
+    for i, c in enumerate(coeffs):
+        out[i + 1] += c
+        out[i] -= c * root
+    return out
+
+
+def _modulus_log_mp(modulus) -> mp.mpf:
+    total = mp.mpf(0)
+    for p, e in modulus.exps.items():
+        total += mp.mpf(e.numerator) / e.denominator * mp.log(p)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# class norms |Nm(beta - alpha)| = |f(beta)| for the class polynomial f
 
 
 def _phi_at_pm1(n: int, sign: int) -> Fraction:
@@ -258,22 +349,25 @@ def _phi_at_pm1(n: int, sign: int) -> Fraction:
 
 @dataclass(frozen=True)
 class ClassNormData:
-    """log and valuations of |Nm(beta - alpha)| for a conjugacy class.
+    """log and valuations of |Nm(beta - alpha)| for one conjugacy class.
 
-    scale is deg/(M0 phi(q')); in the entangled case the data covers the
-    class together with its 1/M0-shifted twin and twin_combined is True.
+    For a class of full degree M0 phi(q') the norm is W(beta) =
+    c0^phi(q') Phi_{q'}(x) with x = beta^M0 / c0, and ord_w / log_w use
+    lifting-the-exponent arithmetic on x.  For a genuine twin, value holds
+    the norm exactly, from the class polynomial evaluated at beta.
     """
 
     beta: Fraction
     c0: Fraction
     M0: int
     qprime: int
-    x: Fraction            # beta^M0 / c0
-    scale: Fraction
-    twin_combined: bool
+    x: Fraction                 # beta^M0 / c0
+    value: Fraction | None      # the exact norm of a genuine twin, else None
 
     def is_zero(self) -> bool:
-        """Whether W = 0, i.e. beta sits in the covered orbit(s)."""
+        """Whether the norm is 0, i.e. beta sits in the orbit."""
+        if self.value is not None:
+            return self.value == 0
         if self.x == 1:
             return self.qprime == 1
         if self.x == -1:
@@ -281,7 +375,11 @@ class ClassNormData:
         return False
 
     def ord_w(self, p: int) -> Fraction:
-        """ord_p(W), exact."""
+        """ord_p of the norm, exact."""
+        if self.value is not None:
+            if self.value == 0:
+                raise BetaIsConjugate("beta lies in the orbit")
+            return Fraction(ord_p(self.value, p))
         phi = euler_phi(self.qprime)
         total = Fraction(phi * ord_p(self.c0, p))
         if self.x in (1, -1):
@@ -294,10 +392,12 @@ class ClassNormData:
             total += mu * Fraction(_ord_power_minus_one(self.x, j, p))
         return total
 
-    def ord_norm(self, p: int) -> Fraction:
-        return self.scale * self.ord_w(p)
-
     def log_w(self) -> float:
+        """log of the norm's absolute value."""
+        if self.value is not None:
+            if self.value == 0:
+                raise BetaIsConjugate("beta lies in the orbit")
+            return _log_abs_fraction(self.value)
         phi = euler_phi(self.qprime)
         total = phi * _log_abs_fraction(self.c0)
         if self.x in (1, -1):
@@ -310,39 +410,20 @@ class ClassNormData:
             total += mu * _log_abs_power_minus_one(self.x, j)
         return total
 
-    def log_norm(self) -> float:
-        return float(self.scale) * self.log_w()
 
-
-def _moebius_divisors(n: int):
-    primes = list(factorint(n)) if n > 1 else []
-    out = [(1, 1)]
-    for p in primes:
-        out += [(d * p, -mu) for d, mu in out]
-    return out
-
-
-def class_norm_data(cls: ConjugacyClass, beta: Fraction) -> ClassNormData:
+def class_norm_data(cls: ConjugacyClass, beta: Fraction,
+                    degree_cap: int = DEGREE_CAP) -> ClassNormData:
+    """Norm data of the class at beta; a genuine twin past degree_cap raises
+    DegreeCapExceeded, since its norm needs the class polynomial."""
     beta = Fraction(beta)
     if beta == 0:
         raise ZeroInput("beta must be nonzero")
     qprime = cls.angle_order()
-    x = beta ** cls.M0 / cls.c0
-    scale = Fraction(cls.degree, cls.M0 * euler_phi(qprime))
-    if cls.entangled:
-        scale = Fraction(2 * cls.degree, cls.M0 * euler_phi(qprime))
-        # covers class + twin; both have the same degree by the sigma-action
-    data = ClassNormData(beta, cls.c0, cls.M0, qprime, x, scale, cls.entangled)
-    return data
-
-
-def twin_class(cls: ConjugacyClass) -> ConjugacyClass:
-    """The 1/M0-angle-shifted partner orbit (entangled case)."""
-    shifted = _mod1(cls.angles[0] + Fraction(1, cls.M0))
-    for cand in decompose_binomial_roots(cls.N, cls.a):
-        if shifted in cand.angles:
-            return cand
-    raise AssertionError("twin not found")
+    value = None
+    if cls.degree < cls.M0 * euler_phi(qprime):
+        value = class_polynomial(cls, degree_cap)(beta)
+    return ClassNormData(beta, cls.c0, cls.M0, qprime, beta ** cls.M0 / cls.c0,
+                         value)
 
 
 # --- valuation and log helpers on x^j - 1 -----------------------------------
@@ -443,11 +524,3 @@ def _log_abs_power_minus_one(x: Fraction, j: int) -> float:
         # x^j < 0: |x^j - 1| = |x|^j + 1
         return float(mp.log(mp.exp(j * lx) + 1))
 
-
-def strip_supported(n: int, primes) -> int:
-    """Divide out of |n| every factor in primes; returns the cofactor."""
-    n = abs(n)
-    for p in primes:
-        while n % p == 0:
-            n //= p
-    return n

@@ -67,16 +67,6 @@ def log_abs(x: Fraction | int, v: Place) -> LogAbs:
     return LogAbs(v, e * math.log(v.p), exponent=e)
 
 
-def abs_value(x: Fraction | int, v: Place) -> Fraction | float:
-    """|x|_v, exact at finite places, float-free at both when possible."""
-    x = Fraction(x)
-    if x == 0:
-        return Fraction(0)
-    if v.is_archimedean:
-        return abs(x)
-    return Fraction(v.p) ** (-ord_p(x, v.p))
-
-
 def _log_fraction(x: Fraction) -> float:
     """log of a positive rational, safe for huge numerators/denominators."""
     return _log_int(x.numerator) - _log_int(x.denominator)

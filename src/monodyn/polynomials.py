@@ -315,10 +315,6 @@ def _moebius_divisors(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def roots_of_unity_orders_dividing(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 def newton_polygon_root_valuations(f: UniPoly, p: int) -> list[Fraction]:
     """ord_p of the nonzero roots of f in an algebraic closure of Q_p.
 

@@ -14,19 +14,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-
-from .errors import (DegenerateCollision, DegreeCapExceeded, EnumerationCap,
-                     NoRationalBElement, RootIsolationFailure,
-                     RootOfUnityInput, ZeroInput)
-from .galois import ConjugacyClass, class_of_point
+from .errors import (DegenerateCollision, EnumerationCap, NoRationalBElement,
+                     RootOfUnityInput)
+from .galois import DEGREE_CAP, class_of_point, class_polynomial
 from .places import Place, height_exact_arg
-from .polynomials import UniPoly, cyclotomic_poly, newton_polygon_root_valuations
+from .polynomials import UniPoly, newton_polygon_root_valuations
 from .primes import euler_phi, factor_fraction, max_power_exponent
 from .radical import RadicalPoint
 from .semigroup import Semigroup, Word, word_coefficient_exponents
-
-DEGREE_CAP = 512
 
 
 # ---------------------------------------------------------------------------
@@ -220,108 +215,17 @@ _minpoly_cache: dict = {}
 
 
 def minimal_polynomial(x: RadicalPoint, degree_cap: int = DEGREE_CAP) -> UniPoly:
-    """The monic minimal polynomial of x over Q, exact.
-
-    Fast paths: rational scaling of a cyclotomic polynomial (rational
-    modulus) and pure real radicals (binomials are irreducible in canonical
-    form).  Otherwise the Galois orbit is expanded numerically at doubling
-    precision and the integer-rounded result is certified by exact division
-    into the point's rational binomial.
+    """The monic minimal polynomial of x over Q, exact: the polynomial of its
+    Galois class (galois.class_polynomial), cached per point.
+    DegreeCapExceeded when the degree exceeds degree_cap.
     """
-    cached = _minpoly_cache.get(x.key())
-    if cached is not None:
-        if cached.degree > degree_cap:
-            raise DegreeCapExceeded(
-                f"degree {cached.degree} exceeds cap {degree_cap}")
-        return cached
-    poly = _minimal_polynomial_uncached(x, degree_cap)
-    if len(_minpoly_cache) > 8192:
-        _minpoly_cache.clear()
-    _minpoly_cache[x.key()] = poly
+    poly = _minpoly_cache.get(x.key())
+    if poly is None or poly.degree > degree_cap:
+        poly = class_polynomial(class_of_point(x), degree_cap)
+        if len(_minpoly_cache) > 8192:
+            _minpoly_cache.clear()
+        _minpoly_cache[x.key()] = poly
     return poly
-
-
-def _minimal_polynomial_uncached(x: RadicalPoint, degree_cap: int) -> UniPoly:
-    cls = class_of_point(x)
-    if cls.degree > degree_cap:
-        raise DegreeCapExceeded(f"degree {cls.degree} exceeds cap {degree_cap}")
-    c0, M0 = cls.c0, cls.M0
-    if M0 == 1:
-        # x = zeta_q^e * c0 with c0 rational
-        q = x.angle.denominator
-        value = cls.modulus.as_fraction()
-        poly = cyclotomic_poly(q).scale_arg(Fraction(1, value))
-        poly = poly.monic()
-        assert poly.degree == cls.degree
-        return poly
-    if x.angle in (0, Fraction(1, 2)):
-        val_sign = 1 if x.angle == 0 else -1
-        const = (Fraction(val_sign) ** M0) * c0
-        poly = UniPoly.binomial(M0, const)
-        assert poly.degree == cls.degree
-        return poly
-    return _orbit_polynomial(cls)
-
-
-def _orbit_polynomial(cls: ConjugacyClass) -> UniPoly:
-    n0, a0 = cls.representative.rational_binomial()
-    den, num = a0.denominator, a0.numerator
-    # the monic orbit product has coefficients in (1/lc) Z with lc | den
-    log2_mod = max(0.0, cls.modulus.log()) / math.log(2)
-    prec = int(cls.degree * (1.5 + log2_mod)) + 96
-    while prec <= 1 << 22:
-        with mp.workprec(prec):
-            mod = mp.e ** mp.mpf(_modulus_log_mp(cls.modulus))
-            coeffs = [mp.mpc(1)]
-            for t in cls.angles:
-                root = mod * mp.expjpi(2 * mp.mpf(t.numerator) / t.denominator)
-                coeffs = _mul_linear(coeffs, root)
-            for lc in _candidate_leads(den, cls):
-                rounded = []
-                ok = True
-                for c in coeffs[:-1]:
-                    re = mp.nint(c.real * lc)
-                    if abs(c.real * lc - re) > 0.25 or abs(c.imag * lc) > 0.25:
-                        ok = False
-                        break
-                    rounded.append(int(re))
-                if not ok:
-                    continue
-                cand = UniPoly.from_coeffs(
-                    [Fraction(r, lc) for r in rounded] + [Fraction(1)])
-                binom = UniPoly.binomial(n0, a0)
-                if (binom % cand).is_zero:
-                    return cand
-        prec *= 2
-    raise RootIsolationFailure("orbit polynomial reconstruction failed")
-
-
-def _candidate_leads(den: int, cls: ConjugacyClass):
-    # any multiple of the true leading coefficient works for the rounding,
-    # and lc | den(a0); try the usually-exact modulus-derived value first
-    out = []
-    exact = cls.modulus ** cls.degree
-    if exact.is_rational():
-        out.append(exact.as_fraction().denominator)
-    if den not in out:
-        out.append(den)
-    return out
-
-
-def _mul_linear(coeffs, root):
-    # multiply sum c_i X^i by (X - root)
-    out = [mp.mpc(0)] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        out[i + 1] += c
-        out[i] -= c * root
-    return out
-
-
-def _modulus_log_mp(modulus) -> mp.mpf:
-    total = mp.mpf(0)
-    for p, e in modulus.exps.items():
-        total += mp.mpf(e.numerator) / e.denominator * mp.log(p)
-    return total
 
 
 def conjugates(x: RadicalPoint, v: Place, degree_cap: int = DEGREE_CAP):

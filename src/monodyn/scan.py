@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .bounds import discrepancy_exact, distance_bound_constant
 from .errors import (BetaIsConjugate, FactorBudgetExceeded, InvalidConfig,
-                     NotSIntegral, ZeroInput)
+                     NotSIntegral)
 from .galois import (ClassNormData, ConjugacyClass, class_norm_data,
                      class_of_point, decompose_binomial_roots)
 from .orbits import is_preperiodic
@@ -37,15 +37,6 @@ BALANCE_SLACK = 0.2   # certified float error headroom for the log-2 gap test
 # meets / bad primes / S-integrality
 
 
-def _resolve_meet_by_minpoly(cls: ConjugacyClass, beta: Fraction, p: int,
-                             degree_cap: int) -> bool:
-    poly = minimal_polynomial(cls.representative, degree_cap=degree_cap)
-    shifted = poly.shift(beta)
-    if shifted.coeffs[0] == 0:
-        raise BetaIsConjugate("beta is a conjugate")
-    return any(v > 0 for v in newton_polygon_root_valuations(shifted, p))
-
-
 def class_meets_at_prime(cls: ConjugacyClass, beta: Fraction, p: int,
                          degree_cap: int = 512) -> bool:
     """Whether some conjugate in the class meets beta at p."""
@@ -57,15 +48,10 @@ def class_meets_at_prime(cls: ConjugacyClass, beta: Fraction, p: int,
         return False
     if o_a > 0 or o_b > 0:
         return o_a > 0 and o_b > 0
-    nd = class_norm_data(cls, beta)
+    nd = class_norm_data(cls, beta, degree_cap)
     if nd.is_zero():
         raise BetaIsConjugate("beta lies in the orbit")
-    positive = nd.ord_norm(p) > 0
-    if not positive:
-        return False
-    if not nd.twin_combined:
-        return True
-    return _resolve_meet_by_minpoly(cls, beta, p, degree_cap)
+    return nd.ord_w(p) > 0
 
 
 def meets_at_prime(alpha: RadicalPoint, beta: Fraction, p: int,
@@ -119,48 +105,7 @@ class SIntegrality:
     s_integral: bool
     known_bad: tuple[int, ...]     # confirmed meets (complete when certified)
     outside_clean_gap: float       # integer-log balance gap, < log 2 certifies
-    certified: bool                # False when the entangled fallback was cut off
-
-
-def _twin_gamma_infeasible(cls: ConjugacyClass, nd: ClassNormData,
-                           beta: Fraction, S: list[Place],
-                           slack_eps: float = 1e-6) -> bool:
-    """Certify non-S-integrality of an entangled class via the Gamma identity.
-
-    For an S-integral point, 0 = Gamma = arch row + sum of S-finite rows +
-    the exact non-S part.  The per-twin S-finite rows are unknown but lie in
-    intervals pinned by the combined twin norm and the ultrametric bounds;
-    when zero cannot land in the feasible interval the class is certifiably
-    not S-integral.
-    """
-    s_primes = sorted(v.p for v in S if not v.is_archimedean)
-    supp = set(cls.representative.support_primes())
-    supp.update(p for p, _ in _support_pairs(beta))
-    arch = _arch_row(cls, beta)
-    non_s = 0.0
-    for p in sorted(supp):
-        if p in s_primes:
-            continue
-        m0 = min(cls.representative.ord_at(p), Fraction(ord_p(beta, p)))
-        if m0 != 0:
-            non_s += -float(m0) * math.log(p)
-    lo = hi = arch + non_s
-    for p in s_primes:
-        o_a = cls.representative.ord_at(p)
-        o_b = Fraction(ord_p(beta, p))
-        if o_a != o_b:
-            exact = -float(min(o_a, o_b)) * math.log(p)
-            lo += exact
-            hi += exact
-            continue
-        m0 = float(min(o_a, o_b))
-        combined = float(nd.scale * nd.ord_w(p))  # ord of both twins' norms
-        # per-twin valuation sum lies in [deg*m0, combined - deg*m0]
-        t_lo = cls.degree * m0
-        t_hi = combined - cls.degree * m0
-        lo += -(t_hi / cls.degree) * math.log(p)
-        hi += -(t_lo / cls.degree) * math.log(p)
-    return not (lo - slack_eps <= 0.0 <= hi + slack_eps)
+    certified: bool                # False when the gap lands in the float band
 
 
 def class_s_integrality(cls: ConjugacyClass, beta: Fraction, S: list[Place],
@@ -175,45 +120,23 @@ def class_s_integrality(cls: ConjugacyClass, beta: Fraction, S: list[Place],
         o_b = Fraction(ord_p(beta, p))
         if (o_a < 0 and o_b < 0) or (o_a > 0 and o_b > 0):
             known_bad.add(p)
-    nd = class_norm_data(cls, beta)
+    nd = class_norm_data(cls, beta, degree_cap)
     if nd.is_zero():
         raise BetaIsConjugate("beta lies in the orbit")
     # both-unit meets at the inspected primes
     inspected = sorted(s_primes | supp)
     for p in inspected:
-        if p in supp:
-            continue
-        if nd.ord_norm(p) > 0:
-            if nd.twin_combined:
-                if cls.degree <= degree_cap and _resolve_meet_by_minpoly(
-                        cls, beta, p, degree_cap):
-                    known_bad.add(p)
-                elif cls.degree > degree_cap:
-                    known_bad.add(p)   # conservative; flagged via certified
-            else:
-                known_bad.add(p)
+        if p not in supp and nd.ord_w(p) > 0:
+            known_bad.add(p)
     # outside part of the norm numerator: a positive integer, so the true
     # balance gap is 0 or at least log 2; the numeric error stays far below
     # the slack, making both sides of the band certain
     gap = nd.log_w()
     for p in inspected:
         gap -= float(nd.ord_w(p)) * math.log(p)
-    outside_clean = gap < BALANCE_SLACK
+    outside_clean = gap < BALANCE_SLACK   # conservative in the (unreached) band
     certified = outside_clean or gap > LOG2 - BALANCE_SLACK
-    outside_bad = not outside_clean   # conservative in the (unreached) band
-    if outside_bad and nd.twin_combined:
-        # the gap covers the twin pair jointly; resolve this class's share
-        if cls.degree <= degree_cap:
-            poly = minimal_polynomial(cls.representative, degree_cap=degree_cap)
-            value = poly(beta)
-            from .galois import strip_supported
-            outside_bad = strip_supported(abs(value.numerator), inspected) != 1
-            certified = True
-        elif _twin_gamma_infeasible(cls, nd, beta, S):
-            certified = True   # not S-integral, certified by the Gamma balance
-        else:
-            certified = False
-    s_integral = (not outside_bad) and all(p in s_primes for p in known_bad)
+    s_integral = outside_clean and all(p in s_primes for p in known_bad)
     return SIntegrality(s_integral, tuple(sorted(known_bad)), gap, certified)
 
 
@@ -222,7 +145,10 @@ def is_S_integral(alpha: RadicalPoint, beta: Fraction, S: list[Place],
     res = class_s_integrality(class_of_point(alpha), Fraction(beta), S,
                               degree_cap)
     if not res.certified:
-        raise FactorBudgetExceeded("entangled class beyond the degree cap")
+        raise FactorBudgetExceeded(
+            f"outside-S balance gap {res.outside_clean_gap:.3f} falls in the "
+            f"uncertified band between {BALANCE_SLACK} and log 2 - "
+            f"{BALANCE_SLACK}")
     return res.s_integral
 
 
@@ -260,7 +186,7 @@ def class_gamma(cls: ConjugacyClass, beta: Fraction,
                 degree_cap: int = 512,
                 materialize_threshold: int = 64) -> GammaReport:
     beta = Fraction(beta)
-    nd = class_norm_data(cls, beta)
+    nd = class_norm_data(cls, beta, degree_cap)
     if nd.is_zero():
         raise BetaIsConjugate("beta lies in the orbit")
     norm_value = None
@@ -281,10 +207,9 @@ def class_gamma(cls: ConjugacyClass, beta: Fraction,
         exact_zero = True
     supp = set(cls.representative.support_primes())
     supp.update(p for p, _ in _support_pairs(beta))
-    rows = []
+    rows = [("inf", _arch_row(cls, beta))]
     if norm_value is not None:
-        # per-class exact valuations from the materialized norm
-        rows.append(("inf", _arch_row(cls, beta)))
+        # exact valuations from the materialized norm
         covered = set(supp)
         covered.update(_bounded_factor(norm_value.numerator))
         covered.update(_bounded_factor(norm_value.denominator))
@@ -292,20 +217,12 @@ def class_gamma(cls: ConjugacyClass, beta: Fraction,
             rows.append((str(p),
                          -ord_p(norm_value, p) / cls.degree * math.log(p)))
     else:
-        # norm valuations via the class norm; entangled rows cover the class
-        # together with its twin, so the archimedean row is twin-averaged too
-        arch = _arch_row(cls, beta)
-        if nd.twin_combined:
-            from .galois import twin_class
-            arch = 0.5 * (arch + _arch_row(twin_class(cls), beta))
-        rows.append(("inf", arch))
-        denom = cls.degree * (2 if nd.twin_combined else 1)
         leftover = nd.log_w()
         for p in sorted(supp):
             leftover -= float(nd.ord_w(p)) * math.log(p)
             rows.append((str(p),
-                         -float(nd.scale * nd.ord_w(p)) / denom * math.log(p)))
-        leftover *= float(nd.scale) / denom
+                         -float(nd.ord_w(p)) / cls.degree * math.log(p)))
+        leftover /= cls.degree
         if leftover:
             rows.append(("outside", -leftover))
     residual = sum(v for _, v in rows)
@@ -328,7 +245,7 @@ def gamma_decomposition(alpha: RadicalPoint, beta: Fraction, S: list[Place],
     integ = class_s_integrality(cls, beta, S, degree_cap)
     if not integ.s_integral:
         raise NotSIntegral("decomposition requires S-integrality")
-    nd = class_norm_data(cls, beta)
+    nd = class_norm_data(cls, beta, degree_cap)
     s_primes = {v.p for v in S if not v.is_archimedean}
     supp = set(alpha.support_primes())
     supp.update(p for p, _ in _support_pairs(beta))
@@ -346,18 +263,8 @@ def gamma_decomposition(alpha: RadicalPoint, beta: Fraction, S: list[Place],
             non_s_terms.append((p, -m))
             non_s += -float(m) * math.log(p)
     s_part = _arch_row(cls, beta)
-    if nd.twin_combined:
-        # the class norm covers the twin pair; use per-class valuations
-        if cls.degree > degree_cap:
-            raise FactorBudgetExceeded(
-                "entangled class beyond the degree cap")
-        poly = minimal_polynomial(cls.representative, degree_cap=degree_cap)
-        value = poly(beta)
-        for p in sorted(s_primes):
-            s_part += -ord_p(value, p) / cls.degree * math.log(p)
-    else:
-        for p in sorted(s_primes):
-            s_part += -float(nd.ord_norm(p)) / cls.degree * math.log(p)
+    for p in sorted(s_primes):
+        s_part += -float(nd.ord_w(p)) / cls.degree * math.log(p)
     return GammaDecomposition(s_part, non_s, tuple(non_s_terms),
                               s_part + non_s, witness)
 
@@ -492,7 +399,7 @@ def _class_min_log_distance_lower(cls: ConjugacyClass, nd: ClassNormData,
     # equal valuations: every term is at most log max; the minimum exceeds
     # the full norm sum minus (deg - 1) times that maximum
     logmax = -float(o_a) * math.log(p)
-    total = -float(nd.ord_norm(p)) * math.log(p)
+    total = -float(nd.ord_w(p)) * math.log(p)
     return total - (cls.degree - 1) * logmax
 
 
@@ -582,7 +489,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
             class_counts[L] = class_counts.get(L, 0) + 1
             point_counts[L] = point_counts.get(L, 0) + cls.degree
             integ = class_s_integrality(cls, beta, config.S, config.degree_cap)
-            nd = class_norm_data(cls, beta)
+            nd = class_norm_data(cls, beta, config.degree_cap)
             gamma = class_gamma(cls, beta, config.degree_cap)
             dist = _scan_distance_checks(G, cls, nd, beta, config.S,
                                          config.degree_cap)

@@ -79,6 +79,16 @@ def test_scan_json_and_exit_codes(config, tmp_path, capsys):
     assert json.loads(out2.read_text())["truncated"]
 
 
+def test_scan_degree_cap_on_genuine_twin(config, capsys):
+    # depth 3 reaches a degree-2 genuine twin, whose norm needs its class
+    # polynomial: past the cap the scan stops with exit 3
+    rc = main(["--config", config, "scan", "--beta", "2", "--depth", "3",
+               "--degree-cap", "1"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "cap exceeded" in err and "Traceback" not in err
+
+
 def test_scan_csv(config, capsys):
     rc = main(["--config", config, "scan", "--beta", "2", "--depth", "2",
                "--format", "csv"])

@@ -4,10 +4,10 @@ import random
 from fractions import Fraction as F
 
 from monodyn.galois import (class_norm_data, class_of_point,
-                            decompose_binomial_roots, twin_class,
-                            unit_group_generators)
+                            decompose_binomial_roots, unit_group_generators)
 from monodyn.polyfactor import factor_poly
 from monodyn.polynomials import UniPoly
+from monodyn.preper import minimal_polynomial
 from monodyn.primes import ord_p
 from monodyn.radical import RadicalPoint
 
@@ -44,7 +44,8 @@ def _match_factor(cls, fac):
 
 
 def test_classes_match_factorization():
-    # degree multisets and root assignments agree with the Zassenhaus route
+    # degree multisets, root assignments and class polynomials agree with
+    # the Zassenhaus route
     for N in range(1, 13):
         for a in POOL:
             classes = decompose_binomial_roots(N, a)
@@ -53,7 +54,9 @@ def test_classes_match_factorization():
             assert sorted(c.degree for c in classes) == \
                 sorted(g.degree for g, m in fac for _ in range(m))
             for cls in classes:
-                assert _match_factor(cls, fac) is not None
+                g = _match_factor(cls, fac)
+                assert g is not None
+                assert minimal_polynomial(cls.representative) == g.monic()
 
 
 def test_known_splits():
@@ -93,13 +96,11 @@ def test_norms_against_minpoly_values():
             if nd.is_zero():
                 assert nm == 0
                 continue
-            if nd.twin_combined:
-                g2 = _match_factor(twin_class(cls), fac).monic()
-                nm = nm * g2(F(2))
-            assert abs(nd.log_norm() - math.log(abs(nm))) \
+            # per class: the norm is this class's factor at beta, twin or not
+            assert abs(nd.log_w() - math.log(abs(nm))) \
                 < 1e-8 * max(1, abs(math.log(abs(nm))))
             for p in (2, 3, 5, 7, 13):
-                assert nd.ord_norm(p) == ord_p(nm, p)
+                assert nd.ord_w(p) == ord_p(nm, p)
 
 
 def test_progressions_cover_angles():

@@ -4,11 +4,16 @@ from fractions import Fraction as F
 import pytest
 
 from monodyn.errors import BetaIsConjugate, InvalidConfig, NotSIntegral
+from monodyn.galois import class_norm_data, class_of_point
 from monodyn.places import INF, Place
+from monodyn.polynomials import newton_polygon_root_valuations
+from monodyn.preper import enumerate_preperiodic, minimal_polynomial
+from monodyn.primes import ord_p
 from monodyn.radical import RadicalPoint
-from monodyn.scan import (ScanConfig, bad_primes, gamma_decomposition,
-                          gamma_sum, is_S_integral, meets_at_prime,
-                          report_to_csv, run_scan, zero_infinity_verdict)
+from monodyn.scan import (ScanConfig, _class_min_log_distance_lower,
+                          bad_primes, gamma_decomposition, gamma_sum,
+                          is_S_integral, meets_at_prime, report_to_csv,
+                          run_scan, zero_infinity_verdict)
 from monodyn.semigroup import Semigroup
 
 G2 = Semigroup.from_pairs([("2", 2), ("3", 3)])
@@ -99,6 +104,37 @@ def test_gamma_decomposition_entangled_class():
     gd = gamma_decomposition(one_plus_i, F(3), [INF, Place(5)])
     assert abs(gd.residual) < 1e-9
     assert gd.non_s_part == 0.0
+
+
+def test_class_norms_are_per_class():
+    # oracle: the exact minimal polynomial.  Its value at beta is the class
+    # norm, and the Newton polygon of its beta-shift gives the true minimum
+    # of log|sigma(alpha) - beta|_p, which the distance bound must not exceed
+    semigroups = [G2, Semigroup.from_pairs([("-5/2", 3), ("4", -2)]),
+                  Semigroup.from_pairs([("4", 2), ("9", 3)])]
+    checked = 0
+    for G in semigroups:
+        seen = set()
+        for ep in enumerate_preperiodic(G, 4):
+            cls = class_of_point(ep.point)
+            if cls.representative.key() in seen:
+                continue
+            seen.add(cls.representative.key())
+            poly = minimal_polynomial(cls.representative)
+            for beta in (F(2), F(1, 2), F(-3, 7), F(5)):
+                value = poly(beta)
+                if value == 0:
+                    continue
+                nd = class_norm_data(cls, beta)
+                shifted = poly.shift(beta)
+                for p in (2, 3, 5, 7):
+                    assert nd.ord_w(p) == ord_p(value, p), (cls, beta, p)
+                    vals = newton_polygon_root_valuations(shifted, p)
+                    true_min = -float(max(vals)) * math.log(p)
+                    lower = _class_min_log_distance_lower(cls, nd, beta, p)
+                    assert lower <= true_min + 1e-9, (cls, beta, p)
+                    checked += 1
+    assert checked > 5000
 
 
 def test_gate_refuses_preperiodic_and_unknown():
