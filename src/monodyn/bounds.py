@@ -219,6 +219,14 @@ class DistanceBoundCert:
     chain_exponent: int
     additive: int
 
+    def bound(self, h_beta: float, deg: int, MQ: int) -> float:
+        """C2 (h(beta)+1) log(deg) for deg >= 2; degree 1 takes the
+        pre-absorption chain value with log max(3, MQ)."""
+        if deg >= 2:
+            return self.C2 * (h_beta + 1) * math.log(deg)
+        return (h_beta + math.log(MQ) + self.c1 * self.nv_factor
+                * self.theta_cap * (h_beta + 1) * math.log(max(3, MQ)))
+
 
 def distance_bound_constant(G: Semigroup, v: Place) -> DistanceBoundCert:
     s = G.s
@@ -237,16 +245,18 @@ def distance_bound_constant(G: Semigroup, v: Place) -> DistanceBoundCert:
     return DistanceBoundCert(C2, c1, nv, theta_cap, 11, 25)
 
 
+def arch_distances_sq(cls: ConjugacyClass, beta: Fraction) -> list[float]:
+    """|sigma(alpha) - beta|^2 over the conjugates, from modulus and angles."""
+    mod = float(cls.modulus)
+    b = float(beta)
+    return [mod * mod + b * b - 2 * mod * b * math.cos(2 * math.pi * float(t))
+            for t in cls.angles]
+
+
 def _observed_min_log_distance(cls: ConjugacyClass, beta: Fraction, v: Place,
                                degree_cap: int) -> float:
     if v.is_archimedean:
-        mod = float(cls.modulus)
-        b = float(beta)
-        best = None
-        for t in cls.angles:
-            ang = 2 * math.pi * float(t)
-            dist2 = mod * mod + b * b - 2 * mod * b * math.cos(ang)
-            best = dist2 if best is None else min(best, dist2)
+        best = min(arch_distances_sq(cls, beta))
         if best <= 0:
             raise BetaIsConjugate("zero distance")
         return 0.5 * math.log(best)
@@ -269,22 +279,14 @@ def distance_lower_bound(G: Semigroup, beta: Fraction, alpha: RadicalPoint,
     """
     beta = Fraction(beta)
     cls = class_of_point(alpha)
-    cert = distance_bound_constant(G, v)
-    h_beta = height_rational(beta)
-    deg = cls.degree
     if MQ is None:
         # canonical radical index and the angle order of the twist
-        q = alpha.angle.denominator
-        MQ = cls.M0 * q
+        MQ = cls.M0 * alpha.angle.denominator
     observed = _observed_min_log_distance(cls, beta, v, degree_cap)
-    if deg >= 2:
-        bound = cert.C2 * (h_beta + 1) * math.log(deg)
-        return bound, observed, observed > -bound
-    if MQ == 1:
+    if cls.degree == 1 and MQ == 1:
         raise DegenerateDegree("rational positive point; bound trivial")
-    bound = (h_beta + math.log(MQ)
-             + cert.c1 * cert.nv_factor * cert.theta_cap * (h_beta + 1)
-             * math.log(max(3, MQ)))
+    bound = distance_bound_constant(G, v).bound(height_rational(beta),
+                                                cls.degree, MQ)
     return bound, observed, observed > -bound
 
 

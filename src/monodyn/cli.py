@@ -4,8 +4,10 @@ Subcommands: orbit, preper, height, bounds, equid, scan, factor.  The
 semigroup comes from a JSON config file ({"generators": [{"a": "2", "d": 2},
 ...]}); words are written as comma-separated 1-based generator indices.
 
-Exit codes: 0 ok, 2 invalid config, 3 cap exceeded (partial output written
-where possible), 4 internal invariant violation.
+Exit codes: 0 ok, 2 invalid config, 3 cap exceeded, 4 internal invariant
+violation.  A scan stopped by its node cap or degree cap (or holding an
+uncertified verdict) still writes its partial report, marked "truncated",
+and exits 3; every other cap ends the command with no output.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .polynomials import UniPoly
 from .polyfactor import factor_poly
 from .preper import enumerate_preperiodic, minimal_polynomial
 from .radical import RadicalPoint
-from .scan import ScanConfig, report_to_csv, run_scan
+from .scan import ScanConfig, report_to_csv, run_scan, word_pair_classes
 from .semigroup import Semigroup, format_word, parse_word
 
 
@@ -137,19 +139,11 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_equid(args) -> int:
     G = _load_semigroup(args.config)
-    rows = []
-    seen = set()
-    from .galois import class_of_point
-    for ep in enumerate_preperiodic(G, args.depth):
-        cls = class_of_point(ep.point)
-        key = cls.representative.key()
-        if key in seen:
-            continue
-        seen.add(key)
-        rows.append({"point": cls.representative.to_json(),
-                     "degree": cls.degree,
-                     "discrepancy": float(discrepancy_exact(cls.angles)),
-                     "progressions": cls.progressions()})
+    rows = [{"point": cls.representative.to_json(),
+             "degree": cls.degree,
+             "discrepancy": float(discrepancy_exact(cls.angles)),
+             "progressions": cls.progressions()}
+            for cls, _, _ in word_pair_classes(G, args.depth, 10 ** 6)]
     lhs, rhs, diff = jensen_check(1.0, Fraction(args.beta), args.nodes)
     doc = {"schema": "monodyn/1", "classes": rows,
            "jensen": {"radius": 1.0, "beta": str(args.beta),

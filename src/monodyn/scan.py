@@ -16,21 +16,23 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bounds import discrepancy_exact, distance_bound_constant
-from .errors import (BetaIsConjugate, FactorBudgetExceeded, InvalidConfig,
-                     NotSIntegral)
+from .bounds import (DistanceBoundCert, arch_distances_sq, discrepancy_exact,
+                     distance_bound_constant)
+from .errors import (BetaIsConjugate, DegreeCapExceeded, EnumerationCap,
+                     FactorBudgetExceeded, InvalidConfig, NotSIntegral)
 from .galois import (ClassNormData, ConjugacyClass, class_norm_data,
                      class_of_point, decompose_binomial_roots)
 from .orbits import is_preperiodic
 from .places import INF, Place, height_rational, product_formula_check
-from .polynomials import newton_polygon_root_valuations
+from .polynomials import UniPoly, newton_polygon_root_valuations
 from .preper import collision_binomial, minimal_polynomial, word_pairs
-from .primes import factorint, is_prime, ord_p
+from .primes import factor_fraction, factorint, is_prime, ord_p
 from .radical import RadicalPoint
 from .semigroup import Semigroup, Word, format_word
 
 LOG2 = math.log(2)
 BALANCE_SLACK = 0.2   # certified float error headroom for the log-2 gap test
+EXACT_DEGREE = 64     # largest degree whose class polynomial the scan builds
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +64,8 @@ def meets_at_prime(alpha: RadicalPoint, beta: Fraction, p: int,
                                 degree_cap)
 
 
-def _bounded_factor(n: int, budget: int = 10 ** 6) -> dict[int, int]:
-    """factorint with a step budget; FactorBudgetExceeded past it."""
+def _bounded_factor(n: int) -> dict[int, int]:
+    """FactorBudgetExceeded for |n| > 10^120, else factorint with no bound."""
     if abs(n) > 10 ** 120:
         raise FactorBudgetExceeded(f"{n.bit_length()}-bit norm value")
     try:
@@ -86,18 +88,17 @@ def bad_primes(alpha: RadicalPoint, beta: Fraction,
     value = poly(beta)
     if value == 0:
         raise BetaIsConjugate("beta is a conjugate of alpha")
-    candidates: set[int] = set()
-    candidates.update(alpha.support_primes())
-    candidates.update(p for p, _ in _support_pairs(beta))
+    candidates = _support(alpha, beta)
     candidates.update(_bounded_factor(value.numerator))
     candidates.update(_bounded_factor(value.denominator))
     return sorted(p for p in candidates
                   if class_meets_at_prime(cls, beta, p, degree_cap))
 
 
-def _support_pairs(x: Fraction):
-    from .primes import factor_fraction
-    return factor_fraction(x).exponents if x else ()
+def _support(alpha: RadicalPoint, beta: Fraction) -> set[int]:
+    """The primes at which alpha or beta is not a unit."""
+    pairs = factor_fraction(beta).exponents if beta else ()
+    return set(alpha.support_primes()) | {p for p, _ in pairs}
 
 
 @dataclass(frozen=True)
@@ -108,19 +109,19 @@ class SIntegrality:
     certified: bool                # False when the gap lands in the float band
 
 
-def class_s_integrality(cls: ConjugacyClass, beta: Fraction, S: list[Place],
-                        degree_cap: int = 512) -> SIntegrality:
-    """Decide bad_primes(alpha, beta) inside S without factoring the norm."""
+def class_s_integrality(cls: ConjugacyClass, nd: ClassNormData,
+                        S: list[Place]) -> SIntegrality:
+    """Decide bad_primes(alpha, beta) inside S without factoring the norm;
+    beta is the base point of the norm data nd."""
+    beta = nd.beta
     s_primes = {v.p for v in S if not v.is_archimedean}
-    supp = set(cls.representative.support_primes())
-    supp.update(p for p, _ in _support_pairs(beta))
+    supp = _support(cls.representative, beta)
     known_bad: set[int] = set()
     for p in sorted(supp):
         o_a = cls.representative.ord_at(p)
         o_b = Fraction(ord_p(beta, p))
         if (o_a < 0 and o_b < 0) or (o_a > 0 and o_b > 0):
             known_bad.add(p)
-    nd = class_norm_data(cls, beta, degree_cap)
     if nd.is_zero():
         raise BetaIsConjugate("beta lies in the orbit")
     # both-unit meets at the inspected primes
@@ -142,8 +143,8 @@ def class_s_integrality(cls: ConjugacyClass, beta: Fraction, S: list[Place],
 
 def is_S_integral(alpha: RadicalPoint, beta: Fraction, S: list[Place],
                   degree_cap: int = 512) -> bool:
-    res = class_s_integrality(class_of_point(alpha), Fraction(beta), S,
-                              degree_cap)
+    cls = class_of_point(alpha)
+    res = class_s_integrality(cls, class_norm_data(cls, beta, degree_cap), S)
     if not res.certified:
         raise FactorBudgetExceeded(
             f"outside-S balance gap {res.outside_clean_gap:.3f} falls in the "
@@ -168,31 +169,34 @@ class GammaReport:
 
 def _arch_row(cls: ConjugacyClass, beta: Fraction) -> float:
     """(1/deg) sum over conjugates of log|sigma(alpha) - beta|, numerically."""
-    mod = float(cls.modulus)
-    b = float(beta)
-    total = 0.0
-    for t in cls.angles:
-        ang = 2 * math.pi * float(t)
-        total += 0.5 * math.log(mod * mod + b * b - 2 * mod * b * math.cos(ang))
-    return total / cls.degree
+    return sum(0.5 * math.log(d2)
+               for d2 in arch_distances_sq(cls, beta)) / cls.degree
+
+
+def _exact_polynomial(cls: ConjugacyClass, degree_cap: int) -> UniPoly | None:
+    """The class polynomial if the scan materializes it, else None."""
+    if cls.degree > min(degree_cap, EXACT_DEGREE):
+        return None
+    return minimal_polynomial(cls.representative, degree_cap=degree_cap)
 
 
 def gamma_sum(alpha: RadicalPoint, beta: Fraction,
               degree_cap: int = 512) -> GammaReport:
-    return class_gamma(class_of_point(alpha), Fraction(beta), degree_cap)
+    cls = class_of_point(alpha)
+    return class_gamma(cls, class_norm_data(cls, beta, degree_cap),
+                       _exact_polynomial(cls, degree_cap))
 
 
-def class_gamma(cls: ConjugacyClass, beta: Fraction,
-                degree_cap: int = 512,
-                materialize_threshold: int = 64) -> GammaReport:
-    beta = Fraction(beta)
-    nd = class_norm_data(cls, beta, degree_cap)
+def class_gamma(cls: ConjugacyClass, nd: ClassNormData,
+                poly: UniPoly | None) -> GammaReport:
+    """The Gamma table at nd's base point: exact rows from the norm
+    poly(beta) when the class polynomial is given, else LTE rows."""
+    beta = nd.beta
     if nd.is_zero():
         raise BetaIsConjugate("beta lies in the orbit")
     norm_value = None
     exact_zero = False
-    if cls.degree <= min(degree_cap, materialize_threshold):
-        poly = minimal_polynomial(cls.representative, degree_cap=degree_cap)
+    if poly is not None:
         norm_value = poly(beta)
         if norm_value == 0:
             raise BetaIsConjugate("beta is a conjugate")
@@ -205,8 +209,7 @@ def class_gamma(cls: ConjugacyClass, beta: Fraction,
         # structural certificate: the norm is a rational number, and the
         # product formula is an exponent identity for every rational
         exact_zero = True
-    supp = set(cls.representative.support_primes())
-    supp.update(p for p, _ in _support_pairs(beta))
+    supp = _support(cls.representative, beta)
     rows = [("inf", _arch_row(cls, beta))]
     if norm_value is not None:
         # exact valuations from the materialized norm
@@ -242,13 +245,11 @@ def gamma_decomposition(alpha: RadicalPoint, beta: Fraction, S: list[Place],
                         degree_cap: int = 512) -> GammaDecomposition:
     beta = Fraction(beta)
     cls = class_of_point(alpha)
-    integ = class_s_integrality(cls, beta, S, degree_cap)
-    if not integ.s_integral:
-        raise NotSIntegral("decomposition requires S-integrality")
     nd = class_norm_data(cls, beta, degree_cap)
+    if not class_s_integrality(cls, nd, S).s_integral:
+        raise NotSIntegral("decomposition requires S-integrality")
     s_primes = {v.p for v in S if not v.is_archimedean}
-    supp = set(alpha.support_primes())
-    supp.update(p for p, _ in _support_pairs(beta))
+    supp = _support(alpha, beta)
     non_s_terms = []
     non_s = 0.0
     witness = 0.0
@@ -403,34 +404,21 @@ def _class_min_log_distance_lower(cls: ConjugacyClass, nd: ClassNormData,
     return total - (cls.degree - 1) * logmax
 
 
-def _scan_distance_checks(G: Semigroup, cls: ConjugacyClass,
-                          nd: ClassNormData, beta: Fraction,
-                          S: list[Place], degree_cap: int,
-                          exact_threshold: int = 64):
-    """(place, ok) rows; archimedean from the angle set, finite places from
-    the exact shifted-polygon for small degrees and a sound valuation lower
-    bound beyond (the constant dwarfs the slack either way)."""
+def _scan_distance_checks(cls: ConjugacyClass, nd: ClassNormData,
+                          poly: UniPoly | None,
+                          certs: list[tuple[Place, DistanceBoundCert]]):
+    """(place, ok) rows at nd's base point; archimedean from the angle set,
+    finite places from the shifted polygon of poly when given, else a sound
+    valuation lower bound (the constant dwarfs the slack either way)."""
+    beta = nd.beta
     h_beta = height_rational(beta)
-    deg = cls.degree
-    shifted = None
-    if deg <= min(degree_cap, exact_threshold):
-        poly = minimal_polynomial(cls.representative, degree_cap=degree_cap)
-        shifted = poly.shift(beta)
+    MQ = max(2, cls.M0 * cls.representative.angle.denominator)
+    shifted = poly.shift(beta) if poly is not None else None
     rows = []
-    for v in S:
-        cert = distance_bound_constant(G, v)
-        if deg >= 2:
-            bound = cert.C2 * (h_beta + 1) * math.log(deg)
-        else:
-            q = cls.representative.angle.denominator
-            MQ = max(2, cls.M0 * q)
-            bound = (h_beta + math.log(MQ) + cert.c1 * cert.nv_factor
-                     * cert.theta_cap * (h_beta + 1) * math.log(max(3, MQ)))
+    for v, cert in certs:
+        bound = cert.bound(h_beta, cls.degree, MQ)
         if v.is_archimedean:
-            mod = float(cls.modulus)
-            b = float(beta)
-            best = min(mod * mod + b * b - 2 * mod * b
-                       * math.cos(2 * math.pi * float(t)) for t in cls.angles)
+            best = min(arch_distances_sq(cls, beta))
             observed = 0.5 * math.log(best) if best > 0 else -math.inf
         elif shifted is not None:
             vals = newton_polygon_root_valuations(shifted, v.p)
@@ -454,7 +442,28 @@ def zero_infinity_verdict(beta: Fraction, S: list[Place]) -> dict:
     }
 
 
+def word_pair_classes(G: Semigroup, n_max: int, node_cap: int):
+    """Each class of nonzero preperiodic points from word pairs of length
+    <= n_max once, as (class, w, m) with its first witness in (|w|, lex, m)
+    order; EnumerationCap once the summed binomial degrees N pass node_cap."""
+    seen: set = set()
+    budget = 0
+    for w, m in word_pairs(G, n_max):
+        cb = collision_binomial(G, w, m)
+        budget += cb.N
+        if budget > node_cap:
+            raise EnumerationCap(
+                f"node cap {node_cap} reached at |w| = {len(w)}")
+        for cls in decompose_binomial_roots(cb.N, cb.a):
+            key = cls.representative.key()
+            if key not in seen:
+                seen.add(key)
+                yield cls, w, m
+
+
 def run_scan(config: ScanConfig) -> ScanReport:
+    """Verdicts for every class of word_pair_classes; the node cap and the
+    degree cap stop it with the classes done so far, marked truncated."""
     config.validate()
     G = config.semigroup
     beta = Fraction(config.beta)
@@ -464,35 +473,22 @@ def run_scan(config: ScanConfig) -> ScanReport:
         raise InvalidConfig(
             f"beta = {beta} lacks a non-preperiodicity certificate "
             f"(status {status.tag}); refusing to scan")
+    certs = [(v, distance_bound_constant(G, v)) for v in config.S]
     verdicts: list[ClassVerdict] = []
-    seen: dict = {}
     class_counts: dict[int, int] = {}
     point_counts: dict[int, int] = {}
     si_class_counts: dict[int, int] = {}
     si_point_counts: dict[int, int] = {}
     truncated = False
     notes: list[str] = []
-    budget = 0
-    for w, m in word_pairs(G, config.max_wordlen):
-        cb = collision_binomial(G, w, m)
-        budget += cb.N
-        if budget > config.node_cap:
-            truncated = True
-            notes.append(f"node cap {config.node_cap} reached at |w| = {len(w)}")
-            break
-        for cls in decompose_binomial_roots(cb.N, cb.a):
-            key = cls.representative.key()
-            if key in seen:
-                continue
-            seen[key] = True
-            L = len(w)
-            class_counts[L] = class_counts.get(L, 0) + 1
-            point_counts[L] = point_counts.get(L, 0) + cls.degree
-            integ = class_s_integrality(cls, beta, config.S, config.degree_cap)
+    try:
+        for cls, w, m in word_pair_classes(G, config.max_wordlen,
+                                           config.node_cap):
             nd = class_norm_data(cls, beta, config.degree_cap)
-            gamma = class_gamma(cls, beta, config.degree_cap)
-            dist = _scan_distance_checks(G, cls, nd, beta, config.S,
-                                         config.degree_cap)
+            poly = _exact_polynomial(cls, config.degree_cap)
+            integ = class_s_integrality(cls, nd, config.S)
+            gamma = class_gamma(cls, nd, poly)
+            dist = _scan_distance_checks(cls, nd, poly, certs)
             disc = None
             if cls.degree <= config.degree_cap:
                 disc = float(discrepancy_exact(cls.angles))
@@ -504,6 +500,9 @@ def run_scan(config: ScanConfig) -> ScanReport:
                 notes.append(
                     f"gamma residual {gamma.residual:.2e} above tol at "
                     f"degree {cls.degree}")
+            L = len(w)
+            class_counts[L] = class_counts.get(L, 0) + 1
+            point_counts[L] = point_counts.get(L, 0) + cls.degree
             if integ.s_integral:
                 si_class_counts[L] = si_class_counts.get(L, 0) + 1
                 si_point_counts[L] = si_point_counts.get(L, 0) + cls.degree
@@ -512,6 +511,9 @@ def run_scan(config: ScanConfig) -> ScanReport:
                 integ.s_integral, integ.known_bad, integ.certified,
                 gamma.residual, gamma.exact_zero, dist, disc,
                 cls.progressions()))
+    except (EnumerationCap, DegreeCapExceeded) as exc:
+        truncated = True
+        notes.append(str(exc))
     verdicts.sort(key=lambda v: (v.degree, v.point.key()))
     last = config.max_wordlen
     stab = (si_class_counts.get(last, 0) == 0

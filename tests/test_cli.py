@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from monodyn.bounds import discrepancy_exact
 from monodyn.cli import main
+from monodyn.galois import class_of_point
+from monodyn.preper import enumerate_preperiodic
+from monodyn.semigroup import Semigroup
 
 
 @pytest.fixture
@@ -79,14 +83,53 @@ def test_scan_json_and_exit_codes(config, tmp_path, capsys):
     assert json.loads(out2.read_text())["truncated"]
 
 
-def test_scan_degree_cap_on_genuine_twin(config, capsys):
+def test_scan_degree_cap_on_genuine_twin(config, tmp_path, capsys):
     # depth 3 reaches a degree-2 genuine twin, whose norm needs its class
-    # polynomial: past the cap the scan stops with exit 3
+    # polynomial: past the cap the scan stops with exit 3 and keeps the
+    # classes done so far
+    out = tmp_path / "r.json"
     rc = main(["--config", config, "scan", "--beta", "2", "--depth", "3",
-               "--degree-cap", "1"])
+               "--degree-cap", "1", "--out", str(out)])
     assert rc == 3
     err = capsys.readouterr().err
-    assert "cap exceeded" in err and "Traceback" not in err
+    assert "Traceback" not in err
+    doc = json.loads(out.read_text())
+    assert doc["truncated"] and not doc["stabilization"]
+    assert any("exceeds cap 1" in note for note in doc["notes"])
+    assert sum(doc["class_counts"].values()) == len(doc["verdicts"])
+    assert sum(doc["point_counts"].values()) == \
+        sum(v["degree"] for v in doc["verdicts"])
+
+
+EQUID_SEMIGROUPS = (
+    [{"a": "2", "d": 2}, {"a": "3", "d": 3}],
+    [{"a": "-5/2", "d": 3}, {"a": "4", "d": -2}],
+    [{"a": "4", "d": 2}, {"a": "9", "d": 3}],
+)
+
+
+@pytest.mark.parametrize("generators", EQUID_SEMIGROUPS)
+def test_equid_classes_match_point_enumeration(generators, tmp_path, capsys):
+    # oracle: enumerate the points, then group them into classes in order
+    # of first appearance
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"generators": generators}))
+    rc = main(["--config", str(path), "equid", "--depth", "4"])
+    assert rc == 0
+    rows = json.loads(capsys.readouterr().out)["classes"]
+    expect = []
+    seen = set()
+    G = Semigroup.from_json({"generators": generators})
+    for ep in enumerate_preperiodic(G, 4):
+        cls = class_of_point(ep.point)
+        if cls.representative.key() in seen:
+            continue
+        seen.add(cls.representative.key())
+        expect.append({"point": cls.representative.to_json(),
+                       "degree": cls.degree,
+                       "discrepancy": float(discrepancy_exact(cls.angles)),
+                       "progressions": cls.progressions()})
+    assert rows == expect
 
 
 def test_scan_csv(config, capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 from monodyn.errors import BetaIsConjugate
 from monodyn.exactreal import PosReal
-from monodyn.galois import decompose_binomial_roots
+from monodyn.galois import class_norm_data, decompose_binomial_roots
 from monodyn.places import INF, Place
 from monodyn.scan import ScanConfig, bad_primes, class_s_integrality, run_scan
 from monodyn.semigroup import Semigroup
@@ -36,7 +36,8 @@ def test_s_integrality_matches_norm_factoring():
                     except BetaIsConjugate:
                         continue
                     expect = all(p in s_primes for p in bad)
-                    got = class_s_integrality(cls, beta, S)
+                    got = class_s_integrality(
+                        cls, class_norm_data(cls, beta), S)
                     assert got.certified
                     assert got.s_integral == expect, (N, a, beta, S, bad, got)
                     if got.s_integral:

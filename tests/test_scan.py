@@ -189,3 +189,22 @@ def test_scan_truncation_marker():
     rep = run_scan(cfg)
     assert rep.truncated and rep.notes
     assert not rep.stabilization
+
+
+def test_scan_builds_norm_data_once_per_class(monkeypatch):
+    import monodyn.scan as scan
+    calls = {"norm": 0, "cert": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scan, "class_norm_data",
+                        counted("norm", scan.class_norm_data))
+    monkeypatch.setattr(scan, "distance_bound_constant",
+                        counted("cert", scan.distance_bound_constant))
+    rep = run_scan(ScanConfig(G2, S_DEFAULT, F(2), 3))
+    assert calls["norm"] == len(rep.verdicts) > 0
+    assert calls["cert"] == len(S_DEFAULT)
