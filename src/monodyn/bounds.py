@@ -15,11 +15,11 @@ from fractions import Fraction
 
 from .errors import (BadWindow, BetaIsConjugate, DegenerateDegree, LambdaZero,
                      ZeroAlpha, ZeroInput)
-from .galois import ConjugacyClass, class_of_point
-from .places import Place, height_rational
-from .polynomials import newton_polygon_root_valuations
+from .galois import DEGREE_CAP, ConjugacyClass, class_norm_data, class_of_point
+from .places import Place, height_rational, log_abs
+from .polynomials import UniPoly, newton_polygon_root_valuations
 from .preper import minimal_polynomial
-from .primes import euler_phi, ord_p
+from .primes import euler_phi
 from .radical import RadicalPoint
 from .semigroup import Semigroup
 
@@ -73,15 +73,6 @@ class LinFormInstance:
         return max(3, max(abs(b) for b in self.bs))
 
 
-def _log_abs_at(x: Fraction, v: Place) -> float:
-    if x == 0:
-        raise ZeroInput("log of zero")
-    if v.is_archimedean:
-        from .places import _log_int
-        return _log_int(abs(x.numerator)) - _log_int(x.denominator)
-    return -ord_p(x, v.p) * math.log(v.p)
-
-
 def linform_bound(inst: LinFormInstance) -> float:
     """The proved lower bound for log|Lambda|_v (a negative number)."""
     lam = inst.lam()
@@ -98,7 +89,7 @@ def verify_linform(inst: LinFormInstance) -> bool:
     lam = inst.lam()
     if lam == 0:
         raise LambdaZero("degenerate multiplicative relation")
-    return _log_abs_at(lam, inst.v) > linform_bound(inst)
+    return log_abs(lam, inst.v).value > linform_bound(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -253,23 +244,21 @@ def arch_distances_sq(cls: ConjugacyClass, beta: Fraction) -> list[float]:
             for t in cls.angles]
 
 
-def _observed_min_log_distance(cls: ConjugacyClass, beta: Fraction, v: Place,
-                               degree_cap: int) -> float:
+def observed_min_log_distance(cls: ConjugacyClass, beta: Fraction, v: Place,
+                              shifted: UniPoly | None) -> float:
+    """min over conjugates of log|sigma(alpha) - beta|_v for beta outside
+    the orbit: from the angle set at the archimedean place (-inf if the
+    float distance is 0), at a finite place from the Newton polygon of
+    shifted, the class polynomial moved by beta (roots sigma(alpha) - beta)."""
     if v.is_archimedean:
         best = min(arch_distances_sq(cls, beta))
-        if best <= 0:
-            raise BetaIsConjugate("zero distance")
-        return 0.5 * math.log(best)
-    poly = minimal_polynomial(cls.representative, degree_cap=degree_cap)
-    shifted = poly.shift(beta)   # roots are sigma(alpha) - beta
-    if shifted.coeffs[0] == 0:
-        raise BetaIsConjugate("beta is a conjugate")
+        return 0.5 * math.log(best) if best > 0 else -math.inf
     vals = newton_polygon_root_valuations(shifted, v.p)
     return -float(max(vals)) * math.log(v.p)
 
 
 def distance_lower_bound(G: Semigroup, beta: Fraction, alpha: RadicalPoint,
-                         v: Place, degree_cap: int = 512,
+                         v: Place, degree_cap: int = DEGREE_CAP,
                          MQ: int | None = None):
     """(bound, observed_min, ok) for min_sigma log|sigma(alpha) - beta|_v.
 
@@ -282,7 +271,13 @@ def distance_lower_bound(G: Semigroup, beta: Fraction, alpha: RadicalPoint,
     if MQ is None:
         # canonical radical index and the angle order of the twist
         MQ = cls.M0 * alpha.angle.denominator
-    observed = _observed_min_log_distance(cls, beta, v, degree_cap)
+    if class_norm_data(cls, beta, degree_cap).is_zero():
+        raise BetaIsConjugate("beta is a conjugate")
+    shifted = None
+    if not v.is_archimedean:
+        shifted = minimal_polynomial(cls.representative,
+                                     degree_cap=degree_cap).shift(beta)
+    observed = observed_min_log_distance(cls, beta, v, shifted)
     if cls.degree == 1 and MQ == 1:
         raise DegenerateDegree("rational positive point; bound trivial")
     bound = distance_bound_constant(G, v).bound(height_rational(beta),

@@ -25,7 +25,7 @@ from .heights import (SequenceSpec, canonical_height_closed,
                       canonical_height_iterative, equilibrium_radius,
                       jensen_check)
 from .orbits import is_preperiodic, orbit_tree
-from .places import INF, Place
+from .places import INF, Place, log_abs
 from .polynomials import UniPoly
 from .polyfactor import factor_poly
 from .preper import enumerate_preperiodic, minimal_polynomial
@@ -123,8 +123,7 @@ def _cmd_bounds(args) -> int:
         if lam == 0:
             continue
         made += 1
-        from .bounds import _log_abs_at
-        ll = _log_abs_at(lam, inst.v)
+        ll = log_abs(lam, inst.v).value
         b = linform_bound(inst)
         if not verify_linform(inst):
             bad += 1

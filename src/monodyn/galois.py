@@ -44,6 +44,7 @@ import mpmath as mp
 from .errors import (BetaIsConjugate, DegreeCapExceeded, RootIsolationFailure,
                      ZeroInput)
 from .exactreal import PosReal
+from .places import _log_fraction
 from .polynomials import UniPoly, _moebius_divisors, cyclotomic_poly
 from .primes import (euler_phi, factorint, kronecker, ord_p,
                      quadratic_conductor, squarefree_kernel)
@@ -397,14 +398,14 @@ class ClassNormData:
         if self.value is not None:
             if self.value == 0:
                 raise BetaIsConjugate("beta lies in the orbit")
-            return _log_abs_fraction(self.value)
+            return _log_fraction(abs(self.value))
         phi = euler_phi(self.qprime)
-        total = phi * _log_abs_fraction(self.c0)
+        total = phi * _log_fraction(self.c0)
         if self.x in (1, -1):
             val = _phi_at_pm1(self.qprime, 1 if self.x == 1 else -1)
             if val == 0:
                 raise BetaIsConjugate("beta lies in the orbit")
-            return total + _log_abs_fraction(val)
+            return total + _log_fraction(abs(val))
         for d, mu in _moebius_divisors(self.qprime):
             j = self.qprime // d
             total += mu * _log_abs_power_minus_one(self.x, j)
@@ -496,11 +497,6 @@ def _ord_xr_minus_one(num: int, den: int, r: int, p: int) -> int:
     return v
 
 
-def _log_abs_fraction(x: Fraction) -> float:
-    from .places import _log_int
-    return _log_int(abs(x.numerator)) - _log_int(x.denominator)
-
-
 def _log_abs_power_minus_one(x: Fraction, j: int) -> float:
     """log|x^j - 1| for rational x, stable for huge exponent sizes."""
     if x == 1:
@@ -509,7 +505,7 @@ def _log_abs_power_minus_one(x: Fraction, j: int) -> float:
         if j % 2 == 0:
             raise ZeroInput("log|0|")
         return math.log(2)
-    L = j * _log_abs_fraction(abs(x))
+    L = j * _log_fraction(abs(x))
     if L > 40:
         return L          # |x^j - 1| = |x|^j within exp(-40)
     if L < -40:

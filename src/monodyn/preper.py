@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (DegenerateCollision, EnumerationCap, NoRationalBElement,
-                     RootOfUnityInput)
+from .errors import (DegenerateCollision, EnumerationCap, InvalidConfig,
+                     NoRationalBElement, RootOfUnityInput)
 from .galois import DEGREE_CAP, class_of_point, class_polynomial
 from .places import Place, height_exact_arg
 from .polynomials import UniPoly, newton_polygon_root_valuations
@@ -280,7 +280,7 @@ def enumerate_preperiodic(G: Semigroup, n_max: int,
     listed.
     """
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise InvalidConfig("n_max must be >= 1")
     seen: dict = {}
     out: list[EnumeratedPoint] = []
     budget = 0

@@ -17,14 +17,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bounds import (DistanceBoundCert, arch_distances_sq, discrepancy_exact,
-                     distance_bound_constant)
+                     distance_bound_constant, observed_min_log_distance)
 from .errors import (BetaIsConjugate, DegreeCapExceeded, EnumerationCap,
                      FactorBudgetExceeded, InvalidConfig, NotSIntegral)
-from .galois import (ClassNormData, ConjugacyClass, class_norm_data,
-                     class_of_point, decompose_binomial_roots)
+from .exactreal import PosReal
+from .galois import (DEGREE_CAP, ClassNormData, ConjugacyClass,
+                     class_norm_data, class_of_point, decompose_binomial_roots)
 from .orbits import is_preperiodic
-from .places import INF, Place, height_rational, product_formula_check
-from .polynomials import UniPoly, newton_polygon_root_valuations
+from .places import INF, Place, height_rational
+from .polynomials import UniPoly
 from .preper import collision_binomial, minimal_polynomial, word_pairs
 from .primes import factor_fraction, factorint, is_prime, ord_p
 from .radical import RadicalPoint
@@ -33,35 +34,35 @@ from .semigroup import Semigroup, Word, format_word
 LOG2 = math.log(2)
 BALANCE_SLACK = 0.2   # certified float error headroom for the log-2 gap test
 EXACT_DEGREE = 64     # largest degree whose class polynomial the scan builds
+GATE_DEPTH = 8        # orbit depth of beta's non-preperiodicity certificate
 
 
 # ---------------------------------------------------------------------------
 # meets / bad primes / S-integrality
 
 
-def class_meets_at_prime(cls: ConjugacyClass, beta: Fraction, p: int,
-                         degree_cap: int = 512) -> bool:
-    """Whether some conjugate in the class meets beta at p."""
+def class_meets_at_prime(cls: ConjugacyClass, nd: ClassNormData,
+                         p: int) -> bool:
+    """Whether some conjugate in the class meets nd's base point at p: both
+    are non-integral at p, both have positive valuation, or both are units
+    and p divides the class norm."""
     o_a = cls.representative.ord_at(p)
-    o_b = Fraction(ord_p(beta, p))
-    if o_a < 0 and o_b < 0:
-        return True
-    if (o_a < 0) != (o_b < 0):
-        return False
+    o_b = ord_p(nd.beta, p)
+    if o_a < 0 or o_b < 0:
+        return o_a < 0 and o_b < 0
     if o_a > 0 or o_b > 0:
         return o_a > 0 and o_b > 0
-    nd = class_norm_data(cls, beta, degree_cap)
     if nd.is_zero():
         raise BetaIsConjugate("beta lies in the orbit")
     return nd.ord_w(p) > 0
 
 
 def meets_at_prime(alpha: RadicalPoint, beta: Fraction, p: int,
-                   degree_cap: int = 512) -> bool:
+                   degree_cap: int = DEGREE_CAP) -> bool:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return class_meets_at_prime(class_of_point(alpha), Fraction(beta), p,
-                                degree_cap)
+    cls = class_of_point(alpha)
+    return class_meets_at_prime(cls, class_norm_data(cls, beta, degree_cap), p)
 
 
 def _bounded_factor(n: int) -> dict[int, int]:
@@ -75,7 +76,7 @@ def _bounded_factor(n: int) -> dict[int, int]:
 
 
 def bad_primes(alpha: RadicalPoint, beta: Fraction,
-               degree_cap: int = 512) -> list[int]:
+               degree_cap: int = DEGREE_CAP) -> list[int]:
     """All primes where some conjugate of alpha meets beta.
 
     Candidates: support primes of alpha and beta plus the primes of the
@@ -84,15 +85,14 @@ def bad_primes(alpha: RadicalPoint, beta: Fraction,
     """
     beta = Fraction(beta)
     cls = class_of_point(alpha)
-    poly = minimal_polynomial(cls.representative, degree_cap=degree_cap)
-    value = poly(beta)
+    value = minimal_polynomial(cls.representative, degree_cap=degree_cap)(beta)
     if value == 0:
         raise BetaIsConjugate("beta is a conjugate of alpha")
+    nd = class_norm_data(cls, beta, degree_cap)
     candidates = _support(alpha, beta)
     candidates.update(_bounded_factor(value.numerator))
     candidates.update(_bounded_factor(value.denominator))
-    return sorted(p for p in candidates
-                  if class_meets_at_prime(cls, beta, p, degree_cap))
+    return sorted(p for p in candidates if class_meets_at_prime(cls, nd, p))
 
 
 def _support(alpha: RadicalPoint, beta: Fraction) -> set[int]:
@@ -113,22 +113,11 @@ def class_s_integrality(cls: ConjugacyClass, nd: ClassNormData,
                         S: list[Place]) -> SIntegrality:
     """Decide bad_primes(alpha, beta) inside S without factoring the norm;
     beta is the base point of the norm data nd."""
-    beta = nd.beta
     s_primes = {v.p for v in S if not v.is_archimedean}
-    supp = _support(cls.representative, beta)
-    known_bad: set[int] = set()
-    for p in sorted(supp):
-        o_a = cls.representative.ord_at(p)
-        o_b = Fraction(ord_p(beta, p))
-        if (o_a < 0 and o_b < 0) or (o_a > 0 and o_b > 0):
-            known_bad.add(p)
     if nd.is_zero():
         raise BetaIsConjugate("beta lies in the orbit")
-    # both-unit meets at the inspected primes
-    inspected = sorted(s_primes | supp)
-    for p in inspected:
-        if p not in supp and nd.ord_w(p) > 0:
-            known_bad.add(p)
+    inspected = sorted(s_primes | _support(cls.representative, nd.beta))
+    known_bad = {p for p in inspected if class_meets_at_prime(cls, nd, p)}
     # outside part of the norm numerator: a positive integer, so the true
     # balance gap is 0 or at least log 2; the numeric error stays far below
     # the slack, making both sides of the band certain
@@ -142,7 +131,7 @@ def class_s_integrality(cls: ConjugacyClass, nd: ClassNormData,
 
 
 def is_S_integral(alpha: RadicalPoint, beta: Fraction, S: list[Place],
-                  degree_cap: int = 512) -> bool:
+                  degree_cap: int = DEGREE_CAP) -> bool:
     cls = class_of_point(alpha)
     res = class_s_integrality(cls, class_norm_data(cls, beta, degree_cap), S)
     if not res.certified:
@@ -159,9 +148,14 @@ def is_S_integral(alpha: RadicalPoint, beta: Fraction, S: list[Place],
 
 @dataclass(frozen=True)
 class GammaReport:
-    """Exact zero certificate plus an independently computed numeric table."""
+    """The Gamma table of one class: the archimedean row from the angle set,
+    one row per support prime and an `outside` row for the rest, both from
+    the lifting-the-exponent valuations and log of the class norm.  The
+    residual, the sum of the rows, is the check between the angle set and
+    the norm.  exact_zero is always True: the norm is rational, and the
+    product formula is an exponent identity for every rational; it stays
+    because schema monodyn/1 carries it as gamma_exact."""
 
-    norm_value: Fraction | None      # materialized when the degree is small
     exact_zero: bool
     table: tuple[tuple[str, float], ...]
     residual: float
@@ -181,55 +175,27 @@ def _exact_polynomial(cls: ConjugacyClass, degree_cap: int) -> UniPoly | None:
 
 
 def gamma_sum(alpha: RadicalPoint, beta: Fraction,
-              degree_cap: int = 512) -> GammaReport:
+              degree_cap: int = DEGREE_CAP) -> GammaReport:
     cls = class_of_point(alpha)
-    return class_gamma(cls, class_norm_data(cls, beta, degree_cap),
-                       _exact_polynomial(cls, degree_cap))
+    return class_gamma(cls, class_norm_data(cls, beta, degree_cap))
 
 
-def class_gamma(cls: ConjugacyClass, nd: ClassNormData,
-                poly: UniPoly | None) -> GammaReport:
-    """The Gamma table at nd's base point: exact rows from the norm
-    poly(beta) when the class polynomial is given, else LTE rows."""
+def class_gamma(cls: ConjugacyClass, nd: ClassNormData) -> GammaReport:
+    """The Gamma table at nd's base point."""
     beta = nd.beta
     if nd.is_zero():
         raise BetaIsConjugate("beta lies in the orbit")
-    norm_value = None
-    exact_zero = False
-    if poly is not None:
-        norm_value = poly(beta)
-        if norm_value == 0:
-            raise BetaIsConjugate("beta is a conjugate")
-        if (abs(norm_value.numerator) < 10 ** 24
-                and norm_value.denominator < 10 ** 24):
-            exact_zero = product_formula_check(norm_value).ok
-        else:
-            norm_value = None
-    if norm_value is None:
-        # structural certificate: the norm is a rational number, and the
-        # product formula is an exponent identity for every rational
-        exact_zero = True
-    supp = _support(cls.representative, beta)
     rows = [("inf", _arch_row(cls, beta))]
-    if norm_value is not None:
-        # exact valuations from the materialized norm
-        covered = set(supp)
-        covered.update(_bounded_factor(norm_value.numerator))
-        covered.update(_bounded_factor(norm_value.denominator))
-        for p in sorted(covered):
-            rows.append((str(p),
-                         -ord_p(norm_value, p) / cls.degree * math.log(p)))
-    else:
-        leftover = nd.log_w()
-        for p in sorted(supp):
-            leftover -= float(nd.ord_w(p)) * math.log(p)
-            rows.append((str(p),
-                         -float(nd.ord_w(p)) / cls.degree * math.log(p)))
-        leftover /= cls.degree
-        if leftover:
-            rows.append(("outside", -leftover))
+    leftover = nd.log_w()
+    for p in sorted(_support(cls.representative, beta)):
+        o = float(nd.ord_w(p))
+        leftover -= o * math.log(p)
+        rows.append((str(p), -o / cls.degree * math.log(p)))
+    leftover /= cls.degree
+    if leftover:
+        rows.append(("outside", -leftover))
     residual = sum(v for _, v in rows)
-    return GammaReport(norm_value, exact_zero, tuple(rows), residual)
+    return GammaReport(True, tuple(rows), residual)
 
 
 @dataclass(frozen=True)
@@ -242,7 +208,7 @@ class GammaDecomposition:
 
 
 def gamma_decomposition(alpha: RadicalPoint, beta: Fraction, S: list[Place],
-                        degree_cap: int = 512) -> GammaDecomposition:
+                        degree_cap: int = DEGREE_CAP) -> GammaDecomposition:
     beta = Fraction(beta)
     cls = class_of_point(alpha)
     nd = class_norm_data(cls, beta, degree_cap)
@@ -252,10 +218,7 @@ def gamma_decomposition(alpha: RadicalPoint, beta: Fraction, S: list[Place],
     supp = _support(alpha, beta)
     non_s_terms = []
     non_s = 0.0
-    witness = 0.0
-    arch_max = alpha.modulus if alpha.modulus >= _abs_posreal(beta) \
-        else _abs_posreal(beta)
-    witness += arch_max.log()
+    witness = max(alpha.modulus, PosReal.of(beta)).log()
     for p in sorted(supp):
         m = min(alpha.ord_at(p), Fraction(ord_p(beta, p)))
         if m != 0:
@@ -268,11 +231,6 @@ def gamma_decomposition(alpha: RadicalPoint, beta: Fraction, S: list[Place],
         s_part += -float(nd.ord_w(p)) / cls.degree * math.log(p)
     return GammaDecomposition(s_part, non_s, tuple(non_s_terms),
                               s_part + non_s, witness)
-
-
-def _abs_posreal(x: Fraction):
-    from .exactreal import PosReal
-    return PosReal.of(x)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +246,7 @@ class ScanConfig:
     tol: float = 1e-9
     quadrature_nodes: int = 1 << 12
     node_cap: int = 10 ** 7
-    degree_cap: int = 512
-    gate_depth: int = 8
+    degree_cap: int = DEGREE_CAP
 
     def validate(self):
         if INF not in self.S:
@@ -417,12 +374,8 @@ def _scan_distance_checks(cls: ConjugacyClass, nd: ClassNormData,
     rows = []
     for v, cert in certs:
         bound = cert.bound(h_beta, cls.degree, MQ)
-        if v.is_archimedean:
-            best = min(arch_distances_sq(cls, beta))
-            observed = 0.5 * math.log(best) if best > 0 else -math.inf
-        elif shifted is not None:
-            vals = newton_polygon_root_valuations(shifted, v.p)
-            observed = -float(max(vals)) * math.log(v.p) if vals else 0.0
+        if v.is_archimedean or shifted is not None:
+            observed = observed_min_log_distance(cls, beta, v, shifted)
         else:
             observed = _class_min_log_distance_lower(cls, nd, beta, v.p)
         rows.append((str(v), observed > -bound))
@@ -446,6 +399,8 @@ def word_pair_classes(G: Semigroup, n_max: int, node_cap: int):
     """Each class of nonzero preperiodic points from word pairs of length
     <= n_max once, as (class, w, m) with its first witness in (|w|, lex, m)
     order; EnumerationCap once the summed binomial degrees N pass node_cap."""
+    if n_max < 1:
+        raise InvalidConfig("n_max must be >= 1")
     seen: set = set()
     budget = 0
     for w, m in word_pairs(G, n_max):
@@ -468,7 +423,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
     G = config.semigroup
     beta = Fraction(config.beta)
     status = is_preperiodic(G, RadicalPoint.from_rational(beta),
-                            config.gate_depth)
+                            GATE_DEPTH)
     if status.tag != "not_preperiodic":
         raise InvalidConfig(
             f"beta = {beta} lacks a non-preperiodicity certificate "
@@ -485,10 +440,10 @@ def run_scan(config: ScanConfig) -> ScanReport:
         for cls, w, m in word_pair_classes(G, config.max_wordlen,
                                            config.node_cap):
             nd = class_norm_data(cls, beta, config.degree_cap)
-            poly = _exact_polynomial(cls, config.degree_cap)
             integ = class_s_integrality(cls, nd, config.S)
-            gamma = class_gamma(cls, nd, poly)
-            dist = _scan_distance_checks(cls, nd, poly, certs)
+            gamma = class_gamma(cls, nd)
+            dist = _scan_distance_checks(
+                cls, nd, _exact_polynomial(cls, config.degree_cap), certs)
             disc = None
             if cls.degree <= config.degree_cap:
                 disc = float(discrepancy_exact(cls.angles))

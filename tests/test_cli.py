@@ -83,6 +83,14 @@ def test_scan_json_and_exit_codes(config, tmp_path, capsys):
     assert json.loads(out2.read_text())["truncated"]
 
 
+@pytest.mark.parametrize("command", ["preper", "equid"])
+def test_depth_zero_is_invalid_config(config, command, capsys):
+    rc = main(["--config", config, command, "--depth", "0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and "Traceback" not in err
+
+
 def test_scan_degree_cap_on_genuine_twin(config, tmp_path, capsys):
     # depth 3 reaches a degree-2 genuine twin, whose norm needs its class
     # polynomial: past the cap the scan stops with exit 3 and keeps the

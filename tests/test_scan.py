@@ -11,9 +11,9 @@ from monodyn.preper import enumerate_preperiodic, minimal_polynomial
 from monodyn.primes import ord_p
 from monodyn.radical import RadicalPoint
 from monodyn.scan import (ScanConfig, _class_min_log_distance_lower,
-                          bad_primes, gamma_decomposition, gamma_sum,
-                          is_S_integral, meets_at_prime, report_to_csv,
-                          run_scan, zero_infinity_verdict)
+                          bad_primes, class_gamma, gamma_decomposition,
+                          gamma_sum, is_S_integral, meets_at_prime,
+                          report_to_csv, run_scan, zero_infinity_verdict)
 from monodyn.semigroup import Semigroup
 
 G2 = Semigroup.from_pairs([("2", 2), ("3", 3)])
@@ -71,13 +71,19 @@ def test_s_integrality_monotone_in_S():
 
 
 def test_gamma_exact_and_numeric():
+    # the norm read off the table: Nm(3 - i) = 10 over degree 2, all of it
+    # outside the support; Nm(3 - 1/2) = 5/2, with 2 in the support
     i_pt = RadicalPoint.from_binomial_root(F(-1), 2, 0)
     rep = gamma_sum(i_pt, F(3))
-    assert rep.norm_value == 10
+    table = dict(rep.table)
+    assert abs(table["outside"] + math.log(10) / 2) < 1e-12
     assert rep.exact_zero
     assert abs(rep.residual) < 1e-12
     rep = gamma_sum(RadicalPoint.from_rational(F(1, 2)), F(3))
-    assert rep.norm_value == F(5, 2) and rep.exact_zero
+    table = dict(rep.table)
+    assert abs(table["2"] - math.log(2)) < 1e-12 and table["3"] == 0
+    assert abs(table["outside"] + math.log(5)) < 1e-12
+    assert rep.exact_zero
     alpha = RadicalPoint.from_binomial_root(F(1, 24), 5, 1)
     rep = gamma_sum(alpha, F(2))
     assert rep.exact_zero and abs(rep.residual) < 1e-10
@@ -106,35 +112,64 @@ def test_gamma_decomposition_entangled_class():
     assert gd.non_s_part == 0.0
 
 
+def _classes_to_depth_4():
+    for G in (G2, Semigroup.from_pairs([("-5/2", 3), ("4", -2)]),
+              Semigroup.from_pairs([("4", 2), ("9", 3)])):
+        seen = set()
+        for ep in enumerate_preperiodic(G, 4):
+            cls = class_of_point(ep.point)
+            if cls.representative.key() not in seen:
+                seen.add(cls.representative.key())
+                yield cls
+
+
 def test_class_norms_are_per_class():
     # oracle: the exact minimal polynomial.  Its value at beta is the class
     # norm, and the Newton polygon of its beta-shift gives the true minimum
     # of log|sigma(alpha) - beta|_p, which the distance bound must not exceed
-    semigroups = [G2, Semigroup.from_pairs([("-5/2", 3), ("4", -2)]),
-                  Semigroup.from_pairs([("4", 2), ("9", 3)])]
     checked = 0
-    for G in semigroups:
-        seen = set()
-        for ep in enumerate_preperiodic(G, 4):
-            cls = class_of_point(ep.point)
-            if cls.representative.key() in seen:
+    for cls in _classes_to_depth_4():
+        poly = minimal_polynomial(cls.representative)
+        for beta in (F(2), F(1, 2), F(-3, 7), F(5)):
+            value = poly(beta)
+            if value == 0:
                 continue
-            seen.add(cls.representative.key())
-            poly = minimal_polynomial(cls.representative)
-            for beta in (F(2), F(1, 2), F(-3, 7), F(5)):
-                value = poly(beta)
-                if value == 0:
-                    continue
-                nd = class_norm_data(cls, beta)
-                shifted = poly.shift(beta)
-                for p in (2, 3, 5, 7):
-                    assert nd.ord_w(p) == ord_p(value, p), (cls, beta, p)
-                    vals = newton_polygon_root_valuations(shifted, p)
-                    true_min = -float(max(vals)) * math.log(p)
-                    lower = _class_min_log_distance_lower(cls, nd, beta, p)
-                    assert lower <= true_min + 1e-9, (cls, beta, p)
-                    checked += 1
+            nd = class_norm_data(cls, beta)
+            shifted = poly.shift(beta)
+            for p in (2, 3, 5, 7):
+                assert nd.ord_w(p) == ord_p(value, p), (cls, beta, p)
+                vals = newton_polygon_root_valuations(shifted, p)
+                true_min = -float(max(vals)) * math.log(p)
+                lower = _class_min_log_distance_lower(cls, nd, beta, p)
+                assert lower <= true_min + 1e-9, (cls, beta, p)
+                checked += 1
     assert checked > 5000
+
+
+def test_gamma_rows_match_materialized_norm():
+    # oracle: the materialized norm f(beta) of the exact minimal polynomial
+    # f, a route independent of the class norm data the table reads
+    checked = 0
+    for cls in _classes_to_depth_4():
+        f = minimal_polynomial(cls.representative)
+        for beta in (F(2), F(1, 2), F(-3, 7), F(5)):
+            value = f(beta)
+            if value == 0:
+                continue
+            rep = class_gamma(cls, class_norm_data(cls, beta))
+            table = dict(rep.table)
+            log_value = (math.log(abs(value.numerator))
+                         - math.log(value.denominator))
+            expect = table["inf"] - log_value / cls.degree
+            assert abs(rep.residual - expect) < 1e-9, (cls, beta)
+            for key, row in rep.table:
+                if key in ("inf", "outside"):
+                    continue
+                p = int(key)
+                expect = -ord_p(value, p) / cls.degree * math.log(p)
+                assert abs(row - expect) < 1e-9, (cls, beta, p)
+            checked += 1
+    assert checked > 1000
 
 
 def test_gate_refuses_preperiodic_and_unknown():
