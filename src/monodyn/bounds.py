@@ -17,9 +17,9 @@ from .errors import (BadWindow, BetaIsConjugate, DegenerateDegree, LambdaZero,
                      ZeroAlpha, ZeroInput)
 from .galois import DEGREE_CAP, ConjugacyClass, class_norm_data, class_of_point
 from .places import Place, height_rational, log_abs
-from .polynomials import UniPoly, newton_polygon_root_valuations
+from .polynomials import UniPoly
 from .preper import minimal_polynomial
-from .primes import euler_phi
+from .primes import euler_phi, ord_p
 from .radical import RadicalPoint
 from .semigroup import Semigroup
 
@@ -120,17 +120,20 @@ def discrepancy_on_circle(angles) -> float:
 def discrepancy_exact(angles) -> Fraction:
     """sup over circular arcs of |empirical mass - arc length|, exact.
 
-    For sorted distinct angles the supremum equals 1/n + max_j (j/n - t_j)
-    - min_j (j/n - t_j); discrepancy_brute scans all endpoint arcs directly
-    and serves as the independent oracle in the tests.
+    For sorted angles t_j mod 1 the supremum equals 1/n + max_j (j/n - t_j)
+    - min_j (j/n - t_j).  On integers: with L the lcm of the denominators and
+    k_j = L t_j sorted, that is 1/n + (max - min of j L - n k_j) / (n L).
+    discrepancy_brute scans all endpoint arcs directly and serves as the
+    independent oracle in the tests.
     """
-    pts = sorted(Fraction(t) - (Fraction(t).numerator // Fraction(t).denominator)
-                 for t in angles)
-    n = len(pts)
+    ts = [t if isinstance(t, Fraction) else Fraction(t) for t in angles]
+    n = len(ts)
     if n == 0:
         raise ZeroInput("need at least one angle")
-    u = [Fraction(j, n) - pts[j] for j in range(n)]
-    return Fraction(1, n) + max(u) - min(u)
+    L = math.lcm(*(t.denominator for t in ts))
+    ks = sorted(t.numerator % t.denominator * (L // t.denominator) for t in ts)
+    u = [j * L - n * k for j, k in enumerate(ks)]
+    return Fraction(L + max(u) - min(u), n * L)
 
 
 def discrepancy_brute(angles) -> Fraction:
@@ -147,7 +150,9 @@ def discrepancy_brute(angles) -> Fraction:
             if i == j:
                 continue
             length = pts[j] - pts[i]
-            if length < 0:
+            if j < i:
+                # the arc wraps past 1; from a repeated angle to itself that
+                # is the whole circle, not a point
                 length += 1
             count_closed = (j - i) % n + 1
             count_open = count_closed - 2
@@ -240,7 +245,8 @@ def arch_distances_sq(cls: ConjugacyClass, beta: Fraction) -> list[float]:
     """|sigma(alpha) - beta|^2 over the conjugates, from modulus and angles."""
     mod = float(cls.modulus)
     b = float(beta)
-    return [mod * mod + b * b - 2 * mod * b * math.cos(2 * math.pi * float(t))
+    return [mod * mod + b * b
+            - 2 * mod * b * math.cos(2 * math.pi * (t.numerator / t.denominator))
             for t in cls.angles]
 
 
@@ -248,13 +254,34 @@ def observed_min_log_distance(cls: ConjugacyClass, beta: Fraction, v: Place,
                               shifted: UniPoly | None) -> float:
     """min over conjugates of log|sigma(alpha) - beta|_v for beta outside
     the orbit: from the angle set at the archimedean place (-inf if the
-    float distance is 0), at a finite place from the Newton polygon of
-    shifted, the class polynomial moved by beta (roots sigma(alpha) - beta)."""
+    float distance is 0).  At a finite place it is s log p for the first
+    slope s of the Newton polygon of shifted, the class polynomial moved by
+    beta (roots sigma(alpha) - beta): s = min over i >= 1 with c_i != 0 of
+    (ord_p c_i - ord_p c_0) / i, found in one integer pass."""
     if v.is_archimedean:
         best = min(arch_distances_sq(cls, beta))
         return 0.5 * math.log(best) if best > 0 else -math.inf
-    vals = newton_polygon_root_valuations(shifted, v.p)
-    return -float(max(vals)) * math.log(v.p)
+    p = v.p
+    cs = shifted.coeffs
+    if not cs or cs[0] == 0:
+        raise BetaIsConjugate("beta lies in the orbit")
+    o0 = ord_p(cs[0], p)
+    n = len(cs) - 1
+    num, den = ord_p(cs[n], p) - o0, n       # the slope so far, num / den
+    for i in range(1, n):
+        c = cs[i]
+        if not c:
+            continue
+        # c_i lowers the slope only if ord_p c_i < k = ceil(o0 + i num/den);
+        # ord_p c_i >= k is one divisibility test
+        k = o0 - (-num * i) // den
+        if k > 0:
+            if c.numerator % p ** k == 0:
+                continue
+        elif c.denominator % p ** (1 - k):
+            continue
+        num, den = ord_p(c, p) - o0, i
+    return (num / den) * math.log(p)
 
 
 def distance_lower_bound(G: Semigroup, beta: Fraction, alpha: RadicalPoint,

@@ -35,7 +35,7 @@ evaluates its cached f at beta exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -137,9 +137,12 @@ class ConjugacyClass:
         return (self.M0 * t - int(self.M0 * t)).denominator
 
     def progressions(self) -> int:
-        """Number of step-1/M0 arithmetic progressions forming the angles."""
-        residues = {(t * self.M0) - int(t * self.M0) for t in self.angles}
-        return len(residues)
+        """Number of step-1/M0 arithmetic progressions forming the angles:
+        the distinct residues M0 t mod 1, counted as the integers
+        2N M0 t mod 2N (every angle lies in (1/2N) Z)."""
+        two_n = 2 * self.N
+        return len({t.numerator * (two_n // t.denominator) * self.M0 % two_n
+                    for t in self.angles})
 
 
 def entanglement(c0: Fraction, M0: int, L: int) -> tuple[bool, int]:
@@ -364,6 +367,9 @@ class ClassNormData:
     qprime: int
     x: Fraction                 # beta^M0 / c0
     value: Fraction | None      # the exact norm of a genuine twin, else None
+    # ord_w(p) by prime p and log_w() under the key "log", once computed
+    _memo: dict = field(default_factory=dict, compare=False, hash=False,
+                        repr=False)
 
     def is_zero(self) -> bool:
         """Whether the norm is 0, i.e. beta sits in the orbit."""
@@ -376,39 +382,49 @@ class ClassNormData:
         return False
 
     def ord_w(self, p: int) -> Fraction:
-        """ord_p of the norm, exact."""
+        """ord_p of the norm, exact; computed once per prime."""
+        total = self._memo.get(p)
+        if total is not None:
+            return total
         if self.value is not None:
             if self.value == 0:
                 raise BetaIsConjugate("beta lies in the orbit")
-            return Fraction(ord_p(self.value, p))
-        phi = euler_phi(self.qprime)
-        total = Fraction(phi * ord_p(self.c0, p))
-        if self.x in (1, -1):
-            val = _phi_at_pm1(self.qprime, 1 if self.x == 1 else -1)
-            if val == 0:
-                raise BetaIsConjugate("beta lies in the orbit")
-            return total + ord_p(val, p)
-        for d, mu in _moebius_divisors(self.qprime):
-            j = self.qprime // d
-            total += mu * Fraction(_ord_power_minus_one(self.x, j, p))
+            total = Fraction(ord_p(self.value, p))
+        else:
+            total = Fraction(euler_phi(self.qprime) * ord_p(self.c0, p))
+            if self.x in (1, -1):
+                val = _phi_at_pm1(self.qprime, 1 if self.x == 1 else -1)
+                if val == 0:
+                    raise BetaIsConjugate("beta lies in the orbit")
+                total += ord_p(val, p)
+            else:
+                for d, mu in _moebius_divisors(self.qprime):
+                    j = self.qprime // d
+                    total += mu * Fraction(_ord_power_minus_one(self.x, j, p))
+        self._memo[p] = total
         return total
 
     def log_w(self) -> float:
-        """log of the norm's absolute value."""
+        """log of the norm's absolute value; computed once."""
+        total = self._memo.get("log")
+        if total is not None:
+            return total
         if self.value is not None:
             if self.value == 0:
                 raise BetaIsConjugate("beta lies in the orbit")
-            return _log_fraction(abs(self.value))
-        phi = euler_phi(self.qprime)
-        total = phi * _log_fraction(self.c0)
-        if self.x in (1, -1):
-            val = _phi_at_pm1(self.qprime, 1 if self.x == 1 else -1)
-            if val == 0:
-                raise BetaIsConjugate("beta lies in the orbit")
-            return total + _log_fraction(abs(val))
-        for d, mu in _moebius_divisors(self.qprime):
-            j = self.qprime // d
-            total += mu * _log_abs_power_minus_one(self.x, j)
+            total = _log_fraction(abs(self.value))
+        else:
+            total = euler_phi(self.qprime) * _log_fraction(self.c0)
+            if self.x in (1, -1):
+                val = _phi_at_pm1(self.qprime, 1 if self.x == 1 else -1)
+                if val == 0:
+                    raise BetaIsConjugate("beta lies in the orbit")
+                total += _log_fraction(abs(val))
+            else:
+                for d, mu in _moebius_divisors(self.qprime):
+                    j = self.qprime // d
+                    total += mu * _log_abs_power_minus_one(self.x, j)
+        self._memo["log"] = total
         return total
 
 

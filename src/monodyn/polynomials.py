@@ -162,14 +162,35 @@ class UniPoly:
         return UniPoly(tuple(c / lc for c in self.coeffs))
 
     def shift(self, a) -> "UniPoly":
-        """p(X + a) by Horner-style synthetic division."""
+        """p(X + a), exact, on integers.
+
+        With a = u/v, D the lcm of the coefficient denominators and n the
+        degree, H(Y) = sum h_i Y^i with h_i = D c_i v^(n-i) has integer
+        coefficients and H(Y + u) = D v^n p((Y + u)/v).  The Taylor shift by
+        u runs on ints, term by term: h_i (Y + u)^i adds h_i C(i, k) u^(i-k)
+        to the coefficient of Y^k, so the cost is n + 1 products per nonzero
+        h_i (a class polynomial c0^phi Phi_q'(X^M0 / c0) has few).  The
+        coefficient of X^k is then the k-th one over D v^(n-k).
+        """
+        cs = self.coeffs
+        n = len(cs) - 1
         a = Fraction(a)
-        cs = list(self.coeffs)
-        n = len(cs)
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                cs[j] += a * cs[j + 1]
-        return UniPoly(_trim(cs))
+        if n < 1 or a == 0:
+            return self
+        u, v = a.numerator, a.denominator
+        D = math.lcm(*(c.denominator for c in cs))
+        vpow, upow = [1], [1]
+        for _ in range(n):
+            vpow.append(vpow[-1] * v)
+            upow.append(upow[-1] * u)
+        out = [0] * (n + 1)
+        for i, c in enumerate(cs):
+            if c:
+                h = c.numerator * (D // c.denominator) * vpow[n - i]
+                for k in range(i + 1):
+                    out[k] += h * math.comb(i, k) * upow[i - k]
+        return UniPoly(_trim([Fraction(h, D * vpow[n - k])
+                              for k, h in enumerate(out)]))
 
     def compose_monomial(self, k: int) -> "UniPoly":
         """p(X^k)."""
@@ -318,32 +339,25 @@ def _moebius_divisors(n: int) -> list[tuple[int, int]]:
 def newton_polygon_root_valuations(f: UniPoly, p: int) -> list[Fraction]:
     """ord_p of the nonzero roots of f in an algebraic closure of Q_p.
 
-    Lower convex hull of (i, ord_p(c_i)); each hull segment of slope s and
-    horizontal length L contributes L roots of valuation -s.  Zero roots are
-    split off first and not reported.
+    Lower convex hull of the integer points (i, ord_p(c_i)) over the nonzero
+    c_i; each hull segment of slope s and horizontal length L contributes L
+    roots of valuation -s.  Zero roots (low zero coefficients) leave no
+    point and are not reported.
     """
     if f.is_zero:
         raise ZeroInput("Newton polygon of the zero polynomial")
-    cs = list(f.coeffs)
-    shift = 0
-    while cs and cs[0] == 0:
-        cs.pop(0)
-        shift += 1
-    pts = [(i, Fraction(ord_p(c, p))) for i, c in enumerate(cs) if c != 0]
-    if len(pts) < 2:
-        return []
-    hull = [pts[0]]
-    for pt in pts[1:]:
+    pts = [(i, ord_p(c, p)) for i, c in enumerate(f.coeffs) if c != 0]
+    hull: list[tuple[int, int]] = []
+    for x, y in pts:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             # keep the hull lower-convex
-            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
+            if (y2 - y1) * (x - x1) >= (y - y1) * (x2 - x1):
                 hull.pop()
             else:
                 break
-        hull.append(pt)
+        hull.append((x, y))
     out: list[Fraction] = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slope = (y2 - y1) / (x2 - x1)
-        out.extend([-slope] * (x2 - x1))
+        out.extend([Fraction(y1 - y2, x2 - x1)] * (x2 - x1))
     return sorted(out)

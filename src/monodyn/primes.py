@@ -193,8 +193,9 @@ def factor_fraction(x: Fraction | int) -> PrimeFactorization:
 
 def ord_p(x: Fraction | int, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
-    x = Fraction(x)
-    if x == 0:
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    if not x:
         raise ZeroInput("ord_p(0) is +infinity")
     v = 0
     n = x.numerator

@@ -8,12 +8,15 @@ from monodyn.bounds import (LinFormInstance, circle_disc_measure,
                             disc_count_check, discrepancy_brute,
                             discrepancy_exact, distance_bound_constant,
                             distance_lower_bound, linform_bound,
-                            linform_degree_constant, theta, theta_floor,
+                            linform_degree_constant,
+                            observed_min_log_distance, theta, theta_floor,
                             unity_neighbor_count, verify_linform)
 from monodyn.bounds import test_function_energy as window_energy
 from monodyn.bounds import test_function_lipschitz as window_lipschitz
 from monodyn.errors import BadWindow, DegenerateDegree, LambdaZero
+from monodyn.galois import class_of_point
 from monodyn.places import INF, Place
+from monodyn.polynomials import UniPoly, newton_polygon_root_valuations
 from monodyn.radical import RadicalPoint
 from monodyn.semigroup import Semigroup
 
@@ -90,6 +93,43 @@ def test_discrepancy_fast_equals_brute():
         if not pts:
             continue
         assert discrepancy_exact(pts) == discrepancy_brute(pts)
+
+
+def test_discrepancy_exact_equals_brute_on_raw_angles():
+    # angles as they may come from callers: negative, >= 1, repeated, with
+    # mixed denominators; both routes reduce them mod 1 first
+    rng = random.Random(56)
+    dens = (1, 2, 3, 5, 7, 8, 12, 30, 49)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        pts = [F(rng.randint(-3 * d, 3 * d), d)
+               for d in (rng.choice(dens) for _ in range(n))]
+        if rng.random() < 0.4:
+            pts.append(pts[0] + rng.randint(-2, 2))
+        assert discrepancy_exact(pts) == discrepancy_brute(pts), pts
+    assert discrepancy_exact([F(-1, 4), F(3, 4), F(7, 4)]) == 1
+    assert discrepancy_exact([F(5, 2), F(-1, 3), 0]) == \
+        discrepancy_brute([F(1, 2), F(2, 3), 0])
+
+
+def test_observed_distance_first_slope_on_random_polynomials():
+    # oracle: the full Newton polygon; coefficients with prime-power
+    # numerators and denominators put valuations on both sides of zero
+    rng = random.Random(58)
+    cls = class_of_point(RadicalPoint.from_rational(F(3)))  # unread at p
+    sizes = (1, 2, 3, 4, 5, 7, 8, 9, 25, 27, 49, 125, 243, 1024)
+    for _ in range(400):
+        cs = [F(rng.choice((-1, 1)) * rng.choice(sizes) * rng.randint(1, 4),
+                rng.choice(sizes)) if rng.random() > 0.2 else F(0)
+              for _ in range(rng.randint(2, 14))]
+        for end in (0, -1):
+            if cs[end] == 0:
+                cs[end] = F(1)
+        f = UniPoly.from_coeffs(cs)
+        for p in (2, 3, 5, 7):
+            vals = newton_polygon_root_valuations(f, p)
+            got = observed_min_log_distance(cls, F(3), Place(p), f)
+            assert got == -float(max(vals)) * math.log(p), (cs, p)
 
 
 def test_disc_measure_and_count():

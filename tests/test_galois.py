@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction as F
 
+from monodyn import galois
 from monodyn.galois import (class_norm_data, class_of_point,
                             decompose_binomial_roots, unit_group_generators)
 from monodyn.polyfactor import factor_poly
@@ -101,6 +102,31 @@ def test_norms_against_minpoly_values():
                 < 1e-8 * max(1, abs(math.log(abs(nm))))
             for p in (2, 3, 5, 7, 13):
                 assert nd.ord_w(p) == ord_p(nm, p)
+
+
+def test_class_norm_data_memoizes_ord_and_log(monkeypatch):
+    cls = next(c for c in decompose_binomial_roots(8, F(1, 81))
+               if c.angle_order() == 4)
+    nd = class_norm_data(cls, F(5, 3))
+    assert nd.value is None
+    calls = []
+    inner = galois._ord_power_minus_one
+
+    def counted(x, j, p):
+        calls.append((j, p))
+        return inner(x, j, p)
+    monkeypatch.setattr(galois, "_ord_power_minus_one", counted)
+    first = nd.ord_w(3)
+    assert calls
+    work = len(calls)
+    assert nd.ord_w(3) == first and len(calls) == work
+    nd.ord_w(2)
+    assert len(calls) > work
+    assert nd.log_w() == nd.log_w()
+    # the memo is invisible to equality, hashing and repr
+    fresh = class_norm_data(cls, F(5, 3))
+    assert fresh == nd and hash(fresh) == hash(nd)
+    assert repr(fresh) == repr(nd)
 
 
 def test_progressions_cover_angles():

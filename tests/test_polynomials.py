@@ -26,6 +26,35 @@ def test_basic_arithmetic():
     assert P(1, 1).scale_arg(F(2)) == P(1, 2)
 
 
+def _shift_by_fraction_horner(f: UniPoly, a) -> UniPoly:
+    """f(X + a) by the textbook Fraction loop: the oracle for shift."""
+    a = F(a)
+    cs = list(f.coeffs)
+    n = len(cs)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            cs[j] += a * cs[j + 1]
+    return UniPoly.from_coeffs(cs)
+
+
+def test_shift_matches_fraction_horner():
+    rng = random.Random(17)
+    dens = (1, 1, 2, 3, 4, 6, 9, 25, 49, 1024)
+    shifts = (F(0), F(-1), F(12), F(1, 2), F(-3, 7), F(-22, 9))
+    for deg in range(65):
+        for _ in range(2):
+            cs = [F(rng.randint(-10 ** 6, 10 ** 6), rng.choice(dens))
+                  for _ in range(deg)]
+            cs.append(F(rng.choice((1, -1)) * rng.randint(1, 30),
+                        rng.choice(dens)))
+            if deg and rng.random() < 0.3:
+                cs[rng.randrange(deg)] = F(0)
+            f = P(*cs)
+            for a in shifts:
+                assert f.shift(a) == _shift_by_fraction_horner(f, a), (f, a)
+    assert UniPoly.zero().shift(F(3, 5)).is_zero
+
+
 def test_division_random():
     rng = random.Random(5)
     for _ in range(60):

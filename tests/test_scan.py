@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from monodyn.bounds import observed_min_log_distance
 from monodyn.errors import BetaIsConjugate, InvalidConfig, NotSIntegral
 from monodyn.galois import class_norm_data, class_of_point
 from monodyn.places import INF, Place
@@ -144,6 +145,33 @@ def test_class_norms_are_per_class():
                 assert lower <= true_min + 1e-9, (cls, beta, p)
                 checked += 1
     assert checked > 5000
+
+
+def test_observed_distance_is_the_top_newton_slope():
+    # oracle: the full Newton polygon of the beta-shifted minimal polynomial
+    checked = 0
+    for cls in _classes_to_depth_4():
+        poly = minimal_polynomial(cls.representative)
+        for beta in (F(2), F(1, 2), F(-3, 7), F(5)):
+            if poly(beta) == 0:
+                continue
+            shifted = poly.shift(beta)
+            for p in (2, 3, 5, 7):
+                vals = newton_polygon_root_valuations(shifted, p)
+                got = observed_min_log_distance(cls, beta, Place(p), shifted)
+                assert got == -float(max(vals)) * math.log(p), (cls, beta, p)
+                checked += 1
+    assert checked > 5000
+
+
+def test_progressions_match_fraction_residues():
+    # oracle: the distinct fractional parts of M0 t, as Fractions
+    checked = 0
+    for cls in _classes_to_depth_4():
+        residues = {t * cls.M0 - int(t * cls.M0) for t in cls.angles}
+        assert cls.progressions() == len(residues), cls
+        checked += 1
+    assert checked > 300
 
 
 def test_gamma_rows_match_materialized_norm():
