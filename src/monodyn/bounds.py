@@ -251,15 +251,18 @@ def arch_distances_sq(cls: ConjugacyClass, beta: Fraction) -> list[float]:
 
 
 def observed_min_log_distance(cls: ConjugacyClass, beta: Fraction, v: Place,
-                              shifted: UniPoly | None) -> float:
+                              shifted: UniPoly | None,
+                              dist_sq: list[float] | None = None) -> float:
     """min over conjugates of log|sigma(alpha) - beta|_v for beta outside
-    the orbit: from the angle set at the archimedean place (-inf if the
-    float distance is 0).  At a finite place it is s log p for the first
+    the orbit: from the angle set at the archimedean place (dist_sq, when
+    given, is arch_distances_sq(cls, beta); -inf if the float distance is
+    0).  At a finite place it is s log p for the first
     slope s of the Newton polygon of shifted, the class polynomial moved by
     beta (roots sigma(alpha) - beta): s = min over i >= 1 with c_i != 0 of
     (ord_p c_i - ord_p c_0) / i, found in one integer pass."""
     if v.is_archimedean:
-        best = min(arch_distances_sq(cls, beta))
+        best = min(arch_distances_sq(cls, beta) if dist_sq is None
+                   else dist_sq)
         return 0.5 * math.log(best) if best > 0 else -math.inf
     p = v.p
     cs = shifted.coeffs

@@ -22,14 +22,15 @@ X^M0 - y^M0) and collapsing the k-sum to primitive q'-th roots gives
 monic of degree M0 phi(q').  W is the minimal polynomial of every class of
 that full degree: cyclotomic (M0 = 1), real radical, plain, and entangled
 classes equal to their own 1/M0-shifted twin.  Only a genuine twin (degree
-M0 phi(q')/2) is a proper factor of W; its polynomial comes from a
-numeric orbit expansion certified by exact division.
+M0 phi(q')/2) is a proper factor of W: with c0 = d s^2, d squarefree, it is
+one of the two Aurifeuillian factors of d^phi(q') Phi_{q'}(y^2 / d) at
+y = X^(M0/2) / s, built exactly from Gauss-sum power sums.
 
 Class norms: |Nm(beta - alpha)| = |f(beta)| for the class polynomial f.
 For a full class that is W(beta), whose valuations come from
 lifting-the-exponent arithmetic on the Moebius pieces x^j - 1
 (x = beta^M0 / c0), never from materializing W(beta); a genuine twin
-evaluates its cached f at beta exactly.
+evaluates its f at beta exactly.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .errors import (BetaIsConjugate, DegreeCapExceeded, RootIsolationFailure,
-                     ZeroInput)
+from .errors import BetaIsConjugate, DegreeCapExceeded, ZeroInput
 from .exactreal import PosReal
 from .places import _log_fraction
 from .polynomials import UniPoly, _moebius_divisors, cyclotomic_poly
@@ -138,11 +138,9 @@ class ConjugacyClass:
 
     def progressions(self) -> int:
         """Number of step-1/M0 arithmetic progressions forming the angles:
-        the distinct residues M0 t mod 1, counted as the integers
-        2N M0 t mod 2N (every angle lies in (1/2N) Z)."""
-        two_n = 2 * self.N
-        return len({t.numerator * (two_n // t.denominator) * self.M0 % two_n
-                    for t in self.angles})
+        the distinct residues M0 t mod 1, which are the phi(q') fractions of
+        exact order q'."""
+        return euler_phi(self.angle_order())
 
 
 def entanglement(c0: Fraction, M0: int, L: int) -> tuple[bool, int]:
@@ -251,8 +249,11 @@ def class_polynomial(cls: ConjugacyClass,
     """The monic minimal polynomial shared by the points of the class, exact.
 
     W = c0^phi(q') Phi_{q'}(X^M0 / c0) for a class of full degree
-    M0 phi(q'); the orbit expansion for a genuine twin.  DegreeCapExceeded
-    past degree_cap, before anything is computed.
+    M0 phi(q').  A genuine twin takes one Aurifeuillian factor of W: with
+    c0 = d s^2 (d squarefree) and y = X^(M0/2) / s, W = s^(2 phi) (-1)^phi
+    B(y) B(-y), and the class polynomial is s^phi B(+-y), the sign chosen by
+    the representative's y = sqrt(d) e^(pi i r / q'), r = M0 t q' mod 2q'.
+    DegreeCapExceeded past degree_cap, before anything is computed.
     """
     if cls.degree > degree_cap:
         raise DegreeCapExceeded(f"degree {cls.degree} exceeds cap {degree_cap}")
@@ -260,72 +261,51 @@ def class_polynomial(cls: ConjugacyClass,
     if cls.degree == cls.M0 * euler_phi(q):
         return cyclotomic_poly(q).scale_arg(1 / cls.c0).monic() \
             .compose_monomial(cls.M0)
-    return _orbit_polynomial(cls)
+    d = squarefree_kernel(cls.c0)
+    s2 = cls.c0 / d
+    s = Fraction(math.isqrt(s2.numerator), math.isqrt(s2.denominator))
+    B = _aurifeuillian_factor(q, d)
+    f = quadratic_conductor(d)
+    r = int(cls.M0 * cls.angles[0] * q) % (2 * q)
+    sign = kronecker(f, r) if r % 2 else -kronecker(f, r + q)
+    return UniPoly.from_coeffs([c * sign ** i * s ** (len(B) - 1 - i)
+                                for i, c in enumerate(B)]).monic() \
+        .compose_monomial(cls.M0 // 2)
 
 
-@lru_cache(maxsize=1024)
-def _orbit_polynomial(cls: ConjugacyClass) -> UniPoly:
-    """Expand the orbit numerically at doubling precision; the
-    integer-rounded result is certified by exact division into the rational
-    binomial of the representative."""
-    n0, a0 = cls.representative.rational_binomial()
-    den, num = a0.denominator, a0.numerator
-    # the monic orbit product has coefficients in (1/lc) Z with lc | den
-    log2_mod = max(0.0, cls.modulus.log()) / math.log(2)
-    prec = int(cls.degree * (1.5 + log2_mod)) + 96
-    while prec <= 1 << 22:
-        with mp.workprec(prec):
-            mod = mp.e ** mp.mpf(_modulus_log_mp(cls.modulus))
-            coeffs = [mp.mpc(1)]
-            for t in cls.angles:
-                root = mod * mp.expjpi(2 * mp.mpf(t.numerator) / t.denominator)
-                coeffs = _mul_linear(coeffs, root)
-            for lc in _candidate_leads(den, cls):
-                rounded = []
-                ok = True
-                for c in coeffs[:-1]:
-                    re = mp.nint(c.real * lc)
-                    if abs(c.real * lc - re) > 0.25 or abs(c.imag * lc) > 0.25:
-                        ok = False
-                        break
-                    rounded.append(int(re))
-                if not ok:
-                    continue
-                cand = UniPoly.from_coeffs(
-                    [Fraction(r, lc) for r in rounded] + [Fraction(1)])
-                binom = UniPoly.binomial(n0, a0)
-                if (binom % cand).is_zero:
-                    return cand
-        prec *= 2
-    raise RootIsolationFailure("orbit polynomial reconstruction failed")
+@lru_cache(maxsize=None)
+def _aurifeuillian_factor(q: int, d: int) -> tuple[int, ...]:
+    """Coefficients, low to high, of the monic integer factor B(y) of
+    d^phi(q) Phi_q(y^2 / d) whose roots are sqrt(d) e^(pi i r / q) with
+    chi(r) = 1 for odd r and chi(r + q) = -1 for even r, chi = kronecker(f, .)
+    for the conductor f of Q(sqrt(d)) (Brent, Math. Comp. 61 (1993)).
 
+    Its power sums s_j are integers: Ramanujan sums mod m = 2q for even j,
+    Gauss sums of chi for odd j, both in closed form from g = gcd(m, j);
+    Newton's identities give the coefficients with exact integer division.
+    """
+    n, m = euler_phi(q), 2 * q
+    f = quadratic_conductor(d)
+    root_df = d if d % 4 == 1 else 2 * d    # sqrt(d f): sqrt(d) * Gauss sum
 
-def _candidate_leads(den: int, cls: ConjugacyClass):
-    # any multiple of the true leading coefficient works for the rounding,
-    # and lc | den(a0); try the usually-exact modulus-derived value first
-    out = []
-    exact = cls.modulus ** cls.degree
-    if exact.is_rational():
-        out.append(exact.as_fraction().denominator)
-    if den not in out:
-        out.append(den)
-    return out
-
-
-def _mul_linear(coeffs, root):
-    # multiply sum c_i X^i by (X - root)
-    out = [mp.mpc(0)] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        out[i + 1] += c
-        out[i] -= c * root
-    return out
-
-
-def _modulus_log_mp(modulus) -> mp.mpf:
-    total = mp.mpf(0)
-    for p, e in modulus.exps.items():
-        total += mp.mpf(e.numerator) / e.denominator * mp.log(p)
-    return total
+    def mobius(k):
+        return dict(_moebius_divisors(k)).get(k, 0)
+    sums = [0]
+    for j in range(1, n + 1):
+        g = math.gcd(m, j)
+        mj = m // g
+        if j % 2 == 0:
+            val = mobius(mj) * d ** (j // 2)
+        elif mj % f:
+            val = 0
+        else:
+            val = (kronecker(f, j // g) * mobius(mj // f)
+                   * kronecker(f, mj // f) * d ** (j // 2) * root_df)
+        sums.append(val * n // euler_phi(mj))
+    a = [1]                     # B = y^n + a_1 y^(n-1) + ... + a_n
+    for k in range(1, n + 1):
+        a.append(-sum(sums[i] * a[k - i] for i in range(1, k + 1)) // k)
+    return tuple(reversed(a))
 
 
 # ---------------------------------------------------------------------------

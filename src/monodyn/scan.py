@@ -66,13 +66,11 @@ def meets_at_prime(alpha: RadicalPoint, beta: Fraction, p: int,
 
 
 def _bounded_factor(n: int) -> dict[int, int]:
-    """FactorBudgetExceeded for |n| > 10^120, else factorint with no bound."""
+    """factorint (FactorBudgetExceeded past its Pollard rho budget), and
+    FactorBudgetExceeded at once for |n| > 10^120."""
     if abs(n) > 10 ** 120:
         raise FactorBudgetExceeded(f"{n.bit_length()}-bit norm value")
-    try:
-        return factorint(n)
-    except RecursionError:  # pragma: no cover
-        raise FactorBudgetExceeded("factorization recursion limit")
+    return factorint(n)
 
 
 def bad_primes(alpha: RadicalPoint, beta: Fraction,
@@ -161,10 +159,10 @@ class GammaReport:
     residual: float
 
 
-def _arch_row(cls: ConjugacyClass, beta: Fraction) -> float:
-    """(1/deg) sum over conjugates of log|sigma(alpha) - beta|, numerically."""
-    return sum(0.5 * math.log(d2)
-               for d2 in arch_distances_sq(cls, beta)) / cls.degree
+def _arch_row(cls: ConjugacyClass, dist_sq: list[float]) -> float:
+    """(1/deg) sum over conjugates of log|sigma(alpha) - beta|, numerically,
+    from the squared distances dist_sq = arch_distances_sq(cls, beta)."""
+    return sum(0.5 * math.log(d2) for d2 in dist_sq) / cls.degree
 
 
 def _exact_polynomial(cls: ConjugacyClass, degree_cap: int) -> UniPoly | None:
@@ -180,12 +178,15 @@ def gamma_sum(alpha: RadicalPoint, beta: Fraction,
     return class_gamma(cls, class_norm_data(cls, beta, degree_cap))
 
 
-def class_gamma(cls: ConjugacyClass, nd: ClassNormData) -> GammaReport:
-    """The Gamma table at nd's base point."""
+def class_gamma(cls: ConjugacyClass, nd: ClassNormData,
+                dist_sq: list[float] | None = None) -> GammaReport:
+    """The Gamma table at nd's base point (dist_sq as in _arch_row)."""
     beta = nd.beta
     if nd.is_zero():
         raise BetaIsConjugate("beta lies in the orbit")
-    rows = [("inf", _arch_row(cls, beta))]
+    if dist_sq is None:
+        dist_sq = arch_distances_sq(cls, beta)
+    rows = [("inf", _arch_row(cls, dist_sq))]
     leftover = nd.log_w()
     for p in sorted(_support(cls.representative, beta)):
         o = float(nd.ord_w(p))
@@ -226,7 +227,7 @@ def gamma_decomposition(alpha: RadicalPoint, beta: Fraction, S: list[Place],
         if p not in s_primes and m != 0:
             non_s_terms.append((p, -m))
             non_s += -float(m) * math.log(p)
-    s_part = _arch_row(cls, beta)
+    s_part = _arch_row(cls, arch_distances_sq(cls, beta))
     for p in sorted(s_primes):
         s_part += -float(nd.ord_w(p)) / cls.degree * math.log(p)
     return GammaDecomposition(s_part, non_s, tuple(non_s_terms),
@@ -363,10 +364,12 @@ def _class_min_log_distance_lower(cls: ConjugacyClass, nd: ClassNormData,
 
 def _scan_distance_checks(cls: ConjugacyClass, nd: ClassNormData,
                           poly: UniPoly | None,
-                          certs: list[tuple[Place, DistanceBoundCert]]):
-    """(place, ok) rows at nd's base point; archimedean from the angle set,
-    finite places from the shifted polygon of poly when given, else a sound
-    valuation lower bound (the constant dwarfs the slack either way)."""
+                          certs: list[tuple[Place, DistanceBoundCert]],
+                          dist_sq: list[float]):
+    """(place, ok) rows at nd's base point; archimedean from the squared
+    distances dist_sq = arch_distances_sq(cls, nd.beta), finite places
+    from the shifted polygon of poly when given, else a sound valuation
+    lower bound (the constant dwarfs the slack either way)."""
     beta = nd.beta
     h_beta = height_rational(beta)
     MQ = max(2, cls.M0 * cls.representative.angle.denominator)
@@ -375,7 +378,8 @@ def _scan_distance_checks(cls: ConjugacyClass, nd: ClassNormData,
     for v, cert in certs:
         bound = cert.bound(h_beta, cls.degree, MQ)
         if v.is_archimedean or shifted is not None:
-            observed = observed_min_log_distance(cls, beta, v, shifted)
+            observed = observed_min_log_distance(cls, beta, v, shifted,
+                                                 dist_sq)
         else:
             observed = _class_min_log_distance_lower(cls, nd, beta, v.p)
         rows.append((str(v), observed > -bound))
@@ -441,9 +445,11 @@ def run_scan(config: ScanConfig) -> ScanReport:
                                            config.node_cap):
             nd = class_norm_data(cls, beta, config.degree_cap)
             integ = class_s_integrality(cls, nd, config.S)
-            gamma = class_gamma(cls, nd)
+            dist_sq = arch_distances_sq(cls, beta)
+            gamma = class_gamma(cls, nd, dist_sq)
             dist = _scan_distance_checks(
-                cls, nd, _exact_polynomial(cls, config.degree_cap), certs)
+                cls, nd, _exact_polynomial(cls, config.degree_cap), certs,
+                dist_sq)
             disc = None
             if cls.degree <= config.degree_cap:
                 disc = float(discrepancy_exact(cls.angles))

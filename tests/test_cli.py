@@ -109,6 +109,19 @@ def test_scan_degree_cap_on_genuine_twin(config, tmp_path, capsys):
         sum(v["degree"] for v in doc["verdicts"])
 
 
+def test_scan_hard_to_factor_beta_is_a_cap(config, capsys):
+    # beta is the product of the next primes after 2^99 and 2^100: Pollard
+    # rho spends its step budget and the scan exits 3 instead of running on
+    beta = (2 ** 99 + 255) * (2 ** 100 + 277)
+    assert str(beta) == ("803469022129495137770981046669401812450909766380"
+                         "349129036779")
+    rc = main(["--config", config, "scan", "--beta", str(beta),
+               "-S", "2,3,5", "--depth", "2"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "cap exceeded" in err and "Traceback" not in err
+
+
 EQUID_SEMIGROUPS = (
     [{"a": "2", "d": 2}, {"a": "3", "d": 3}],
     [{"a": "-5/2", "d": 3}, {"a": "4", "d": -2}],

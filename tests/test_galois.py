@@ -7,9 +7,9 @@ from monodyn import galois
 from monodyn.galois import (class_norm_data, class_of_point,
                             decompose_binomial_roots, unit_group_generators)
 from monodyn.polyfactor import factor_poly
-from monodyn.polynomials import UniPoly
+from monodyn.polynomials import UniPoly, cyclotomic_poly
 from monodyn.preper import minimal_polynomial
-from monodyn.primes import ord_p
+from monodyn.primes import euler_phi, ord_p
 from monodyn.radical import RadicalPoint
 
 POOL = [F(x) for x in ("2", "3", "4", "-2", "-3", "-4", "8", "9", "-8", "16",
@@ -44,20 +44,55 @@ def _match_factor(cls, fac):
     return None
 
 
+def _is_genuine_twin(cls):
+    return cls.degree < cls.M0 * euler_phi(cls.angle_order())
+
+
 def test_classes_match_factorization():
     # degree multisets, root assignments and class polynomials agree with
-    # the Zassenhaus route
-    for N in range(1, 13):
-        for a in POOL:
-            classes = decompose_binomial_roots(N, a)
-            assert sum(c.degree for c in classes) == N
-            fac = factor_poly(UniPoly.binomial(N, a))
-            assert sorted(c.degree for c in classes) == \
-                sorted(g.degree for g, m in fac for _ in range(m))
-            for cls in classes:
-                g = _match_factor(cls, fac)
-                assert g is not None
-                assert minimal_polynomial(cls.representative) == g.monic()
+    # the Zassenhaus route; the extra binomials carry genuine twins with
+    # q' = 10, 12 and 20
+    extra = [(10, F(3125)), (12, F(-46656)), (20, F(-10 ** 10))]
+    cases = [(N, a) for N in range(1, 13) for a in POOL] + extra
+    for N, a in cases:
+        classes = decompose_binomial_roots(N, a)
+        assert sum(c.degree for c in classes) == N
+        fac = factor_poly(UniPoly.binomial(N, a))
+        assert sorted(c.degree for c in classes) == \
+            sorted(g.degree for g, m in fac for _ in range(m))
+        for cls in classes:
+            g = _match_factor(cls, fac)
+            assert g is not None
+            assert minimal_polynomial(cls.representative) == g.monic()
+        if (N, a) in extra:
+            assert any(_is_genuine_twin(c) for c in classes), (N, a)
+
+
+# (q', d) of every genuine twin in word_pair_classes up to word length 7 of
+# {2z^2, 3z^3}, {(-5/2)z^3, 4z^-2} and {4z^2, 9z^3}, plus small extra pairs
+TWIN_PAIRS = ((6, 3), (18, 3), (20, 10), (30, 3), (42, 3), (54, 3), (60, 10),
+              (66, 3), (78, 3), (90, 3), (162, 3), (180, 10), (234, 3),
+              (270, 3), (486, 3), (540, 10), (546, 3), (702, 3), (726, 3))
+EXTRA_PAIRS = ((4, 2), (5, 5), (12, 6), (13, 13), (15, 5), (21, 21))
+
+
+def test_aurifeuillian_factors():
+    # oracle: B(y) B(-y) multiplies back to d^phi Phi_q'(y^2 / d), and
+    # Zassenhaus finds B irreducible.  factor_poly runs only up to degree
+    # 72: the four depth-7 pairs of degree 144 to 220 take 8 to 90 s each
+    # (2-core Xeon, Python 3.11)
+    # (2-core Xeon, Python 3.11)
+    for q, d in TWIN_PAIRS + EXTRA_PAIRS:
+        n = euler_phi(q)
+        B = UniPoly.from_coeffs(galois._aurifeuillian_factor(q, d))
+        assert B.degree == n and B.lead == 1
+        B_neg = UniPoly.from_coeffs([c * (-1) ** (n - i)
+                                     for i, c in enumerate(B.coeffs)])
+        full = UniPoly.from_coeffs(
+            [c * d ** n for c in cyclotomic_poly(q).scale_arg(F(1, d)).coeffs])
+        assert B * B_neg == full.compose_monomial(2), (q, d)
+        if n <= 72:
+            assert factor_poly(B) == [(B, 1)], (q, d)
 
 
 def test_known_splits():
@@ -130,11 +165,18 @@ def test_class_norm_data_memoizes_ord_and_log(monkeypatch):
 
 
 def test_progressions_cover_angles():
-    for N, a in ((12, F(-64)), (8, F(1, 81)), (6, F(-27))):
+    # oracle: the distinct residues M0 t mod 1; each progression of a full
+    # class has M0 angles, each of a genuine twin M0 / 2
+    twins = 0
+    for N, a in ((12, F(-64)), (8, F(1, 81)), (6, F(-27)), (4, F(-4)),
+                 (12, F(-46656)), (20, F(-10 ** 10))):
         for cls in decompose_binomial_roots(N, a):
             A = cls.progressions()
-            assert 1 <= A
-            # each progression has step 1/M0, so A * (multiples) covers the class
-            assert cls.degree % A == 0 or cls.M0 == 1 or True
             residues = {(t * cls.M0) - int(t * cls.M0) for t in cls.angles}
             assert len(residues) == A
+            if _is_genuine_twin(cls):
+                twins += 1
+                assert 2 * cls.degree == A * cls.M0
+            else:
+                assert cls.degree == A * cls.M0
+    assert twins

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from monodyn.errors import RootOfUnityInput, ZeroInput
+from monodyn import primes
+from monodyn.errors import FactorBudgetExceeded, RootOfUnityInput, ZeroInput
 from monodyn.primes import (euler_phi, factor_fraction, factorint, is_prime,
                             kronecker, max_power_exponent, ord_p,
                             quadratic_conductor, squarefree_kernel)
@@ -42,6 +43,16 @@ def test_factorint_edges():
     assert factorint(997 ** 3) == {997: 3}
     with pytest.raises(ZeroInput):
         factorint(0)
+
+
+def test_factorint_step_budget(monkeypatch):
+    # a semiprime with two 31-bit factors needs tens of thousands of rho
+    # steps: it factors under the default budget and raises under a tiny one
+    n = 2147483647 * 2147483659
+    assert factorint(n) == {2147483647: 1, 2147483659: 1}
+    monkeypatch.setattr(primes, "RHO_STEP_BUDGET", 1000)
+    with pytest.raises(FactorBudgetExceeded):
+        factorint(n)
 
 
 def test_factor_fraction():

@@ -34,3 +34,14 @@ def test_scan_binds_the_traced_functions():
     import monodyn.scan as scan
     assert scan.decompose_binomial_roots is galois.decompose_binomial_roots
     assert scan.minimal_polynomial is preper.minimal_polynomial
+
+
+def test_names_read_outside_targets_exist():
+    # perfbench reads these directly: twin_class sorts minimal-polynomial
+    # spans by class kind, and the caches give hit counts and sizes
+    import monodyn.galois as galois
+    import monodyn.preper as preper
+    assert callable(galois.twin_class)
+    assert isinstance(galois._decompose_cache, dict)
+    assert isinstance(preper._minpoly_cache, dict)
+    assert galois.unit_group_generators.cache_info().currsize >= 0
