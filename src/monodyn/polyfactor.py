@@ -1,8 +1,11 @@
 """Factorization of univariate polynomials over Q.
 
-Pipeline: integer content, squarefree decomposition, factorization modulo a
-good small prime (distinct-degree plus equal-degree splitting), quadratic
-Hensel lifting past the Mignotte bound, bounded-subset recombination.
+Pipeline: integer content, squarefree decomposition, distinct-degree counts
+modulo six good small primes (Musser's prime choice; they also prove
+irreducibility or prune factor degrees), equal-degree splitting at the prime
+with the fewest factors, quadratic Hensel lifting past the Mignotte bound,
+and recombination of at most RECOMBINATION_BUDGET subsets, past which
+FactorBudgetExceeded is raised.
 """
 
 from __future__ import annotations
@@ -12,11 +15,12 @@ import math
 import random
 from fractions import Fraction
 
-from .errors import DegreeCapExceeded, ZeroInput
+from .errors import DegreeCapExceeded, FactorBudgetExceeded, ZeroInput
 from .polynomials import UniPoly, squarefree_decomposition
 from .primes import factorint, is_prime
 
 DEGREE_CAP = 512
+RECOMBINATION_BUDGET = 1 << 16   # subsets per squarefree part
 
 # ---------------------------------------------------------------------------
 # GF(p)[X] arithmetic on dense low-to-high int lists
@@ -142,14 +146,6 @@ def _equal_degree_split(g: list[int], d: int, p: int,
                 work.append(w)
                 work.append(_pdivmod(cur, w, p)[0])
                 break
-    return out
-
-
-def _factor_mod_p(f: list[int], p: int, rng: random.Random) -> list[list[int]]:
-    """Monic irreducible factors of a squarefree monic f over GF(p)."""
-    out = []
-    for g, d in _distinct_degree(f, p):
-        out.extend(_equal_degree_split(g, d, p, rng))
     return out
 
 
@@ -302,8 +298,26 @@ def _next_prime(p: int) -> int:
     return p
 
 
+def _subset_sums(dd) -> set[int]:
+    """Degrees of the products of factors in a _distinct_degree split."""
+    sums = {0}
+    for g, d in dd:
+        for _ in range((len(g) - 1) // d):
+            sums |= {s + d for s in sums}
+    return sums
+
+
 def _good_prime_factorization(f: list[int], rng: random.Random):
-    """Pick, among several good primes, the one with fewest modular factors."""
+    """Musser's prime choice: None if f is proven irreducible, else (p, monic
+    factors of f mod p, the attainable degrees of factors over Z).
+
+    Six good primes get a distinct-degree split only.  The degree of a factor
+    over Z is a subset sum of the modular degrees at each of them, so f is
+    irreducible once only 0 and deg f are left.  Otherwise the prime with the
+    fewest modular factors is split into irreducibles.
+    """
+    n = len(f) - 1
+    possible = set(range(n + 1))
     best = None
     p = 2
     tried = 0
@@ -316,41 +330,54 @@ def _good_prime_factorization(f: list[int], rng: random.Random):
             continue
         tried += 1
         inv = pow(f[-1], -1, p)
-        monic = [c * inv % p for c in fp]
-        facs = _factor_mod_p(monic, p, rng)
-        if best is None or len(facs) < len(best[1]):
-            best = (p, facs)
-        if len(facs) == 1:
-            break
-    return best
+        dd = _distinct_degree([c * inv % p for c in fp], p)
+        possible &= _subset_sums(dd)
+        if possible == {0, n}:
+            return None
+        count = sum((len(g) - 1) // d for g, d in dd)
+        if best is None or count < best[0]:
+            best = (count, p, dd)
+    _, p, dd = best
+    return p, [h for g, d in dd for h in _equal_degree_split(g, d, p, rng)], possible
 
 
 def _factor_squarefree_z(f: list[int], rng: random.Random) -> list[list[int]]:
     """Irreducible factors over Z of a squarefree primitive f, deg >= 1."""
     if len(f) - 1 == 1:
         return [f]
-    p, modular = _good_prime_factorization(f, rng)
-    if len(modular) == 1:
+    chosen = _good_prime_factorization(f, rng)
+    if chosen is None:
         return [f]
-    bound = 2 * _mignotte_bound(f) + 1
+    p, modular, possible = chosen
+    mignotte = _mignotte_bound(f)
     k = 0
-    while p ** (2 ** k) < bound:
+    while p ** (2 ** k) <= 2 * mignotte:
         k += 1
     big = p ** (2 ** k)
     lifted = _hensel_tree([c % big for c in f], modular, p, k)
     out = []
     remaining = f[:]
     idx = list(range(len(lifted)))
+    tries = 0
     r = 1
     while 2 * r <= len(idx):
         found = True
         while found and 2 * r <= len(idx):
             found = False
             for subset in itertools.combinations(idx, r):
+                tries += 1
+                if tries > RECOMBINATION_BUDGET:
+                    raise FactorBudgetExceeded(
+                        f"over {RECOMBINATION_BUDGET} recombination subsets")
+                if sum(len(lifted[i]) - 1 for i in subset) not in possible:
+                    continue
                 cand = [remaining[-1] % big]
                 for i in subset:
                     cand = _zmul(cand, lifted[i], big)
                 cand = [_symmetric(c, big) for c in cand]
+                # no lc-adjusted true factor exceeds the Mignotte bound
+                if any(abs(c) > mignotte for c in cand):
+                    continue
                 g = _int_primitive(cand)
                 q = _int_exact_div(remaining, g)
                 if q is not None:
@@ -464,16 +491,8 @@ def irreducibility_certificate(f: UniPoly, primes_to_try: int = 12) -> str:
         if _pgcd(fp, _pderiv(fp, p), p) != [1]:
             continue
         tried += 1
-        degs = []
         inv = pow(fp[-1], -1, p)
-        for g, d in _distinct_degree([c * inv % p for c in fp], p):
-            degs.extend([d] * ((len(g) - 1) // d))
-        if degs == [f.degree]:
-            return "irreducible"
-        sums = {0}
-        for d in degs:
-            sums |= {s + d for s in sums}
-        possible &= sums
+        possible &= _subset_sums(_distinct_degree([c * inv % p for c in fp], p))
         if possible == {0, f.degree}:
             return "irreducible"
     return "unknown"

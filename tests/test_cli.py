@@ -7,6 +7,7 @@ from monodyn.cli import main
 from monodyn.galois import class_of_point
 from monodyn.preper import enumerate_preperiodic
 from monodyn.semigroup import Semigroup
+from test_polyfactor import swinnerton_dyer
 
 
 @pytest.fixture
@@ -167,6 +168,16 @@ def test_factor(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert sorted(f["coeffs"] for f in doc["factors"]) == \
         sorted([["3", "-3", "1"], ["3", "0", "1"], ["3", "3", "1"]])
+
+
+def test_factor_past_recombination_budget_is_a_cap(capsys):
+    # the degree-64 Swinnerton-Dyer polynomial splits into quadratics
+    # modulo every prime, so recombination runs out of its subset budget
+    f = swinnerton_dyer((2, 3, 5, 7, 11, 13))
+    rc = main(["factor", ",".join(f.to_strings())])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "cap exceeded" in err and "Traceback" not in err
 
 
 def test_missing_config(capsys):

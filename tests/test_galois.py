@@ -78,10 +78,8 @@ EXTRA_PAIRS = ((4, 2), (5, 5), (12, 6), (13, 13), (15, 5), (21, 21))
 
 def test_aurifeuillian_factors():
     # oracle: B(y) B(-y) multiplies back to d^phi Phi_q'(y^2 / d), and
-    # Zassenhaus finds B irreducible.  factor_poly runs only up to degree
-    # 72: the four depth-7 pairs of degree 144 to 220 take 8 to 90 s each
-    # (2-core Xeon, Python 3.11)
-    # (2-core Xeon, Python 3.11)
+    # Zassenhaus finds B irreducible, the four depth-7 pairs of degree 144
+    # to 220 included (1 to 3 s each on a 2-core Xeon, Python 3.11)
     for q, d in TWIN_PAIRS + EXTRA_PAIRS:
         n = euler_phi(q)
         B = UniPoly.from_coeffs(galois._aurifeuillian_factor(q, d))
@@ -91,8 +89,7 @@ def test_aurifeuillian_factors():
         full = UniPoly.from_coeffs(
             [c * d ** n for c in cyclotomic_poly(q).scale_arg(F(1, d)).coeffs])
         assert B * B_neg == full.compose_monomial(2), (q, d)
-        if n <= 72:
-            assert factor_poly(B) == [(B, 1)], (q, d)
+        assert factor_poly(B) == [(B, 1)], (q, d)
 
 
 def test_known_splits():
