@@ -25,8 +25,7 @@ from .heights import (HeightEstimate, SequenceSpec, canonical_height_closed,
                       height_drift, height_lower_bound_nonpreperiodic,
                       jensen_check, witness_sequence_height)
 from .bounds import (LinFormInstance, DistanceBoundCert, disc_count_check,
-                     discrepancy_exact, discrepancy_on_circle,
-                     distance_lower_bound, linform_bound,
+                     discrepancy_exact, distance_lower_bound, linform_bound,
                      linform_degree_constant, test_function_energy,
                      test_function_lipschitz, theta, unity_neighbor_count,
                      verify_linform)

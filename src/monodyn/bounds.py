@@ -113,10 +113,6 @@ def test_function_lipschitz(delta: float) -> float:
 # circle discrepancy
 
 
-def discrepancy_on_circle(angles) -> float:
-    return float(discrepancy_exact(angles))
-
-
 def discrepancy_exact(angles) -> Fraction:
     """sup over circular arcs of |empirical mass - arc length|, exact.
 

@@ -4,10 +4,11 @@ Subcommands: orbit, preper, height, bounds, equid, scan, factor.  The
 semigroup comes from a JSON config file ({"generators": [{"a": "2", "d": 2},
 ...]}); words are written as comma-separated 1-based generator indices.
 
-Exit codes: 0 ok, 2 invalid config, 3 cap exceeded, 4 internal invariant
-violation.  A scan stopped by its node cap or degree cap (or holding an
-uncertified verdict) still writes its partial report, marked "truncated",
-and exits 3; every other cap ends the command with no output.
+Exit codes: 0 ok, 2 invalid config or option (checked as it is parsed),
+3 cap exceeded, 4 internal invariant violation.  A scan stopped by its node
+cap or degree cap (or holding an uncertified verdict) still writes its
+partial report, marked "truncated", and exits 3; every other cap ends the
+command with no output.
 """
 
 from __future__ import annotations
@@ -29,9 +30,52 @@ from .places import INF, Place, log_abs
 from .polynomials import UniPoly
 from .polyfactor import factor_poly
 from .preper import enumerate_preperiodic, minimal_polynomial
+from .primes import is_prime
 from .radical import RadicalPoint
 from .scan import ScanConfig, report_to_csv, run_scan, word_pair_classes
-from .semigroup import Semigroup, format_word, parse_word
+from .semigroup import Semigroup, Word, format_word, parse_word
+
+
+def _checked(parse, ok, what: str):
+    """An argparse type: parse(text) when it parses and passes ok, else
+    InvalidConfig, which main reports with exit 2."""
+    def convert(text: str):
+        try:
+            x = parse(text)
+            good = ok(x)
+        except (ValueError, ZeroDivisionError):
+            good = False
+        if not good:
+            raise InvalidConfig(f"{text!r} is not {what}")
+        return x
+    return convert
+
+
+def _fraction(text: str) -> Fraction:
+    # Fraction would expand a decimal exponent past Python's int digit limit
+    if abs(int(text.lower().partition("e")[2] or 0)) > 4300:
+        raise ValueError(text)
+    return Fraction(text)
+
+
+MAX_NODES = 1 << 20
+_rational = _checked(_fraction, lambda x: True, "a rational number")
+_nonzero = _checked(_fraction, bool, "a nonzero rational number")
+_positive = _checked(float, lambda x: x > 0, "a positive number")
+_nodes = _checked(int, lambda n: 16 <= n <= MAX_NODES,
+                  f"a node count in 16..{MAX_NODES}")
+_primes = _checked(lambda t: tuple(int(p) for p in t.split(",") if p.strip()),
+                   lambda ps: all(p > 1 and is_prime(p) for p in ps),
+                   "a comma-separated list of primes")
+_polynomial = _checked(
+    lambda t: UniPoly.from_coeffs([_fraction(c) for c in t.split(",")]),
+    lambda f: f.degree >= 1, "a polynomial of degree >= 1")
+
+
+def _word(G: Semigroup, text: str) -> Word:
+    """Comma-separated 1-based generator indices of G."""
+    return _checked(parse_word, lambda w: all(0 <= i < G.s for i in w),
+                    f"a word of indices 1..{G.s}")(text)
 
 
 def _load_semigroup(path: str | None) -> Semigroup:
@@ -51,7 +95,7 @@ def _emit(payload: str, out: str | None):
 
 def _cmd_orbit(args) -> int:
     G = _load_semigroup(args.config)
-    x = RadicalPoint.from_rational(Fraction(args.point))
+    x = RadicalPoint.from_rational(args.point)
     nodes = orbit_tree(G, x, args.depth)
     rows = [{"word": format_word(n.word), **n.point.to_json(),
              "repeats_prefix": n.repeats_prefix} for n in nodes]
@@ -87,14 +131,12 @@ def _cmd_preper(args) -> int:
 
 def _cmd_height(args) -> int:
     G = _load_semigroup(args.config)
-    beta = Fraction(args.beta)
-    g1 = parse_word(args.g1) if args.g1 else ()
-    g2 = parse_word(args.g2) if args.g2 else (0,)
-    seq = SequenceSpec(g1, g2)
-    est = canonical_height_iterative(G, seq, beta, tol=args.tol)
-    closed = canonical_height_closed(G, g1, g2, beta)
+    g1, g2 = _word(G, args.g1), _word(G, args.g2) or (0,)
+    est = canonical_height_iterative(G, SequenceSpec(g1, g2), args.beta,
+                                     args.tol)
+    closed = canonical_height_closed(G, g1, g2, args.beta)
     radius = equilibrium_radius(G, g1, g2)
-    doc = {"schema": "monodyn/1", "beta": str(beta),
+    doc = {"schema": "monodyn/1", "beta": str(args.beta),
            "iterative": {"value": est.value, "error_bound": est.error_bound,
                          "steps": est.steps},
            "closed": closed, "equilibrium_radius": radius.radius}
@@ -143,7 +185,7 @@ def _cmd_equid(args) -> int:
              "discrepancy": float(discrepancy_exact(cls.angles)),
              "progressions": cls.progressions()}
             for cls, _, _ in word_pair_classes(G, args.depth, 10 ** 6)]
-    lhs, rhs, diff = jensen_check(1.0, Fraction(args.beta), args.nodes)
+    lhs, rhs, diff = jensen_check(1.0, args.beta, args.nodes)
     doc = {"schema": "monodyn/1", "classes": rows,
            "jensen": {"radius": 1.0, "beta": str(args.beta),
                       "nodes": args.nodes, "lhs": lhs, "rhs": rhs,
@@ -154,8 +196,8 @@ def _cmd_equid(args) -> int:
 
 def _cmd_scan(args) -> int:
     G = _load_semigroup(args.config)
-    S = [INF] + [Place(int(p)) for p in args.S.split(",") if p.strip()]
-    cfg = ScanConfig(G, S, Fraction(args.beta), args.depth, tol=args.tol,
+    S = [INF] + [Place(p) for p in args.S]
+    cfg = ScanConfig(G, S, args.beta, args.depth, tol=args.tol,
                      node_cap=args.node_cap, degree_cap=args.degree_cap)
     report = run_scan(cfg)
     if args.format == "csv":
@@ -166,7 +208,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    f = UniPoly.from_strings(args.coeffs.split(","))
+    f = args.coeffs
     factors = factor_poly(f, degree_cap=args.degree_cap, seed=args.seed)
     doc = {"schema": "monodyn/1",
            "input": f.to_strings(),
@@ -183,7 +225,7 @@ def _add_globals(ap, suppress: bool):
     ap.add_argument("--out", default=d(None), help="output path (default stdout)")
     ap.add_argument("--format", choices=["json", "csv"], default=d("json"))
     ap.add_argument("--seed", type=int, default=d(0))
-    ap.add_argument("--tol", type=float, default=d(1e-9))
+    ap.add_argument("--tol", type=_positive, default=d(1e-9))
     ap.add_argument("--degree-cap", dest="degree_cap", type=int, default=d(512))
 
 
@@ -198,14 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
                                 parents=[common], **kw))
 
     p = sub.add_parser("orbit", help="orbit tree and preperiodicity status")
-    p.add_argument("--point", required=True, help="rational point, e.g. 1/2")
+    p.add_argument("--point", required=True, type=_nonzero,
+                   help="nonzero rational point, e.g. 1/2")
     p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("preper", help="enumerate preperiodic points")
     p.set_defaults(func=_cmd_preper)
 
     p = sub.add_parser("height", help="canonical heights for a sequence")
-    p.add_argument("--beta", required=True)
+    p.add_argument("--beta", required=True, type=_nonzero)
     p.add_argument("--g1", default="", help="preperiod word, 1-based indices")
     p.add_argument("--g2", default="1", help="period word, 1-based indices")
     p.set_defaults(func=_cmd_height)
@@ -215,26 +258,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("equid", help="discrepancy of conjugate angles")
-    p.add_argument("--beta", default="2")
-    p.add_argument("--nodes", type=int, default=1 << 12)
+    p.add_argument("--beta", type=_rational, default="2")
+    p.add_argument("--nodes", type=_nodes, default=1 << 12,
+                   help=f"quadrature nodes, 16..{MAX_NODES}")
     p.set_defaults(func=_cmd_equid)
 
     p = sub.add_parser("scan", help="S-integral finiteness scan")
-    p.add_argument("--beta", required=True)
-    p.add_argument("-S", default="2,3,5",
+    p.add_argument("--beta", required=True, type=_rational)
+    p.add_argument("-S", type=_primes, default="2,3,5",
                    help="finite primes of S (the archimedean place is implied)")
     p.add_argument("--node-cap", dest="node_cap", type=int, default=10 ** 7)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("factor", help="factor a polynomial over Q")
-    p.add_argument("coeffs", help="coefficients low-to-high, e.g. 27,0,0,0,0,0,1")
+    p.add_argument("coeffs", type=_polynomial,
+                   help="coefficients low-to-high, e.g. 27,0,0,0,0,0,1")
     p.set_defaults(func=_cmd_factor)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        # argparse < 3.13 stores [] for --opt=--, skipping the option's type
+        if [] in vars(args).values():
+            raise InvalidConfig("'--' is not an option value")
         return args.func(args)
     except InvalidConfig as exc:
         print(f"invalid config: {exc}", file=sys.stderr)

@@ -25,10 +25,6 @@ class DegreeCapExceeded(MonodynError):
     pass
 
 
-class SeparationFailure(MonodynError):
-    pass
-
-
 class EmptyWord(MonodynError):
     pass
 

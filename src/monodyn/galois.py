@@ -13,6 +13,12 @@ This is complete: the canonical form forces X^M0 - c0 irreducible, and the
 maximal abelian subfield of Q(rho) is Q(sqrt(c0)) for even M0 and Q for odd
 M0, so no deeper entanglement with the cyclotomic part is possible.
 
+Classes in closed form: all pairs act transitively on the q'-set of angles
+t whose e^(2 pi i M0 t) has order q'.  Under the constraint (conductor f) a
+q'-set is two genuine twins iff f | 2q' and (q' odd or chi(1 + q') = -1),
+told apart by the chi-sign that picks their Aurifeuillian factor below;
+otherwise it is one class, equal to its own 1/M0-shifted twin.
+
 Class polynomials: for a class inside X^N - a, with q' the order of
 e^(2 pi i M0 t), multiplying out the m-fibers (prod_m (X - zeta_M0^m y) =
 X^M0 - y^M0) and collapsing the k-sum to primitive q'-th roots gives
@@ -77,12 +83,8 @@ def unit_group_generators(n: int) -> tuple[int, ...]:
             locals_ = [_primitive_root_mod_pk(p, e)]
         for g in locals_:
             # lift to x = g mod q, x = 1 mod rest
-            if rest == 1:
-                gens.append(g % n)
-            else:
-                inv = pow(rest % q, -1, q)
-                x = (1 + rest * ((g - 1) * inv % q)) % n
-                gens.append(x)
+            inv = pow(rest % q, -1, q)
+            gens.append((1 + rest * ((g - 1) * inv % q)) % n)
     return tuple(g for g in gens if g % n != 1)
 
 
@@ -128,9 +130,6 @@ class ConjugacyClass:
     def representative(self) -> RadicalPoint:
         return RadicalPoint(self.modulus, self.angles[0])
 
-    def points(self) -> list[RadicalPoint]:
-        return [RadicalPoint(self.modulus, t) for t in self.angles]
-
     def angle_order(self) -> int:
         """Order q' of e^(2 pi i M0 t); class invariant."""
         t = self.angles[0]
@@ -143,26 +142,38 @@ class ConjugacyClass:
         return euler_phi(self.angle_order())
 
 
-def entanglement(c0: Fraction, M0: int, L: int) -> tuple[bool, int]:
-    """(entangled, chi conductor-discriminant) for sqrt(c0) against zeta_L."""
-    if M0 % 2:
-        return False, 0
-    d = squarefree_kernel(c0)
+def entanglement(c0: Fraction, M0: int, L: int) -> int:
+    """Conductor f of Q(sqrt(c0)) when sqrt(c0) is entangled with zeta_L,
+    i.e. M0 even, sqrt(c0) irrational and f | L; 0 otherwise."""
+    d = 1 if M0 % 2 else squarefree_kernel(c0)
     if d == 1:
-        # sqrt(c0) rational; the m-parity is then a free choice, no constraint
-        return False, 0
-    cond = quadratic_conductor(d)
-    if L % cond:
-        return False, 0
-    disc = d if d % 4 == 1 else 4 * d
-    return True, disc
+        # odd M0 or sqrt(c0) rational: the m-parity is free, no constraint
+        return 0
+    f = quadratic_conductor(d)
+    return 0 if L % f else f
+
+
+def _splits(q: int, f: int) -> bool:
+    """Whether an entangled q'-set is two genuine twins (conductor f)."""
+    return 2 * q % f == 0 and (q % 2 == 1 or kronecker(f, 1 + q) == -1)
+
+
+def _twin_sign(M0: int, t: Fraction, q: int, f: int) -> int:
+    """The chi-sign of angle t in a genuine-twin q'-set: the class of t is
+    a root set of B(sign * y), y = sqrt(d) e^(pi i r / q'), r = M0 t q'."""
+    r = int(M0 * t * q) % (2 * q)
+    return kronecker(f, r) if r % 2 else -kronecker(f, r + q)
 
 
 _decompose_cache: dict[tuple[int, Fraction], list] = {}
 
 
 def decompose_binomial_roots(N: int, a: Fraction) -> list[ConjugacyClass]:
-    """Conjugacy classes of the N roots of X^N = a (N >= 1, a != 0)."""
+    """Conjugacy classes of the N roots of X^N = a (N >= 1, a != 0), sorted
+    by first angle.  Root j (angle t = (2j + shift)/(2N), shift 0 for a > 0
+    and 1 for a < 0) lies in the q'-set q' = 2N / gcd(M0 (2j + shift), 2N);
+    an entangled q'-set with f | 2q' and (q' odd or chi(1 + q') = -1) is
+    split by the twin sign into two genuine twins, any other is one class."""
     a = Fraction(a)
     if a == 0:
         raise ZeroInput("binomial needs a != 0")
@@ -172,50 +183,15 @@ def decompose_binomial_roots(N: int, a: Fraction) -> list[ConjugacyClass]:
     modulus = PosReal.of(a, Fraction(1, N))
     c0, M0 = modulus.radical_form()
     L = 2 * N
-    ent, disc = entanglement(c0, M0, L)
-    # angles are (j + s0)/N with s0 = 0 (a > 0) or 1/2 (a < 0)
-    shift2 = 0 if a > 0 else 1   # angles are (2j + shift2)/(2N)
-    parent = list(range(N))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    step = N // M0  # index shift of the angle move t -> t + 1/M0
-
-    def k_move(j: int, k: int) -> int:
-        # angle (2j + shift2)/(2N) -> k * same, reduced to an index
-        num = k * (2 * j + shift2)
-        return ((num - shift2) // 2) % N
-
-    gens = unit_group_generators(L)
-    if not ent:
-        moves = [lambda j, k=k: k_move(j, k) for k in gens]
-        moves.append(lambda j: (j + step) % N)
-    else:
-        def make(k):
-            par = 0 if kronecker(disc, k) == 1 else 1
-            return lambda j: (k_move(j, k) + par * step) % N
-        moves = [make(k) for k in gens]
-        moves.append(lambda j: (j + 2 * step) % N)
-    for j in range(N):
-        for mv in moves:
-            union(j, mv(j))
-    groups: dict[int, list[int]] = {}
-    for j in range(N):
-        groups.setdefault(find(j), []).append(j)
-    out = []
-    for members in groups.values():
-        angles = tuple(sorted(Fraction(2 * j + shift2, 2 * N) for j in members))
-        out.append(ConjugacyClass(N, a, modulus, angles, c0, M0, ent))
-    out.sort(key=lambda c: c.angles[0])
+    f = entanglement(c0, M0, L)
+    groups: dict[tuple[int, int], list[Fraction]] = {}
+    for num in range(int(a < 0), L, 2):     # t = num / L, num = 2j + shift
+        q = L // math.gcd(M0 * num, L)
+        t = Fraction(num, L)
+        sign = _twin_sign(M0, t, q, f) if f and _splits(q, f) else 0
+        groups.setdefault((q, sign), []).append(t)
+    out = sorted((ConjugacyClass(N, a, modulus, tuple(angles), c0, M0, f > 0)
+                  for angles in groups.values()), key=lambda c: c.angles[0])
     if len(_decompose_cache) > 4096:
         _decompose_cache.clear()
     _decompose_cache[(N, a)] = out
@@ -265,9 +241,7 @@ def class_polynomial(cls: ConjugacyClass,
     s2 = cls.c0 / d
     s = Fraction(math.isqrt(s2.numerator), math.isqrt(s2.denominator))
     B = _aurifeuillian_factor(q, d)
-    f = quadratic_conductor(d)
-    r = int(cls.M0 * cls.angles[0] * q) % (2 * q)
-    sign = kronecker(f, r) if r % 2 else -kronecker(f, r + q)
+    sign = _twin_sign(cls.M0, cls.angles[0], q, quadratic_conductor(d))
     return UniPoly.from_coeffs([c * sign ** i * s ** (len(B) - 1 - i)
                                 for i, c in enumerate(B)]).monic() \
         .compose_monomial(cls.M0 // 2)

@@ -232,10 +232,6 @@ class UniPoly:
     def to_strings(self) -> list[str]:
         return [str(c) for c in self.coeffs]
 
-    @staticmethod
-    def from_strings(ss) -> "UniPoly":
-        return UniPoly.from_coeffs([Fraction(s) for s in ss])
-
     def __repr__(self):
         if self.is_zero:
             return "UniPoly('0')"

@@ -121,12 +121,6 @@ class RadicalPoint:
         """The common p-adic valuation of all conjugates."""
         return self.modulus.ord_at(p)
 
-    def abs_log(self, v: Place) -> float:
-        """log|x|_v (common to all conjugates)."""
-        if v.is_archimedean:
-            return self.modulus.log()
-        return -float(self.ord_at(v.p)) * math.log(v.p)
-
     def abs_exact(self, v: Place) -> PosReal:
         """|x|_v as an exact positive real."""
         if v.is_archimedean:

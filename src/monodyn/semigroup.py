@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyWord, InvalidConfig
-from .places import height_rational
 from .primes import factor_fraction, ord_p
 
 Word = tuple[int, ...]
@@ -74,9 +73,6 @@ class Semigroup:
         for g in self.generators:
             ps.update(p for p, _ in factor_fraction(g.a).exponents)
         return tuple(sorted(ps))
-
-    def coefficient_height_sum(self) -> float:
-        return sum(height_rational(g.a) for g in self.generators)
 
 
 def format_word(w: Word) -> str:

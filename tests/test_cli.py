@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monodyn.bounds import discrepancy_exact
 from monodyn.cli import main
@@ -183,3 +185,68 @@ def test_factor_past_recombination_budget_is_a_cap(capsys):
 def test_missing_config(capsys):
     rc = main(["scan", "--beta", "2"])
     assert rc == 2
+
+
+# each of these ended in a bare traceback, ran the wrong word, or reported a
+# user mistake as an internal invariant violation (exit 4)
+BAD_ARGV = (
+    ["scan", "--beta", "abc"],
+    ["scan", "--beta", "1/0"],
+    ["equid", "--beta", "1/0"],
+    ["orbit", "--point", "x"],
+    ["orbit", "--point", "0"],
+    ["orbit", "--point", "1e99999999"],
+    ["factor", "1,a"],
+    ["factor", "5"],
+    ["scan", "--beta", "2", "-S", "4"],
+    ["height", "--beta", "2", "--g2", "3"],
+    ["height", "--beta", "2", "--g2", "0"],
+    ["height", "--beta", "2", "--tol", "0"],
+    ["height", "--beta", "0"],
+    ["equid", "--nodes", "8"],
+    ["height", "--beta", "2", "--g1=--"],
+    ["scan", "--beta", "2", "--depth=--"],
+)
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV, ids=" ".join)
+def test_bad_options_are_invalid_config(config, argv, capsys):
+    rc = main(["--config", config, "--depth", "2"] + argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ") and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def shared_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "g.json"
+    path.write_text(json.dumps(
+        {"generators": [{"a": "2", "d": 2}, {"a": "3", "d": 3}]}))
+    return str(path)
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:      # argparse's own usage errors exit 2
+        return exc.code
+
+
+FUZZ_TEXT = st.text(alphabet="0123456789-+/.,e_ x", max_size=12)
+FUZZ_ARGV = {
+    "point": lambda t: ["orbit", f"--point={t}"],
+    "beta": lambda t: ["height", f"--beta={t}"],
+    "g1": lambda t: ["height", "--beta=2", f"--g1={t}"],
+    "g2": lambda t: ["height", "--beta=2", f"--g2={t}"],
+    "factor": lambda t: ["factor", "--", t],
+}
+
+
+@pytest.mark.parametrize("option", FUZZ_ARGV)
+@settings(max_examples=25, deadline=None)
+@given(text=FUZZ_TEXT)
+def test_random_option_text_fails_fast(shared_config, option, text):
+    # any text either runs, is an invalid config or hits a cap; another
+    # exception or exit 4 fails the test
+    argv = ["--config", shared_config, "--depth", "2"] + FUZZ_ARGV[option](text)
+    assert _exit_code(argv) in (0, 2, 3)

@@ -4,13 +4,15 @@ import random
 from fractions import Fraction as F
 
 from monodyn import galois
-from monodyn.galois import (class_norm_data, class_of_point,
+from monodyn.exactreal import PosReal
+from monodyn.galois import (ConjugacyClass, class_norm_data, class_of_point,
                             decompose_binomial_roots, unit_group_generators)
 from monodyn.polyfactor import factor_poly
 from monodyn.polynomials import UniPoly, cyclotomic_poly
-from monodyn.preper import minimal_polynomial
-from monodyn.primes import euler_phi, ord_p
+from monodyn.preper import collision_binomial, minimal_polynomial, word_pairs
+from monodyn.primes import euler_phi, kronecker, ord_p, squarefree_kernel
 from monodyn.radical import RadicalPoint
+from monodyn.semigroup import Semigroup
 
 POOL = [F(x) for x in ("2", "3", "4", "-2", "-3", "-4", "8", "9", "-8", "16",
                        "-16", "1/2", "-1/2", "4/9", "-4/9", "12", "-12",
@@ -33,6 +35,67 @@ def test_unit_group_generators():
         assert seen == units, n
 
 
+def _union_find_classes(N, a):
+    """Oracle: the orbits of the roots j of X^N = a, angle (2j + s)/(2N),
+    joined by union-find under the generators k of (Z/2N)^x and the shift
+    t -> t + 1/M0.  Under entanglement (M0 even, d = squarefree part of c0
+    not 1, its discriminant dividing 2N) k moves with the shift when
+    chi(k) = -1, and the free shift is t -> t + 2/M0."""
+    modulus = PosReal.of(a, F(1, N))
+    c0, M0 = modulus.radical_form()
+    d = squarefree_kernel(c0)
+    disc = d if d % 4 == 1 else 4 * d
+    ent = M0 % 2 == 0 and d != 1 and 2 * N % disc == 0
+    s = 0 if a > 0 else 1
+    step = N // M0
+    parent = list(range(N))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for j in range(N):
+        targets = [(j + (2 if ent else 1) * step) % N]
+        for k in unit_group_generators(2 * N):
+            shift = step if ent and kronecker(disc, k) != 1 else 0
+            targets.append(((k * (2 * j + s) - s) // 2 + shift) % N)
+        for y in targets:
+            parent[find(j)] = find(y)
+    groups = {}
+    for j in range(N):
+        groups.setdefault(find(j), []).append(F(2 * j + s, 2 * N))
+    return sorted((ConjugacyClass(N, F(a), modulus, tuple(angles), c0, M0, ent)
+                   for angles in groups.values()), key=lambda c: c.angles[0])
+
+
+# genuine twins with q' = 10, 12 and 20
+TWIN_EXTRAS = [(10, F(3125)), (12, F(-46656)), (20, F(-10 ** 10))]
+# squarefree parts 5, 13, 21, 10 and 15, absent from POOL
+ODD_CONDUCTORS = [F(x) for x in ("5", "-5", "13", "-13", "21", "-21", "10",
+                                 "-10", "15/4", "-15/4")]
+SEMIGROUPS = ([(2, 2), (3, 3)], [(F(-5, 2), 3), (4, -2)], [(4, 2), (9, 3)])
+
+
+def test_classes_match_union_find():
+    # the closed form lists the same classes, in the same order, with the
+    # same angles and entanglement flag as the union-find
+    cases = {(N, a) for N in range(1, 61) for a in POOL + ODD_CONDUCTORS}
+    cases.update(TWIN_EXTRAS)
+    for pairs in SEMIGROUPS:
+        G = Semigroup.from_pairs(pairs)
+        for w, m in word_pairs(G, 6):
+            cb = collision_binomial(G, w, m)
+            cases.add((cb.N, cb.a))
+    entangled = 0
+    for N, a in sorted(cases):
+        classes = decompose_binomial_roots(N, a)
+        assert classes == _union_find_classes(N, a), (N, a)
+        entangled += classes[0].entangled
+    assert len(cases) >= 3994 and entangled >= 647
+
+
 def _match_factor(cls, fac):
     mod = float(cls.modulus)
     pts = [mod * cmath.exp(2j * math.pi * float(t)) for t in cls.angles]
@@ -50,10 +113,8 @@ def _is_genuine_twin(cls):
 
 def test_classes_match_factorization():
     # degree multisets, root assignments and class polynomials agree with
-    # the Zassenhaus route; the extra binomials carry genuine twins with
-    # q' = 10, 12 and 20
-    extra = [(10, F(3125)), (12, F(-46656)), (20, F(-10 ** 10))]
-    cases = [(N, a) for N in range(1, 13) for a in POOL] + extra
+    # the Zassenhaus route
+    cases = [(N, a) for N in range(1, 13) for a in POOL] + TWIN_EXTRAS
     for N, a in cases:
         classes = decompose_binomial_roots(N, a)
         assert sum(c.degree for c in classes) == N
@@ -64,7 +125,7 @@ def test_classes_match_factorization():
             g = _match_factor(cls, fac)
             assert g is not None
             assert minimal_polynomial(cls.representative) == g.monic()
-        if (N, a) in extra:
+        if (N, a) in TWIN_EXTRAS:
             assert any(_is_genuine_twin(c) for c in classes), (N, a)
 
 
