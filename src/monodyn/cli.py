@@ -5,10 +5,11 @@ semigroup comes from a JSON config file ({"generators": [{"a": "2", "d": 2},
 ...]}); words are written as comma-separated 1-based generator indices.
 
 Exit codes: 0 ok, 2 invalid config or option (checked as it is parsed),
-3 cap exceeded, 4 internal invariant violation.  A scan stopped by its node
-cap or degree cap (or holding an uncertified verdict) still writes its
-partial report, marked "truncated", and exits 3; every other cap ends the
-command with no output.
+3 cap exceeded (a tree, enumeration, degree or factoring cap, or an
+OverflowGuard size or step budget), 4 internal invariant violation.  A scan
+stopped by its node cap or degree cap (or holding an uncertified verdict)
+still writes its partial report, marked "truncated", and exits 3; every
+other cap ends the command with no output.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from .bounds import LinFormInstance, discrepancy_exact, linform_bound, verify_linform
 from .errors import (DegreeCapExceeded, EnumerationCap, FactorBudgetExceeded,
-                     InvalidConfig, MonodynError, TreeSizeCap)
+                     InvalidConfig, MonodynError, OverflowGuard, TreeSizeCap)
 from .heights import (SequenceSpec, canonical_height_closed,
                       canonical_height_iterative, equilibrium_radius,
                       jensen_check)
@@ -288,7 +289,7 @@ def main(argv=None) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
     except (TreeSizeCap, EnumerationCap, DegreeCapExceeded,
-            FactorBudgetExceeded) as exc:
+            FactorBudgetExceeded, OverflowGuard) as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
     except (MonodynError, AssertionError) as exc:

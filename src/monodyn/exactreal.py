@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from functools import reduce
 
-from .errors import ZeroInput
+from .errors import OverflowGuard, ZeroInput
 from .primes import factor_fraction
 
 
@@ -70,6 +70,7 @@ class PosReal:
         the sign of sum e_p log p is decided by (in order): a same-sign fast
         path, a float sum with a rigorous error bound, high-precision
         escalation, and an exact big-integer comparison as the last resort.
+        Past 10^8 bits that comparison is refused with OverflowGuard.
         """
         if not self.exps:
             return 0
@@ -98,7 +99,7 @@ class PosReal:
         L = reduce(lambda a, b: a * b // math.gcd(a, b), denoms, 1)
         bits = sum(abs(e * L) * p.bit_length() for p, e in self.exps.items())
         if bits > 10 ** 8:
-            raise ValueError("exact comparison beyond the size budget")
+            raise OverflowGuard("exact comparison beyond the size budget")
         num = 1
         den = 1
         for p, e in self.exps.items():

@@ -1,11 +1,15 @@
 """Factorization of univariate polynomials over Q.
 
-Pipeline: integer content, squarefree decomposition, distinct-degree counts
-modulo six good small primes (Musser's prime choice; they also prove
-irreducibility or prune factor degrees), equal-degree splitting at the prime
-with the fewest factors, quadratic Hensel lifting past the Mignotte bound,
-and recombination of at most RECOMBINATION_BUDGET subsets, past which
-FactorBudgetExceeded is raised.
+Pipeline: integer content; a modular squarefree certificate (f squarefree
+modulo a prime not dividing lc(f)), with Yun's algorithm over Q only when
+none of six primes gives one; distinct-degree counts modulo six good small
+primes (Musser's prime choice; they also prove irreducibility or prune
+factor degrees); equal-degree splitting at the prime with the fewest
+factors; quadratic Hensel lifting past the Mignotte bound; and
+recombination of at most RECOMBINATION_BUDGET subsets, past which
+FactorBudgetExceeded is raised.  Both modular splits run on one Frobenius
+matrix (the rows X^(i*p) mod f) per prime, so each Frobenius power costs one
+matrix-vector product instead of a binary powering.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ DEGREE_CAP = 512
 RECOMBINATION_BUDGET = 1 << 16   # subsets per squarefree part
 
 # ---------------------------------------------------------------------------
-# GF(p)[X] arithmetic on dense low-to-high int lists
+# (Z/m)[X] arithmetic on dense low-to-high int lists: m is a prime p, except
+# in Hensel lifting, where every divisor is monic
 
 
 def _ptrim(a: list[int]) -> list[int]:
@@ -32,10 +37,14 @@ def _ptrim(a: list[int]) -> list[int]:
     return a
 
 
-def _psub(a, b, p):
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
+def _padd(a, b, p):
+    out = [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
            for i in range(max(len(a), len(b)))]
     return _ptrim(out)
+
+
+def _psub(a, b, p):
+    return _padd(a, [-c for c in b], p)
 
 
 def _pmul(a, b, p):
@@ -45,23 +54,26 @@ def _pmul(a, b, p):
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _ptrim(out)
+                out[i + j] += ca * cb
+    return _ptrim([c % p for c in out])
 
 
 def _pdivmod(a, b, p):
+    """Quotient and remainder; only the divisor's nonzero terms below its
+    lead are walked, and the remainder is reduced mod p once."""
     a = a[:]
-    db, lb = len(b) - 1, b[-1]
-    inv = pow(lb, -1, p)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    terms = [(i, cb) for i, cb in enumerate(b[:-1]) if cb]
     q = [0] * max(0, len(a) - db)
     for k in range(len(a) - 1 - db, -1, -1):
         c = a[k + db] * inv % p
         if c:
             q[k] = c
-            for i, cb in enumerate(b):
-                a[k + i] = (a[k + i] - c * cb) % p
+            for i, cb in terms:
+                a[k + i] -= c * cb
     del a[db:]
-    return _ptrim(q), _ptrim(a)
+    return _ptrim(q), _ptrim([c % p for c in a])
 
 
 def _pmod(a, b, p):
@@ -107,28 +119,64 @@ def _pderiv(a, p):
     return _ptrim([i * c % p for i, c in enumerate(a)][1:])
 
 
-def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """[(product of irreducible factors of degree d, d)] for monic squarefree f."""
+def _squarefree_mod(f: list[int], p: int) -> list[int] | None:
+    """f mod p made monic, or None when p | lc(f) or f mod p has a repeated
+    factor.  A p that gives a polynomial proves f squarefree over Q: a
+    square factor of f over Z keeps its degree mod p."""
+    if f[-1] % p == 0:
+        return None
+    fp = [c % p for c in f]
+    if _pgcd(fp, _pderiv(fp, p), p) != [1]:
+        return None
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in fp]
+
+
+def _frobenius(f: list[int], p: int) -> list[list[int]]:
+    """Rows X^(i*p) mod f for i < deg f (f monic): the matrix of u -> u^p
+    on GF(p)[X]/(f).  Each row is the last one shifted p places and reduced,
+    about p * nnz(f) operations (von zur Gathen and Shoup 1992)."""
+    rows = [[1]]
+    for _ in range(len(f) - 2):
+        rows.append(_pmod([0] * p + rows[-1], f, p))
+    return rows
+
+
+def _frob_apply(u: list[int], rows: list[list[int]], p: int) -> list[int]:
+    """u^p mod f for u reduced mod f: sum u_i X^(i*p), as u_i^p = u_i."""
+    out = [0] * len(rows)
+    for c, row in zip(u, rows):
+        if c:
+            for j, r in enumerate(row):
+                out[j] += c * r
+    return _ptrim([c % p for c in out])
+
+
+def _distinct_degree(f: list[int], p: int,
+                     rows: list[list[int]]) -> list[tuple[list[int], int]]:
+    """[(product of irreducible factors of degree d, d)] for monic squarefree
+    f with Frobenius rows `rows`.  h = X^(p^d) stays reduced mod f: v | f, so
+    gcd(h - X, v) is the same as with h mod v."""
     out = []
     v = f[:]
     h = [0, 1]
     d = 0
     while len(v) - 1 >= 2 * (d + 1):
         d += 1
-        h = _ppowmod(h, p, v, p)
+        h = _frob_apply(h, rows, p)
         g = _pgcd(_psub(h, [0, 1], p), v, p)
         if len(g) > 1:
             out.append((g, d))
             v, _ = _pdivmod(v, g, p)
-            h = _pmod(h, v, p)
     if len(v) > 1:
         out.append((v, len(v) - 1))
     return out
 
 
-def _equal_degree_split(g: list[int], d: int, p: int,
-                        rng: random.Random) -> list[list[int]]:
-    """Cantor-Zassenhaus split of a product of degree-d irreducibles (p odd)."""
+def _equal_degree_split(g: list[int], d: int, p: int, rng: random.Random,
+                        rows: list[list[int]]) -> list[list[int]]:
+    """Cantor-Zassenhaus split of a product of degree-d irreducibles (p odd)
+    dividing the f of the Frobenius rows `rows`."""
     out = []
     work = [g]
     while work:
@@ -140,7 +188,12 @@ def _equal_degree_split(g: list[int], d: int, p: int,
             u = _ptrim([rng.randrange(p) for _ in range(len(cur) - 1)])
             if not u:
                 continue
-            t = _ppowmod(u, (p ** d - 1) // 2, cur, p)
+            # u^((p^d - 1)/2) = (u * u^p * ... * u^(p^(d-1)))^((p - 1)/2)
+            a = norm = u
+            for _ in range(d - 1):
+                a = _pmod(_frob_apply(a, rows, p), cur, p)
+                norm = _pmod(_pmul(norm, a, p), cur, p)
+            t = _ppowmod(norm, (p - 1) // 2, cur, p)
             w = _pgcd(_psub(t, [1], p), cur, p)
             if 1 < len(w) < len(cur):
                 work.append(w)
@@ -153,54 +206,6 @@ def _equal_degree_split(g: list[int], d: int, p: int,
 # Hensel lifting (von zur Gathen-Gerhard style quadratic step on a tree)
 
 
-def _zmul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % m
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _zadd(a, b, m):
-    out = [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m
-           for i in range(max(len(a), len(b)))]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _zsub(a, b, m):
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m
-           for i in range(max(len(a), len(b)))]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _zdivmod_monic(a, b, m):
-    """divmod by monic b, coefficients mod m."""
-    a = a[:]
-    db = len(b) - 1
-    q = [0] * max(0, len(a) - db)
-    for k in range(len(a) - 1 - db, -1, -1):
-        c = a[k + db] % m
-        if c:
-            q[k] = c
-            for i, cb in enumerate(b):
-                a[k + i] = (a[k + i] - c * cb) % m
-    del a[db:]
-    while a and a[-1] == 0:
-        a.pop()
-    while q and q[-1] == 0:
-        q.pop()
-    return q, a
-
-
 def _hensel_step(f, g, h, s, t, m):
     """One quadratic lift: from f=gh, sg+th=1 (mod m) to the same mod m^2.
 
@@ -208,14 +213,14 @@ def _hensel_step(f, g, h, s, t, m):
     """
     m2 = m * m
     f = [c % m2 for c in f]
-    e = _zsub(f, _zmul(g, h, m2), m2)
-    q, r = _zdivmod_monic(_zmul(s, e, m2), h, m2)
-    g1 = _zadd(g, _zadd(_zmul(t, e, m2), _zmul(q, g, m2), m2), m2)
-    h1 = _zadd(h, r, m2)
-    b = _zsub(_zadd(_zmul(s, g1, m2), _zmul(t, h1, m2), m2), [1], m2)
-    c, d = _zdivmod_monic(_zmul(s, b, m2), h1, m2)
-    s1 = _zsub(s, d, m2)
-    t1 = _zsub(t, _zadd(_zmul(t, b, m2), _zmul(c, g1, m2), m2), m2)
+    e = _psub(f, _pmul(g, h, m2), m2)
+    q, r = _pdivmod(_pmul(s, e, m2), h, m2)
+    g1 = _padd(g, _padd(_pmul(t, e, m2), _pmul(q, g, m2), m2), m2)
+    h1 = _padd(h, r, m2)
+    b = _psub(_padd(_pmul(s, g1, m2), _pmul(t, h1, m2), m2), [1], m2)
+    c, d = _pdivmod(_pmul(s, b, m2), h1, m2)
+    s1 = _psub(s, d, m2)
+    t1 = _psub(t, _padd(_pmul(t, b, m2), _pmul(c, g1, m2), m2), m2)
     return g1, h1, s1, t1
 
 
@@ -323,22 +328,21 @@ def _good_prime_factorization(f: list[int], rng: random.Random):
     tried = 0
     while tried < 6:
         p = _next_prime(p)
-        if f[-1] % p == 0:
-            continue
-        fp = [c % p for c in f]
-        if _pgcd(fp, _pderiv(fp, p), p) != [1]:
+        fp = _squarefree_mod(f, p)
+        if fp is None:
             continue
         tried += 1
-        inv = pow(f[-1], -1, p)
-        dd = _distinct_degree([c * inv % p for c in fp], p)
+        rows = _frobenius(fp, p)
+        dd = _distinct_degree(fp, p, rows)
         possible &= _subset_sums(dd)
         if possible == {0, n}:
             return None
         count = sum((len(g) - 1) // d for g, d in dd)
         if best is None or count < best[0]:
-            best = (count, p, dd)
-    _, p, dd = best
-    return p, [h for g, d in dd for h in _equal_degree_split(g, d, p, rng)], possible
+            best = (count, p, dd, rows)
+    _, p, dd, rows = best
+    return p, [h for g, d in dd
+               for h in _equal_degree_split(g, d, p, rng, rows)], possible
 
 
 def _factor_squarefree_z(f: list[int], rng: random.Random) -> list[list[int]]:
@@ -373,7 +377,7 @@ def _factor_squarefree_z(f: list[int], rng: random.Random) -> list[list[int]]:
                     continue
                 cand = [remaining[-1] % big]
                 for i in subset:
-                    cand = _zmul(cand, lifted[i], big)
+                    cand = _pmul(cand, lifted[i], big)
                 cand = [_symmetric(c, big) for c in cand]
                 # no lc-adjusted true factor exceeds the Mignotte bound
                 if any(abs(c) > mignotte for c in cand):
@@ -390,6 +394,19 @@ def _factor_squarefree_z(f: list[int], rng: random.Random) -> list[list[int]]:
     if len(remaining) > 1:
         out.append(_int_primitive(remaining))
     return out
+
+
+def _certified_squarefree(f: list[int]) -> bool:
+    """True when f is squarefree modulo one of the first six primes that do
+    not divide lc(f), which proves it squarefree over Q (_squarefree_mod)."""
+    p = 2
+    for _ in range(6):
+        p = _next_prime(p)
+        while f[-1] % p == 0:
+            p = _next_prime(p)
+        if _squarefree_mod(f, p) is not None:
+            return True
+    return False
 
 
 def factor_poly(f: UniPoly, degree_cap: int = DEGREE_CAP,
@@ -415,18 +432,17 @@ def factor_poly(f: UniPoly, degree_cap: int = DEGREE_CAP,
         out.append((UniPoly.x(), k))
     g = UniPoly(tuple(cs))
     if g.degree >= 1:
-        for sqf, mult in squarefree_decomposition(g):
-            _, prim = sqf.content_and_primitive()
-            for piece in _factor_squarefree_z(prim.int_coeffs(), rng):
+        prim = g.content_and_primitive()[1].int_coeffs()
+        if _certified_squarefree(prim):
+            parts = [(prim, 1)]
+        else:
+            parts = [(sqf.content_and_primitive()[1].int_coeffs(), mult)
+                     for sqf, mult in squarefree_decomposition(g)]
+        for sqf, mult in parts:
+            for piece in _factor_squarefree_z(sqf, rng):
                 out.append((UniPoly.from_coeffs(piece), mult))
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     return out
-
-
-def factorization_content(f: UniPoly) -> Fraction:
-    """The rational c with f = c * prod g_i^m_i over the factor_poly output."""
-    c, _ = f.content_and_primitive()
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +501,11 @@ def irreducibility_certificate(f: UniPoly, primes_to_try: int = 12) -> str:
     tried = 0
     while tried < primes_to_try:
         p = _next_prime(p)
-        if cs[-1] % p == 0:
-            continue
-        fp = [c % p for c in cs]
-        if _pgcd(fp, _pderiv(fp, p), p) != [1]:
+        fp = _squarefree_mod(cs, p)
+        if fp is None:
             continue
         tried += 1
-        inv = pow(fp[-1], -1, p)
-        possible &= _subset_sums(_distinct_degree([c * inv % p for c in fp], p))
+        possible &= _subset_sums(_distinct_degree(fp, p, _frobenius(fp, p)))
         if possible == {0, f.degree}:
             return "irreducible"
     return "unknown"

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monodyn import cli
 from monodyn.bounds import discrepancy_exact
 from monodyn.cli import main
+from monodyn.errors import OverflowGuard
 from monodyn.galois import class_of_point
 from monodyn.preper import enumerate_preperiodic
 from monodyn.semigroup import Semigroup
@@ -178,6 +180,15 @@ def test_factor_past_recombination_budget_is_a_cap(capsys):
     f = swinnerton_dyer((2, 3, 5, 7, 11, 13))
     rc = main(["factor", ",".join(f.to_strings())])
     assert rc == 3
+    err = capsys.readouterr().err
+    assert "cap exceeded" in err and "Traceback" not in err
+
+
+def test_overflow_guard_is_a_cap(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise OverflowGuard("exact comparison beyond the size budget")
+    monkeypatch.setattr(cli, "factor_poly", refuse)
+    assert main(["factor", "1,1"]) == 3
     err = capsys.readouterr().err
     assert "cap exceeded" in err and "Traceback" not in err
 

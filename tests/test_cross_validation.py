@@ -5,7 +5,10 @@ import math
 import random
 from fractions import Fraction as F
 
-from monodyn.errors import BetaIsConjugate
+import mpmath
+import pytest
+
+from monodyn.errors import BetaIsConjugate, OverflowGuard
 from monodyn.exactreal import PosReal
 from monodyn.galois import class_norm_data, decompose_binomial_roots
 from monodyn.places import INF, Place
@@ -74,6 +77,21 @@ def test_posreal_comparisons_match_floats():
                      for p in rng.sample(primes, 2)})
         assert (x < z) == ((x / z).compare_one() < 0)
         assert (x == z) == (x._key == z._key)
+
+
+def test_posreal_comparison_past_its_budget_is_typed():
+    # a convergent p/q of log2(3) with q > 2^4100 puts 2^(p/q) / 3 within
+    # 2^-8200 of 1: past the 8192-bit escalation, and the exact comparison
+    # would need a 2^4100-bit power of 3
+    with mpmath.workprec(30000):
+        num = int(mpmath.floor(mpmath.log(3, 2) * mpmath.mpf(2) ** 29000))
+    den = 1 << 29000
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while k1.bit_length() <= 4101:
+        a, (num, den) = num // den, (den, num % den)
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+    with pytest.raises(OverflowGuard):
+        PosReal({2: F(h1, k1), 3: F(-1)}).compare_one()
 
 
 def test_posreal_radical_form_roundtrip():

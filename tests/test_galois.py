@@ -140,7 +140,7 @@ EXTRA_PAIRS = ((4, 2), (5, 5), (12, 6), (13, 13), (15, 5), (21, 21))
 def test_aurifeuillian_factors():
     # oracle: B(y) B(-y) multiplies back to d^phi Phi_q'(y^2 / d), and
     # Zassenhaus finds B irreducible, the four depth-7 pairs of degree 144
-    # to 220 included (1 to 3 s each on a 2-core Xeon, Python 3.11)
+    # to 220 included (0.2 to 1.3 s each on a 2-core Xeon, Python 3.11)
     for q, d in TWIN_PAIRS + EXTRA_PAIRS:
         n = euler_phi(q)
         B = UniPoly.from_coeffs(galois._aurifeuillian_factor(q, d))

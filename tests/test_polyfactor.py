@@ -7,8 +7,8 @@ import pytest
 
 from monodyn import polyfactor
 from monodyn.errors import DegreeCapExceeded
-from monodyn.polyfactor import (factor_poly, factorization_content,
-                                irreducibility_certificate, rational_roots)
+from monodyn.polyfactor import (factor_poly, irreducibility_certificate,
+                                rational_roots)
 from monodyn.polynomials import UniPoly
 
 
@@ -31,13 +31,6 @@ def swinnerton_dyer(primes):
         even, odd = P(*even), P(*odd)
         f = (even * even - odd * odd * p).int_coeffs()
     return P(*f)
-
-
-def reassemble(f):
-    prod = UniPoly.one()
-    for g, m in factor_poly(f):
-        prod = prod * g ** m
-    return factorization_content(f) * prod if False else prod
 
 
 def test_worked_sextic():
@@ -165,3 +158,135 @@ def test_factor_poly_is_seed_independent():
                           key=lambda t: (t[0].degree, t[0].coeffs))
         for seed in (0, 1, 5):
             assert factor_poly(f, seed=seed) == expected
+
+
+# ---------------------------------------------------------------------------
+# GF(p)[X] kernels against binary-powering oracles
+
+
+def distinct_degree_oracle(f, p):
+    """Distinct-degree split with X^(p^d) mod v by binary powering."""
+    out = []
+    v = f[:]
+    h = [0, 1]
+    d = 0
+    while len(v) - 1 >= 2 * (d + 1):
+        d += 1
+        h = polyfactor._ppowmod(h, p, v, p)
+        g = polyfactor._pgcd(polyfactor._psub(h, [0, 1], p), v, p)
+        if len(g) > 1:
+            out.append((g, d))
+            v, _ = polyfactor._pdivmod(v, g, p)
+            h = polyfactor._pmod(h, v, p)
+    if len(v) > 1:
+        out.append((v, len(v) - 1))
+    return out
+
+
+def equal_degree_split_oracle(g, d, p, rng):
+    """Cantor-Zassenhaus with u^((p^d - 1)/2) by binary powering."""
+    out = []
+    work = [g]
+    while work:
+        cur = work.pop()
+        if len(cur) - 1 == d:
+            out.append(cur)
+            continue
+        while True:
+            u = polyfactor._ptrim([rng.randrange(p)
+                                   for _ in range(len(cur) - 1)])
+            if not u:
+                continue
+            t = polyfactor._ppowmod(u, (p ** d - 1) // 2, cur, p)
+            w = polyfactor._pgcd(polyfactor._psub(t, [1], p), cur, p)
+            if 1 < len(w) < len(cur):
+                work.append(w)
+                work.append(polyfactor._pdivmod(cur, w, p)[0])
+                break
+    return out
+
+
+def monic_squarefree_mod_p():
+    """Seeded (f, p): random monic squarefree f mod p of degree 1-40, and
+    reductions of X^M - c."""
+    rng = random.Random(2718)
+    primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+    out = []
+    while len(out) < 60:
+        p, n = rng.choice(primes), rng.randint(1, 40)
+        f = [rng.randrange(p) for _ in range(n)] + [1]
+        if polyfactor._squarefree_mod(f, p) is not None:
+            out.append((f, p))
+    for M in (2, 6, 12, 24, 30, 37):
+        for p in primes:
+            c = rng.randrange(1, p)
+            f = polyfactor._squarefree_mod([-c] + [0] * (M - 1) + [1], p)
+            if f is not None:
+                out.append((f, p))
+    return out
+
+
+def test_frobenius_rows_are_powers_of_x():
+    for f, p in monic_squarefree_mod_p():
+        rows = polyfactor._frobenius(f, p)
+        assert rows == [polyfactor._ppowmod([0, 1], i * p, f, p)
+                        for i in range(len(f) - 1)]
+
+
+def test_distinct_degree_matches_oracle():
+    for f, p in monic_squarefree_mod_p():
+        rows = polyfactor._frobenius(f, p)
+        assert (polyfactor._distinct_degree(f, p, rows)
+                == distinct_degree_oracle(f, p))
+
+
+def test_equal_degree_split_matches_oracle():
+    splits = 0
+    for seed, (f, p) in enumerate(monic_squarefree_mod_p()):
+        rows = polyfactor._frobenius(f, p)
+        for g, d in distinct_degree_oracle(f, p):
+            got = polyfactor._equal_degree_split(g, d, p, random.Random(seed),
+                                                 rows)
+            assert got == equal_degree_split_oracle(g, d, p,
+                                                    random.Random(seed))
+            splits += len(g) - 1 > d
+    assert splits > 20
+
+
+# ---------------------------------------------------------------------------
+# the modular squarefree certificate in front of Yun's algorithm
+
+
+@pytest.fixture
+def yun_calls(monkeypatch):
+    calls = []
+    yun = polyfactor.squarefree_decomposition
+    monkeypatch.setattr(polyfactor, "squarefree_decomposition",
+                        lambda f: calls.append(f) or yun(f))
+    return calls
+
+
+def test_squarefree_input_skips_yun(yun_calls):
+    f = UniPoly.binomial(12, 5)
+    assert factor_poly(f) == [(f, 1)]
+    assert len(factor_poly(P(-6, 11, -6, 1))) == 3
+    assert yun_calls == []
+
+
+def test_non_squarefree_inputs_keep_multiplicities(yun_calls):
+    x2m2, x3m3 = P(-2, 0, 1), P(-3, 0, 0, 1)
+    assert factor_poly(x2m2 ** 2 * x3m3) == [(x2m2, 2), (x3m3, 1)]
+    assert factor_poly(P(1, 1) ** 3 * x2m2 * 6) == [(P(1, 1), 3), (x2m2, 1)]
+    assert len(yun_calls) == 2
+
+
+def test_squarefree_past_every_tried_prime(yun_calls):
+    # the roots 1, 1 + m, 1 + 2m meet modulo 2 and every prime dividing m,
+    # so no tried prime certifies the input and Yun's algorithm runs
+    m = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
+    roots = (1, 1 + m, 1 + 2 * m)
+    f = UniPoly.one()
+    for r in roots:
+        f = f * P(-r, 1)
+    assert factor_poly(f) == [(P(-r, 1), 1) for r in reversed(roots)]
+    assert len(yun_calls) == 1
