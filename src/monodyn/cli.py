@@ -118,13 +118,12 @@ def _cmd_preper(args) -> int:
         row = ep.point.to_json()
         row["witness"] = [format_word(ep.word), ep.prefix]
         try:
-            poly = minimal_polynomial(ep.point, degree_cap=args.degree_cap)
-            row["minpoly"] = poly.to_strings()
-            row["degree"] = poly.degree
+            row["minpoly"] = minimal_polynomial(
+                ep.cls.representative,
+                degree_cap=args.degree_cap).to_strings()
         except DegreeCapExceeded:
             row["minpoly"] = None
-            from .galois import class_of_point
-            row["degree"] = class_of_point(ep.point).degree
+        row["degree"] = ep.cls.degree
         lines.append(json.dumps(row))
     _emit("\n".join(lines) + "\n", args.out)
     return 0

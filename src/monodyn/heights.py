@@ -16,11 +16,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadWindow, OverflowGuard, QuadratureSingular, ZeroInput
+from .errors import (BadWindow, EmptyWord, OverflowGuard, QuadratureSingular,
+                     ZeroInput)
 from .exactreal import PosReal
 from .places import INF, Place, height_rational
 from .radical import RadicalPoint
-from .semigroup import Semigroup, Word, compose_word
+from .semigroup import Semigroup, Word, word_coefficient_exponents
 
 
 @dataclass(frozen=True)
@@ -76,9 +77,22 @@ def canonical_height_iterative(G: Semigroup, seq: SequenceSpec,
     return HeightEstimate(x.height() / abs(D), err, steps)
 
 
-def _period_data(G: Semigroup, g2: Word) -> tuple[Fraction, int]:
-    """(b, l) of the period composite, squared when its degree is negative."""
-    b, ell = compose_word(G, g2)
+def _word_abs(G: Semigroup, w: Word) -> tuple[PosReal, int]:
+    """(|A_w|, D_w) with f_w = A_w z^D_w (the identity for the empty word),
+    from the exponent vector of A_w: A_w itself has about d^|w| digits."""
+    k, D = word_coefficient_exponents(G, w)
+    A = PosReal.one()
+    for g, e in zip(G.generators, k):
+        A = A * PosReal.of(g.a, e)
+    return A, D
+
+
+def _period_data(G: Semigroup, g2: Word) -> tuple[PosReal, int]:
+    """(|b|, l) of the period composite, squared when its degree is
+    negative."""
+    if not g2:
+        raise EmptyWord("the period word must be nonempty")
+    b, ell = _word_abs(G, g2)
     if ell < 0:
         b, ell = b ** (1 + ell), ell * ell
     return b, ell
@@ -88,41 +102,17 @@ def canonical_height_closed(G: Semigroup, g1: Word, g2: Word,
                             beta: Fraction | RadicalPoint) -> float:
     """Exact canonical height of beta for the sequence (g1, then g2 forever).
 
-    Finite sum over the support places of
-    max(0, log|a|_v / |k| + log|b|_v / (|k|(l-1)) + sgn(k) log|beta|_v),
-    each sign decided exactly.
+    The height sum over all places of max(0, log|r|_v) of the positive real
+    r = |a|^(1/|k|) |b|^(1/(|k|(l-1))) |beta|^sgn(k), with a z^k the
+    preperiod composite and b z^l the period composite; each sign is
+    decided exactly.
     """
     x = beta if isinstance(beta, RadicalPoint) else RadicalPoint.from_rational(beta)
-    if g1:
-        a, k = compose_word(G, g1)
-    else:
-        a, k = Fraction(1), 1
+    a, k = _word_abs(G, g1)
     b, ell = _period_data(G, g2)
-    e_a = Fraction(1, abs(k))
-    e_b = Fraction(1, abs(k) * (ell - 1))
-    sgn = 1 if k > 0 else -1
-    places = {INF}
-    for val in (a, b):
-        places.update(Place(p) for p, _ in _support(val))
-    places.update(Place(p) for p in x.support_primes())
-    total = 0.0
-    for v in places:
-        term = (PosReal.of(a) if v.is_archimedean else _p_abs(a, v.p)) ** e_a
-        term = term * ((PosReal.of(b) if v.is_archimedean else _p_abs(b, v.p)) ** e_b)
-        term = term * (x.abs_exact(v) ** sgn)
-        if term.compare_one() > 0:
-            total += term.log()
-    return total
-
-
-def _support(x: Fraction):
-    from .primes import factor_fraction
-    return factor_fraction(x).exponents
-
-
-def _p_abs(x: Fraction, p: int) -> PosReal:
-    from .primes import ord_p
-    return PosReal({p: Fraction(-ord_p(x, p))})
+    r = (a ** Fraction(1, abs(k)) * b ** Fraction(1, abs(k) * (ell - 1))
+         * x.modulus ** (1 if k > 0 else -1))
+    return RadicalPoint(r, Fraction(0)).height()
 
 
 def witness_sequence_height(G: Semigroup, word: Word, prefix: int,
@@ -165,12 +155,9 @@ class EquilibriumRadius:
 
 def equilibrium_radius(G: Semigroup, g1: Word, g2: Word) -> EquilibriumRadius:
     """|a|^(-1/k) |b|^(-1/(k(l-1))) at the archimedean place."""
-    if g1:
-        a, k = compose_word(G, g1)
-    else:
-        a, k = Fraction(1), 1
+    a, k = _word_abs(G, g1)
     b, ell = _period_data(G, g2)
-    exact = PosReal.of(a, Fraction(-1, k)) * PosReal.of(b, Fraction(-1, k * (ell - 1)))
+    exact = a ** Fraction(-1, k) * b ** Fraction(-1, k * (ell - 1))
     return EquilibriumRadius(INF, float(exact), exact)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ZeroInput
-from .primes import factor_fraction, factorint, is_prime, ord_p
+from .primes import factorint, is_prime, ord_p
 
 
 @dataclass(frozen=True, order=True)
@@ -80,12 +80,6 @@ def _log_int(n: int) -> float:
     except OverflowError:
         k = n.bit_length() - 900
         return math.log(n >> k) + k * math.log(2)
-
-
-def support(x: Fraction | int) -> tuple[Place, ...]:
-    """Finite places where |x|_v != 1, in increasing prime order."""
-    fac = factor_fraction(Fraction(x))
-    return tuple(Place(p) for p, _ in fac.exponents)
 
 
 @dataclass(frozen=True)

@@ -149,9 +149,6 @@ class UniPoly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def divides(self, other: "UniPoly") -> bool:
-        return (other % self).is_zero
-
     def derivative(self) -> "UniPoly":
         return UniPoly(_trim([i * c for i, c in enumerate(self.coeffs)][1:]))
 
@@ -301,26 +298,6 @@ def cyclotomic_poly(n: int) -> UniPoly:
     with _cyclo_lock:
         _cyclo_cache.setdefault(n, out)
     return out
-
-
-def cyclotomic_value(n: int, x: Fraction) -> Fraction:
-    """Phi_n(x) for rational x via the Moebius product, no coefficients needed."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return x - 1
-    num = Fraction(1)
-    den = Fraction(1)
-    for d, mu in _moebius_divisors(n):
-        t = x ** (n // d) - 1
-        if t == 0:
-            # x is a root of unity; fall back to coefficients
-            return cyclotomic_poly(n)(x)
-        if mu == 1:
-            num *= t
-        elif mu == -1:
-            den *= t
-    return num / den
 
 
 def _moebius_divisors(n: int) -> list[tuple[int, int]]:

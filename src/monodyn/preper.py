@@ -13,10 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
-from .errors import (DegenerateCollision, EnumerationCap, InvalidConfig,
-                     NoRationalBElement, RootOfUnityInput)
-from .galois import DEGREE_CAP, class_of_point, class_polynomial
+from .errors import (DegenerateCollision, NoRationalBElement,
+                     RootOfUnityInput)
+from .galois import (DEGREE_CAP, ConjugacyClass, class_of_point,
+                     class_polynomial)
 from .places import Place, height_exact_arg
 from .polynomials import UniPoly, newton_polygon_root_valuations
 from .primes import euler_phi, factor_fraction, max_power_exponent
@@ -35,10 +37,6 @@ class CollisionBinomial:
     N: int
     exponents: tuple[int, ...]
     a: Fraction
-
-    def roots(self) -> list[RadicalPoint]:
-        return [RadicalPoint.from_binomial_root(self.a, self.N, j)
-                for j in range(self.N)]
 
 
 def collision_binomial(G: Semigroup, w: Word, m: int) -> CollisionBinomial:
@@ -254,7 +252,7 @@ class EnumeratedPoint:
     point: RadicalPoint
     word: Word
     prefix: int
-    structure: StructuredPreper
+    cls: ConjugacyClass           # the Galois orbit of point
 
 
 def word_pairs(G: Semigroup, n_max: int):
@@ -275,23 +273,20 @@ def enumerate_preperiodic(G: Semigroup, n_max: int,
                           node_cap: int = 10 ** 6) -> list[EnumeratedPoint]:
     """All nonzero preperiodic points from word pairs of length <= n_max.
 
-    Deduplicated by canonical form; each point keeps its first witness in
-    (|w|, lex, m) order.  Zero and infinity, always preperiodic, are not
-    listed.
+    Each point once, with its first witness in (|w|, lex, m) order.  A
+    binomial that one point of a Galois orbit satisfies holds the whole
+    orbit, so a point is new exactly when its class is: the points of a
+    witness are those of its new classes in scan.word_pair_classes, sorted
+    by angle (the root order of X^N = a).  EnumerationCap once the summed
+    binomial degrees pass node_cap.  Zero and infinity, always
+    preperiodic, are not listed.
     """
-    if n_max < 1:
-        raise InvalidConfig("n_max must be >= 1")
-    seen: dict = {}
+    from .scan import word_pair_classes
     out: list[EnumeratedPoint] = []
-    budget = 0
-    for w, m in word_pairs(G, n_max):
-        cb = collision_binomial(G, w, m)
-        budget += cb.N
-        if budget > node_cap:
-            raise EnumerationCap(f"root budget {node_cap} exceeded")
-        for sp in structure_decompose(cb, G):
-            key = sp.point.key()
-            if key not in seen:
-                seen[key] = True
-                out.append(EnumeratedPoint(sp.point, w, m, sp))
+    for (w, m), batch in groupby(word_pair_classes(G, n_max, node_cap),
+                                 key=lambda item: item[1:]):
+        points = sorted(((t, cls) for cls, _, _ in batch for t in cls.angles),
+                        key=lambda pair: pair[0])
+        out.extend(EnumeratedPoint(RadicalPoint(cls.modulus, t), w, m, cls)
+                   for t, cls in points)
     return out

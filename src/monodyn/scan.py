@@ -150,11 +150,8 @@ class GammaReport:
     one row per support prime and an `outside` row for the rest, both from
     the lifting-the-exponent valuations and log of the class norm.  The
     residual, the sum of the rows, is the check between the angle set and
-    the norm.  exact_zero is always True: the norm is rational, and the
-    product formula is an exponent identity for every rational; it stays
-    because schema monodyn/1 carries it as gamma_exact."""
+    the norm."""
 
-    exact_zero: bool
     table: tuple[tuple[str, float], ...]
     residual: float
 
@@ -196,7 +193,7 @@ def class_gamma(cls: ConjugacyClass, nd: ClassNormData,
     if leftover:
         rows.append(("outside", -leftover))
     residual = sum(v for _, v in rows)
-    return GammaReport(True, tuple(rows), residual)
+    return GammaReport(tuple(rows), residual)
 
 
 @dataclass(frozen=True)
@@ -245,7 +242,6 @@ class ScanConfig:
     beta: Fraction
     max_wordlen: int
     tol: float = 1e-9
-    quadrature_nodes: int = 1 << 12
     node_cap: int = 10 ** 7
     degree_cap: int = DEGREE_CAP
 
@@ -269,7 +265,6 @@ class ClassVerdict:
     bad_primes: tuple[int, ...]
     certified: bool
     gamma_residual: float
-    gamma_exact: bool
     distance_checks: tuple[tuple[str, bool], ...]
     discrepancy: float | None
     progressions: int
@@ -284,7 +279,9 @@ class ClassVerdict:
             "bad_primes": list(self.bad_primes),
             "certified": self.certified,
             "gamma_residual": self.gamma_residual,
-            "gamma_exact": self.gamma_exact,
+            # always true: the norm is rational, so the product formula is
+            # an exponent identity; schema monodyn/1 keeps the key
+            "gamma_exact": True,
             "distance_checks": [[v, ok] for v, ok in self.distance_checks],
             "discrepancy": self.discrepancy,
             "progressions": self.progressions,
@@ -326,7 +323,7 @@ class ScanReport:
             "beta": str(self.config.beta),
             "max_wordlen": self.config.max_wordlen,
             "tol": self.config.tol,
-            "quadrature_nodes": self.config.quadrature_nodes,
+            "quadrature_nodes": 1 << 12,    # no scan reads it; monodyn/1 keeps it
             "node_cap": self.config.node_cap,
             "degree_cap": self.config.degree_cap,
             "beta_certificate": self.beta_certificate,
@@ -470,7 +467,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
             verdicts.append(ClassVerdict(
                 cls.representative, cls.degree, w, m, L,
                 integ.s_integral, integ.known_bad, integ.certified,
-                gamma.residual, gamma.exact_zero, dist, disc,
+                gamma.residual, dist, disc,
                 cls.progressions()))
     except (EnumerationCap, DegreeCapExceeded) as exc:
         truncated = True

@@ -172,12 +172,13 @@ def test_degree_chain_inequality():
     # log(MQ) <= 11 log(deg) on enumerated structures with deg >= 2
     from monodyn.preper import enumerate_preperiodic
     from monodyn.galois import class_of_point
+    from test_preper import with_structure
     G2 = Semigroup.from_pairs([("2", 2), ("3", 3)])
-    for ep in enumerate_preperiodic(G2, 3):
+    for ep, sp in with_structure(G2, enumerate_preperiodic(G2, 3)):
         deg = class_of_point(ep.point).degree
         if deg < 2:
             continue
-        MQ = ep.structure.M * ep.structure.Q
+        MQ = sp.M * sp.Q
         assert math.log(MQ) <= 11 * math.log(deg) + 1e-12
 
 

@@ -41,6 +41,34 @@ def test_preper_jsonl(config, capsys):
     assert any(row["c"] == "1/2" and row["M"] == 1 for row in lines)
 
 
+def test_preper_degree_cap(config, capsys):
+    # rows past the cap keep their class degree and lose only the minpoly
+    assert main(["--config", config, "--depth", "2", "preper"]) == 0
+    full = [json.loads(s) for s in capsys.readouterr().out.splitlines()]
+    assert main(["--config", config, "--depth", "2", "--degree-cap", "1",
+                 "preper"]) == 0
+    capped = [json.loads(s) for s in capsys.readouterr().out.splitlines()]
+    assert len(capped) == len(full)
+    assert any(row["degree"] > 1 for row in full)
+    for row, ref in zip(capped, full):
+        assert row["degree"] == ref["degree"]
+        assert row["minpoly"] == (ref["minpoly"] if ref["degree"] <= 1
+                                  else None)
+        assert ref["minpoly"] is not None and \
+            len(ref["minpoly"]) == ref["degree"] + 1
+
+
+def test_height_long_preperiod(config, capsys):
+    # the composite coefficient of 24 letters has billions of digits; the
+    # closed form works on its exponent vector instead
+    g1 = ",".join("12"[i % 2] for i in range(24))
+    rc = main(["--config", config, "height", "--beta", "2", "--g1", g1])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert abs(doc["iterative"]["value"] - doc["closed"]) \
+        <= doc["iterative"]["error_bound"]
+
+
 def test_height(config, capsys):
     rc = main(["--config", config, "height", "--beta", "1", "--g1", "1",
                "--g2", "2"])

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 
-from monodyn.polynomials import (UniPoly, cyclotomic_poly, cyclotomic_value,
+from monodyn.polynomials import (UniPoly, cyclotomic_poly,
                                  newton_polygon_root_valuations, poly_gcd,
                                  squarefree_decomposition)
 from monodyn.primes import euler_phi
@@ -99,19 +99,6 @@ def test_cyclotomic():
             if n % d == 0:
                 prod = prod * cyclotomic_poly(d)
         assert prod == UniPoly.binomial(n, 1)
-
-
-def test_cyclotomic_value_matches_coeffs():
-    rng = random.Random(2)
-    for n in (1, 2, 3, 4, 6, 8, 12, 15, 36):
-        poly = cyclotomic_poly(n)
-        for _ in range(5):
-            x = F(rng.randint(-20, 20), rng.randint(1, 9))
-            if x in (0, 1, -1):
-                continue
-            assert cyclotomic_value(n, x) == poly(x)
-        assert cyclotomic_value(n, F(1)) == poly(F(1))
-        assert cyclotomic_value(n, F(-1)) == poly(F(-1))
 
 
 def test_newton_polygon_examples():

@@ -11,7 +11,8 @@ from monodyn.polynomials import UniPoly
 from monodyn.preper import (CollisionBinomial, capelli_reducible,
                             collision_binomial, conjugates,
                             degree_lower_bound, enumerate_preperiodic,
-                            minimal_polynomial, structure_decompose)
+                            minimal_polynomial, structure_decompose,
+                            word_pairs)
 from monodyn.radical import RadicalPoint
 from monodyn.semigroup import Semigroup
 
@@ -216,8 +217,48 @@ def test_enumerated_points_replay_witness():
             assert left == right
 
 
+def with_structure(g, eps):
+    """(ep, sp) for each enumerated point, sp its reduced form among the
+    roots of the witness binomial."""
+    structures = {}
+    for ep in eps:
+        wm = (ep.word, ep.prefix)
+        if wm not in structures:
+            cb = collision_binomial(g, ep.word, ep.prefix)
+            structures = {wm: {sp.point: sp
+                               for sp in structure_decompose(cb, g)}}
+        yield ep, structures[wm][ep.point]
+
+
 def test_degree_bounds_hold_on_enumeration():
     for g in (GZ, G1, G2):
-        for ep in enumerate_preperiodic(g, 3):
+        for ep, sp in with_structure(g, enumerate_preperiodic(g, 3)):
             deg = class_of_point(ep.point).degree
-            assert deg >= degree_lower_bound(ep.structure).lower
+            assert deg >= degree_lower_bound(sp).lower
+
+
+def per_root_enumeration(g, n_max):
+    """The oracle: every root of every collision binomial in (|w|, lex, m)
+    order, each point kept once with its first witness."""
+    seen = set()
+    out = []
+    for w, m in word_pairs(g, n_max):
+        cb = collision_binomial(g, w, m)
+        for j in range(cb.N):
+            key = RadicalPoint.from_binomial_root(cb.a, cb.N, j).key()
+            if key not in seen:
+                seen.add(key)
+                out.append((key, w, m))
+    return out
+
+
+@pytest.mark.parametrize("g", [GZ, G1, G2, G(("-5/2", 3), ("4", -2)),
+                               G(("4", 2), ("9", 3))])
+def test_enumeration_matches_per_root_oracle(g):
+    for n in range(1, 5):
+        eps = enumerate_preperiodic(g, n)
+        assert [(ep.point.key(), ep.word, ep.prefix) for ep in eps] \
+            == per_root_enumeration(g, n)
+        for ep in eps:
+            assert ep.point.modulus == ep.cls.modulus
+            assert ep.point.angle in ep.cls.angles
