@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import (BadWindow, BetaIsConjugate, DegenerateDegree, LambdaZero,
                      ZeroAlpha, ZeroInput)
 from .galois import DEGREE_CAP, ConjugacyClass, class_norm_data, class_of_point
-from .places import Place, height_rational, log_abs
+from .places import Place, _log_fraction, height_rational, log_abs
 from .polynomials import UniPoly
 from .preper import minimal_polynomial
 from .primes import euler_phi, ord_p
@@ -237,29 +237,33 @@ def distance_bound_constant(G: Semigroup, v: Place) -> DistanceBoundCert:
     return DistanceBoundCert(C2, c1, nv, theta_cap, 11, 25)
 
 
-def arch_distances_sq(cls: ConjugacyClass, beta: Fraction) -> list[float]:
-    """|sigma(alpha) - beta|^2 over the conjugates, from modulus and angles."""
-    mod = float(cls.modulus)
-    b = float(beta)
-    return [mod * mod + b * b
-            - 2 * mod * b * math.cos(2 * math.pi * (t.numerator / t.denominator))
-            for t in cls.angles]
+def arch_log_distances(cls: ConjugacyClass, beta: Fraction) -> list[float]:
+    """log|sigma(alpha) - beta| over the conjugates, from modulus and angles,
+    at the scale m = max(|alpha|, |beta|) so that no float overflows: with
+    a = |alpha| / m, b = |beta| / m, |a e(t) - b|^2 = (a - b)^2 +
+    4ab sin^2(pi t) for beta > 0 (cos for beta < 0), free of cancellation
+    near beta.  -inf where that float is 0."""
+    la, lb = cls.modulus.log(), _log_fraction(abs(beta))
+    lm = max(la, lb)
+    a, b = math.exp(la - lm), math.exp(lb - lm)
+    trig = math.sin if beta > 0 else math.cos
+    d2s = ((a - b) ** 2
+           + 4 * a * b * trig(math.pi * (t.numerator / t.denominator)) ** 2
+           for t in cls.angles)
+    return [lm + 0.5 * math.log(d2) if d2 else -math.inf for d2 in d2s]
 
 
 def observed_min_log_distance(cls: ConjugacyClass, beta: Fraction, v: Place,
                               shifted: UniPoly | None,
-                              dist_sq: list[float] | None = None) -> float:
+                              logs: list[float] | None = None) -> float:
     """min over conjugates of log|sigma(alpha) - beta|_v for beta outside
-    the orbit: from the angle set at the archimedean place (dist_sq, when
-    given, is arch_distances_sq(cls, beta); -inf if the float distance is
-    0).  At a finite place it is s log p for the first
-    slope s of the Newton polygon of shifted, the class polynomial moved by
-    beta (roots sigma(alpha) - beta): s = min over i >= 1 with c_i != 0 of
-    (ord_p c_i - ord_p c_0) / i, found in one integer pass."""
+    the orbit: the least of arch_log_distances(cls, beta) (or of logs, when
+    given) at the archimedean place.  At a finite place it is s log p for
+    the first slope s of the Newton polygon of shifted, the class polynomial
+    moved by beta (roots sigma(alpha) - beta): s = min over i >= 1 with
+    c_i != 0 of (ord_p c_i - ord_p c_0) / i, found in one integer pass."""
     if v.is_archimedean:
-        best = min(arch_distances_sq(cls, beta) if dist_sq is None
-                   else dist_sq)
-        return 0.5 * math.log(best) if best > 0 else -math.inf
+        return min(arch_log_distances(cls, beta) if logs is None else logs)
     p = v.p
     cs = shifted.coeffs
     if not cs or cs[0] == 0:
@@ -297,8 +301,7 @@ def distance_lower_bound(G: Semigroup, beta: Fraction, alpha: RadicalPoint,
     if MQ is None:
         # canonical radical index and the angle order of the twist
         MQ = cls.M0 * alpha.angle.denominator
-    if class_norm_data(cls, beta, degree_cap).is_zero():
-        raise BetaIsConjugate("beta is a conjugate")
+    class_norm_data(cls, beta)      # BetaIsConjugate when beta is one
     shifted = None
     if not v.is_archimedean:
         shifted = minimal_polynomial(cls.representative,

@@ -4,12 +4,15 @@ Subcommands: orbit, preper, height, bounds, equid, scan, factor.  The
 semigroup comes from a JSON config file ({"generators": [{"a": "2", "d": 2},
 ...]}); words are written as comma-separated 1-based generator indices.
 
-Exit codes: 0 ok, 2 invalid config or option (checked as it is parsed),
-3 cap exceeded (a tree, enumeration, degree or factoring cap, or an
-OverflowGuard size or step budget), 4 internal invariant violation.  A scan
-stopped by its node cap or degree cap (or holding an uncertified verdict)
+Exit codes: 0 ok, 2 invalid config or option (checked as it is parsed;
+a rational must print back, a degree must be an integer), 3 cap exceeded
+(a tree, enumeration, degree or factoring cap, or an OverflowGuard size or
+step budget), 4 internal invariant violation.  A scan stopped by its node
+cap (or holding an uncertified verdict or a Gamma residual above --tol)
 still writes its partial report, marked "truncated", and exits 3; every
-other cap ends the command with no output.
+other cap ends the command with no output.  A scan reads every class norm
+in closed form, so on scan --degree-cap only leaves the discrepancy null
+past it and caps the exact distance route (at most degree 64).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from fractions import Fraction
 from .bounds import LinFormInstance, discrepancy_exact, linform_bound, verify_linform
 from .errors import (DegreeCapExceeded, EnumerationCap, FactorBudgetExceeded,
                      InvalidConfig, MonodynError, OverflowGuard, TreeSizeCap)
+from .galois import DEGREE_CAP
 from .heights import (SequenceSpec, canonical_height_closed,
                       canonical_height_iterative, equilibrium_radius,
                       jensen_check)
@@ -34,7 +38,7 @@ from .preper import enumerate_preperiodic, minimal_polynomial
 from .primes import is_prime
 from .radical import RadicalPoint
 from .scan import ScanConfig, report_to_csv, run_scan, word_pair_classes
-from .semigroup import Semigroup, Word, format_word, parse_word
+from .semigroup import Semigroup, Word, format_word, parse_rational, parse_word
 
 
 def _checked(parse, ok, what: str):
@@ -52,16 +56,9 @@ def _checked(parse, ok, what: str):
     return convert
 
 
-def _fraction(text: str) -> Fraction:
-    # Fraction would expand a decimal exponent past Python's int digit limit
-    if abs(int(text.lower().partition("e")[2] or 0)) > 4300:
-        raise ValueError(text)
-    return Fraction(text)
-
-
 MAX_NODES = 1 << 20
-_rational = _checked(_fraction, lambda x: True, "a rational number")
-_nonzero = _checked(_fraction, bool, "a nonzero rational number")
+_rational = _checked(parse_rational, lambda x: True, "a rational number")
+_nonzero = _checked(parse_rational, bool, "a nonzero rational number")
 _positive = _checked(float, lambda x: x > 0, "a positive number")
 _nodes = _checked(int, lambda n: 16 <= n <= MAX_NODES,
                   f"a node count in 16..{MAX_NODES}")
@@ -69,7 +66,7 @@ _primes = _checked(lambda t: tuple(int(p) for p in t.split(",") if p.strip()),
                    lambda ps: all(p > 1 and is_prime(p) for p in ps),
                    "a comma-separated list of primes")
 _polynomial = _checked(
-    lambda t: UniPoly.from_coeffs([_fraction(c) for c in t.split(",")]),
+    lambda t: UniPoly.from_coeffs([parse_rational(c) for c in t.split(",")]),
     lambda f: f.degree >= 1, "a polynomial of degree >= 1")
 
 
@@ -83,7 +80,7 @@ def _load_semigroup(path: str | None) -> Semigroup:
     if path is None:
         raise InvalidConfig("--config is required for this subcommand")
     with open(path) as fh:
-        return Semigroup.from_json(json.load(fh))
+        return Semigroup.from_json(fh.read())
 
 
 def _emit(payload: str, out: str | None):
@@ -117,12 +114,9 @@ def _cmd_preper(args) -> int:
     for ep in enumerate_preperiodic(G, args.depth):
         row = ep.point.to_json()
         row["witness"] = [format_word(ep.word), ep.prefix]
-        try:
-            row["minpoly"] = minimal_polynomial(
-                ep.cls.representative,
-                degree_cap=args.degree_cap).to_strings()
-        except DegreeCapExceeded:
-            row["minpoly"] = None
+        row["minpoly"] = minimal_polynomial(
+            ep.cls.representative, degree_cap=args.degree_cap).to_strings() \
+            if ep.cls.degree <= args.degree_cap else None
         row["degree"] = ep.cls.degree
         lines.append(json.dumps(row))
     _emit("\n".join(lines) + "\n", args.out)
@@ -226,7 +220,8 @@ def _add_globals(ap, suppress: bool):
     ap.add_argument("--format", choices=["json", "csv"], default=d("json"))
     ap.add_argument("--seed", type=int, default=d(0))
     ap.add_argument("--tol", type=_positive, default=d(1e-9))
-    ap.add_argument("--degree-cap", dest="degree_cap", type=int, default=d(512))
+    ap.add_argument("--degree-cap", dest="degree_cap", type=int,
+                    default=d(DEGREE_CAP))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,7 +279,7 @@ def main(argv=None) -> int:
         if [] in vars(args).values():
             raise InvalidConfig("'--' is not an option value")
         return args.func(args)
-    except InvalidConfig as exc:
+    except (InvalidConfig, OSError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
     except (TreeSizeCap, EnumerationCap, DegreeCapExceeded,

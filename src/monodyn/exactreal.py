@@ -158,7 +158,8 @@ class PosReal:
         return self.exps.get(p, Fraction(0))
 
     def log(self) -> float:
-        return float(sum(e * math.log(p) for p, e in self.exps.items()))
+        """sum e_p log p in increasing p, so equal values give equal floats."""
+        return float(sum(e * math.log(p) for p, e in self._key))
 
     def __float__(self):
         return math.exp(self.log())

@@ -35,8 +35,11 @@ y = X^(M0/2) / s, built exactly from Gauss-sum power sums.
 Class norms: |Nm(beta - alpha)| = |f(beta)| for the class polynomial f.
 For a full class that is W(beta), whose valuations come from
 lifting-the-exponent arithmetic on the Moebius pieces x^j - 1
-(x = beta^M0 / c0), never from materializing W(beta); a genuine twin
-evaluates its f at beta exactly.
+(x = beta^M0 / c0), never from materializing W(beta).  A genuine twin's
+norm is the value r^phi B(beta^(M0/2) / r) of its Aurifeuillian factor,
+r = (twin sign) s, by integer Horner: no class polynomial is built on the
+norm path, so it has no degree cap.  A zero norm (beta in the orbit) is
+rejected once, when the norm data is built.
 """
 
 from __future__ import annotations
@@ -225,10 +228,8 @@ def class_polynomial(cls: ConjugacyClass,
     """The monic minimal polynomial shared by the points of the class, exact.
 
     W = c0^phi(q') Phi_{q'}(X^M0 / c0) for a class of full degree
-    M0 phi(q').  A genuine twin takes one Aurifeuillian factor of W: with
-    c0 = d s^2 (d squarefree) and y = X^(M0/2) / s, W = s^(2 phi) (-1)^phi
-    B(y) B(-y), and the class polynomial is s^phi B(+-y), the sign chosen by
-    the representative's y = sqrt(d) e^(pi i r / q'), r = M0 t q' mod 2q'.
+    M0 phi(q').  A genuine twin takes one Aurifeuillian factor of W:
+    r^phi B(X^(M0/2) / r), with B and r from _twin_factor.
     DegreeCapExceeded past degree_cap, before anything is computed.
     """
     if cls.degree > degree_cap:
@@ -237,14 +238,25 @@ def class_polynomial(cls: ConjugacyClass,
     if cls.degree == cls.M0 * euler_phi(q):
         return cyclotomic_poly(q).scale_arg(1 / cls.c0).monic() \
             .compose_monomial(cls.M0)
+    B, r = _twin_factor(cls)
+    n = len(B) - 1
+    return UniPoly.from_coeffs([c * r ** (n - i) for i, c in enumerate(B)]) \
+        .compose_monomial(cls.M0 // 2)
+
+
+def _twin_factor(cls: ConjugacyClass) -> tuple[tuple[int, ...], Fraction]:
+    """(B, r) of a genuine twin: its class polynomial is r^phi B(X^(M0/2) / r).
+
+    With c0 = d s^2 (d squarefree) and y = X^(M0/2) / s,
+    W = s^(2 phi) (-1)^phi B(y) B(-y); the class takes B(sign y), the
+    chi-sign of its first angle (_twin_sign), so r = sign * s.
+    """
+    q = cls.angle_order()
     d = squarefree_kernel(cls.c0)
     s2 = cls.c0 / d
     s = Fraction(math.isqrt(s2.numerator), math.isqrt(s2.denominator))
-    B = _aurifeuillian_factor(q, d)
     sign = _twin_sign(cls.M0, cls.angles[0], q, quadratic_conductor(d))
-    return UniPoly.from_coeffs([c * sign ** i * s ** (len(B) - 1 - i)
-                                for i, c in enumerate(B)]).monic() \
-        .compose_monomial(cls.M0 // 2)
+    return _aurifeuillian_factor(q, d), sign * s
 
 
 @lru_cache(maxsize=None)
@@ -286,54 +298,39 @@ def _aurifeuillian_factor(q: int, d: int) -> tuple[int, ...]:
 # class norms |Nm(beta - alpha)| = |f(beta)| for the class polynomial f
 
 
-def _phi_at_pm1(n: int, sign: int) -> Fraction:
-    """Phi_n(1) or Phi_n(-1) in closed form."""
-    if sign == 1:
+def _phi_at_pm1(n: int, sign: int) -> int:
+    """Phi_n(sign) in closed form: Phi_m(1) is p for m = p^k, 0 for m = 1
+    and 1 otherwise; Phi_1(-1) = -2, and Phi_n(-1) = Phi_{n/2}(1) for even
+    n and Phi_{2n}(1) for odd n > 1."""
+    if sign == -1:
         if n == 1:
-            return Fraction(0)
-        fac = factorint(n)
-        return Fraction(next(iter(fac))) if len(fac) == 1 else Fraction(1)
+            return -2
+        n = n // 2 if n % 2 == 0 else 2 * n
     if n == 1:
-        return Fraction(-2)
-    if n == 2:
-        return Fraction(0)
-    if n % 2 == 0:
-        half = n // 2
-        fac = factorint(half)
-        if len(fac) == 1:
-            return Fraction(next(iter(fac)))
-    return Fraction(1)
+        return 0
+    fac = factorint(n)
+    return next(iter(fac)) if len(fac) == 1 else 1
 
 
 @dataclass(frozen=True)
 class ClassNormData:
-    """log and valuations of |Nm(beta - alpha)| for one conjugacy class.
+    """log and valuations of |Nm(beta - alpha)| != 0 for one conjugacy class.
 
     For a class of full degree M0 phi(q') the norm is W(beta) =
     c0^phi(q') Phi_{q'}(x) with x = beta^M0 / c0, and ord_w / log_w use
-    lifting-the-exponent arithmetic on x.  For a genuine twin, value holds
-    the norm exactly, from the class polynomial evaluated at beta.
+    lifting-the-exponent arithmetic on x.  value holds the norm exactly
+    where that is cheap: for a genuine twin, from its Aurifeuillian factor
+    (class_norm_data), and for x = +-1, from Phi_{q'}(+-1) in closed form.
     """
 
     beta: Fraction
     c0: Fraction
-    M0: int
     qprime: int
     x: Fraction                 # beta^M0 / c0
-    value: Fraction | None      # the exact norm of a genuine twin, else None
+    value: Fraction | None      # the exact norm (twin or x = +-1), else None
     # ord_w(p) by prime p and log_w() under the key "log", once computed
     _memo: dict = field(default_factory=dict, compare=False, hash=False,
                         repr=False)
-
-    def is_zero(self) -> bool:
-        """Whether the norm is 0, i.e. beta sits in the orbit."""
-        if self.value is not None:
-            return self.value == 0
-        if self.x == 1:
-            return self.qprime == 1
-        if self.x == -1:
-            return self.qprime == 2
-        return False
 
     def ord_w(self, p: int) -> Fraction:
         """ord_p of the norm, exact; computed once per prime."""
@@ -341,20 +338,12 @@ class ClassNormData:
         if total is not None:
             return total
         if self.value is not None:
-            if self.value == 0:
-                raise BetaIsConjugate("beta lies in the orbit")
             total = Fraction(ord_p(self.value, p))
         else:
             total = Fraction(euler_phi(self.qprime) * ord_p(self.c0, p))
-            if self.x in (1, -1):
-                val = _phi_at_pm1(self.qprime, 1 if self.x == 1 else -1)
-                if val == 0:
-                    raise BetaIsConjugate("beta lies in the orbit")
-                total += ord_p(val, p)
-            else:
-                for d, mu in _moebius_divisors(self.qprime):
-                    j = self.qprime // d
-                    total += mu * Fraction(_ord_power_minus_one(self.x, j, p))
+            for d, mu in _moebius_divisors(self.qprime):
+                j = self.qprime // d
+                total += mu * Fraction(_ord_power_minus_one(self.x, j, p))
         self._memo[p] = total
         return total
 
@@ -364,50 +353,53 @@ class ClassNormData:
         if total is not None:
             return total
         if self.value is not None:
-            if self.value == 0:
-                raise BetaIsConjugate("beta lies in the orbit")
             total = _log_fraction(abs(self.value))
         else:
             total = euler_phi(self.qprime) * _log_fraction(self.c0)
-            if self.x in (1, -1):
-                val = _phi_at_pm1(self.qprime, 1 if self.x == 1 else -1)
-                if val == 0:
-                    raise BetaIsConjugate("beta lies in the orbit")
-                total += _log_fraction(abs(val))
-            else:
-                for d, mu in _moebius_divisors(self.qprime):
-                    j = self.qprime // d
-                    total += mu * _log_abs_power_minus_one(self.x, j)
+            for d, mu in _moebius_divisors(self.qprime):
+                j = self.qprime // d
+                total += mu * _log_abs_power_minus_one(self.x, j)
         self._memo["log"] = total
         return total
 
 
-def class_norm_data(cls: ConjugacyClass, beta: Fraction,
-                    degree_cap: int = DEGREE_CAP) -> ClassNormData:
-    """Norm data of the class at beta; a genuine twin past degree_cap raises
-    DegreeCapExceeded, since its norm needs the class polynomial."""
+def class_norm_data(cls: ConjugacyClass, beta: Fraction) -> ClassNormData:
+    """Norm data of the class at beta, any degree; BetaIsConjugate when the
+    norm is 0, i.e. beta lies in the orbit (then the orbit has degree 1, x
+    is +-1 and Phi_{q'}(x) = 0).  A genuine twin's norm is r^n B(z / r),
+    z = beta^(M0/2), n = phi(q') (_twin_factor); with z / r = u / v in
+    integers it is H / (den(r) den(z))^n for H = sum B_i u^i v^(n - i),
+    by homogeneous Horner."""
     beta = Fraction(beta)
     if beta == 0:
         raise ZeroInput("beta must be nonzero")
     qprime = cls.angle_order()
+    x = beta ** cls.M0 / cls.c0
+    n = euler_phi(qprime)
     value = None
-    if cls.degree < cls.M0 * euler_phi(qprime):
-        value = class_polynomial(cls, degree_cap)(beta)
-    return ClassNormData(beta, cls.c0, cls.M0, qprime, beta ** cls.M0 / cls.c0,
-                         value)
+    if cls.degree < cls.M0 * n:
+        B, r = _twin_factor(cls)
+        z = beta ** (cls.M0 // 2)
+        u, v = z.numerator * r.denominator, z.denominator * r.numerator
+        h, vk = 0, 1
+        for c in reversed(B):
+            h = h * u + c * vk
+            vk *= v
+        value = Fraction(h, (r.denominator * z.denominator) ** n)
+    elif x in (1, -1):
+        value = cls.c0 ** n * _phi_at_pm1(qprime, int(x))
+    if value == 0:
+        raise BetaIsConjugate("beta lies in the orbit")
+    return ClassNormData(beta, cls.c0, qprime, x, value)
 
 
 # --- valuation and log helpers on x^j - 1 -----------------------------------
 
 
 def _ord_power_minus_one(x: Fraction, j: int, p: int) -> Fraction:
-    """ord_p(x^j - 1) for rational x not a root of unity unless +-1 handled."""
-    if x == 1:
-        raise ZeroInput("x = 1 gives the zero value")
-    if x == -1:
-        if j % 2 == 0:
-            raise ZeroInput("x = -1, even j gives the zero value")
-        return Fraction(ord_p(Fraction(-2), p))
+    """ord_p(x^j - 1) for rational x != +-1."""
+    if x in (1, -1):
+        raise ZeroInput("x = +-1 takes the closed form")
     v = ord_p(x, p)
     if v > 0:
         return Fraction(0)
@@ -468,13 +460,7 @@ def _ord_xr_minus_one(num: int, den: int, r: int, p: int) -> int:
 
 
 def _log_abs_power_minus_one(x: Fraction, j: int) -> float:
-    """log|x^j - 1| for rational x, stable for huge exponent sizes."""
-    if x == 1:
-        raise ZeroInput("log|0|")
-    if x == -1:
-        if j % 2 == 0:
-            raise ZeroInput("log|0|")
-        return math.log(2)
+    """log|x^j - 1| for rational x != +-1, stable for huge exponent sizes."""
     L = j * _log_fraction(abs(x))
     if L > 40:
         return L          # |x^j - 1| = |x|^j within exp(-40)

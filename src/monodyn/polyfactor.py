@@ -20,10 +20,10 @@ import random
 from fractions import Fraction
 
 from .errors import DegreeCapExceeded, FactorBudgetExceeded, ZeroInput
+from .galois import DEGREE_CAP
 from .polynomials import UniPoly, squarefree_decomposition
 from .primes import factorint, is_prime
 
-DEGREE_CAP = 512
 RECOMBINATION_BUDGET = 1 << 16   # subsets per squarefree part
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ from .errors import FactorBudgetExceeded, RootOfUnityInput, ZeroInput
 # Deterministic witness set, valid for all n < 3,317,044,064,679,887,385,961,981.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Pollard rho steps per composite over all its seeds (a cycle-search round
-# of length r counts 2r): seconds at 200 bits, ample for 38-bit factors
-RHO_STEP_BUDGET = 1 << 22
+# Pollard rho word operations per composite over all its seeds: a step mod
+# n of w 64-bit words costs w^2, a cycle-search round of length r 2r steps.
+# 2^24 is twice what a 77-bit composite took in the tests.
+RHO_WORD_BUDGET = 1 << 24
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -55,12 +56,13 @@ def is_prime(n: int) -> bool:
 
 def _pollard_brent(n: int) -> int:
     """A nontrivial factor of composite n, Brent's cycle variant, within
-    RHO_STEP_BUDGET steps or FactorBudgetExceeded."""
+    RHO_WORD_BUDGET word operations or FactorBudgetExceeded."""
     if n % 2 == 0:
         return 2
     gcd = math.gcd
     seed = 1
     steps = 0
+    cost = (-(-n.bit_length() // 64)) ** 2     # word operations per step
     while True:
         y = (seed * 2 + 1) % n
         c = (seed * 3 + 7) % n or 1
@@ -68,7 +70,7 @@ def _pollard_brent(n: int) -> int:
         g = r = q = 1
         x = ys = y
         while g == 1:
-            if steps + 2 * r > RHO_STEP_BUDGET:
+            if (steps + 2 * r) * cost > RHO_WORD_BUDGET:
                 raise FactorBudgetExceeded(f"no factor of a {n.bit_length()}"
                                            "-bit composite in budget")
             steps += 2 * r

@@ -15,11 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
-from .bounds import (DistanceBoundCert, arch_distances_sq, discrepancy_exact,
+from .bounds import (DistanceBoundCert, arch_log_distances, discrepancy_exact,
                      distance_bound_constant, observed_min_log_distance)
-from .errors import (BetaIsConjugate, DegreeCapExceeded, EnumerationCap,
-                     FactorBudgetExceeded, InvalidConfig, NotSIntegral)
+from .errors import (EnumerationCap, FactorBudgetExceeded, InvalidConfig,
+                     NotSIntegral)
 from .exactreal import PosReal
 from .galois import (DEGREE_CAP, ClassNormData, ConjugacyClass,
                      class_norm_data, class_of_point, decompose_binomial_roots)
@@ -46,23 +47,20 @@ def class_meets_at_prime(cls: ConjugacyClass, nd: ClassNormData,
     """Whether some conjugate in the class meets nd's base point at p: both
     are non-integral at p, both have positive valuation, or both are units
     and p divides the class norm."""
-    o_a = cls.representative.ord_at(p)
+    o_a = cls.modulus.ord_at(p)
     o_b = ord_p(nd.beta, p)
     if o_a < 0 or o_b < 0:
         return o_a < 0 and o_b < 0
     if o_a > 0 or o_b > 0:
         return o_a > 0 and o_b > 0
-    if nd.is_zero():
-        raise BetaIsConjugate("beta lies in the orbit")
     return nd.ord_w(p) > 0
 
 
-def meets_at_prime(alpha: RadicalPoint, beta: Fraction, p: int,
-                   degree_cap: int = DEGREE_CAP) -> bool:
+def meets_at_prime(alpha: RadicalPoint, beta: Fraction, p: int) -> bool:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     cls = class_of_point(alpha)
-    return class_meets_at_prime(cls, class_norm_data(cls, beta, degree_cap), p)
+    return class_meets_at_prime(cls, class_norm_data(cls, beta), p)
 
 
 def _bounded_factor(n: int) -> dict[int, int]:
@@ -83,20 +81,23 @@ def bad_primes(alpha: RadicalPoint, beta: Fraction,
     """
     beta = Fraction(beta)
     cls = class_of_point(alpha)
+    nd = class_norm_data(cls, beta)
     value = minimal_polynomial(cls.representative, degree_cap=degree_cap)(beta)
-    if value == 0:
-        raise BetaIsConjugate("beta is a conjugate of alpha")
-    nd = class_norm_data(cls, beta, degree_cap)
-    candidates = _support(alpha, beta)
+    candidates = _support(cls, beta)
     candidates.update(_bounded_factor(value.numerator))
     candidates.update(_bounded_factor(value.denominator))
     return sorted(p for p in candidates if class_meets_at_prime(cls, nd, p))
 
 
-def _support(alpha: RadicalPoint, beta: Fraction) -> set[int]:
-    """The primes at which alpha or beta is not a unit."""
-    pairs = factor_fraction(beta).exponents if beta else ()
-    return set(alpha.support_primes()) | {p for p, _ in pairs}
+def _support(cls: ConjugacyClass, beta: Fraction) -> set[int]:
+    """The primes at which the class or beta is not a unit."""
+    return set(cls.modulus.exps) | _primes_of(beta)
+
+
+@lru_cache(maxsize=64)
+def _primes_of(beta: Fraction) -> frozenset[int]:
+    """The primes of nonzero beta, factored once per base point."""
+    return frozenset(p for p, _ in factor_fraction(beta).exponents)
 
 
 @dataclass(frozen=True)
@@ -112,9 +113,7 @@ def class_s_integrality(cls: ConjugacyClass, nd: ClassNormData,
     """Decide bad_primes(alpha, beta) inside S without factoring the norm;
     beta is the base point of the norm data nd."""
     s_primes = {v.p for v in S if not v.is_archimedean}
-    if nd.is_zero():
-        raise BetaIsConjugate("beta lies in the orbit")
-    inspected = sorted(s_primes | _support(cls.representative, nd.beta))
+    inspected = sorted(s_primes | _support(cls, nd.beta))
     known_bad = {p for p in inspected if class_meets_at_prime(cls, nd, p)}
     # outside part of the norm numerator: a positive integer, so the true
     # balance gap is 0 or at least log 2; the numeric error stays far below
@@ -128,10 +127,9 @@ def class_s_integrality(cls: ConjugacyClass, nd: ClassNormData,
     return SIntegrality(s_integral, tuple(sorted(known_bad)), gap, certified)
 
 
-def is_S_integral(alpha: RadicalPoint, beta: Fraction, S: list[Place],
-                  degree_cap: int = DEGREE_CAP) -> bool:
+def is_S_integral(alpha: RadicalPoint, beta: Fraction, S: list[Place]) -> bool:
     cls = class_of_point(alpha)
-    res = class_s_integrality(cls, class_norm_data(cls, beta, degree_cap), S)
+    res = class_s_integrality(cls, class_norm_data(cls, beta), S)
     if not res.certified:
         raise FactorBudgetExceeded(
             f"outside-S balance gap {res.outside_clean_gap:.3f} falls in the "
@@ -156,12 +154,6 @@ class GammaReport:
     residual: float
 
 
-def _arch_row(cls: ConjugacyClass, dist_sq: list[float]) -> float:
-    """(1/deg) sum over conjugates of log|sigma(alpha) - beta|, numerically,
-    from the squared distances dist_sq = arch_distances_sq(cls, beta)."""
-    return sum(0.5 * math.log(d2) for d2 in dist_sq) / cls.degree
-
-
 def _exact_polynomial(cls: ConjugacyClass, degree_cap: int) -> UniPoly | None:
     """The class polynomial if the scan materializes it, else None."""
     if cls.degree > min(degree_cap, EXACT_DEGREE):
@@ -169,23 +161,21 @@ def _exact_polynomial(cls: ConjugacyClass, degree_cap: int) -> UniPoly | None:
     return minimal_polynomial(cls.representative, degree_cap=degree_cap)
 
 
-def gamma_sum(alpha: RadicalPoint, beta: Fraction,
-              degree_cap: int = DEGREE_CAP) -> GammaReport:
+def gamma_sum(alpha: RadicalPoint, beta: Fraction) -> GammaReport:
     cls = class_of_point(alpha)
-    return class_gamma(cls, class_norm_data(cls, beta, degree_cap))
+    return class_gamma(cls, class_norm_data(cls, beta))
 
 
 def class_gamma(cls: ConjugacyClass, nd: ClassNormData,
-                dist_sq: list[float] | None = None) -> GammaReport:
-    """The Gamma table at nd's base point (dist_sq as in _arch_row)."""
+                logs: list[float] | None = None) -> GammaReport:
+    """The Gamma table at nd's base point; logs, when given, is
+    arch_log_distances(cls, nd.beta), whose mean is the archimedean row."""
     beta = nd.beta
-    if nd.is_zero():
-        raise BetaIsConjugate("beta lies in the orbit")
-    if dist_sq is None:
-        dist_sq = arch_distances_sq(cls, beta)
-    rows = [("inf", _arch_row(cls, dist_sq))]
+    if logs is None:
+        logs = arch_log_distances(cls, beta)
+    rows = [("inf", sum(logs) / cls.degree)]
     leftover = nd.log_w()
-    for p in sorted(_support(cls.representative, beta)):
+    for p in sorted(_support(cls, beta)):
         o = float(nd.ord_w(p))
         leftover -= o * math.log(p)
         rows.append((str(p), -o / cls.degree * math.log(p)))
@@ -205,26 +195,25 @@ class GammaDecomposition:
     height_witness: float       # sum over all places of log max(|alpha|, |beta|)
 
 
-def gamma_decomposition(alpha: RadicalPoint, beta: Fraction, S: list[Place],
-                        degree_cap: int = DEGREE_CAP) -> GammaDecomposition:
+def gamma_decomposition(alpha: RadicalPoint, beta: Fraction,
+                        S: list[Place]) -> GammaDecomposition:
     beta = Fraction(beta)
     cls = class_of_point(alpha)
-    nd = class_norm_data(cls, beta, degree_cap)
+    nd = class_norm_data(cls, beta)
     if not class_s_integrality(cls, nd, S).s_integral:
         raise NotSIntegral("decomposition requires S-integrality")
     s_primes = {v.p for v in S if not v.is_archimedean}
-    supp = _support(alpha, beta)
     non_s_terms = []
     non_s = 0.0
     witness = max(alpha.modulus, PosReal.of(beta)).log()
-    for p in sorted(supp):
+    for p in sorted(_support(cls, beta)):
         m = min(alpha.ord_at(p), Fraction(ord_p(beta, p)))
         if m != 0:
             witness += -float(m) * math.log(p)
         if p not in s_primes and m != 0:
             non_s_terms.append((p, -m))
             non_s += -float(m) * math.log(p)
-    s_part = _arch_row(cls, arch_distances_sq(cls, beta))
+    s_part = sum(arch_log_distances(cls, beta)) / cls.degree
     for p in sorted(s_primes):
         s_part += -float(nd.ord_w(p)) / cls.degree * math.log(p)
     return GammaDecomposition(s_part, non_s, tuple(non_s_terms),
@@ -347,7 +336,7 @@ class ScanReport:
 def _class_min_log_distance_lower(cls: ConjugacyClass, nd: ClassNormData,
                                   beta: Fraction, p: int) -> float:
     """A sound lower bound for min over conjugates of log|sigma - beta|_p."""
-    o_a = cls.representative.ord_at(p)
+    o_a = cls.modulus.ord_at(p)
     o_b = Fraction(ord_p(beta, p))
     if o_a != o_b:
         # ultrametric equality: |sigma(alpha) - beta|_p = max(|alpha|, |beta|)_p
@@ -362,21 +351,20 @@ def _class_min_log_distance_lower(cls: ConjugacyClass, nd: ClassNormData,
 def _scan_distance_checks(cls: ConjugacyClass, nd: ClassNormData,
                           poly: UniPoly | None,
                           certs: list[tuple[Place, DistanceBoundCert]],
-                          dist_sq: list[float]):
-    """(place, ok) rows at nd's base point; archimedean from the squared
-    distances dist_sq = arch_distances_sq(cls, nd.beta), finite places
+                          logs: list[float]):
+    """(place, ok) rows at nd's base point; archimedean from the log
+    distances logs = arch_log_distances(cls, nd.beta), finite places
     from the shifted polygon of poly when given, else a sound valuation
     lower bound (the constant dwarfs the slack either way)."""
     beta = nd.beta
     h_beta = height_rational(beta)
-    MQ = max(2, cls.M0 * cls.representative.angle.denominator)
+    MQ = max(2, cls.M0 * cls.angles[0].denominator)
     shifted = poly.shift(beta) if poly is not None else None
     rows = []
     for v, cert in certs:
         bound = cert.bound(h_beta, cls.degree, MQ)
         if v.is_archimedean or shifted is not None:
-            observed = observed_min_log_distance(cls, beta, v, shifted,
-                                                 dist_sq)
+            observed = observed_min_log_distance(cls, beta, v, shifted, logs)
         else:
             observed = _class_min_log_distance_lower(cls, nd, beta, v.p)
         rows.append((str(v), observed > -bound))
@@ -386,8 +374,8 @@ def _scan_distance_checks(cls: ConjugacyClass, nd: ClassNormData,
 def zero_infinity_verdict(beta: Fraction, S: list[Place]) -> dict:
     """The always-preperiodic fixed points of the chart, reported separately."""
     s_primes = {v.p for v in S if not v.is_archimedean}
-    num_primes = sorted(factorint(abs(beta.numerator))) if abs(beta.numerator) != 1 else []
-    den_primes = sorted(factorint(beta.denominator)) if beta.denominator != 1 else []
+    num_primes = sorted(p for p in _primes_of(beta) if ord_p(beta, p) > 0)
+    den_primes = sorted(p for p in _primes_of(beta) if ord_p(beta, p) < 0)
     return {
         "zero": {"bad_primes": num_primes,
                  "s_integral": all(p in s_primes for p in num_primes)},
@@ -411,15 +399,17 @@ def word_pair_classes(G: Semigroup, n_max: int, node_cap: int):
             raise EnumerationCap(
                 f"node cap {node_cap} reached at |w| = {len(w)}")
         for cls in decompose_binomial_roots(cb.N, cb.a):
-            key = cls.representative.key()
+            key = (cls.modulus, cls.angles[0])   # its first point's key
             if key not in seen:
                 seen.add(key)
                 yield cls, w, m
 
 
 def run_scan(config: ScanConfig) -> ScanReport:
-    """Verdicts for every class of word_pair_classes; the node cap and the
-    degree cap stop it with the classes done so far, marked truncated."""
+    """Verdicts for every class of word_pair_classes, of any degree; the
+    node cap stops it with the classes done so far, marked truncated.  The
+    degree cap only leaves discrepancy null past it and bounds the degree
+    of the exact distance route (at most EXACT_DEGREE)."""
     config.validate()
     G = config.semigroup
     beta = Fraction(config.beta)
@@ -440,13 +430,13 @@ def run_scan(config: ScanConfig) -> ScanReport:
     try:
         for cls, w, m in word_pair_classes(G, config.max_wordlen,
                                            config.node_cap):
-            nd = class_norm_data(cls, beta, config.degree_cap)
+            nd = class_norm_data(cls, beta)
             integ = class_s_integrality(cls, nd, config.S)
-            dist_sq = arch_distances_sq(cls, beta)
-            gamma = class_gamma(cls, nd, dist_sq)
+            logs = arch_log_distances(cls, beta)
+            gamma = class_gamma(cls, nd, logs)
             dist = _scan_distance_checks(
                 cls, nd, _exact_polynomial(cls, config.degree_cap), certs,
-                dist_sq)
+                logs)
             disc = None
             if cls.degree <= config.degree_cap:
                 disc = float(discrepancy_exact(cls.angles))
@@ -469,7 +459,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
                 integ.s_integral, integ.known_bad, integ.certified,
                 gamma.residual, dist, disc,
                 cls.progressions()))
-    except (EnumerationCap, DegreeCapExceeded) as exc:
+    except EnumerationCap as exc:
         truncated = True
         notes.append(str(exc))
     verdicts.sort(key=lambda v: (v.degree, v.point.key()))

@@ -7,6 +7,7 @@ Words are tuples of 0-based generator indices; the composite of a word
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,6 +15,18 @@ from .errors import EmptyWord, InvalidConfig
 from .primes import factor_fraction, ord_p
 
 Word = tuple[int, ...]
+
+
+def parse_rational(value) -> Fraction:
+    """Fraction(value) that prints back: ValueError when its decimal
+    exponent passes 4300 (checked before Fraction expands it) or its
+    numerator or denominator passes Python's int-to-text digit limit."""
+    if isinstance(value, str) and \
+            abs(int(value.lower().partition("e")[2] or 0)) > 4300:
+        raise ValueError(value)
+    x = Fraction(value)
+    str(x)      # ValueError past the digit limit
+    return x
 
 
 @dataclass(frozen=True)
@@ -51,17 +64,20 @@ class Semigroup:
 
     @staticmethod
     def from_pairs(pairs) -> "Semigroup":
-        return Semigroup(tuple(MonomialMap(Fraction(a), int(d)) for a, d in pairs))
+        """Generators a z^d: a rational (parse_rational), d an int."""
+        return Semigroup(tuple(MonomialMap(parse_rational(a),
+                                           operator.index(d))
+                               for a, d in pairs))
 
     @staticmethod
     def from_json(doc: str | dict) -> "Semigroup":
         """Parse {"generators": [{"a": "2", "d": 2}, ...]}."""
-        if isinstance(doc, str):
-            doc = json.loads(doc)
         try:
+            if isinstance(doc, str):
+                doc = json.loads(doc)
             gens = doc["generators"]
             return Semigroup.from_pairs((g["a"], g["d"]) for g in gens)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise InvalidConfig(f"bad semigroup config: {exc}") from exc
 
     def to_json(self) -> dict:

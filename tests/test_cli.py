@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -125,21 +126,28 @@ def test_depth_zero_is_invalid_config(config, command, capsys):
 
 
 def test_scan_degree_cap_on_genuine_twin(config, tmp_path, capsys):
-    # depth 3 reaches a degree-2 genuine twin, whose norm needs its class
-    # polynomial: past the cap the scan stops with exit 3 and keeps the
-    # classes done so far
-    out = tmp_path / "r.json"
+    # depth 3 reaches the degree-2 genuine twins of sqrt(1/3) e(1/12) and
+    # e(5/12); their norms are values of the Aurifeuillian factor, so a
+    # degree cap of 1 no longer stops the scan: it only leaves discrepancy
+    # null past the cap, and every verdict matches the uncapped scan
+    out, ref = tmp_path / "r.json", tmp_path / "ref.json"
     rc = main(["--config", config, "scan", "--beta", "2", "--depth", "3",
                "--degree-cap", "1", "--out", str(out)])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    doc = json.loads(out.read_text())
-    assert doc["truncated"] and not doc["stabilization"]
-    assert any("exceeds cap 1" in note for note in doc["notes"])
-    assert sum(doc["class_counts"].values()) == len(doc["verdicts"])
-    assert sum(doc["point_counts"].values()) == \
-        sum(v["degree"] for v in doc["verdicts"])
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert main(["--config", config, "scan", "--beta", "2", "--depth", "3",
+                 "--out", str(ref)]) == 0
+    doc, full = json.loads(out.read_text()), json.loads(ref.read_text())
+    assert not doc["truncated"] and not doc["notes"]
+    assert doc["class_counts"] == full["class_counts"]
+    twins = [v for v in doc["verdicts"]
+             if (v["c"], v["M"], v["t"]) in (("1/3", 2, "1/12"),
+                                             ("1/3", 2, "5/12"))]
+    assert len(twins) == 2 and all(v["degree"] == 2 for v in twins)
+    for v, w in zip(doc["verdicts"], full["verdicts"]):
+        assert v["discrepancy"] is None if v["degree"] > 1 \
+            else v["discrepancy"] == w["discrepancy"]
+        assert {**v, "discrepancy": None} == {**w, "discrepancy": None}
 
 
 def test_scan_hard_to_factor_beta_is_a_cap(config, capsys):
@@ -153,6 +161,25 @@ def test_scan_hard_to_factor_beta_is_a_cap(config, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "cap exceeded" in err and "Traceback" not in err
+
+
+def test_scan_wide_composite_beta_is_a_cap_in_seconds(config, capsys):
+    # trial division leaves a composite of over 900 bits in 10^299 + 7; rho
+    # is charged per word operation, so its budget runs out in seconds
+    t0 = time.perf_counter()
+    rc = main(["--config", config, "scan", "--beta", str(10 ** 299 + 7),
+               "--depth", "2"])
+    assert rc == 3 and time.perf_counter() - t0 < 10
+    err = capsys.readouterr().err
+    assert "cap exceeded" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("beta", ["1e309", "-1e309", "1e160", "-3e-400"])
+def test_scan_beta_past_float_range(config, beta, capsys):
+    # the archimedean row is computed in log space: no overflow, and the
+    # Gamma residual stays within tol
+    rc = main(["--config", config, "scan", f"--beta={beta}", "--depth", "2"])
+    assert rc == 0, capsys.readouterr().err
 
 
 EQUID_SEMIGROUPS = (
@@ -245,12 +272,34 @@ BAD_ARGV = (
     ["equid", "--nodes", "8"],
     ["height", "--beta", "2", "--g1=--"],
     ["scan", "--beta", "2", "--depth=--"],
+    ["scan", "--beta=1e-4300"],
+    ["scan", "--beta=1e4300"],
 )
 
 
 @pytest.mark.parametrize("argv", BAD_ARGV, ids=" ".join)
 def test_bad_options_are_invalid_config(config, argv, capsys):
     rc = main(["--config", config, "--depth", "2"] + argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ") and "Traceback" not in err
+
+
+# config values that ended in a traceback or were silently truncated
+BAD_GENERATORS = (
+    '{"a": "1e4300", "d": 2}',        # prints past the int digit limit
+    '{"a": "2", "d": 2.5}',           # scanned as d = 2
+    '{"a": "1/0", "d": 2}',
+    '{"a": Infinity, "d": 2}',
+    '{"a": "2", "d": 2',              # not JSON
+)
+
+
+@pytest.mark.parametrize("generator", BAD_GENERATORS)
+def test_bad_config_is_invalid_config(tmp_path, generator, capsys):
+    path = tmp_path / "g.json"
+    path.write_text('{"generators": [%s, {"a": "3", "d": 3}]}' % generator)
+    rc = main(["--config", str(path), "scan", "--beta", "2", "--depth", "2"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid config: ") and "Traceback" not in err
@@ -278,6 +327,8 @@ FUZZ_ARGV = {
     "g1": lambda t: ["height", "--beta=2", f"--g1={t}"],
     "g2": lambda t: ["height", "--beta=2", f"--g2={t}"],
     "factor": lambda t: ["factor", "--", t],
+    "scan-beta": lambda t: ["scan", f"--beta={t}"],
+    "scan-S": lambda t: ["scan", "--beta=2", f"-S={t}"],
 }
 
 
@@ -288,4 +339,16 @@ def test_random_option_text_fails_fast(shared_config, option, text):
     # any text either runs, is an invalid config or hits a cap; another
     # exception or exit 4 fails the test
     argv = ["--config", shared_config, "--depth", "2"] + FUZZ_ARGV[option](text)
+    assert _exit_code(argv) in (0, 2, 3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=FUZZ_TEXT, d=FUZZ_TEXT)
+def test_random_config_text_fails_fast(shared_config, a, d):
+    # the coefficient as a JSON string and the degree as raw JSON text
+    path = shared_config + ".fuzz.json"
+    with open(path, "w") as fh:
+        fh.write('{"generators": [{"a": %s, "d": %s}, {"a": "3", "d": 3}]}'
+                 % (json.dumps(a), d))
+    argv = ["--config", path, "scan", "--beta=2", "--depth", "2"]
     assert _exit_code(argv) in (0, 2, 3)

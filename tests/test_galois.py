@@ -3,15 +3,20 @@ import math
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from monodyn import galois
+from monodyn.errors import BetaIsConjugate, DegreeCapExceeded
 from monodyn.exactreal import PosReal
-from monodyn.galois import (ConjugacyClass, class_norm_data, class_of_point,
+from monodyn.galois import (ClassNormData, ConjugacyClass, class_norm_data,
+                            class_of_point, class_polynomial,
                             decompose_binomial_roots, unit_group_generators)
 from monodyn.polyfactor import factor_poly
 from monodyn.polynomials import UniPoly, cyclotomic_poly
 from monodyn.preper import collision_binomial, minimal_polynomial, word_pairs
 from monodyn.primes import euler_phi, kronecker, ord_p, squarefree_kernel
 from monodyn.radical import RadicalPoint
+from monodyn.scan import word_pair_classes
 from monodyn.semigroup import Semigroup
 
 POOL = [F(x) for x in ("2", "3", "4", "-2", "-3", "-4", "8", "9", "-8", "16",
@@ -180,21 +185,26 @@ def test_norms_against_minpoly_values():
     rng = random.Random(21)
     cases = [(4, F(-4)), (6, F(-27)), (5, F(1, 24)), (8, F(16)), (12, F(1)),
              (8, F(1, 81)), (9, F(-8, 27)), (10, F(4)), (12, F(-64)),
-             (7, F(3, 5)), (6, F(1, 64)), (11, F(36))]
+             (7, F(3, 5)), (6, F(1, 64)), (11, F(36)), (6, F(64))]
+    zeros = 0
     for N, a in cases:
         fac = factor_poly(UniPoly.binomial(N, a))
         for cls in decompose_binomial_roots(N, a):
             g = _match_factor(cls, fac).monic()
             nm = g(F(2))
-            nd = class_norm_data(cls, F(2))
-            if nd.is_zero():
-                assert nm == 0
+            if nm == 0:
+                # beta in the orbit is rejected when the norm data is built
+                with pytest.raises(BetaIsConjugate):
+                    class_norm_data(cls, F(2))
+                zeros += 1
                 continue
+            nd = class_norm_data(cls, F(2))
             # per class: the norm is this class's factor at beta, twin or not
             assert abs(nd.log_w() - math.log(abs(nm))) \
                 < 1e-8 * max(1, abs(math.log(abs(nm))))
             for p in (2, 3, 5, 7, 13):
                 assert nd.ord_w(p) == ord_p(nm, p)
+    assert zeros == 1
 
 
 def test_class_norm_data_memoizes_ord_and_log(monkeypatch):
@@ -220,6 +230,52 @@ def test_class_norm_data_memoizes_ord_and_log(monkeypatch):
     fresh = class_norm_data(cls, F(5, 3))
     assert fresh == nd and hash(fresh) == hash(nd)
     assert repr(fresh) == repr(nd)
+
+
+def test_phi_at_pm1_closed_form():
+    for n in range(1, 80):
+        for sign in (1, -1):
+            assert galois._phi_at_pm1(n, sign) == cyclotomic_poly(n)(sign)
+
+
+TEST_SEMIGROUPS = ([("2", 2), ("3", 3)], [("-5/2", 3), ("4", -2)],
+                   [("4", 2), ("9", 3)])
+
+
+def test_twin_norms_match_class_polynomial_values():
+    # oracle: the materialized class polynomial at beta, for every genuine
+    # twin up to depth 6 of the three test semigroups
+    checked = 0
+    for pairs in TEST_SEMIGROUPS:
+        G = Semigroup.from_pairs(pairs)
+        for cls, _, _ in word_pair_classes(G, 6, 10 ** 7):
+            if not _is_genuine_twin(cls):
+                continue
+            f = class_polynomial(cls)
+            for beta in (F(2), F(-3, 7), F(5), F(1, 2), F(7, 4)):
+                assert class_norm_data(cls, beta).value == f(beta), (cls, beta)
+                checked += 1
+    assert checked == 910
+
+
+def test_twin_norms_past_the_degree_cap():
+    # X^8748 = 3^4374 has two genuine twins of degree 1458 (M0 = 2,
+    # q' = 4374), past the polynomial's degree cap; their norm data needs no
+    # polynomial, and the two norms multiply to the full-degree norm W(beta)
+    # whose valuations come from lifting the exponent
+    twins = [c for c in decompose_binomial_roots(8748, F(3) ** 4374)
+             if c.degree == 1458]
+    assert len(twins) == 2
+    assert all(_is_genuine_twin(c) and (c.M0, c.angle_order()) == (2, 4374)
+               for c in twins)
+    with pytest.raises(DegreeCapExceeded):
+        class_polynomial(twins[0])
+    for beta in (F(2), F(5, 3), F(-7, 2), F(6, 35)):
+        nds = [class_norm_data(c, beta) for c in twins]
+        full = ClassNormData(beta, F(3), 4374, beta ** 2 / 3, None)
+        for p in (2, 3, 5, 7):
+            assert sum(nd.ord_w(p) for nd in nds) == full.ord_w(p), (beta, p)
+        assert abs(sum(nd.log_w() for nd in nds) - full.log_w()) < 1e-9
 
 
 def test_progressions_cover_angles():

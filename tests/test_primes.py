@@ -50,7 +50,7 @@ def test_factorint_step_budget(monkeypatch):
     # steps: it factors under the default budget and raises under a tiny one
     n = 2147483647 * 2147483659
     assert factorint(n) == {2147483647: 1, 2147483659: 1}
-    monkeypatch.setattr(primes, "RHO_STEP_BUDGET", 1000)
+    monkeypatch.setattr(primes, "RHO_WORD_BUDGET", 1000)
     with pytest.raises(FactorBudgetExceeded):
         factorint(n)
 

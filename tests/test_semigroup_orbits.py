@@ -108,6 +108,14 @@ def test_window_radius_examples():
     assert r3 == PosReal({3: F(-1, 2)})
 
 
+def test_posreal_float_views_ignore_insertion_order():
+    # summed in insertion order, these two orders differ in the last bit
+    items = [(3, F(-3, 2)), (11, F(5, 4)), (2, F(3, 2)), (13, F(-3, 2))]
+    x, y = PosReal(dict(items)), PosReal(dict(reversed(items)))
+    assert x == y
+    assert x.log() == y.log() and float(x) == float(y)
+
+
 def test_preperiodic_examples():
     g1 = G(("2", 2))
     st = is_preperiodic(g1, RadicalPoint.from_rational(F(1, 2)), 5)
