@@ -5,14 +5,15 @@ semigroup comes from a JSON config file ({"generators": [{"a": "2", "d": 2},
 ...]}); words are written as comma-separated 1-based generator indices.
 
 Exit codes: 0 ok, 2 invalid config or option (checked as it is parsed;
-a rational must print back, a degree must be an integer), 3 cap exceeded
-(a tree, enumeration, degree or factoring cap, or an OverflowGuard size or
-step budget), 4 internal invariant violation.  A scan stopped by its node
-cap (or holding an uncertified verdict or a Gamma residual above --tol)
-still writes its partial report, marked "truncated", and exits 3; every
-other cap ends the command with no output.  A scan reads every class norm
-in closed form, so on scan --degree-cap only leaves the discrepancy null
-past it and caps the exact distance route (at most degree 64).
+a rational must print back, a degree must be an integer, --depth >= 0,
+--degree-cap >= 1), 3 cap exceeded (a tree, enumeration, degree or
+factoring cap, an OverflowGuard size or step budget, or an output number
+past the int-to-text digit limit), 4 internal invariant violation.  A scan
+stopped by its node cap (or holding an uncertified verdict or a Gamma
+residual above --tol) still writes its partial report, marked "truncated",
+and exits 3; every other cap ends the command with no output.  A scan reads
+every class norm in closed form, so on scan --degree-cap only leaves the
+discrepancy null past it and caps the exact distance route (degree <= 64).
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ _nonzero = _checked(parse_rational, bool, "a nonzero rational number")
 _positive = _checked(float, lambda x: x > 0, "a positive number")
 _nodes = _checked(int, lambda n: 16 <= n <= MAX_NODES,
                   f"a node count in 16..{MAX_NODES}")
+_depth = _checked(int, lambda n: n >= 0, "a depth >= 0")
+_degree_cap = _checked(int, lambda n: n >= 1, "a degree cap >= 1")
 _primes = _checked(lambda t: tuple(int(p) for p in t.split(",") if p.strip()),
                    lambda ps: all(p > 1 and is_prime(p) for p in ps),
                    "a comma-separated list of primes")
@@ -215,12 +218,12 @@ def _cmd_factor(args) -> int:
 def _add_globals(ap, suppress: bool):
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     ap.add_argument("--config", default=d(None), help="semigroup JSON config path")
-    ap.add_argument("--depth", type=int, default=d(4))
+    ap.add_argument("--depth", type=_depth, default=d(4))
     ap.add_argument("--out", default=d(None), help="output path (default stdout)")
     ap.add_argument("--format", choices=["json", "csv"], default=d("json"))
     ap.add_argument("--seed", type=int, default=d(0))
     ap.add_argument("--tol", type=_positive, default=d(1e-9))
-    ap.add_argument("--degree-cap", dest="degree_cap", type=int,
+    ap.add_argument("--degree-cap", dest="degree_cap", type=_degree_cap,
                     default=d(DEGREE_CAP))
 
 

@@ -65,10 +65,6 @@ class ZeroAlpha(MonodynError):
     pass
 
 
-class QuadratureSingular(MonodynError):
-    pass
-
-
 class DegenerateDegree(MonodynError):
     pass
 

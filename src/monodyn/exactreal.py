@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
 
 from .errors import OverflowGuard, ZeroInput
 from .primes import factor_fraction
@@ -95,8 +94,7 @@ class PosReal:
                 eps = mp.mpf(2) ** (-prec + 16) * (mag + 1)
                 if abs(acc) > eps:
                     return 1 if acc > 0 else -1
-        denoms = [e.denominator for e in self.exps.values()]
-        L = reduce(lambda a, b: a * b // math.gcd(a, b), denoms, 1)
+        L = math.lcm(*(e.denominator for e in self.exps.values()))
         bits = sum(abs(e * L) * p.bit_length() for p, e in self.exps.items())
         if bits > 10 ** 8:
             raise OverflowGuard("exact comparison beyond the size budget")
@@ -145,9 +143,7 @@ class PosReal:
 
     def radical_form(self) -> tuple[Fraction, int]:
         """(c, M) with self = c^(1/M), M minimal positive, c > 0 rational."""
-        M = 1
-        for e in self.exps.values():
-            M = M * e.denominator // math.gcd(M, e.denominator)
+        M = math.lcm(*(e.denominator for e in self.exps.values()))
         c = Fraction(1)
         for p, e in self.exps.items():
             c *= Fraction(p) ** int(e * M)

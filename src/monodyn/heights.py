@@ -5,7 +5,9 @@ The iterative estimator pushes a point through the sequence symbolically
 height of the image by the degree product; the error is certified by the
 height-drift bound of the semigroup.  Eventually periodic sequences get the
 exact closed form as a finite sum over the support places, with every
-max(0, .) decided by exact rational-power comparison.
+max(0, .) decided by exact rational-power comparison.  Jensen's check
+evaluates the n-node quadrature of the circle average of log|z - beta|
+exactly, by the roots-of-unity product.
 """
 
 from __future__ import annotations
@@ -14,12 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .errors import (BadWindow, EmptyWord, OverflowGuard, QuadratureSingular,
-                     ZeroInput)
+from .errors import BadWindow, EmptyWord, OverflowGuard, ZeroInput
 from .exactreal import PosReal
-from .places import INF, Place, height_rational
+from .places import INF, Place, _log_fraction, height_rational
 from .radical import RadicalPoint
 from .semigroup import Semigroup, Word, word_coefficient_exponents
 
@@ -163,25 +162,30 @@ def equilibrium_radius(G: Semigroup, g1: Word, g2: Word) -> EquilibriumRadius:
 
 def jensen_check(radius: float, beta: Fraction | float, nodes: int
                  ) -> tuple[float, float, float]:
-    """Quadrature of the circle average of log|z - beta| against its closed form.
+    """The n-node quadrature of the circle average of log|z - beta|, made
+    exact by the roots-of-unity product, against log M (Jensen's formula).
 
-    Returns (quadrature value, log max(radius, |beta|), difference).
+    With M = max(radius, |beta|), rho = min(radius, |beta|) / M and
+    s = sign(beta)^n, the nodes z = radius e(k/n) give prod (z - beta) =
+    +-(beta^n - radius^n), so the mean log is log M + log|1 - s rho^n| / n.
+    When a node sits on beta (rho = 1, s = 1, decided on exact rationals)
+    the grid turns half a step, which flips s.  rho^n is taken in log space.
+
+    Returns (quadrature value, log M, difference).
     """
     if nodes < 16:
         raise BadWindow("need at least 16 nodes")
     if radius <= 0:
         raise ZeroInput("radius must be positive")
-    b = float(beta)
-    theta = 2 * np.pi * (np.arange(nodes) / nodes)
-    z = radius * np.exp(1j * theta) - b
-    dist = np.abs(z)
-    if np.any(dist == 0):
-        if abs(abs(b) - radius) > 1e-12:
-            raise QuadratureSingular("node coincided with beta off the circle")
-        theta = theta + np.pi / nodes
-        dist = np.abs(radius * np.exp(1j * theta) - b)
-        if np.any(dist == 0):
-            raise QuadratureSingular("beta sits on the quadrature circle")
-    lhs = float(np.mean(np.log(dist)))
-    rhs = math.log(max(radius, abs(b)))
+    b = Fraction(beta)
+    lo, hi = sorted((Fraction(radius), abs(b)))
+    # rho = 1: s = -1 already, or a node sits on beta and the turn flips s
+    s = -1 if lo == hi else ((b > 0) - (b < 0)) ** nodes
+    rho = lo / hi
+    log_rho_n = nodes * (math.log1p(float(rho - 1)) if 2 * rho > 1 else
+                         _log_fraction(rho) if rho else -math.inf)
+    tail = (math.log(-math.expm1(log_rho_n)) if s == 1
+            else math.log1p(math.exp(log_rho_n)))
+    rhs = _log_fraction(hi)
+    lhs = rhs + tail / nodes
     return lhs, rhs, lhs - rhs

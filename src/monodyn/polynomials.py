@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .errors import ZeroInput
 from .primes import factorint, ord_p
+from .semigroup import rational_text
 
 
 def _trim(cs: list[Fraction]) -> tuple[Fraction, ...]:
@@ -227,7 +228,7 @@ class UniPoly:
         return out
 
     def to_strings(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
+        return [rational_text(c) for c in self.coeffs]
 
     def __repr__(self):
         if self.is_zero:

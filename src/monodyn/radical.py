@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import ZeroInput
 from .exactreal import PosReal
 from .places import Place
-from .semigroup import MonomialMap
+from .semigroup import MonomialMap, rational_text
 
 
 def _mod1(t: Fraction) -> Fraction:
@@ -62,10 +62,7 @@ class RadicalPoint:
 
     @property
     def M(self) -> int:
-        M = 1
-        for e in self.modulus.exps.values():
-            M = M * e.denominator // math.gcd(M, e.denominator)
-        return M
+        return math.lcm(*(e.denominator for e in self.modulus.exps.values()))
 
     @property
     def q(self) -> int:
@@ -153,20 +150,9 @@ class RadicalPoint:
     def rational_binomial(self) -> tuple[int, Fraction]:
         """Minimal n with x^n rational; returns (n, x^n)."""
         M = self.M
-        T = _mod1(self.angle * M)
-        qT = T.denominator
-        k_zero = qT
-        k_half = None
-        if qT % 2 == 0:
-            u = T.numerator
-            try:
-                k_half = (qT // 2) * pow(u, -1, qT) % qT
-                if k_half == 0:
-                    k_half = qT
-            except ValueError:
-                k_half = None
-        k = k_zero if k_half is None else min(k_zero, k_half)
-        n = M * k
+        # k (M t) lies in Z/2 exactly when the denominator q of M t divides 2k
+        q = _mod1(self.angle * M).denominator
+        n = M * (q // math.gcd(q, 2))
         val = (self.modulus ** n).as_fraction()
         if _mod1(self.angle * n) == Fraction(1, 2):
             val = -val
@@ -175,7 +161,7 @@ class RadicalPoint:
     # serialization --------------------------------------------------------------
     def to_json(self) -> dict:
         c, M = self.modulus.radical_form()
-        return {"c": str(c), "M": M, "t": str(self.angle)}
+        return {"c": rational_text(c), "M": M, "t": str(self.angle)}
 
     def __repr__(self):
         c, M = self.modulus.radical_form()

@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EmptyWord, InvalidConfig
+from .errors import EmptyWord, InvalidConfig, OverflowGuard
 from .primes import factor_fraction, ord_p
 
 Word = tuple[int, ...]
@@ -27,6 +27,15 @@ def parse_rational(value) -> Fraction:
     x = Fraction(value)
     str(x)      # ValueError past the digit limit
     return x
+
+
+def rational_text(x: Fraction) -> str:
+    """str(x); OverflowGuard past Python's int-to-text digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        raise OverflowGuard("a rational in the output is past Python's "
+                            "int-to-text digit limit") from None
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -274,6 +277,8 @@ BAD_ARGV = (
     ["scan", "--beta", "2", "--depth=--"],
     ["scan", "--beta=1e-4300"],
     ["scan", "--beta=1e4300"],
+    ["orbit", "--point", "2", "--depth", "-1"],
+    ["scan", "--beta", "2", "--degree-cap", "-1"],
 )
 
 
@@ -305,6 +310,30 @@ def test_bad_config_is_invalid_config(tmp_path, generator, capsys):
     assert err.startswith("invalid config: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", (["scan", "--beta", "2"], ["preper"],
+                                  ["equid"], ["orbit", "--point", "2"]),
+                         ids=" ".join)
+def test_unprintable_output_is_a_cap(tmp_path, argv, capsys):
+    # the config prints, but radicands of depth-2 points pass the
+    # int-to-text digit limit
+    path = tmp_path / "g.json"
+    path.write_text('{"generators": [{"a": "1e4000", "d": 2}, {"a": "3", "d": 3}]}')
+    rc = main(["--config", str(path)] + argv + ["--depth", "2"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("cap exceeded: ") and "Traceback" not in err
+
+
+def test_import_leaves_numpy_out():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, monodyn, monodyn.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 @pytest.fixture(scope="module")
 def shared_config(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "g.json"
@@ -329,6 +358,8 @@ FUZZ_ARGV = {
     "factor": lambda t: ["factor", "--", t],
     "scan-beta": lambda t: ["scan", f"--beta={t}"],
     "scan-S": lambda t: ["scan", "--beta=2", f"-S={t}"],
+    # height ignores --depth, so a large depth costs nothing past the parse
+    "depth": lambda t: ["height", "--beta=2", f"--depth={t}"],
 }
 
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction as F
@@ -133,3 +134,35 @@ def test_jensen_singular_rotation():
     # beta exactly on the circle at a node: the node set rotates by half-step
     lhs, rhs, diff = jensen_check(1.0, F(1), 1 << 10)
     assert math.isfinite(lhs)
+    # the node at angle 1/2 sits on beta = -1: the grid turns as for beta = 1
+    assert jensen_check(1.0, F(-1), 4096) == jensen_check(1.0, F(1), 4096) \
+        == (math.log(2) / 4096, 0.0, math.log(2) / 4096)
+
+
+def _jensen_oracle(r: float, beta: F, n: int) -> float:
+    """Mean of log|r e(k/n) - beta| over the nodes, by fsum, on the grid
+    turned half a step when a node is beta (beta = r, or -r with n even)."""
+    b = float(beta)
+    turn = 0.5 if b == r or (b == -r and n % 2 == 0) else 0.0
+    return math.fsum(math.log(abs(r * cmath.exp(2j * math.pi * (k + turn) / n) - b))
+                     for k in range(n)) / n
+
+
+def test_jensen_matches_node_sum():
+    for r in (0.25, 1.0, 2.0):
+        R = F(r)
+        for beta in (F(0), R, -R, R / 3, -R / 3, 3 * R, -3 * R):
+            for n in (16, 17, 1024, 1025):
+                lhs, rhs, diff = jensen_check(r, beta, n)
+                assert abs(lhs - _jensen_oracle(r, beta, n)) < 1e-12, (r, beta, n)
+                assert abs(rhs - math.log(max(r, abs(beta)))) < 1e-15
+                assert diff == lhs - rhs
+
+
+def test_jensen_extremes():
+    # beta = 0, |beta| past the float range either way and 2^20 nodes
+    assert jensen_check(1.0, F(0), 1 << 20) == (0.0, 0.0, 0.0)
+    for e in (300, 400, 4000):
+        lhs, rhs, diff = jensen_check(1.0, F(10) ** e, 1 << 20)
+        assert abs(rhs - e * math.log(10)) < 1e-9 * e and diff == 0.0
+        assert jensen_check(1.0, -F(1, 10 ** e), 1 << 20) == (0.0, 0.0, 0.0)
