@@ -12,7 +12,6 @@ from .polynomials import UniPoly, cyclotomic_poly, newton_polygon_root_valuation
 from .polyfactor import factor_poly, rational_roots
 from .primes import euler_phi, factor_fraction, factorint, is_prime, max_power_exponent
 from .radical import RadicalPoint
-from .roots import height_from_minpoly, isolate_roots, mahler_height
 from .semigroup import MonomialMap, Semigroup, compose_word, good_reduction
 from .orbits import is_preperiodic, orbit_tree, window_radius_exact
 from .galois import ConjugacyClass, class_of_point, decompose_binomial_roots

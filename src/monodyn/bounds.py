@@ -9,9 +9,11 @@ exact rational before any logarithm; vanishing is an exact branch.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (BadWindow, BetaIsConjugate, DegenerateDegree, LambdaZero,
                      ZeroAlpha, ZeroInput)
@@ -132,6 +134,19 @@ def discrepancy_exact(angles) -> Fraction:
     return Fraction(L + max(u) - min(u), n * L)
 
 
+def class_discrepancy(cls: ConjugacyClass) -> Fraction:
+    """discrepancy_exact(cls.angles) without the angles: they are K copies
+    t = (r / P + m) / K of the residue set {r / P}, with 1/K of its
+    discrepancy (cached per residue set)."""
+    rs = cls.residues()
+    return _residue_discrepancy(rs, cls.period) / (cls.degree // len(rs))
+
+
+@lru_cache(maxsize=1024)
+def _residue_discrepancy(rs: tuple[int, ...], P: int) -> Fraction:
+    return discrepancy_exact([Fraction(r, P) for r in rs])
+
+
 def discrepancy_brute(angles) -> Fraction:
     """The same supremum by direct enumeration of closed and open arcs with
     endpoints at sample points."""
@@ -237,33 +252,50 @@ def distance_bound_constant(G: Semigroup, v: Place) -> DistanceBoundCert:
     return DistanceBoundCert(C2, c1, nv, theta_cap, 11, 25)
 
 
-def arch_log_distances(cls: ConjugacyClass, beta: Fraction) -> list[float]:
-    """log|sigma(alpha) - beta| over the conjugates, from modulus and angles,
-    at the scale m = max(|alpha|, |beta|) so that no float overflows: with
-    a = |alpha| / m, b = |beta| / m, |a e(t) - b|^2 = (a - b)^2 +
-    4ab sin^2(pi t) for beta > 0 (cos for beta < 0), free of cancellation
-    near beta.  -inf where that float is 0."""
+def arch_row(cls: ConjugacyClass, beta: Fraction) -> tuple[float, float]:
+    """(mean, least) of log|sigma(alpha) - beta| over the conjugates, from
+    the fibers: the K = degree / #residues conjugates rho e((r / P + m) / K)
+    of residue r are the roots of X^K = rho^K e(r / P), so their distances
+    to beta multiply to |beta^K - rho^K e(r / P)|.  The nearest conjugate
+    has the angle closest to 0 (beta > 0) or 1/2 (beta < 0), found from one
+    side: the orbit is closed under t -> -t."""
+    rs, P = cls.residues(), cls.period
+    K = cls.degree // len(rs)
     la, lb = cls.modulus.log(), _log_fraction(abs(beta))
+    fibers = math.fsum(_log_distance(K * la, K * lb, r / P, beta < 0 and K % 2)
+                       for r in rs)
+    D = cls.M0 * cls.qprime             # angles are v / D
+    if beta > 0:
+        v = rs[0]
+    else:
+        base, off = divmod(-(-D // 2), P)
+        i = bisect.bisect_left(rs, off)
+        v = base * P + rs[i] if i < len(rs) else (base + 1) * P + rs[0]
+    return fibers / cls.degree, _log_distance(la, lb, v / D, beta < 0)
+
+
+def _log_distance(la: float, lb: float, t: float, negative: bool) -> float:
+    """log|e^la e(t) - s e^lb| for s = -1 if negative else 1, at the scale
+    m = max(e^la, e^lb) so that no float overflows: with a = e^la / m,
+    b = e^lb / m, |a e(t) - s b|^2 = (a - b)^2 + 4ab sin^2(pi t) (cos for
+    s = -1), free of cancellation near s b.  -inf where that float is 0."""
     lm = max(la, lb)
     a, b = math.exp(la - lm), math.exp(lb - lm)
-    trig = math.sin if beta > 0 else math.cos
-    d2s = ((a - b) ** 2
-           + 4 * a * b * trig(math.pi * (t.numerator / t.denominator)) ** 2
-           for t in cls.angles)
-    return [lm + 0.5 * math.log(d2) if d2 else -math.inf for d2 in d2s]
+    trig = math.cos if negative else math.sin
+    d2 = (a - b) ** 2 + 4 * a * b * trig(math.pi * t) ** 2
+    return lm + 0.5 * math.log(d2) if d2 else -math.inf
 
 
 def observed_min_log_distance(cls: ConjugacyClass, beta: Fraction, v: Place,
-                              shifted: UniPoly | None,
-                              logs: list[float] | None = None) -> float:
+                              shifted: UniPoly | None) -> float:
     """min over conjugates of log|sigma(alpha) - beta|_v for beta outside
-    the orbit: the least of arch_log_distances(cls, beta) (or of logs, when
-    given) at the archimedean place.  At a finite place it is s log p for
+    the orbit: the nearest conjugate of arch_row(cls, beta) at the
+    archimedean place.  At a finite place it is s log p for
     the first slope s of the Newton polygon of shifted, the class polynomial
     moved by beta (roots sigma(alpha) - beta): s = min over i >= 1 with
     c_i != 0 of (ord_p c_i - ord_p c_0) / i, found in one integer pass."""
     if v.is_archimedean:
-        return min(arch_log_distances(cls, beta) if logs is None else logs)
+        return arch_row(cls, beta)[1]
     p = v.p
     cs = shifted.coeffs
     if not cs or cs[0] == 0:

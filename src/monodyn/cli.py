@@ -6,7 +6,7 @@ semigroup comes from a JSON config file ({"generators": [{"a": "2", "d": 2},
 
 Exit codes: 0 ok, 2 invalid config or option (checked as it is parsed;
 a rational must print back, a degree must be an integer, --depth >= 0,
---degree-cap >= 1), 3 cap exceeded (a tree, enumeration, degree or
+--degree-cap, --node-cap and --samples >= 1), 3 cap exceeded (a tree, enumeration, degree or
 factoring cap, an OverflowGuard size or step budget, or an output number
 past the int-to-text digit limit), 4 internal invariant violation.  A scan
 stopped by its node cap (or holding an uncertified verdict or a Gamma
@@ -24,7 +24,8 @@ import random
 import sys
 from fractions import Fraction
 
-from .bounds import LinFormInstance, discrepancy_exact, linform_bound, verify_linform
+from .bounds import (LinFormInstance, class_discrepancy, linform_bound,
+                     verify_linform)
 from .errors import (DegreeCapExceeded, EnumerationCap, FactorBudgetExceeded,
                      InvalidConfig, MonodynError, OverflowGuard, TreeSizeCap)
 from .galois import DEGREE_CAP
@@ -65,6 +66,8 @@ _nodes = _checked(int, lambda n: 16 <= n <= MAX_NODES,
                   f"a node count in 16..{MAX_NODES}")
 _depth = _checked(int, lambda n: n >= 0, "a depth >= 0")
 _degree_cap = _checked(int, lambda n: n >= 1, "a degree cap >= 1")
+_node_cap = _checked(int, lambda n: n >= 1, "a node cap >= 1")
+_samples = _checked(int, lambda n: n >= 1, "a sample count >= 1")
 _primes = _checked(lambda t: tuple(int(p) for p in t.split(",") if p.strip()),
                    lambda ps: all(p > 1 and is_prime(p) for p in ps),
                    "a comma-separated list of primes")
@@ -179,7 +182,7 @@ def _cmd_equid(args) -> int:
     G = _load_semigroup(args.config)
     rows = [{"point": cls.representative.to_json(),
              "degree": cls.degree,
-             "discrepancy": float(discrepancy_exact(cls.angles)),
+             "discrepancy": float(class_discrepancy(cls)),
              "progressions": cls.progressions()}
             for cls, _, _ in word_pair_classes(G, args.depth, 10 ** 6)]
     lhs, rhs, diff = jensen_check(1.0, args.beta, args.nodes)
@@ -252,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_height)
 
     p = sub.add_parser("bounds", help="linear-forms verification harness")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_samples, default=1000)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("equid", help="discrepancy of conjugate angles")
@@ -265,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True, type=_rational)
     p.add_argument("-S", type=_primes, default="2,3,5",
                    help="finite primes of S (the archimedean place is implied)")
-    p.add_argument("--node-cap", dest="node_cap", type=int, default=10 ** 7)
+    p.add_argument("--node-cap", dest="node_cap", type=_node_cap,
+                   default=10 ** 7)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("factor", help="factor a polynomial over Q")

@@ -144,10 +144,14 @@ class PosReal:
     def radical_form(self) -> tuple[Fraction, int]:
         """(c, M) with self = c^(1/M), M minimal positive, c > 0 rational."""
         M = math.lcm(*(e.denominator for e in self.exps.values()))
-        c = Fraction(1)
+        num = den = 1
         for p, e in self.exps.items():
-            c *= Fraction(p) ** int(e * M)
-        return c, M
+            k = e.numerator * (M // e.denominator)
+            if k > 0:
+                num *= p ** k
+            else:
+                den *= p ** -k
+        return Fraction(num, den), M
 
     def ord_at(self, p: int) -> Fraction:
         """Exponent of p: self = p^{ord} * (p-unit part)."""

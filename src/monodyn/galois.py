@@ -14,20 +14,22 @@ maximal abelian subfield of Q(rho) is Q(sqrt(c0)) for even M0 and Q for odd
 M0, so no deeper entanglement with the cyclotomic part is possible.
 
 Classes in closed form: all pairs act transitively on the q'-set of angles
-t whose e^(2 pi i M0 t) has order q'.  Under the constraint (conductor f) a
-q'-set is two genuine twins iff f | 2q' and (q' odd or chi(1 + q') = -1),
-told apart by the chi-sign that picks their Aurifeuillian factor below;
-otherwise it is one class, equal to its own 1/M0-shifted twin.
+t whose e^(2 pi i M0 t) has order q', t = (r + m q') / (M0 q') with r prime
+to q'.  Under the constraint (conductor f) a q'-set is two genuine twins
+iff f | 2q' and (q' odd or chi(1 + q') = -1), told apart by the chi-sign of
+r mod 2q' that picks their Aurifeuillian factor below; otherwise it is one
+class, equal to its own 1/M0-shifted twin.  So a class is the integer key
+(c0, M0, q', twin sign): X^N = a lists its classes from the divisors of
+N / M0, and the per-class work runs over the phi(q') residues r; the angles
+are built only when asked for.
 
-Class polynomials: for a class inside X^N - a, with q' the order of
-e^(2 pi i M0 t), multiplying out the m-fibers (prod_m (X - zeta_M0^m y) =
-X^M0 - y^M0) and collapsing the k-sum to primitive q'-th roots gives
-
-    W(X) = c0^phi(q') * Phi_{q'}(X^M0 / c0),
-
-monic of degree M0 phi(q').  W is the minimal polynomial of every class of
-that full degree: cyclotomic (M0 = 1), real radical, plain, and entangled
-classes equal to their own 1/M0-shifted twin.  Only a genuine twin (degree
+Class polynomials: multiplying out the m-fibers (prod_m (X - zeta_M0^m y)
+= X^M0 - y^M0) and collapsing the k-sum to primitive q'-th roots gives
+W(X) = c0^phi(q') Phi_{q'}(X^M0 / c0), with Phi_{q'} the integer Moebius
+product of the X^(q'/d) - 1.  W is monic of degree M0 phi(q'), the
+minimal polynomial of every class of that full degree: cyclotomic
+(M0 = 1), real radical, plain, and entangled classes equal to their own
+1/M0-shifted twin.  Only a genuine twin (degree
 M0 phi(q')/2) is a proper factor of W: with c0 = d s^2, d squarefree, it is
 one of the two Aurifeuillian factors of d^phi(q') Phi_{q'}(y^2 / d) at
 y = X^(M0/2) / s, built exactly from Gauss-sum power sums.
@@ -45,19 +47,18 @@ rejected once, when the norm data is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
-
-import mpmath as mp
+from functools import cached_property, lru_cache
 
 from .errors import BetaIsConjugate, DegreeCapExceeded, ZeroInput
 from .exactreal import PosReal
-from .places import _log_fraction
+from .places import _log_fraction, _log_int
 from .polynomials import UniPoly, _moebius_divisors, cyclotomic_poly
-from .primes import (euler_phi, factorint, kronecker, ord_p,
-                     quadratic_conductor, squarefree_kernel)
-from .radical import RadicalPoint, _mod1
+from .primes import (divisors, factorint, kronecker, ord_p,
+                     quadratic_conductor)
+from .radical import RadicalPoint
+from .semigroup import check_printable
 
 DEGREE_CAP = 512
 
@@ -113,42 +114,111 @@ def _primitive_root_mod_p(p: int) -> int:
 # conjugacy classes of the roots of X^N - a
 
 
+@lru_cache(maxsize=None)
+def _qprime_data(q: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi(q), the pairs (q / d, mu(d)) over the squarefree d | q): the
+    Moebius pieces Phi_q = prod (X^(q/d) - 1)^mu(d), once per q."""
+    pieces = tuple((q // d, mu) for d, mu in _moebius_divisors(q))
+    return sum(j * mu for j, mu in pieces), pieces
+
+
+def _twin_sign(r: int, q: int, f: int) -> int:
+    """The chi-sign of residue r = M0 t q' (mod 2q') in a genuine-twin
+    q'-set: the class of t is a root set of B(sign * y), y = sqrt(d)
+    e^(pi i r / q')."""
+    r %= 2 * q
+    return kronecker(f, r) if r % 2 else -kronecker(f, r + q)
+
+
+@lru_cache(maxsize=1024)
+def _residues(q: int, f: int, sign: int) -> tuple[int, ...]:
+    """The residues r = M0 t q' of a class's angles t over one period: the
+    r mod q' prime to q' for a whole q'-set (sign 0), and those of the twin
+    sign among the r mod 2q' prime to q' for a genuine twin."""
+    if not sign:
+        return tuple(r for r in range(q) if math.gcd(r, q) == 1)
+    return tuple(r for r in range(2 * q)
+                 if math.gcd(r, q) == 1 and _twin_sign(r, q, f) == sign)
+
+
 @dataclass(frozen=True)
 class ConjugacyClass:
-    """A Galois orbit inside the root set of X^N = a."""
+    """A Galois orbit inside the root set of X^N = a, fixed by key: its
+    angles are t = (r + m P) / (M0 q'), r over residues() mod the period P
+    (q', or 2q' for a genuine twin), m < M0 q' / P, built on first use."""
 
     N: int
     a: Fraction
-    modulus: PosReal              # shared by every root
-    angles: tuple[Fraction, ...]  # sorted orbit angles, len = degree
+    modulus: PosReal              # shared by every root, c0^(1/M0)
     c0: Fraction                  # canonical radicand of the modulus
     M0: int                       # canonical radical index
-    entangled: bool
+    qprime: int                   # order of e^(2 pi i M0 t)
+    sign: int                     # twin sign of a genuine twin, else 0
+    conductor: int                # entanglement(modulus, M0, 2N)
+
+    @property
+    def entangled(self) -> bool:
+        return self.conductor > 0
+
+    @property
+    def key(self) -> tuple[Fraction, int, int, int]:
+        return self.c0, self.M0, self.qprime, self.sign
+
+    @property
+    def period(self) -> int:
+        return 2 * self.qprime if self.sign else self.qprime
+
+    def residues(self) -> tuple[int, ...]:
+        return _residues(self.qprime, self.conductor if self.sign else 0,
+                         self.sign)
 
     @property
     def degree(self) -> int:
-        return len(self.angles)
+        full = self.M0 * _qprime_data(self.qprime)[0]
+        return full // 2 if self.sign else full
+
+    @cached_property
+    def first_angle(self) -> Fraction:
+        """The least angle, by a short search for the least residue."""
+        q, f, sign = self.qprime, self.conductor, self.sign
+        r = 0
+        while math.gcd(r, q) != 1 or (sign and _twin_sign(r, q, f) != sign):
+            r += 1
+        return Fraction(r, self.M0 * q)
+
+    @cached_property
+    def angles(self) -> tuple[Fraction, ...]:
+        """The sorted orbit angles, len = degree."""
+        P, den = self.period, self.M0 * self.qprime
+        rs = self.residues()
+        return tuple(Fraction(r + m * P, den)
+                     for m in range(den // P) for r in rs)
 
     @property
     def representative(self) -> RadicalPoint:
-        return RadicalPoint(self.modulus, self.angles[0])
+        return RadicalPoint(self.modulus, self.first_angle)
 
     def angle_order(self) -> int:
         """Order q' of e^(2 pi i M0 t); class invariant."""
-        t = self.angles[0]
-        return (self.M0 * t - int(self.M0 * t)).denominator
+        return self.qprime
 
     def progressions(self) -> int:
         """Number of step-1/M0 arithmetic progressions forming the angles:
         the distinct residues M0 t mod 1, which are the phi(q') fractions of
         exact order q'."""
-        return euler_phi(self.angle_order())
+        return _qprime_data(self.qprime)[0]
 
 
-def entanglement(c0: Fraction, M0: int, L: int) -> int:
-    """Conductor f of Q(sqrt(c0)) when sqrt(c0) is entangled with zeta_L,
-    i.e. M0 even, sqrt(c0) irrational and f | L; 0 otherwise."""
-    d = 1 if M0 % 2 else squarefree_kernel(c0)
+def _kernel(modulus: PosReal, M0: int) -> int:
+    """The squarefree part d of c0 = modulus^M0, read off the exponents."""
+    return math.prod(p for p, e in modulus.exps.items() if e * M0 % 2)
+
+
+def entanglement(modulus: PosReal, M0: int, L: int) -> int:
+    """Conductor f of Q(sqrt(c0)), c0 = modulus^M0, when sqrt(c0) is
+    entangled with zeta_L, i.e. M0 even, sqrt(c0) irrational and f | L;
+    0 otherwise."""
+    d = 1 if M0 % 2 else _kernel(modulus, M0)
     if d == 1:
         # odd M0 or sqrt(c0) rational: the m-parity is free, no constraint
         return 0
@@ -156,16 +226,12 @@ def entanglement(c0: Fraction, M0: int, L: int) -> int:
     return 0 if L % f else f
 
 
-def _splits(q: int, f: int) -> bool:
-    """Whether an entangled q'-set is two genuine twins (conductor f)."""
-    return 2 * q % f == 0 and (q % 2 == 1 or kronecker(f, 1 + q) == -1)
-
-
-def _twin_sign(M0: int, t: Fraction, q: int, f: int) -> int:
-    """The chi-sign of angle t in a genuine-twin q'-set: the class of t is
-    a root set of B(sign * y), y = sqrt(d) e^(pi i r / q'), r = M0 t q'."""
-    r = int(M0 * t * q) % (2 * q)
-    return kronecker(f, r) if r % 2 else -kronecker(f, r + q)
+def _twin_signs(q: int, f: int) -> tuple[int, ...]:
+    """The twin signs of the classes of a q'-set: (1, -1) when it is two
+    genuine twins (conductor f, f | 2q' and q' odd or chi(1 + q') = -1)."""
+    if f and 2 * q % f == 0 and (q % 2 or kronecker(f, 1 + q) == -1):
+        return 1, -1
+    return (0,)
 
 
 _decompose_cache: dict[tuple[int, Fraction], list] = {}
@@ -173,10 +239,12 @@ _decompose_cache: dict[tuple[int, Fraction], list] = {}
 
 def decompose_binomial_roots(N: int, a: Fraction) -> list[ConjugacyClass]:
     """Conjugacy classes of the N roots of X^N = a (N >= 1, a != 0), sorted
-    by first angle.  Root j (angle t = (2j + shift)/(2N), shift 0 for a > 0
-    and 1 for a < 0) lies in the q'-set q' = 2N / gcd(M0 (2j + shift), 2N);
-    an entangled q'-set with f | 2q' and (q' odd or chi(1 + q') = -1) is
-    split by the twin sign into two genuine twins, any other is one class."""
+    by first angle.  With n = N / M0, the angles t = num / 2N (num even for
+    a > 0, odd for a < 0) have M0 t of order q' = 2n / gcd(num, 2n): q'
+    runs over the divisors of n for a > 0, and over 2n / g for the odd
+    g | n for a < 0.  A q'-set is one class, or two genuine twins when
+    entangled with f | 2q' and (q' odd or chi(1 + q') = -1).
+    OverflowGuard when the radicand c0 cannot be printed."""
     a = Fraction(a)
     if a == 0:
         raise ZeroInput("binomial needs a != 0")
@@ -185,16 +253,17 @@ def decompose_binomial_roots(N: int, a: Fraction) -> list[ConjugacyClass]:
         return cached
     modulus = PosReal.of(a, Fraction(1, N))
     c0, M0 = modulus.radical_form()
-    L = 2 * N
-    f = entanglement(c0, M0, L)
-    groups: dict[tuple[int, int], list[Fraction]] = {}
-    for num in range(int(a < 0), L, 2):     # t = num / L, num = 2j + shift
-        q = L // math.gcd(M0 * num, L)
-        t = Fraction(num, L)
-        sign = _twin_sign(M0, t, q, f) if f and _splits(q, f) else 0
-        groups.setdefault((q, sign), []).append(t)
-    out = sorted((ConjugacyClass(N, a, modulus, tuple(angles), c0, M0, f > 0)
-                  for angles in groups.values()), key=lambda c: c.angles[0])
+    check_printable(c0)
+    f = entanglement(modulus, M0, 2 * N)
+    n = N // M0
+    if a > 0:
+        qs = divisors(n)
+    else:
+        odd = n // (n & -n)
+        qs = [2 * n // g for g in divisors(odd)]
+    out = sorted((ConjugacyClass(N, a, modulus, c0, M0, q, sign, f)
+                  for q in qs for sign in _twin_signs(q, f)),
+                 key=lambda c: c.first_angle)
     if len(_decompose_cache) > 4096:
         _decompose_cache.clear()
     _decompose_cache[(N, a)] = out
@@ -202,21 +271,23 @@ def decompose_binomial_roots(N: int, a: Fraction) -> list[ConjugacyClass]:
 
 
 def class_of_point(x: RadicalPoint) -> ConjugacyClass:
-    """The Galois orbit of a radical point, via its minimal rational binomial."""
+    """The Galois orbit of a radical point, from its radical form, the order
+    q' of e^(2 pi i M0 t) and its twin sign; N and a are those of its
+    minimal rational binomial."""
     n0, a0 = x.rational_binomial()
-    for cls in decompose_binomial_roots(n0, a0):
-        if x.angle in cls.angles:
-            return cls
-    raise AssertionError("point missing from its own binomial")
+    c0, M0 = x.modulus.radical_form()
+    f = entanglement(x.modulus, M0, 2 * n0)
+    r = M0 * x.angle
+    q = r.denominator
+    sign = _twin_sign(r.numerator, q, f) if _twin_signs(q, f) != (0,) else 0
+    return ConjugacyClass(n0, a0, x.modulus, c0, M0, q, sign, f)
 
 
 def twin_class(cls: ConjugacyClass) -> ConjugacyClass:
-    """The 1/M0-angle-shifted partner orbit (entangled case)."""
-    shifted = _mod1(cls.angles[0] + Fraction(1, cls.M0))
-    for cand in decompose_binomial_roots(cls.N, cls.a):
-        if shifted in cand.angles:
-            return cand
-    raise AssertionError("twin not found")
+    """The 1/M0-angle-shifted partner orbit (entangled case): the shift
+    moves each residue r to r + q', which flips the sign of a genuine twin
+    and keeps any other class."""
+    return replace(cls, sign=-cls.sign)
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +305,8 @@ def class_polynomial(cls: ConjugacyClass,
     """
     if cls.degree > degree_cap:
         raise DegreeCapExceeded(f"degree {cls.degree} exceeds cap {degree_cap}")
-    q = cls.angle_order()
-    if cls.degree == cls.M0 * euler_phi(q):
-        return cyclotomic_poly(q).scale_arg(1 / cls.c0).monic() \
+    if not cls.sign:
+        return cyclotomic_poly(cls.qprime).scale_arg(1 / cls.c0).monic() \
             .compose_monomial(cls.M0)
     B, r = _twin_factor(cls)
     n = len(B) - 1
@@ -248,15 +318,13 @@ def _twin_factor(cls: ConjugacyClass) -> tuple[tuple[int, ...], Fraction]:
     """(B, r) of a genuine twin: its class polynomial is r^phi B(X^(M0/2) / r).
 
     With c0 = d s^2 (d squarefree) and y = X^(M0/2) / s,
-    W = s^(2 phi) (-1)^phi B(y) B(-y); the class takes B(sign y), the
-    chi-sign of its first angle (_twin_sign), so r = sign * s.
+    W = s^(2 phi) (-1)^phi B(y) B(-y); the class takes B(sign y), its
+    twin sign, so r = sign * s.
     """
-    q = cls.angle_order()
-    d = squarefree_kernel(cls.c0)
+    d = _kernel(cls.modulus, cls.M0)
     s2 = cls.c0 / d
     s = Fraction(math.isqrt(s2.numerator), math.isqrt(s2.denominator))
-    sign = _twin_sign(cls.M0, cls.angles[0], q, quadratic_conductor(d))
-    return _aurifeuillian_factor(q, d), sign * s
+    return _aurifeuillian_factor(cls.qprime, d), cls.sign * s
 
 
 @lru_cache(maxsize=None)
@@ -270,7 +338,7 @@ def _aurifeuillian_factor(q: int, d: int) -> tuple[int, ...]:
     Gauss sums of chi for odd j, both in closed form from g = gcd(m, j);
     Newton's identities give the coefficients with exact integer division.
     """
-    n, m = euler_phi(q), 2 * q
+    n, m = _qprime_data(q)[0], 2 * q
     f = quadratic_conductor(d)
     root_df = d if d % 4 == 1 else 2 * d    # sqrt(d f): sqrt(d) * Gauss sum
 
@@ -287,7 +355,7 @@ def _aurifeuillian_factor(q: int, d: int) -> tuple[int, ...]:
         else:
             val = (kronecker(f, j // g) * mobius(mj // f)
                    * kronecker(f, mj // f) * d ** (j // 2) * root_df)
-        sums.append(val * n // euler_phi(mj))
+        sums.append(val * n // _qprime_data(mj)[0])
     a = [1]                     # B = y^n + a_1 y^(n-1) + ... + a_n
     for k in range(1, n + 1):
         a.append(-sum(sums[i] * a[k - i] for i in range(1, k + 1)) // k)
@@ -340,10 +408,10 @@ class ClassNormData:
         if self.value is not None:
             total = Fraction(ord_p(self.value, p))
         else:
-            total = Fraction(euler_phi(self.qprime) * ord_p(self.c0, p))
-            for d, mu in _moebius_divisors(self.qprime):
-                j = self.qprime // d
-                total += mu * Fraction(_ord_power_minus_one(self.x, j, p))
+            phi, pieces = _qprime_data(self.qprime)
+            total = Fraction(phi * ord_p(self.c0, p))
+            for j, mu in pieces:
+                total += mu * _ord_power_minus_one(self.x, j, p)
         self._memo[p] = total
         return total
 
@@ -355,9 +423,9 @@ class ClassNormData:
         if self.value is not None:
             total = _log_fraction(abs(self.value))
         else:
-            total = euler_phi(self.qprime) * _log_fraction(self.c0)
-            for d, mu in _moebius_divisors(self.qprime):
-                j = self.qprime // d
+            phi, pieces = _qprime_data(self.qprime)
+            total = phi * _log_fraction(self.c0)
+            for j, mu in pieces:
                 total += mu * _log_abs_power_minus_one(self.x, j)
         self._memo["log"] = total
         return total
@@ -373,11 +441,11 @@ def class_norm_data(cls: ConjugacyClass, beta: Fraction) -> ClassNormData:
     beta = Fraction(beta)
     if beta == 0:
         raise ZeroInput("beta must be nonzero")
-    qprime = cls.angle_order()
+    qprime = cls.qprime
     x = beta ** cls.M0 / cls.c0
-    n = euler_phi(qprime)
+    n = _qprime_data(qprime)[0]
     value = None
-    if cls.degree < cls.M0 * n:
+    if cls.sign:
         B, r = _twin_factor(cls)
         z = beta ** (cls.M0 // 2)
         u, v = z.numerator * r.denominator, z.denominator * r.numerator
@@ -396,48 +464,37 @@ def class_norm_data(cls: ConjugacyClass, beta: Fraction) -> ClassNormData:
 # --- valuation and log helpers on x^j - 1 -----------------------------------
 
 
-def _ord_power_minus_one(x: Fraction, j: int, p: int) -> Fraction:
-    """ord_p(x^j - 1) for rational x != +-1."""
+def _ord_power_minus_one(x: Fraction, j: int, p: int) -> int:
+    """ord_p(x^j - 1) for rational x != +-1, closed form in j."""
+    v, e, f = _local_data(x, p)
+    if v:
+        return min(j * v, 0)
+    if p == 2:
+        return e if j % 2 else e + f + ord_p(j, 2) - 1
+    return 0 if j % e else f + ord_p(j // e, p)
+
+
+@lru_cache(maxsize=64)
+def _local_data(x: Fraction, p: int) -> tuple[int, int, int]:
+    """What ord_p(x^j - 1) needs of x, once per (x, p): (v, 0, 0) for
+    v = ord_p(x) != 0; else (0, ord_2(x - 1), ord_2(x + 1)) at p = 2 and
+    (0, r, ord_p(x^r - 1)) with r the order of x mod an odd p."""
     if x in (1, -1):
         raise ZeroInput("x = +-1 takes the closed form")
     v = ord_p(x, p)
-    if v > 0:
-        return Fraction(0)
-    if v < 0:
-        return Fraction(j * v)
+    if v:
+        return v, 0, 0
     num, den = x.numerator, x.denominator
     if p == 2:
-        e1 = _int_ord(num - den, 2)
-        if j % 2 == 1:
-            return Fraction(e1)
-        e2 = _int_ord(num + den, 2)
-        return Fraction(e1 + e2 + _int_ord(j, 2) - 1)
+        return 0, ord_p(num - den, 2), ord_p(num + den, 2)
     r = _mult_order(x, p)
-    if j % r:
-        return Fraction(0)
-    e0 = _ord_xr_minus_one(num, den, r, p)
-    return Fraction(e0 + _int_ord(j // r, p))
-
-
-def _int_ord(n: int, p: int) -> int:
-    if n == 0:
-        raise ZeroInput("ord of 0")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-@lru_cache(maxsize=None)
-def _p_minus_one_factors(p: int) -> tuple[int, ...]:
-    return tuple(factorint(p - 1))
+    return 0, r, _ord_xr_minus_one(num, den, r, p)
 
 
 def _mult_order(x: Fraction, p: int) -> int:
     xb = x.numerator * pow(x.denominator, -1, p) % p
     r = p - 1
-    for q in _p_minus_one_factors(p):
+    for q in factorint(p - 1):
         while r % q == 0 and pow(xb, r // q, p) == 1:
             r //= q
     return r
@@ -451,28 +508,30 @@ def _ord_xr_minus_one(num: int, den: int, r: int, p: int) -> int:
         if (pow(num, r, mod) - pow(den, r, mod)) % mod:
             break
         k *= 2
-    diff = pow(num, r, p ** k) - pow(den, r, p ** k)
-    v = 0
-    while diff % p == 0:
-        diff //= p
-        v += 1
-    return v
+    return ord_p(pow(num, r, p ** k) - pow(den, r, p ** k), p)
 
 
 def _log_abs_power_minus_one(x: Fraction, j: int) -> float:
-    """log|x^j - 1| for rational x != +-1, stable for huge exponent sizes."""
+    """log|x^j - 1| for rational x != +-1, in floats however long x is.
+
+    Past |j log|x|| = 40 it is j log|x| (or 0) within e^-40.  Between, z =
+    j log|x| comes from the correctly rounded float of |x|, or of |x| - 1
+    through log1p from |x| = 1/2 on, which keeps its relative precision;
+    the result is log|expm1(z)|, or log1p(e^z) when x^j < 0.  When no float
+    holds |x| - 1, x^j - 1 = j (x - 1) to within a factor 1 + 2^-57.
+    """
     L = j * _log_fraction(abs(x))
     if L > 40:
-        return L          # |x^j - 1| = |x|^j within exp(-40)
+        return L
     if L < -40:
         return 0.0
-    # moderate magnitude: x^j may still have a huge representation, so work
-    # with high-precision logs rather than the value itself
-    with mp.workprec(120):
-        lx = mp.log(abs(x.numerator)) - mp.log(x.denominator)
-        if x > 0 or j % 2 == 0:
-            val = mp.expm1(j * lx)       # x^j - 1 with x^j = e^(j lx) > 0
-            return float(mp.log(abs(val)))
-        # x^j < 0: |x^j - 1| = |x|^j + 1
-        return float(mp.log(mp.exp(j * lx) + 1))
-
+    num, den = abs(x.numerator), x.denominator
+    d = num - den
+    if x > 0 or j % 2 == 0:
+        if (j * abs(d)) << 57 < den:
+            return math.log(j) + _log_int(abs(d)) - _log_int(den)
+    r = num / den
+    z = j * (math.log1p(d / den) if r >= 0.5 else math.log(r))
+    if x > 0 or j % 2 == 0:
+        return math.log(abs(math.expm1(z)))
+    return math.log1p(math.exp(z))

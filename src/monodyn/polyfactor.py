@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import DegreeCapExceeded, FactorBudgetExceeded, ZeroInput
 from .galois import DEGREE_CAP
 from .polynomials import UniPoly, squarefree_decomposition
-from .primes import factorint, is_prime
+from .primes import divisors, is_prime
 
 RECOMBINATION_BUDGET = 1 << 16   # subsets per squarefree part
 
@@ -449,13 +449,6 @@ def factor_poly(f: UniPoly, degree_cap: int = DEGREE_CAP,
 # Independent irreducibility evidence (for cross-checks in tests)
 
 
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for p, e in factorint(n).items():
-        out = [d * p ** i for d in out for i in range(e + 1)]
-    return sorted(out)
-
-
 def rational_roots(f: UniPoly) -> list[Fraction]:
     """All rational roots via the numerator/denominator divisor sieve."""
     if f.degree < 1:
@@ -467,8 +460,8 @@ def rational_roots(f: UniPoly) -> list[Fraction]:
         out.append(Fraction(0))
         while cs[0] == 0:
             cs.pop(0)
-    for num in _divisors(abs(cs[0])):
-        for den in _divisors(abs(cs[-1])):
+    for num in divisors(abs(cs[0])):
+        for den in divisors(abs(cs[-1])):
             for s in (1, -1):
                 r = Fraction(s * num, den)
                 if r not in out and prim(r) == 0:

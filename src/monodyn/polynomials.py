@@ -11,6 +11,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ZeroInput
 from .primes import factorint, ord_p
@@ -282,32 +283,36 @@ _cyclo_lock = threading.Lock()
 
 
 def cyclotomic_poly(n: int) -> UniPoly:
-    """The n-th cyclotomic polynomial, of degree phi(n)."""
+    """The n-th cyclotomic polynomial, of degree phi(n): the Moebius product
+    prod_{d | n} (X^(n/d) - 1)^mu(d) on Python ints, as power series mod
+    X^(phi(n) + 1), where the product is exact."""
     if n < 1:
         raise ValueError("n must be >= 1")
     got = _cyclo_cache.get(n)
     if got is not None:
         return got
-    if n == 1:
-        out = UniPoly.from_coeffs([-1, 1])
-    else:
-        # X^n - 1 divided by the cyclotomics of the proper divisors
-        out = UniPoly.binomial(n, 1)
-        for d in range(1, n):
-            if n % d == 0:
-                out = out // cyclotomic_poly(d)
+    pieces = _moebius_divisors(n)
+    top = sum(mu * (n // d) for d, mu in pieces)
+    cs = [1] + [0] * top
+    for d, mu in pieces:
+        # times X^k - 1 (old values, downwards) or over it (new values,
+        # upwards): both are c_i <- c_(i-k) - c_i
+        k = n // d
+        for i in (range(top, -1, -1) if mu == 1 else range(top + 1)):
+            cs[i] = (cs[i - k] if i >= k else 0) - cs[i]
+    out = UniPoly(tuple(Fraction(c) for c in cs))
     with _cyclo_lock:
         _cyclo_cache.setdefault(n, out)
     return out
 
 
-def _moebius_divisors(n: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def _moebius_divisors(n: int) -> tuple[tuple[int, int], ...]:
     """(d, mu(d)) over squarefree divisors d of n."""
-    primes = list(factorint(n))
     out = [(1, 1)]
-    for p in primes:
+    for p in factorint(n):
         out += [(d * p, -mu) for d, mu in out]
-    return out
+    return tuple(out)
 
 
 def newton_polygon_root_valuations(f: UniPoly, p: int) -> list[Fraction]:

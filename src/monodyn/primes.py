@@ -117,9 +117,8 @@ def factorint(n: int) -> dict[int, int]:
     for p in _TRIAL_PRIMES:
         if p * p > n:
             break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+        if n % p == 0:
+            n, out[p] = _strip(n, p)
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -209,18 +208,35 @@ def ord_p(x: Fraction | int, p: int) -> int:
         x = Fraction(x)
     if not x:
         raise ZeroInput("ord_p(0) is +infinity")
-    v = 0
     n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    if v:
-        return v
+    if n % p == 0:
+        return _strip(n, p)[1]
     d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return -_strip(d, p)[1] if d % p == 0 else 0
+
+
+def _strip(n: int, p: int) -> tuple[int, int]:
+    """(n / p^e, e) for e = ord_p(n) >= 1, in O(log e) divisions: by p,
+    then by p, p^2, p^4, ... while they divide, then by those downwards."""
+    n //= p
+    pows = [p]
+    while n % pows[-1] == 0:
+        n //= pows[-1]
+        pows.append(pows[-1] ** 2)
+    e = 1 << (len(pows) - 1)
+    for i in range(len(pows) - 2, -1, -1):
+        if n % pows[i] == 0:
+            n //= pows[i]
+            e += 1 << i
+    return n, e
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n != 0, sorted."""
+    out = [1]
+    for p, e in factorint(n).items():
+        out = [d * p ** i for d in out for i in range(e + 1)]
+    return sorted(out)
 
 
 def euler_phi(n: int) -> int:

@@ -61,10 +61,6 @@ class RadicalPoint:
         return self.modulus.radical_form()[0]
 
     @property
-    def M(self) -> int:
-        return math.lcm(*(e.denominator for e in self.modulus.exps.values()))
-
-    @property
     def q(self) -> int:
         """Order of the angle part e^(2 pi i t)."""
         return self.angle.denominator
@@ -149,14 +145,15 @@ class RadicalPoint:
     # rational power relation ---------------------------------------------------
     def rational_binomial(self) -> tuple[int, Fraction]:
         """Minimal n with x^n rational; returns (n, x^n)."""
-        M = self.M
-        # k (M t) lies in Z/2 exactly when the denominator q of M t divides 2k
-        q = _mod1(self.angle * M).denominator
-        n = M * (q // math.gcd(q, 2))
-        val = (self.modulus ** n).as_fraction()
-        if _mod1(self.angle * n) == Fraction(1, 2):
+        c, M = self.modulus.radical_form()
+        # k (M t) lies in Z/2 exactly when the denominator q of M t divides
+        # 2k; then x^(M k) = c^k e(M k t)
+        q = (self.angle * M).denominator
+        k = q // math.gcd(q, 2)
+        val = c ** k
+        if _mod1(self.angle * M * k) == Fraction(1, 2):
             val = -val
-        return n, val
+        return M * k, val
 
     # serialization --------------------------------------------------------------
     def to_json(self) -> dict:

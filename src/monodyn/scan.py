@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .bounds import (DistanceBoundCert, arch_log_distances, discrepancy_exact,
+from .bounds import (DistanceBoundCert, arch_row, class_discrepancy,
                      distance_bound_constant, observed_min_log_distance)
 from .errors import (EnumerationCap, FactorBudgetExceeded, InvalidConfig,
                      NotSIntegral)
@@ -167,13 +167,13 @@ def gamma_sum(alpha: RadicalPoint, beta: Fraction) -> GammaReport:
 
 
 def class_gamma(cls: ConjugacyClass, nd: ClassNormData,
-                logs: list[float] | None = None) -> GammaReport:
-    """The Gamma table at nd's base point; logs, when given, is
-    arch_log_distances(cls, nd.beta), whose mean is the archimedean row."""
+                arch: tuple[float, float] | None = None) -> GammaReport:
+    """The Gamma table at nd's base point; arch, when given, is
+    arch_row(cls, nd.beta), whose mean is the archimedean row."""
     beta = nd.beta
-    if logs is None:
-        logs = arch_log_distances(cls, beta)
-    rows = [("inf", sum(logs) / cls.degree)]
+    if arch is None:
+        arch = arch_row(cls, beta)
+    rows = [("inf", arch[0])]
     leftover = nd.log_w()
     for p in sorted(_support(cls, beta)):
         o = float(nd.ord_w(p))
@@ -213,7 +213,7 @@ def gamma_decomposition(alpha: RadicalPoint, beta: Fraction,
         if p not in s_primes and m != 0:
             non_s_terms.append((p, -m))
             non_s += -float(m) * math.log(p)
-    s_part = sum(arch_log_distances(cls, beta)) / cls.degree
+    s_part = arch_row(cls, beta)[0]
     for p in sorted(s_primes):
         s_part += -float(nd.ord_w(p)) / cls.degree * math.log(p)
     return GammaDecomposition(s_part, non_s, tuple(non_s_terms),
@@ -351,20 +351,22 @@ def _class_min_log_distance_lower(cls: ConjugacyClass, nd: ClassNormData,
 def _scan_distance_checks(cls: ConjugacyClass, nd: ClassNormData,
                           poly: UniPoly | None,
                           certs: list[tuple[Place, DistanceBoundCert]],
-                          logs: list[float]):
-    """(place, ok) rows at nd's base point; archimedean from the log
-    distances logs = arch_log_distances(cls, nd.beta), finite places
-    from the shifted polygon of poly when given, else a sound valuation
-    lower bound (the constant dwarfs the slack either way)."""
+                          nearest: float):
+    """(place, ok) rows at nd's base point; archimedean from the nearest
+    conjugate's log distance nearest = arch_row(cls, nd.beta)[1], finite
+    places from the shifted polygon of poly when given, else a sound
+    valuation lower bound (the constant dwarfs the slack either way)."""
     beta = nd.beta
     h_beta = height_rational(beta)
-    MQ = max(2, cls.M0 * cls.angles[0].denominator)
+    MQ = max(2, cls.M0 * cls.first_angle.denominator)
     shifted = poly.shift(beta) if poly is not None else None
     rows = []
     for v, cert in certs:
         bound = cert.bound(h_beta, cls.degree, MQ)
-        if v.is_archimedean or shifted is not None:
-            observed = observed_min_log_distance(cls, beta, v, shifted, logs)
+        if v.is_archimedean:
+            observed = nearest
+        elif shifted is not None:
+            observed = observed_min_log_distance(cls, beta, v, shifted)
         else:
             observed = _class_min_log_distance_lower(cls, nd, beta, v.p)
         rows.append((str(v), observed > -bound))
@@ -399,9 +401,8 @@ def word_pair_classes(G: Semigroup, n_max: int, node_cap: int):
             raise EnumerationCap(
                 f"node cap {node_cap} reached at |w| = {len(w)}")
         for cls in decompose_binomial_roots(cb.N, cb.a):
-            key = (cls.modulus, cls.angles[0])   # its first point's key
-            if key not in seen:
-                seen.add(key)
+            if cls.key not in seen:
+                seen.add(cls.key)
                 yield cls, w, m
 
 
@@ -432,14 +433,14 @@ def run_scan(config: ScanConfig) -> ScanReport:
                                            config.node_cap):
             nd = class_norm_data(cls, beta)
             integ = class_s_integrality(cls, nd, config.S)
-            logs = arch_log_distances(cls, beta)
-            gamma = class_gamma(cls, nd, logs)
+            arch = arch_row(cls, beta)
+            gamma = class_gamma(cls, nd, arch)
             dist = _scan_distance_checks(
                 cls, nd, _exact_polynomial(cls, config.degree_cap), certs,
-                logs)
+                arch[1])
             disc = None
             if cls.degree <= config.degree_cap:
-                disc = float(discrepancy_exact(cls.angles))
+                disc = float(class_discrepancy(cls))
             if not integ.certified:
                 truncated = True
                 notes.append(f"uncertified verdict at degree {cls.degree}")

@@ -7,7 +7,9 @@ Words are tuples of 0-based generator indices; the composite of a word
 from __future__ import annotations
 
 import json
+import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +38,16 @@ def rational_text(x: Fraction) -> str:
     except ValueError:
         raise OverflowGuard("a rational in the output is past Python's "
                             "int-to-text digit limit") from None
+
+
+def check_printable(x: Fraction) -> None:
+    """OverflowGuard when x surely passes the int-to-text digit limit, by
+    the bit lengths alone (one just past it is refused when printed)."""
+    limit = sys.get_int_max_str_digits()
+    bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+    if limit and bits > limit * math.log2(10) + 1:
+        raise OverflowGuard(f"a {bits}-bit rational is past Python's "
+                            "int-to-text digit limit")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Certified complex root isolation and heights of algebraic numbers.
+"""Certified complex root isolation and heights of algebraic numbers, kept
+as test oracles: no monodyn command reaches them.
 
 Simultaneous (Durand-Kerner) iteration in mpmath arithmetic.  The a
 posteriori certificate is the classical Weierstrass inclusion: for monic f of
@@ -15,9 +16,9 @@ import math
 
 import mpmath as mp
 
-from .errors import ReducibleInput, RootIsolationFailure, ZeroInput
-from .polynomials import UniPoly
-from .polyfactor import factor_poly
+from monodyn.errors import ReducibleInput, RootIsolationFailure, ZeroInput
+from monodyn.polyfactor import factor_poly
+from monodyn.polynomials import UniPoly
 
 
 def isolate_roots(f: UniPoly, tol: float = 1e-15, max_prec: int = 4096

@@ -201,3 +201,71 @@ def test_unity_neighbor_count():
         c = unity_neighbor_count(7, eps)
         assert c >= last
         last = c
+
+
+# the classes up to depth 6 of the test semigroups of tests/test_galois.py,
+# plus its binomials with genuine twins of q' = 10, 12 and 20
+DEPTH6_SEMIGROUPS = ([(2, 2), (3, 3)], [(F(-5, 2), 3), (4, -2)],
+                     [(4, 2), (9, 3)])
+TWIN_EXTRAS = ((10, F(3125)), (12, F(-46656)), (20, F(-10 ** 10)))
+
+
+def _classes(depth):
+    from monodyn.galois import decompose_binomial_roots
+    from monodyn.scan import word_pair_classes
+    for pairs in DEPTH6_SEMIGROUPS:
+        G = Semigroup.from_pairs(pairs)
+        yield from (cls for cls, _, _ in word_pair_classes(G, depth, 10 ** 7))
+    for N, a in TWIN_EXTRAS:
+        yield from decompose_binomial_roots(N, a)
+
+
+def test_class_discrepancy_matches_angles():
+    # oracles: discrepancy_exact on the full angle tuple, and
+    # discrepancy_brute on every distinct angle set of degree <= 64
+    from monodyn.bounds import class_discrepancy
+    brute_sets = set()
+    twins = checked = 0
+    for cls in _classes(6):
+        got = class_discrepancy(cls)
+        assert got == discrepancy_exact(cls.angles), cls
+        if cls.degree <= 64 and cls.angles not in brute_sets:
+            brute_sets.add(cls.angles)
+            assert got == discrepancy_brute(cls.angles), cls
+        twins += cls.sign != 0
+        checked += 1
+    assert checked > 2500 and twins > 100 and len(brute_sets) > 100
+
+
+def _arch_by_conjugate(cls, beta):
+    """The former per-conjugate archimedean row, the oracle: log|sigma -
+    beta| for each angle at the scale max(|alpha|, |beta|), then their
+    math.fsum mean and their least value."""
+    from monodyn.places import _log_fraction
+    la, lb = cls.modulus.log(), _log_fraction(abs(beta))
+    lm = max(la, lb)
+    a, b = math.exp(la - lm), math.exp(lb - lm)
+    trig = math.sin if beta > 0 else math.cos
+    logs = [lm + 0.5 * math.log((a - b) ** 2 + 4 * a * b
+                                * trig(math.pi * float(t)) ** 2)
+            for t in cls.angles]
+    return math.fsum(logs) / len(logs), min(logs)
+
+
+def test_arch_row_matches_conjugate_sum():
+    from monodyn.bounds import arch_row
+    from monodyn.errors import BetaIsConjugate
+    from monodyn.galois import class_norm_data
+    checked = 0
+    for beta in (F(2), F(-3, 7), F("1e309"), F("-3e-400")):
+        for cls in _classes(5):
+            try:
+                class_norm_data(cls, beta)
+            except BetaIsConjugate:
+                continue
+            got = arch_row(cls, beta)
+            want = _arch_by_conjugate(cls, beta)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (cls, beta)
+            checked += 1
+    assert checked > 3000

