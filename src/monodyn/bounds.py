@@ -4,7 +4,8 @@ points, disc counting, circle discrepancy, truncated-log test functions and
 counts of p-adically close roots of unity.
 
 The linear-form quantity 1 - prod alpha_i^(b_i) is always computed as an
-exact rational before any logarithm; vanishing is an exact branch.
+exact rational before any logarithm; vanishing is an exact branch.  The
+scan and distance_lower_bound observe distances by class_min_log_distances.
 """
 
 from __future__ import annotations
@@ -17,13 +18,16 @@ from functools import lru_cache
 
 from .errors import (BadWindow, BetaIsConjugate, DegenerateDegree, LambdaZero,
                      ZeroAlpha, ZeroInput)
-from .galois import DEGREE_CAP, ConjugacyClass, class_norm_data, class_of_point
+from .galois import (ClassNormData, ConjugacyClass, class_norm_data,
+                     class_of_point)
 from .places import Place, _log_fraction, height_rational, log_abs
 from .polynomials import UniPoly
 from .preper import minimal_polynomial
 from .primes import euler_phi, ord_p
 from .radical import RadicalPoint
 from .semigroup import Semigroup
+
+EXACT_DEGREE = 64     # largest degree whose shifted class polynomial is built
 
 
 def linform_degree_constant(n: int, d: int) -> float:
@@ -286,18 +290,44 @@ def _log_distance(la: float, lb: float, t: float, negative: bool) -> float:
     return lm + 0.5 * math.log(d2) if d2 else -math.inf
 
 
-def observed_min_log_distance(cls: ConjugacyClass, beta: Fraction, v: Place,
-                              shifted: UniPoly | None) -> float:
-    """min over conjugates of log|sigma(alpha) - beta|_v for beta outside
-    the orbit: the nearest conjugate of arch_row(cls, beta) at the
-    archimedean place.  At a finite place it is s log p for
-    the first slope s of the Newton polygon of shifted, the class polynomial
-    moved by beta (roots sigma(alpha) - beta): s = min over i >= 1 with
-    c_i != 0 of (ord_p c_i - ord_p c_0) / i, found in one integer pass."""
-    if v.is_archimedean:
-        return arch_row(cls, beta)[1]
-    p = v.p
-    cs = shifted.coeffs
+def class_min_log_distances(cls: ConjugacyClass, nd: ClassNormData,
+                            places: list[Place],
+                            nearest: float | None = None) -> list[float]:
+    """min over conjugates of log|sigma(alpha) - beta|_v at each place v, for
+    beta = nd.beta outside the orbit.  At the archimedean place: the nearest
+    conjugate of arch_row(cls, beta), or nearest when given.  At a finite p
+    with ord_p alpha != ord_p beta: -min of the two times log p, exactly
+    (ultrametric).  With equal valuations: the first Newton slope of the
+    beta-shifted class polynomial up to EXACT_DEGREE (shifted once per
+    class), past it the sound log|Nm|_p - (deg - 1) log max(|alpha|_p,
+    |beta|_p), as no term exceeds that log max."""
+    beta = nd.beta
+    shifted = None
+    out = []
+    for v in places:
+        if v.is_archimedean:
+            out.append(arch_row(cls, beta)[1] if nearest is None else nearest)
+            continue
+        o_a, o_b = cls.modulus.ord_at(v.p), ord_p(beta, v.p)
+        if o_a != o_b:
+            slope = -min(o_a, o_b)
+        elif cls.degree <= EXACT_DEGREE:
+            if shifted is None:
+                shifted = minimal_polynomial(cls.representative).shift(beta)
+            slope = first_newton_slope(shifted, v.p)
+        else:
+            slope = (cls.degree - 1) * o_a - nd.ord_w(v.p)
+        out.append(float(slope) * math.log(v.p))
+    return out
+
+
+def first_newton_slope(f: UniPoly, p: int) -> Fraction:
+    """The first slope of f's Newton polygon at p, min over i >= 1 with
+    c_i != 0 of (ord_p c_i - ord_p c_0) / i, in one integer pass: minus the
+    largest root valuation.  For f the class polynomial moved by beta (roots
+    sigma(alpha) - beta), times log p it is the least log|sigma(alpha) -
+    beta|_p.  BetaIsConjugate when c_0 = 0."""
+    cs = f.coeffs
     if not cs or cs[0] == 0:
         raise BetaIsConjugate("beta lies in the orbit")
     o0 = ord_p(cs[0], p)
@@ -316,29 +346,23 @@ def observed_min_log_distance(cls: ConjugacyClass, beta: Fraction, v: Place,
         elif c.denominator % p ** (1 - k):
             continue
         num, den = ord_p(c, p) - o0, i
-    return (num / den) * math.log(p)
+    return Fraction(num, den)
 
 
 def distance_lower_bound(G: Semigroup, beta: Fraction, alpha: RadicalPoint,
-                         v: Place, degree_cap: int = DEGREE_CAP,
-                         MQ: int | None = None):
-    """(bound, observed_min, ok) for min_sigma log|sigma(alpha) - beta|_v.
+                         v: Place):
+    """(bound, observed_min, ok) for min_sigma log|sigma(alpha) - beta|_v,
+    observed by class_min_log_distances at any degree.
 
     bound = C2 (h(beta)+1) log(deg) for deg >= 2.  Degree-1 points use the
     pre-absorption chain value with log max(3, MQ); with MQ = 1 the bound is
-    trivial and reported ok by convention.
+    trivial (DegenerateDegree).
     """
     beta = Fraction(beta)
     cls = class_of_point(alpha)
-    if MQ is None:
-        # canonical radical index and the angle order of the twist
-        MQ = cls.M0 * alpha.angle.denominator
-    class_norm_data(cls, beta)      # BetaIsConjugate when beta is one
-    shifted = None
-    if not v.is_archimedean:
-        shifted = minimal_polynomial(cls.representative,
-                                     degree_cap=degree_cap).shift(beta)
-    observed = observed_min_log_distance(cls, beta, v, shifted)
+    nd = class_norm_data(cls, beta)     # BetaIsConjugate when beta is one
+    observed = class_min_log_distances(cls, nd, [v])[0]
+    MQ = cls.M0 * alpha.angle.denominator
     if cls.degree == 1 and MQ == 1:
         raise DegenerateDegree("rational positive point; bound trivial")
     bound = distance_bound_constant(G, v).bound(height_rational(beta),

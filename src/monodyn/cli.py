@@ -12,8 +12,8 @@ past the int-to-text digit limit), 4 internal invariant violation.  A scan
 stopped by its node cap (or holding an uncertified verdict or a Gamma
 residual above --tol) still writes its partial report, marked "truncated",
 and exits 3; every other cap ends the command with no output.  A scan reads
-every class norm in closed form, so on scan --degree-cap only leaves the
-discrepancy null past it and caps the exact distance route (degree <= 64).
+every class norm in closed form and takes its distance checks at every
+degree, so on scan --degree-cap only leaves the discrepancy null past it.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from .errors import DepthNonPositive, TreeSizeCap
 from .exactreal import PosReal
 from .places import INF, Place
 from .radical import RadicalPoint
-from .semigroup import Semigroup, Word
+from .semigroup import Semigroup, Word, check_printable
 
 NODE_CAP = 10 ** 6
 
@@ -143,7 +143,9 @@ def orbit_tree(G: Semigroup, x: RadicalPoint, depth: int,
     """All f_w(x) for |w| <= depth, deduplicated per root path.
 
     A node equal to one of its path ancestors is reported with
-    ``repeats_prefix`` set and its subtree is not expanded.
+    ``repeats_prefix`` set and its subtree is not expanded.  OverflowGuard
+    at the first node whose radicand could not be printed, so the tree never
+    grows past what its output can hold.
     """
     if depth < 0:
         raise DepthNonPositive("depth must be >= 0")
@@ -159,6 +161,7 @@ def orbit_tree(G: Semigroup, x: RadicalPoint, depth: int,
                 count += 1
                 if count > node_cap:
                     raise TreeSizeCap(f"orbit tree exceeds {node_cap} nodes")
+                check_printable(y.c)
                 rep = next((m for m, anc in enumerate(path) if y == anc), None)
                 out.append(OrbitNode(w, y, rep))
                 if rep is None:

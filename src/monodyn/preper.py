@@ -20,7 +20,7 @@ from .errors import (DegenerateCollision, NoRationalBElement,
 from .galois import (DEGREE_CAP, ConjugacyClass, class_of_point,
                      class_polynomial)
 from .places import Place, height_exact_arg
-from .polynomials import UniPoly, newton_polygon_root_valuations
+from .polynomials import UniPoly
 from .primes import euler_phi, factor_fraction, max_power_exponent
 from .radical import RadicalPoint
 from .semigroup import Semigroup, Word, word_coefficient_exponents
@@ -226,12 +226,12 @@ def minimal_polynomial(x: RadicalPoint, degree_cap: int = DEGREE_CAP) -> UniPoly
     return poly
 
 
-def conjugates(x: RadicalPoint, v: Place, degree_cap: int = DEGREE_CAP):
+def conjugates(x: RadicalPoint, v: Place):
     """Embedding data of the conjugates of x at v.
 
     Archimedean: the complex values (shared modulus, orbit angles).  Finite:
-    the multiset of valuations from the Newton polygon of the minimal
-    polynomial.
+    the multiset of valuations, all ord_p of the modulus, since every
+    conjugate is a root of unity times c0^(1/M0).
     """
     cls = class_of_point(x)
     if v.is_archimedean:
@@ -239,8 +239,7 @@ def conjugates(x: RadicalPoint, v: Place, degree_cap: int = DEGREE_CAP):
         return [mod * complex(math.cos(2 * math.pi * float(t)),
                               math.sin(2 * math.pi * float(t)))
                 for t in cls.angles]
-    poly = minimal_polynomial(x, degree_cap=degree_cap)
-    return newton_polygon_root_valuations(poly, v.p)
+    return [cls.modulus.ord_at(v.p)] * cls.degree
 
 
 # ---------------------------------------------------------------------------

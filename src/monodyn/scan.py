@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bounds import (DistanceBoundCert, arch_row, class_discrepancy,
-                     distance_bound_constant, observed_min_log_distance)
+                     class_min_log_distances, distance_bound_constant)
 from .errors import (EnumerationCap, FactorBudgetExceeded, InvalidConfig,
                      NotSIntegral)
 from .exactreal import PosReal
@@ -26,7 +26,6 @@ from .galois import (DEGREE_CAP, ClassNormData, ConjugacyClass,
                      class_norm_data, class_of_point, decompose_binomial_roots)
 from .orbits import is_preperiodic
 from .places import INF, Place, height_rational
-from .polynomials import UniPoly
 from .preper import collision_binomial, minimal_polynomial, word_pairs
 from .primes import factor_fraction, factorint, is_prime, ord_p
 from .radical import RadicalPoint
@@ -34,7 +33,6 @@ from .semigroup import Semigroup, Word, format_word
 
 LOG2 = math.log(2)
 BALANCE_SLACK = 0.2   # certified float error headroom for the log-2 gap test
-EXACT_DEGREE = 64     # largest degree whose class polynomial the scan builds
 GATE_DEPTH = 8        # orbit depth of beta's non-preperiodicity certificate
 
 
@@ -152,13 +150,6 @@ class GammaReport:
 
     table: tuple[tuple[str, float], ...]
     residual: float
-
-
-def _exact_polynomial(cls: ConjugacyClass, degree_cap: int) -> UniPoly | None:
-    """The class polynomial if the scan materializes it, else None."""
-    if cls.degree > min(degree_cap, EXACT_DEGREE):
-        return None
-    return minimal_polynomial(cls.representative, degree_cap=degree_cap)
 
 
 def gamma_sum(alpha: RadicalPoint, beta: Fraction) -> GammaReport:
@@ -333,44 +324,16 @@ class ScanReport:
         }
 
 
-def _class_min_log_distance_lower(cls: ConjugacyClass, nd: ClassNormData,
-                                  beta: Fraction, p: int) -> float:
-    """A sound lower bound for min over conjugates of log|sigma - beta|_p."""
-    o_a = cls.modulus.ord_at(p)
-    o_b = Fraction(ord_p(beta, p))
-    if o_a != o_b:
-        # ultrametric equality: |sigma(alpha) - beta|_p = max(|alpha|, |beta|)_p
-        return -float(min(o_a, o_b)) * math.log(p)
-    # equal valuations: every term is at most log max; the minimum exceeds
-    # the full norm sum minus (deg - 1) times that maximum
-    logmax = -float(o_a) * math.log(p)
-    total = -float(nd.ord_w(p)) * math.log(p)
-    return total - (cls.degree - 1) * logmax
-
-
 def _scan_distance_checks(cls: ConjugacyClass, nd: ClassNormData,
-                          poly: UniPoly | None,
                           certs: list[tuple[Place, DistanceBoundCert]],
                           nearest: float):
-    """(place, ok) rows at nd's base point; archimedean from the nearest
-    conjugate's log distance nearest = arch_row(cls, nd.beta)[1], finite
-    places from the shifted polygon of poly when given, else a sound
-    valuation lower bound (the constant dwarfs the slack either way)."""
-    beta = nd.beta
-    h_beta = height_rational(beta)
+    """(place, ok) rows at nd's base point: class_min_log_distances against
+    each certificate's bound, with nearest = arch_row(cls, nd.beta)[1]."""
+    h_beta = height_rational(nd.beta)
     MQ = max(2, cls.M0 * cls.first_angle.denominator)
-    shifted = poly.shift(beta) if poly is not None else None
-    rows = []
-    for v, cert in certs:
-        bound = cert.bound(h_beta, cls.degree, MQ)
-        if v.is_archimedean:
-            observed = nearest
-        elif shifted is not None:
-            observed = observed_min_log_distance(cls, beta, v, shifted)
-        else:
-            observed = _class_min_log_distance_lower(cls, nd, beta, v.p)
-        rows.append((str(v), observed > -bound))
-    return tuple(rows)
+    observed = class_min_log_distances(cls, nd, [v for v, _ in certs], nearest)
+    return tuple((str(v), obs > -cert.bound(h_beta, cls.degree, MQ))
+                 for (v, cert), obs in zip(certs, observed))
 
 
 def zero_infinity_verdict(beta: Fraction, S: list[Place]) -> dict:
@@ -409,8 +372,8 @@ def word_pair_classes(G: Semigroup, n_max: int, node_cap: int):
 def run_scan(config: ScanConfig) -> ScanReport:
     """Verdicts for every class of word_pair_classes, of any degree; the
     node cap stops it with the classes done so far, marked truncated.  The
-    degree cap only leaves discrepancy null past it and bounds the degree
-    of the exact distance route (at most EXACT_DEGREE)."""
+    degree cap only leaves discrepancy null past it; the distance checks
+    take bounds.class_min_log_distances at every degree."""
     config.validate()
     G = config.semigroup
     beta = Fraction(config.beta)
@@ -435,9 +398,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
             integ = class_s_integrality(cls, nd, config.S)
             arch = arch_row(cls, beta)
             gamma = class_gamma(cls, nd, arch)
-            dist = _scan_distance_checks(
-                cls, nd, _exact_polynomial(cls, config.degree_cap), certs,
-                arch[1])
+            dist = _scan_distance_checks(cls, nd, certs, arch[1])
             disc = None
             if cls.degree <= config.degree_cap:
                 disc = float(class_discrepancy(cls))

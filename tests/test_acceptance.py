@@ -3,7 +3,6 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
-import math
 import random
 import time
 from fractions import Fraction as F
@@ -11,8 +10,8 @@ from fractions import Fraction as F
 import pytest
 
 from monodyn.bounds import (LinFormInstance, discrepancy_brute,
-                            discrepancy_exact, distance_bound_constant,
-                            distance_lower_bound, verify_linform)
+                            discrepancy_exact, distance_lower_bound,
+                            verify_linform)
 from monodyn.errors import DegenerateDegree
 from monodyn.galois import class_of_point
 from monodyn.heights import (SequenceSpec, canonical_height_closed,
@@ -245,33 +244,14 @@ def test_c12_distance_bound():
             seen.add(cls.representative.key())
             for beta in (F(3), F(5, 2)):
                 for v in S4:
-                    if cls.degree <= 64:
-                        try:
-                            _, _, ok = distance_lower_bound(
-                                g, beta, cls.representative, v)
-                        except DegenerateDegree:
-                            ok = True
-                    else:
-                        ok = _distance_ok_large(g, cls, beta, v)
+                    try:
+                        _, _, ok = distance_lower_bound(
+                            g, beta, cls.representative, v)
+                    except DegenerateDegree:
+                        ok = True
                     assert ok, (ep.point, beta, v)
                     checked += 1
     _finish(12, f"distance bound holds at every place, {checked} checks", t0, 60.0)
-
-
-def _distance_ok_large(g, cls, beta, v):
-    # sound lower bound on the observed minimum suffices for the inequality
-    from monodyn.galois import class_norm_data
-    from monodyn.scan import _class_min_log_distance_lower
-    cert = distance_bound_constant(g, v)
-    bound = cert.C2 * (height_rational(beta) + 1) * math.log(cls.degree)
-    if v.is_archimedean:
-        mod = float(cls.modulus)
-        b = float(beta)
-        best = min(mod * mod + b * b - 2 * mod * b * math.cos(2 * math.pi * float(t))
-                   for t in cls.angles)
-        return 0.5 * math.log(best) > -bound
-    nd = class_norm_data(cls, beta)
-    return _class_min_log_distance_lower(cls, nd, beta, v.p) > -bound
 
 
 def test_c13_gamma_identity():

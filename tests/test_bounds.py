@@ -7,14 +7,13 @@ import pytest
 from monodyn.bounds import (LinFormInstance, circle_disc_measure,
                             disc_count_check, discrepancy_brute,
                             discrepancy_exact, distance_bound_constant,
-                            distance_lower_bound, linform_bound,
-                            linform_degree_constant,
-                            observed_min_log_distance, theta, theta_floor,
-                            unity_neighbor_count, verify_linform)
+                            distance_lower_bound, first_newton_slope,
+                            linform_bound, linform_degree_constant, theta,
+                            theta_floor, unity_neighbor_count, verify_linform)
 from monodyn.bounds import test_function_energy as window_energy
 from monodyn.bounds import test_function_lipschitz as window_lipschitz
 from monodyn.errors import BadWindow, DegenerateDegree, LambdaZero
-from monodyn.galois import class_of_point
+from monodyn.galois import decompose_binomial_roots
 from monodyn.places import INF, Place
 from monodyn.polynomials import UniPoly, newton_polygon_root_valuations
 from monodyn.radical import RadicalPoint
@@ -116,7 +115,6 @@ def test_observed_distance_first_slope_on_random_polynomials():
     # oracle: the full Newton polygon; coefficients with prime-power
     # numerators and denominators put valuations on both sides of zero
     rng = random.Random(58)
-    cls = class_of_point(RadicalPoint.from_rational(F(3)))  # unread at p
     sizes = (1, 2, 3, 4, 5, 7, 8, 9, 25, 27, 49, 125, 243, 1024)
     for _ in range(400):
         cs = [F(rng.choice((-1, 1)) * rng.choice(sizes) * rng.randint(1, 4),
@@ -128,8 +126,7 @@ def test_observed_distance_first_slope_on_random_polynomials():
         f = UniPoly.from_coeffs(cs)
         for p in (2, 3, 5, 7):
             vals = newton_polygon_root_valuations(f, p)
-            got = observed_min_log_distance(cls, F(3), Place(p), f)
-            assert got == -float(max(vals)) * math.log(p), (cs, p)
+            assert first_newton_slope(f, p) == -max(vals), (cs, p)
 
 
 def test_disc_measure_and_count():
@@ -166,6 +163,25 @@ def test_distance_examples():
     for v in (INF, Place(2), Place(3), Place(5)):
         _, _, ok = distance_lower_bound(G2, F(2), alpha, v)
         assert ok
+
+
+def test_distance_bound_past_the_degree_cap():
+    # the two genuine twins of X^8748 = 3^4374 have degree 1458, past the
+    # class polynomial's cap: at 2 and 3 the valuations differ
+    # (ultrametric), at 5 the sound branch reads the class norm, at
+    # infinity the nearest conjugate comes from the fibers
+    twins = [c for c in decompose_binomial_roots(8748, F(3) ** 4374)
+             if c.degree == 1458]
+    assert len(twins) == 2
+    G2 = Semigroup.from_pairs([("2", 2), ("3", 3)])
+    for cls in twins:
+        for v in (INF, Place(2), Place(3), Place(5)):
+            bound, observed, ok = distance_lower_bound(
+                G2, F(2), cls.representative, v)
+            assert ok and math.isfinite(observed), (cls, v)
+            if v in (Place(2), Place(3)):
+                # |sigma(alpha) - 2|_v = max(|alpha|_v, |2|_v) = 1
+                assert observed == 0.0, (cls, v)
 
 
 def test_degree_chain_inequality():
@@ -211,7 +227,6 @@ TWIN_EXTRAS = ((10, F(3125)), (12, F(-46656)), (20, F(-10 ** 10)))
 
 
 def _classes(depth):
-    from monodyn.galois import decompose_binomial_roots
     from monodyn.scan import word_pair_classes
     for pairs in DEPTH6_SEMIGROUPS:
         G = Semigroup.from_pairs(pairs)

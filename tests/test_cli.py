@@ -330,6 +330,19 @@ def test_unprintable_output_is_a_cap(tmp_path, argv, capsys):
     assert err.startswith("cap exceeded: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("depth", ("13", "19", "40"))
+def test_deep_orbit_is_a_cap(shared_config, depth, capsys):
+    # the tree doubles per level; its first radicand past the digit limit
+    # (near depth 9) stops it as it grows, not after 10^6 nodes
+    start = time.perf_counter()
+    rc = main(["--config", shared_config, "orbit", "--point", "2",
+               "--depth", depth])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("cap exceeded: ") and "Traceback" not in err
+
+
 def test_import_leaves_numpy_out():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -366,7 +379,10 @@ FUZZ_ARGV = {
     "scan-S": lambda t: ["scan", "--beta=2", f"-S={t}"],
     # height ignores --depth, so a large depth costs nothing past the parse
     "depth": lambda t: ["height", "--beta=2", f"--depth={t}"],
+    # the orbit tree stops at its first unprintable node, near depth 9
+    "orbit-depth": lambda t: ["orbit", "--point=2", f"--depth={t}"],
 }
+FUZZ_WALL_S = 1.0     # per example
 
 
 @pytest.mark.parametrize("option", FUZZ_ARGV)
@@ -376,7 +392,9 @@ def test_random_option_text_fails_fast(shared_config, option, text):
     # any text either runs, is an invalid config or hits a cap; another
     # exception or exit 4 fails the test
     argv = ["--config", shared_config, "--depth", "2"] + FUZZ_ARGV[option](text)
+    t0 = time.perf_counter()
     assert _exit_code(argv) in (0, 2, 3)
+    assert time.perf_counter() - t0 < FUZZ_WALL_S, argv
 
 
 @settings(max_examples=25, deadline=None)

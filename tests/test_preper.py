@@ -7,7 +7,7 @@ from monodyn.errors import DegreeCapExceeded, RootOfUnityInput
 from monodyn.galois import class_of_point
 from monodyn.places import INF, Place
 from monodyn.polyfactor import factor_poly
-from monodyn.polynomials import UniPoly
+from monodyn.polynomials import UniPoly, newton_polygon_root_valuations
 from monodyn.preper import (CollisionBinomial, capelli_reducible,
                             collision_binomial, conjugates,
                             degree_lower_bound, enumerate_preperiodic,
@@ -178,6 +178,26 @@ def test_conjugates():
     assert all(abs(abs(z) - math.sqrt(3)) < 1e-12 for z in conj)
     alpha = RadicalPoint.from_binomial_root(F(1, 24), 5, 0)
     assert conjugates(alpha, Place(2)) == [F(-3, 5)] * 5
+    # oracle: the Newton polygon of the minimal polynomial, on every class to
+    # depth 4 and on one class past the degree cap (X^1024 = 2)
+    checked = 0
+    for g in (G2, G(("-5/2", 3), ("4", -2)), G(("4", 2), ("9", 3))):
+        seen = set()
+        for ep in enumerate_preperiodic(g, 4):
+            if ep.cls.key in seen:
+                continue
+            seen.add(ep.cls.key)
+            poly = minimal_polynomial(ep.point)
+            for p in (2, 3, 5, 7):
+                assert conjugates(ep.point, Place(p)) == \
+                    newton_polygon_root_valuations(poly, p), (ep.point, p)
+                checked += 1
+    assert checked > 1000
+    big = RadicalPoint.from_binomial_root(F(2), 1024, 1)
+    poly = minimal_polynomial(big, degree_cap=1024)
+    for p in (2, 3):
+        assert conjugates(big, Place(p)) == \
+            newton_polygon_root_valuations(poly, p) == [F(p == 2, 1024)] * 1024
 
 
 def test_enumeration_examples():

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from monodyn.bounds import observed_min_log_distance
+from monodyn import bounds
+from monodyn.bounds import class_min_log_distances, first_newton_slope
 from monodyn.errors import BetaIsConjugate, InvalidConfig, NotSIntegral
 from monodyn.galois import class_norm_data, class_of_point
 from monodyn.places import INF, Place
@@ -11,10 +12,10 @@ from monodyn.polynomials import newton_polygon_root_valuations
 from monodyn.preper import enumerate_preperiodic, minimal_polynomial
 from monodyn.primes import ord_p
 from monodyn.radical import RadicalPoint
-from monodyn.scan import (ScanConfig, _class_min_log_distance_lower,
-                          bad_primes, class_gamma, gamma_decomposition,
-                          gamma_sum, is_S_integral, meets_at_prime,
-                          report_to_csv, run_scan, zero_infinity_verdict)
+from monodyn.scan import (ScanConfig, bad_primes, class_gamma,
+                          gamma_decomposition, gamma_sum, is_S_integral,
+                          meets_at_prime, report_to_csv, run_scan,
+                          zero_infinity_verdict)
 from monodyn.semigroup import Semigroup
 
 G2 = Semigroup.from_pairs([("2", 2), ("3", 3)])
@@ -122,10 +123,12 @@ def _classes_to_depth_4():
                 yield cls
 
 
-def test_class_norms_are_per_class():
+def test_class_norms_are_per_class(monkeypatch):
     # oracle: the exact minimal polynomial.  Its value at beta is the class
     # norm, and the Newton polygon of its beta-shift gives the true minimum
-    # of log|sigma(alpha) - beta|_p, which the distance bound must not exceed
+    # of log|sigma(alpha) - beta|_p, which the sound branch of the distance
+    # routine (every degree, with EXACT_DEGREE at 0) must not exceed
+    monkeypatch.setattr(bounds, "EXACT_DEGREE", 0)
     checked = 0
     for cls in _classes_to_depth_4():
         poly = minimal_polynomial(cls.representative)
@@ -139,27 +142,36 @@ def test_class_norms_are_per_class():
                 assert nd.ord_w(p) == ord_p(value, p), (cls, beta, p)
                 vals = newton_polygon_root_valuations(shifted, p)
                 true_min = -float(max(vals)) * math.log(p)
-                lower = _class_min_log_distance_lower(cls, nd, beta, p)
+                lower = class_min_log_distances(cls, nd, [Place(p)])[0]
                 assert lower <= true_min + 1e-9, (cls, beta, p)
                 checked += 1
     assert checked > 5000
 
 
 def test_observed_distance_is_the_top_newton_slope():
-    # oracle: the full Newton polygon of the beta-shifted minimal polynomial
-    checked = 0
+    # oracle: the full Newton polygon of the beta-shifted minimal polynomial;
+    # the first-slope kernel at every degree, the distance routine wherever
+    # it is exact (unequal valuations, or degree <= EXACT_DEGREE)
+    checked = routine = 0
     for cls in _classes_to_depth_4():
         poly = minimal_polynomial(cls.representative)
         for beta in (F(2), F(1, 2), F(-3, 7), F(5)):
             if poly(beta) == 0:
                 continue
             shifted = poly.shift(beta)
+            nd = class_norm_data(cls, beta)
             for p in (2, 3, 5, 7):
                 vals = newton_polygon_root_valuations(shifted, p)
-                got = observed_min_log_distance(cls, beta, Place(p), shifted)
-                assert got == -float(max(vals)) * math.log(p), (cls, beta, p)
+                assert first_newton_slope(shifted, p) == -max(vals), \
+                    (cls, beta, p)
                 checked += 1
-    assert checked > 5000
+                if (cls.degree <= bounds.EXACT_DEGREE
+                        or cls.modulus.ord_at(p) != ord_p(beta, p)):
+                    got = class_min_log_distances(cls, nd, [Place(p)])[0]
+                    assert got == -float(max(vals)) * math.log(p), \
+                        (cls, beta, p)
+                    routine += 1
+    assert checked > 5000 and routine > 5000
 
 
 def test_progressions_match_fraction_residues():
