@@ -27,7 +27,7 @@ from .primes import euler_phi, ord_p
 from .radical import RadicalPoint
 from .semigroup import Semigroup
 
-EXACT_DEGREE = 64     # largest degree whose shifted class polynomial is built
+EXACT_DEGREE = 64     # largest degree shifted at a ramified p (p | M0 q')
 
 
 def linform_degree_constant(n: int, d: int) -> float:
@@ -125,8 +125,7 @@ def discrepancy_exact(angles) -> Fraction:
     For sorted angles t_j mod 1 the supremum equals 1/n + max_j (j/n - t_j)
     - min_j (j/n - t_j).  On integers: with L the lcm of the denominators and
     k_j = L t_j sorted, that is 1/n + (max - min of j L - n k_j) / (n L).
-    discrepancy_brute scans all endpoint arcs directly and serves as the
-    independent oracle in the tests.
+    The tests check it against a brute-force scan of all endpoint arcs.
     """
     ts = [t if isinstance(t, Fraction) else Fraction(t) for t in angles]
     n = len(ts)
@@ -149,32 +148,6 @@ def class_discrepancy(cls: ConjugacyClass) -> Fraction:
 @lru_cache(maxsize=1024)
 def _residue_discrepancy(rs: tuple[int, ...], P: int) -> Fraction:
     return discrepancy_exact([Fraction(r, P) for r in rs])
-
-
-def discrepancy_brute(angles) -> Fraction:
-    """The same supremum by direct enumeration of closed and open arcs with
-    endpoints at sample points."""
-    pts = sorted(Fraction(t) - (Fraction(t).numerator // Fraction(t).denominator)
-                 for t in angles)
-    n = len(pts)
-    if n == 0:
-        raise ZeroInput("need at least one angle")
-    best = Fraction(1) if n == 1 else Fraction(1, n)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            length = pts[j] - pts[i]
-            if j < i:
-                # the arc wraps past 1; from a repeated angle to itself that
-                # is the whole circle, not a point
-                length += 1
-            count_closed = (j - i) % n + 1
-            count_open = count_closed - 2
-            best = max(best,
-                       abs(Fraction(count_closed, n) - length),
-                       abs(Fraction(count_open, n) - length))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +270,17 @@ def class_min_log_distances(cls: ConjugacyClass, nd: ClassNormData,
     beta = nd.beta outside the orbit.  At the archimedean place: the nearest
     conjugate of arch_row(cls, beta), or nearest when given.  At a finite p
     with ord_p alpha != ord_p beta: -min of the two times log p, exactly
-    (ultrametric).  With equal valuations: the first Newton slope of the
-    beta-shifted class polynomial up to EXACT_DEGREE (shifted once per
-    class), past it the sound log|Nm|_p - (deg - 1) log max(|alpha|_p,
-    |beta|_p), as no term exceeds that log max."""
+    (ultrametric).
+
+    With equal valuations o and p prime to M0 q': the ratios
+    sigma(alpha) / beta are p-units differing by roots of unity of order
+    dividing M0 q', so they are distinct mod p and at most one conjugate
+    is closer to beta than o; it carries all of ord_p Nm beyond deg o, and
+    log|Nm|_p - (deg - 1) log|beta|_p is exact at every degree.  At
+    p | M0 q' (ramified): the first Newton slope of the beta-shifted class
+    polynomial up to EXACT_DEGREE (shifted once per class), past it that
+    same norm expression as a sound lower bound, as no term exceeds
+    log|beta|_p."""
     beta = nd.beta
     shifted = None
     out = []
@@ -311,7 +291,7 @@ def class_min_log_distances(cls: ConjugacyClass, nd: ClassNormData,
         o_a, o_b = cls.modulus.ord_at(v.p), ord_p(beta, v.p)
         if o_a != o_b:
             slope = -min(o_a, o_b)
-        elif cls.degree <= EXACT_DEGREE:
+        elif cls.M0 * cls.qprime % v.p == 0 and cls.degree <= EXACT_DEGREE:
             if shifted is None:
                 shifted = minimal_polynomial(cls.representative).shift(beta)
             slope = first_newton_slope(shifted, v.p)

@@ -35,9 +35,10 @@ one of the two Aurifeuillian factors of d^phi(q') Phi_{q'}(y^2 / d) at
 y = X^(M0/2) / s, built exactly from Gauss-sum power sums.
 
 Class norms: |Nm(beta - alpha)| = |f(beta)| for the class polynomial f.
-For a full class that is W(beta), whose valuations come from
-lifting-the-exponent arithmetic on the Moebius pieces x^j - 1
-(x = beta^M0 / c0), never from materializing W(beta).  A genuine twin's
+For a full class that is W(beta), whose valuation at p is closed-form in
+v = ord_p(x) = M0 ord_p(beta) - ord_p(c0) (x = beta^M0 / c0) and, for a
+p-unit x, in the order of x mod p: it is read from small numbers, never
+from x or a materialized W(beta).  A genuine twin's
 norm is the value r^phi B(beta^(M0/2) / r) of its Aurifeuillian factor,
 r = (twin sign) s, by integer Horner: no class polynomial is built on the
 norm path, so it has no degree cap.  A zero norm (beta in the orbit) is
@@ -385,14 +386,16 @@ class ClassNormData:
     """log and valuations of |Nm(beta - alpha)| != 0 for one conjugacy class.
 
     For a class of full degree M0 phi(q') the norm is W(beta) =
-    c0^phi(q') Phi_{q'}(x) with x = beta^M0 / c0, and ord_w / log_w use
-    lifting-the-exponent arithmetic on x.  value holds the norm exactly
+    c0^phi(q') Phi_{q'}(x) with x = beta^M0 / c0: ord_w takes the closed
+    form of _ord_full_norm from beta, c0 and M0, and log_w sums the logs of
+    the Moebius pieces x^j - 1 in floats.  value holds the norm exactly
     where that is cheap: for a genuine twin, from its Aurifeuillian factor
     (class_norm_data), and for x = +-1, from Phi_{q'}(+-1) in closed form.
     """
 
     beta: Fraction
     c0: Fraction
+    M0: int
     qprime: int
     x: Fraction                 # beta^M0 / c0
     value: Fraction | None      # the exact norm (twin or x = +-1), else None
@@ -408,10 +411,8 @@ class ClassNormData:
         if self.value is not None:
             total = Fraction(ord_p(self.value, p))
         else:
-            phi, pieces = _qprime_data(self.qprime)
-            total = Fraction(phi * ord_p(self.c0, p))
-            for j, mu in pieces:
-                total += mu * _ord_power_minus_one(self.x, j, p)
+            total = Fraction(_ord_full_norm(self.qprime, self.beta, self.c0,
+                                            self.M0, p))
         self._memo[p] = total
         return total
 
@@ -458,57 +459,64 @@ def class_norm_data(cls: ConjugacyClass, beta: Fraction) -> ClassNormData:
         value = cls.c0 ** n * _phi_at_pm1(qprime, int(x))
     if value == 0:
         raise BetaIsConjugate("beta lies in the orbit")
-    return ClassNormData(beta, cls.c0, qprime, x, value)
+    return ClassNormData(beta, cls.c0, cls.M0, qprime, x, value)
 
 
-# --- valuation and log helpers on x^j - 1 -----------------------------------
+# --- valuation and log helpers ---------------------------------------------
 
 
-def _ord_power_minus_one(x: Fraction, j: int, p: int) -> int:
-    """ord_p(x^j - 1) for rational x != +-1, closed form in j."""
-    v, e, f = _local_data(x, p)
+def _ord_full_norm(q: int, beta: Fraction, c0: Fraction, M0: int,
+                   p: int) -> int:
+    """ord_p of the full-class norm c0^phi(q) Phi_q(x), x = beta^M0 / c0 not
+    +-1, in closed form from small numbers, never reading x.
+
+    With v = ord_p(x) = M0 ord_p(beta) - ord_p(c0), Phi_q(x) has valuation
+    phi(q) min(v, 0) when v != 0.  For a p-unit x and q = q0 p^k with p
+    prime to q0, Phi_q(x) is a p-unit unless x has order q0 mod p: then it
+    is ord_p(x^q0 - 1) at k = 0 and 1 past it, except that Phi_2(x) = x + 1
+    at p = 2.  x mod p^j comes from the p-free parts of beta and c0.
+    """
+    phi = _qprime_data(q)[0]
+    ob, oc = ord_p(beta, p), ord_p(c0, p)
+    v = M0 * ob - oc
     if v:
-        return min(j * v, 0)
-    if p == 2:
-        return e if j % 2 else e + f + ord_p(j, 2) - 1
-    return 0 if j % e else f + ord_p(j // e, p)
+        return phi * (oc + min(v, 0))
+    base = phi * oc
+    # the p-free parts bn / bd of beta and cn / cd of c0, on ints
+    bn, bd = beta.numerator, beta.denominator
+    if ob > 0:
+        bn //= p ** ob
+    elif ob < 0:
+        bd //= p ** -ob
+    cn, cd = c0.numerator, c0.denominator
+    if oc > 0:
+        cn //= p ** oc
+    elif oc < 0:
+        cd //= p ** -oc
 
-
-@lru_cache(maxsize=64)
-def _local_data(x: Fraction, p: int) -> tuple[int, int, int]:
-    """What ord_p(x^j - 1) needs of x, once per (x, p): (v, 0, 0) for
-    v = ord_p(x) != 0; else (0, ord_2(x - 1), ord_2(x + 1)) at p = 2 and
-    (0, r, ord_p(x^r - 1)) with r the order of x mod an odd p."""
-    if x in (1, -1):
-        raise ZeroInput("x = +-1 takes the closed form")
-    v = ord_p(x, p)
-    if v:
-        return v, 0, 0
-    num, den = x.numerator, x.denominator
-    if p == 2:
-        return 0, ord_p(num - den, 2), ord_p(num + den, 2)
-    r = _mult_order(x, p)
-    return 0, r, _ord_xr_minus_one(num, den, r, p)
-
-
-def _mult_order(x: Fraction, p: int) -> int:
-    xb = x.numerator * pow(x.denominator, -1, p) % p
-    r = p - 1
-    for q in factorint(p - 1):
-        while r % q == 0 and pow(xb, r // q, p) == 1:
-            r //= q
-    return r
-
-
-def _ord_xr_minus_one(num: int, den: int, r: int, p: int) -> int:
-    """ord_p(num^r - den^r) for p-units, adaptive modular doubling."""
-    k = 8
-    while True:
-        mod = p ** k
-        if (pow(num, r, mod) - pow(den, r, mod)) % mod:
-            break
-        k *= 2
-    return ord_p(pow(num, r, p ** k) - pow(den, r, p ** k), p)
+    def ord_diff(e, s):
+        """ord_p(x^e - s) = ord_p(N^e - s D^e) for x = N / D, N = bn^M0 cd,
+        D = bd^M0 cn p-units; by adaptive modular doubling."""
+        j = 8
+        while True:
+            mod = p ** j
+            r = (pow(bn, M0 * e, mod) * pow(cd, e, mod)
+                 - s * pow(bd, M0 * e, mod) * pow(cn, e, mod)) % mod
+            if r:
+                return ord_p(r, p)
+            j *= 2
+    if p == 2 and q == 2:
+        return base + ord_diff(1, -1)
+    q0, k = q, 0                # q = q0 p^k, p prime to q0
+    while q0 % p == 0:
+        q0, k = q0 // p, k + 1
+    if (p - 1) % q0:
+        return base
+    xb = pow(bn, M0, p) * cd * pow(pow(bd, M0, p) * cn, -1, p) % p
+    if pow(xb, q0, p) != 1 or any(pow(xb, q0 // ell, p) == 1
+                                  for ell in factorint(q0)):
+        return base
+    return base + (ord_diff(q0, 1) if k == 0 else 1)
 
 
 def _log_abs_power_minus_one(x: Fraction, j: int) -> float:

@@ -446,7 +446,7 @@ def factor_poly(f: UniPoly, degree_cap: int = DEGREE_CAP,
 
 
 # ---------------------------------------------------------------------------
-# Independent irreducibility evidence (for cross-checks in tests)
+# Rational roots by the divisor sieve
 
 
 def rational_roots(f: UniPoly) -> list[Fraction]:
@@ -467,38 +467,3 @@ def rational_roots(f: UniPoly) -> list[Fraction]:
                 if r not in out and prim(r) == 0:
                     out.append(r)
     return sorted(out)
-
-
-def irreducibility_certificate(f: UniPoly, primes_to_try: int = 12) -> str:
-    """'irreducible', 'reducible' or 'unknown', independent of factor_poly.
-
-    Degree 1 is irreducible; degrees 2 and 3 are decided by the rational root
-    sieve.  Beyond that, an inert prime or a pinched set of attainable factor
-    degrees certifies irreducibility, a rational root certifies reducibility,
-    and anything else is 'unknown'.
-    """
-    if f.degree < 1:
-        raise ZeroInput("need degree >= 1")
-    if f.degree == 1:
-        return "irreducible"
-    _, prim = f.content_and_primitive()
-    if rational_roots(prim):
-        return "reducible"
-    if f.degree <= 3:
-        return "irreducible"
-    cs = prim.int_coeffs()
-    if cs[0] == 0:
-        return "reducible"
-    possible = set(range(f.degree + 1))
-    p = 101
-    tried = 0
-    while tried < primes_to_try:
-        p = _next_prime(p)
-        fp = _squarefree_mod(cs, p)
-        if fp is None:
-            continue
-        tried += 1
-        possible &= _subset_sums(_distinct_degree(fp, p, _frobenius(fp, p)))
-        if possible == {0, f.degree}:
-            return "irreducible"
-    return "unknown"

@@ -144,7 +144,7 @@ def is_S_integral(alpha: RadicalPoint, beta: Fraction, S: list[Place]) -> bool:
 class GammaReport:
     """The Gamma table of one class: the archimedean row from the angle set,
     one row per support prime and an `outside` row for the rest, both from
-    the lifting-the-exponent valuations and log of the class norm.  The
+    the closed-form valuations and log of the class norm.  The
     residual, the sum of the rows, is the check between the angle set and
     the norm."""
 

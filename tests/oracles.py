@@ -1,5 +1,7 @@
-"""Certified complex root isolation and heights of algebraic numbers, kept
-as test oracles: no monodyn command reaches them.
+"""Independent oracles kept for the tests, reached by no monodyn command:
+certified complex root isolation and heights of algebraic numbers, circle
+discrepancy by brute force over arcs, and irreducibility evidence apart
+from factor_poly.
 
 Simultaneous (Durand-Kerner) iteration in mpmath arithmetic.  The a
 posteriori certificate is the classical Weierstrass inclusion: for monic f of
@@ -13,11 +15,14 @@ requested output accuracy.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 
 from monodyn.errors import ReducibleInput, RootIsolationFailure, ZeroInput
-from monodyn.polyfactor import factor_poly
+from monodyn.polyfactor import (_distinct_degree, _frobenius, _next_prime,
+                                _squarefree_mod, _subset_sums, factor_poly,
+                                rational_roots)
 from monodyn.polynomials import UniPoly
 
 
@@ -122,3 +127,64 @@ def height_from_minpoly(f: UniPoly, tol: float = 1e-13) -> float:
     if len(factors) != 1 or factors[0][1] != 1:
         raise ReducibleInput("minimal polynomial must be irreducible")
     return mahler_height(f, tol=tol)
+
+
+def discrepancy_brute(angles) -> Fraction:
+    """The supremum of bounds.discrepancy_exact by direct enumeration of
+    closed and open arcs with endpoints at sample points."""
+    pts = sorted(Fraction(t) - (Fraction(t).numerator // Fraction(t).denominator)
+                 for t in angles)
+    n = len(pts)
+    if n == 0:
+        raise ZeroInput("need at least one angle")
+    best = Fraction(1) if n == 1 else Fraction(1, n)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            length = pts[j] - pts[i]
+            if j < i:
+                # the arc wraps past 1; from a repeated angle to itself that
+                # is the whole circle, not a point
+                length += 1
+            count_closed = (j - i) % n + 1
+            count_open = count_closed - 2
+            best = max(best,
+                       abs(Fraction(count_closed, n) - length),
+                       abs(Fraction(count_open, n) - length))
+    return best
+
+
+def irreducibility_certificate(f: UniPoly, primes_to_try: int = 12) -> str:
+    """'irreducible', 'reducible' or 'unknown', independent of factor_poly.
+
+    Degree 1 is irreducible; degrees 2 and 3 are decided by the rational root
+    sieve.  Beyond that, an inert prime or a pinched set of attainable factor
+    degrees certifies irreducibility, a rational root certifies reducibility,
+    and anything else is 'unknown'.
+    """
+    if f.degree < 1:
+        raise ZeroInput("need degree >= 1")
+    if f.degree == 1:
+        return "irreducible"
+    _, prim = f.content_and_primitive()
+    if rational_roots(prim):
+        return "reducible"
+    if f.degree <= 3:
+        return "irreducible"
+    cs = prim.int_coeffs()
+    if cs[0] == 0:
+        return "reducible"
+    possible = set(range(f.degree + 1))
+    p = 101
+    tried = 0
+    while tried < primes_to_try:
+        p = _next_prime(p)
+        fp = _squarefree_mod(cs, p)
+        if fp is None:
+            continue
+        tried += 1
+        possible &= _subset_sums(_distinct_degree(fp, p, _frobenius(fp, p)))
+        if possible == {0, f.degree}:
+            return "irreducible"
+    return "unknown"

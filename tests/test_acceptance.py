@@ -9,9 +9,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from monodyn.bounds import (LinFormInstance, discrepancy_brute,
-                            discrepancy_exact, distance_lower_bound,
-                            verify_linform)
+from monodyn.bounds import (LinFormInstance, discrepancy_exact,
+                            distance_lower_bound, verify_linform)
 from monodyn.errors import DegenerateDegree
 from monodyn.galois import class_of_point
 from monodyn.heights import (SequenceSpec, canonical_height_closed,
@@ -28,6 +27,7 @@ from monodyn.primes import factor_fraction
 from monodyn.radical import RadicalPoint
 from monodyn.scan import ScanConfig, run_scan
 from monodyn.semigroup import Semigroup
+from oracles import discrepancy_brute
 from test_preper import with_structure
 
 GZ = Semigroup.from_pairs([("1", 2)])

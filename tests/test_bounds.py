@@ -5,11 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from monodyn.bounds import (LinFormInstance, circle_disc_measure,
-                            disc_count_check, discrepancy_brute,
-                            discrepancy_exact, distance_bound_constant,
-                            distance_lower_bound, first_newton_slope,
-                            linform_bound, linform_degree_constant, theta,
-                            theta_floor, unity_neighbor_count, verify_linform)
+                            disc_count_check, discrepancy_exact,
+                            distance_bound_constant, distance_lower_bound,
+                            first_newton_slope, linform_bound,
+                            linform_degree_constant, theta, theta_floor,
+                            unity_neighbor_count, verify_linform)
 from monodyn.bounds import test_function_energy as window_energy
 from monodyn.bounds import test_function_lipschitz as window_lipschitz
 from monodyn.errors import BadWindow, DegenerateDegree, LambdaZero
@@ -18,6 +18,7 @@ from monodyn.places import INF, Place
 from monodyn.polynomials import UniPoly, newton_polygon_root_valuations
 from monodyn.radical import RadicalPoint
 from monodyn.semigroup import Semigroup
+from oracles import discrepancy_brute
 
 
 def test_degree_constant():

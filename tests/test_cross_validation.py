@@ -1,5 +1,6 @@
 """The scan's valuation machinery against the factor-everything route."""
 
+import hashlib
 import json
 import math
 import random
@@ -56,6 +57,18 @@ def test_scan_is_deterministic():
     a = json.dumps(run_scan(cfg).to_json(), sort_keys=True)
     b = json.dumps(run_scan(cfg).to_json(), sort_keys=True)
     assert a == b
+
+
+@pytest.mark.parametrize("beta, depth, digest", [
+    (F(2), 5, "bbe424717ae8"), (F(2), 6, "b3fb311c8262"),
+    (F(-3, 7), 5, "ca9ef528989b"), (F(-3, 7), 6, "53bf03ca9e1c")])
+def test_scan_reports_are_pinned(beta, depth, digest):
+    # sha256 prefix of the raw report: a speed-up of any scan layer must
+    # leave every verdict, count and float of it byte-identical
+    G2 = Semigroup.from_pairs([("2", 2), ("3", 3)])
+    cfg = ScanConfig(G2, [INF, Place(2), Place(3), Place(5)], beta, depth)
+    raw = json.dumps(run_scan(cfg).to_json(), sort_keys=True)
+    assert hashlib.sha256(raw.encode()).hexdigest()[:12] == digest
 
 
 def test_posreal_comparisons_match_floats():

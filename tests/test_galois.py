@@ -216,12 +216,12 @@ def test_class_norm_data_memoizes_ord_and_log(monkeypatch):
     nd = class_norm_data(cls, F(5, 3))
     assert nd.value is None
     calls = []
-    inner = galois._ord_power_minus_one
+    inner = galois._ord_full_norm
 
-    def counted(x, j, p):
-        calls.append((j, p))
-        return inner(x, j, p)
-    monkeypatch.setattr(galois, "_ord_power_minus_one", counted)
+    def counted(q, beta, c0, M0, p):
+        calls.append((q, p))
+        return inner(q, beta, c0, M0, p)
+    monkeypatch.setattr(galois, "_ord_full_norm", counted)
     first = nd.ord_w(3)
     assert calls
     work = len(calls)
@@ -233,6 +233,33 @@ def test_class_norm_data_memoizes_ord_and_log(monkeypatch):
     fresh = class_norm_data(cls, F(5, 3))
     assert fresh == nd and hash(fresh) == hash(nd)
     assert repr(fresh) == repr(nd)
+
+
+def test_full_norm_valuations_closed_form():
+    # oracle: ord_p of Phi_q(x) evaluated as a Fraction; x = +-n/d on a
+    # thinned grid and every 2-adic and p-adic neighbour +-1 +- p^k of +-1,
+    # once as beta with c0 = 1, M0 = 1 and once as x = beta^3 / c0 with p in
+    # beta and c0, whose p-parts cancel
+    primes = (2, 3, 5, 7, 11)
+    xs = {F(s * n, d) for n in range(1, 41, 4) for d in (1, 2, 3, 4, 9, 25, 27)
+          for s in (1, -1)}
+    xs |= {F(s + t * p ** k) for p in primes for k in range(1, 6)
+           for s in (1, -1) for t in (1, -1)}
+    xs -= {F(1), F(-1)}
+    checked = 0
+    for q in range(1, 61):
+        phi, Phi = euler_phi(q), cyclotomic_poly(q)
+        for x in xs:
+            val = Phi(x)
+            for p in primes:
+                o = ord_p(val, p)
+                assert galois._ord_full_norm(q, x, F(1), 1, p) == o, (q, x, p)
+                beta = F(p if x > 0 else -p)
+                c0 = beta ** 3 / x
+                assert galois._ord_full_norm(q, beta, c0, 3, p) \
+                    == o + phi * ord_p(c0, p), (q, x, p)
+                checked += 1
+    assert checked == 61800
 
 
 def test_phi_at_pm1_closed_form():
@@ -265,7 +292,7 @@ def test_twin_norms_past_the_degree_cap():
     # X^8748 = 3^4374 has two genuine twins of degree 1458 (M0 = 2,
     # q' = 4374), past the polynomial's degree cap; their norm data needs no
     # polynomial, and the two norms multiply to the full-degree norm W(beta)
-    # whose valuations come from lifting the exponent
+    # whose valuations come in closed form
     twins = [c for c in decompose_binomial_roots(8748, F(3) ** 4374)
              if c.degree == 1458]
     assert len(twins) == 2
@@ -275,7 +302,7 @@ def test_twin_norms_past_the_degree_cap():
         class_polynomial(twins[0])
     for beta in (F(2), F(5, 3), F(-7, 2), F(6, 35)):
         nds = [class_norm_data(c, beta) for c in twins]
-        full = ClassNormData(beta, F(3), 4374, beta ** 2 / 3, None)
+        full = ClassNormData(beta, F(3), 2, 4374, beta ** 2 / 3, None)
         for p in (2, 3, 5, 7):
             assert sum(nd.ord_w(p) for nd in nds) == full.ord_w(p), (beta, p)
         assert abs(sum(nd.log_w() for nd in nds) - full.log_w()) < 1e-9

@@ -9,7 +9,7 @@ from monodyn.bounds import disc_count_check
 from monodyn.galois import class_of_point
 from monodyn.heights import equilibrium_radius
 from monodyn.places import INF, Place, height_rational
-from monodyn.polyfactor import factor_poly, irreducibility_certificate
+from monodyn.polyfactor import factor_poly
 from monodyn.polynomials import UniPoly, cyclotomic_poly
 from monodyn.preper import (CollisionBinomial, capelli_reducible,
                             collision_binomial, enumerate_preperiodic,
@@ -17,6 +17,7 @@ from monodyn.preper import (CollisionBinomial, capelli_reducible,
 from monodyn.radical import RadicalPoint
 from monodyn.scan import ScanConfig, run_scan
 from monodyn.semigroup import MonomialMap, Semigroup
+from oracles import irreducibility_certificate
 
 G1 = Semigroup.from_pairs([("2", 2)])
 G2 = Semigroup.from_pairs([("2", 2), ("3", 3)])

@@ -6,7 +6,7 @@ import pytest
 from monodyn import bounds
 from monodyn.bounds import class_min_log_distances, first_newton_slope
 from monodyn.errors import BetaIsConjugate, InvalidConfig, NotSIntegral
-from monodyn.galois import class_norm_data, class_of_point
+from monodyn.galois import class_norm_data, class_of_point, class_polynomial
 from monodyn.places import INF, Place
 from monodyn.polynomials import newton_polygon_root_valuations
 from monodyn.preper import enumerate_preperiodic, minimal_polynomial
@@ -15,8 +15,9 @@ from monodyn.radical import RadicalPoint
 from monodyn.scan import (ScanConfig, bad_primes, class_gamma,
                           gamma_decomposition, gamma_sum, is_S_integral,
                           meets_at_prime, report_to_csv, run_scan,
-                          zero_infinity_verdict)
+                          word_pair_classes, zero_infinity_verdict)
 from monodyn.semigroup import Semigroup
+from test_galois import TEST_SEMIGROUPS
 
 G2 = Semigroup.from_pairs([("2", 2), ("3", 3)])
 S_DEFAULT = [INF, Place(2), Place(3), Place(5)]
@@ -151,7 +152,8 @@ def test_class_norms_are_per_class(monkeypatch):
 def test_observed_distance_is_the_top_newton_slope():
     # oracle: the full Newton polygon of the beta-shifted minimal polynomial;
     # the first-slope kernel at every degree, the distance routine wherever
-    # it is exact (unequal valuations, or degree <= EXACT_DEGREE)
+    # it is exact (unequal valuations, p prime to M0 q', or degree <=
+    # EXACT_DEGREE)
     checked = routine = 0
     for cls in _classes_to_depth_4():
         poly = minimal_polynomial(cls.representative)
@@ -166,12 +168,40 @@ def test_observed_distance_is_the_top_newton_slope():
                     (cls, beta, p)
                 checked += 1
                 if (cls.degree <= bounds.EXACT_DEGREE
+                        or cls.M0 * cls.qprime % p
                         or cls.modulus.ord_at(p) != ord_p(beta, p)):
                     got = class_min_log_distances(cls, nd, [Place(p)])[0]
                     assert got == -float(max(vals)) * math.log(p), \
                         (cls, beta, p)
                     routine += 1
     assert checked > 5000 and routine > 5000
+
+
+def test_unramified_distance_is_the_norm_branch():
+    # oracle: the first Newton slope of the beta-shifted class polynomial,
+    # for every class to depth 5 of the test semigroups up to degree 256;
+    # at p prime to M0 q' with equal valuations the norm branch is exact
+    checked = past_exact = 0
+    for pairs in TEST_SEMIGROUPS:
+        G = Semigroup.from_pairs(pairs)
+        for cls, _, _ in word_pair_classes(G, 5, 10 ** 7):
+            if cls.degree > 256:
+                continue
+            poly = class_polynomial(cls)
+            for beta in (F(2), F(1, 2), F(-3, 7), F(5), F(7, 4)):
+                primes = [p for p in (2, 3, 5, 7) if cls.M0 * cls.qprime % p
+                          and cls.modulus.ord_at(p) == ord_p(beta, p)]
+                if not primes or poly(beta) == 0:
+                    continue
+                shifted = poly.shift(beta)
+                nd = class_norm_data(cls, beta)
+                for p in primes:
+                    o = cls.modulus.ord_at(p)
+                    assert (cls.degree - 1) * o - nd.ord_w(p) \
+                        == first_newton_slope(shifted, p), (cls, beta, p)
+                    checked += 1
+                    past_exact += cls.degree > bounds.EXACT_DEGREE
+    assert (checked, past_exact) == (5799, 1071)
 
 
 def test_progressions_match_fraction_residues():
