@@ -5,12 +5,13 @@ counts of p-adically close roots of unity.
 
 The linear-form quantity 1 - prod alpha_i^(b_i) is always computed as an
 exact rational before any logarithm; vanishing is an exact branch.  The
-scan and distance_lower_bound observe distances by class_min_log_distances.
+scan and distance_lower_bound observe distances by class_min_log_distances,
+which reads the valuations and the archimedean row of one (class, beta)
+record, galois.ClassNormData.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +21,7 @@ from .errors import (BadWindow, BetaIsConjugate, DegenerateDegree, LambdaZero,
                      ZeroAlpha, ZeroInput)
 from .galois import (ClassNormData, ConjugacyClass, class_norm_data,
                      class_of_point)
-from .places import Place, _log_fraction, height_rational, log_abs
+from .places import Place, height_rational, log_abs
 from .polynomials import UniPoly
 from .preper import minimal_polynomial
 from .primes import euler_phi, ord_p
@@ -229,48 +230,13 @@ def distance_bound_constant(G: Semigroup, v: Place) -> DistanceBoundCert:
     return DistanceBoundCert(C2, c1, nv, theta_cap, 11, 25)
 
 
-def arch_row(cls: ConjugacyClass, beta: Fraction) -> tuple[float, float]:
-    """(mean, least) of log|sigma(alpha) - beta| over the conjugates, from
-    the fibers: the K = degree / #residues conjugates rho e((r / P + m) / K)
-    of residue r are the roots of X^K = rho^K e(r / P), so their distances
-    to beta multiply to |beta^K - rho^K e(r / P)|.  The nearest conjugate
-    has the angle closest to 0 (beta > 0) or 1/2 (beta < 0), found from one
-    side: the orbit is closed under t -> -t."""
-    rs, P = cls.residues(), cls.period
-    K = cls.degree // len(rs)
-    la, lb = cls.modulus.log(), _log_fraction(abs(beta))
-    fibers = math.fsum(_log_distance(K * la, K * lb, r / P, beta < 0 and K % 2)
-                       for r in rs)
-    D = cls.M0 * cls.qprime             # angles are v / D
-    if beta > 0:
-        v = rs[0]
-    else:
-        base, off = divmod(-(-D // 2), P)
-        i = bisect.bisect_left(rs, off)
-        v = base * P + rs[i] if i < len(rs) else (base + 1) * P + rs[0]
-    return fibers / cls.degree, _log_distance(la, lb, v / D, beta < 0)
-
-
-def _log_distance(la: float, lb: float, t: float, negative: bool) -> float:
-    """log|e^la e(t) - s e^lb| for s = -1 if negative else 1, at the scale
-    m = max(e^la, e^lb) so that no float overflows: with a = e^la / m,
-    b = e^lb / m, |a e(t) - s b|^2 = (a - b)^2 + 4ab sin^2(pi t) (cos for
-    s = -1), free of cancellation near s b.  -inf where that float is 0."""
-    lm = max(la, lb)
-    a, b = math.exp(la - lm), math.exp(lb - lm)
-    trig = math.cos if negative else math.sin
-    d2 = (a - b) ** 2 + 4 * a * b * trig(math.pi * t) ** 2
-    return lm + 0.5 * math.log(d2) if d2 else -math.inf
-
-
-def class_min_log_distances(cls: ConjugacyClass, nd: ClassNormData,
-                            places: list[Place],
-                            nearest: float | None = None) -> list[float]:
+def class_min_log_distances(nd: ClassNormData,
+                            places: list[Place]) -> list[float]:
     """min over conjugates of log|sigma(alpha) - beta|_v at each place v, for
-    beta = nd.beta outside the orbit.  At the archimedean place: the nearest
-    conjugate of arch_row(cls, beta), or nearest when given.  At a finite p
-    with ord_p alpha != ord_p beta: -min of the two times log p, exactly
-    (ultrametric).
+    the class nd.cls and beta = nd.beta outside the orbit.  At the
+    archimedean place: the nearest conjugate of nd.arch().  At a finite p
+    with ord_p alpha != ord_p beta (nd.ords(p)): -min of the two times
+    log p, exactly (ultrametric).
 
     With equal valuations o and p prime to M0 q': the ratios
     sigma(alpha) / beta are p-units differing by roots of unity of order
@@ -281,19 +247,19 @@ def class_min_log_distances(cls: ConjugacyClass, nd: ClassNormData,
     polynomial up to EXACT_DEGREE (shifted once per class), past it that
     same norm expression as a sound lower bound, as no term exceeds
     log|beta|_p."""
-    beta = nd.beta
+    cls = nd.cls
     shifted = None
     out = []
     for v in places:
         if v.is_archimedean:
-            out.append(arch_row(cls, beta)[1] if nearest is None else nearest)
+            out.append(nd.arch()[1])
             continue
-        o_a, o_b = cls.modulus.ord_at(v.p), ord_p(beta, v.p)
+        o_a, o_b = nd.ords(v.p)
         if o_a != o_b:
             slope = -min(o_a, o_b)
         elif cls.M0 * cls.qprime % v.p == 0 and cls.degree <= EXACT_DEGREE:
             if shifted is None:
-                shifted = minimal_polynomial(cls.representative).shift(beta)
+                shifted = minimal_polynomial(cls.representative).shift(nd.beta)
             slope = first_newton_slope(shifted, v.p)
         else:
             slope = (cls.degree - 1) * o_a - nd.ord_w(v.p)
@@ -339,9 +305,10 @@ def distance_lower_bound(G: Semigroup, beta: Fraction, alpha: RadicalPoint,
     trivial (DegenerateDegree).
     """
     beta = Fraction(beta)
-    cls = class_of_point(alpha)
-    nd = class_norm_data(cls, beta)     # BetaIsConjugate when beta is one
-    observed = class_min_log_distances(cls, nd, [v])[0]
+    # BetaIsConjugate when beta is a conjugate of alpha
+    nd = class_norm_data(class_of_point(alpha), beta)
+    cls = nd.cls
+    observed = class_min_log_distances(nd, [v])[0]
     MQ = cls.M0 * alpha.angle.denominator
     if cls.degree == 1 and MQ == 1:
         raise DegenerateDegree("rational positive point; bound trivial")

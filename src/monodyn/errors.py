@@ -13,14 +13,6 @@ class RootOfUnityInput(MonodynError):
     pass
 
 
-class ReducibleInput(MonodynError):
-    pass
-
-
-class RootIsolationFailure(MonodynError):
-    pass
-
-
 class DegreeCapExceeded(MonodynError):
     pass
 

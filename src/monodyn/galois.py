@@ -34,19 +34,21 @@ M0 phi(q')/2) is a proper factor of W: with c0 = d s^2, d squarefree, it is
 one of the two Aurifeuillian factors of d^phi(q') Phi_{q'}(y^2 / d) at
 y = X^(M0/2) / s, built exactly from Gauss-sum power sums.
 
-Class norms: |Nm(beta - alpha)| = |f(beta)| for the class polynomial f.
+Class norms: one ClassNormData per (class, beta) holds the local terms of
+|Nm(beta - alpha)| = |f(beta)|, f the class polynomial, each computed once.
 For a full class that is W(beta), whose valuation at p is closed-form in
-v = ord_p(x) = M0 ord_p(beta) - ord_p(c0) (x = beta^M0 / c0) and, for a
-p-unit x, in the order of x mod p: it is read from small numbers, never
-from x or a materialized W(beta).  A genuine twin's
-norm is the value r^phi B(beta^(M0/2) / r) of its Aurifeuillian factor,
-r = (twin sign) s, by integer Horner: no class polynomial is built on the
-norm path, so it has no degree cap.  A zero norm (beta in the orbit) is
-rejected once, when the norm data is built.
+v = ord_p(x) = M0 ord_p(beta) - ord_p(c0) (x = beta^M0 / c0, ord_p(c0) =
+M0 ord_p(alpha)) and, for a p-unit x, in the order of x mod p: it is read
+from small numbers, never from x or a materialized W(beta).  A genuine
+twin's norm is the value r^phi B(beta^(M0/2) / r) of its Aurifeuillian
+factor, r = (twin sign) s, by integer Horner: no class polynomial is built
+on the norm path, so it has no degree cap.  A zero norm (beta in the orbit)
+is rejected once, when the norm data is built.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -144,12 +146,11 @@ def _residues(q: int, f: int, sign: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ConjugacyClass:
-    """A Galois orbit inside the root set of X^N = a, fixed by key: its
-    angles are t = (r + m P) / (M0 q'), r over residues() mod the period P
-    (q', or 2q' for a genuine twin), m < M0 q' / P, built on first use."""
+    """A Galois orbit of roots of a rational binomial X^N = a, fixed by
+    key: its angles are t = (r + m P) / (M0 q'), r over residues() mod the
+    period P (q', or 2q' for a genuine twin), m < M0 q' / P, built on first
+    use."""
 
-    N: int
-    a: Fraction
     modulus: PosReal              # shared by every root, c0^(1/M0)
     c0: Fraction                  # canonical radicand of the modulus
     M0: int                       # canonical radical index
@@ -198,10 +199,6 @@ class ConjugacyClass:
     @property
     def representative(self) -> RadicalPoint:
         return RadicalPoint(self.modulus, self.first_angle)
-
-    def angle_order(self) -> int:
-        """Order q' of e^(2 pi i M0 t); class invariant."""
-        return self.qprime
 
     def progressions(self) -> int:
         """Number of step-1/M0 arithmetic progressions forming the angles:
@@ -262,7 +259,7 @@ def decompose_binomial_roots(N: int, a: Fraction) -> list[ConjugacyClass]:
     else:
         odd = n // (n & -n)
         qs = [2 * n // g for g in divisors(odd)]
-    out = sorted((ConjugacyClass(N, a, modulus, c0, M0, q, sign, f)
+    out = sorted((ConjugacyClass(modulus, c0, M0, q, sign, f)
                   for q in qs for sign in _twin_signs(q, f)),
                  key=lambda c: c.first_angle)
     if len(_decompose_cache) > 4096:
@@ -273,15 +270,14 @@ def decompose_binomial_roots(N: int, a: Fraction) -> list[ConjugacyClass]:
 
 def class_of_point(x: RadicalPoint) -> ConjugacyClass:
     """The Galois orbit of a radical point, from its radical form, the order
-    q' of e^(2 pi i M0 t) and its twin sign; N and a are those of its
-    minimal rational binomial."""
-    n0, a0 = x.rational_binomial()
+    q' of e^(2 pi i M0 t) and its twin sign.  Its entanglement is taken at
+    2 n0 = M0 lcm(2, q') for its minimal rational binomial X^n0 = a0."""
     c0, M0 = x.modulus.radical_form()
-    f = entanglement(x.modulus, M0, 2 * n0)
     r = M0 * x.angle
     q = r.denominator
+    f = entanglement(x.modulus, M0, M0 * math.lcm(2, q))
     sign = _twin_sign(r.numerator, q, f) if _twin_signs(q, f) != (0,) else 0
-    return ConjugacyClass(n0, a0, x.modulus, c0, M0, q, sign, f)
+    return ConjugacyClass(x.modulus, c0, M0, q, sign, f)
 
 
 def twin_class(cls: ConjugacyClass) -> ConjugacyClass:
@@ -383,25 +379,36 @@ def _phi_at_pm1(n: int, sign: int) -> int:
 
 @dataclass(frozen=True)
 class ClassNormData:
-    """log and valuations of |Nm(beta - alpha)| != 0 for one conjugacy class.
+    """The record of one (class, beta) pair, beta outside the orbit: the
+    class cls, beta and the local terms of |Nm(beta - alpha)|, each computed
+    once: ords(p), the valuations of alpha and beta at p; ord_w(p) and
+    log_w(), the valuation and log of the norm; arch(), the archimedean row.
 
     For a class of full degree M0 phi(q') the norm is W(beta) =
-    c0^phi(q') Phi_{q'}(x) with x = beta^M0 / c0: ord_w takes the closed
-    form of _ord_full_norm from beta, c0 and M0, and log_w sums the logs of
-    the Moebius pieces x^j - 1 in floats.  value holds the norm exactly
-    where that is cheap: for a genuine twin, from its Aurifeuillian factor
-    (class_norm_data), and for x = +-1, from Phi_{q'}(+-1) in closed form.
+    c0^phi(q') Phi_{q'}(x), x = beta^M0 / c0: ord_w takes the closed form of
+    _ord_full_norm from ords(p), and log_w sums the logs of the Moebius
+    pieces x^j - 1 in floats.  value holds the norm exactly where that is
+    cheap: a genuine twin's from its Aurifeuillian factor, and c0^phi(q')
+    Phi_{q'}(+-1) for x = +-1.
     """
 
+    cls: ConjugacyClass
     beta: Fraction
-    c0: Fraction
-    M0: int
-    qprime: int
     x: Fraction                 # beta^M0 / c0
     value: Fraction | None      # the exact norm (twin or x = +-1), else None
-    # ord_w(p) by prime p and log_w() under the key "log", once computed
+    # keyed ("ords", p), p (ord_w), "log" and "arch"
     _memo: dict = field(default_factory=dict, compare=False, hash=False,
                         repr=False)
+
+    def ords(self, p: int) -> tuple[Fraction, int]:
+        """(ord_p alpha, ord_p beta): alpha's from the modulus, beta's
+        computed once per prime."""
+        key = ("ords", p)
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = (self.cls.modulus.ord_at(p),
+                                     ord_p(self.beta, p))
+        return out
 
     def ord_w(self, p: int) -> Fraction:
         """ord_p of the norm, exact; computed once per prime."""
@@ -411,8 +418,11 @@ class ClassNormData:
         if self.value is not None:
             total = Fraction(ord_p(self.value, p))
         else:
-            total = Fraction(_ord_full_norm(self.qprime, self.beta, self.c0,
-                                            self.M0, p))
+            cls = self.cls
+            o_a, o_b = self.ords(p)
+            total = Fraction(_ord_full_norm(cls.qprime, self.beta, cls.c0,
+                                            cls.M0, p, o_b,
+                                            int(cls.M0 * o_a)))
         self._memo[p] = total
         return total
 
@@ -424,12 +434,40 @@ class ClassNormData:
         if self.value is not None:
             total = _log_fraction(abs(self.value))
         else:
-            phi, pieces = _qprime_data(self.qprime)
-            total = phi * _log_fraction(self.c0)
+            phi, pieces = _qprime_data(self.cls.qprime)
+            total = phi * _log_fraction(self.cls.c0)
             for j, mu in pieces:
                 total += mu * _log_abs_power_minus_one(self.x, j)
         self._memo["log"] = total
         return total
+
+    def arch(self) -> tuple[float, float]:
+        """(mean, least) of log|sigma(alpha) - beta| over the conjugates;
+        computed once.  From the fibers: the K = degree / #residues
+        conjugates rho e((r / P + m) / K) of residue r are the roots of
+        X^K = rho^K e(r / P), so their distances to beta multiply to
+        |beta^K - rho^K e(r / P)|.  The nearest conjugate has the angle
+        closest to 0 (beta > 0) or 1/2 (beta < 0), found from one side: the
+        orbit is closed under t -> -t."""
+        row = self._memo.get("arch")
+        if row is not None:
+            return row
+        cls, beta = self.cls, self.beta
+        rs, P = cls.residues(), cls.period
+        K = cls.degree // len(rs)
+        la, lb = cls.modulus.log(), _log_fraction(abs(beta))
+        fibers = math.fsum(_log_distance(K * la, K * lb, r / P,
+                                         beta < 0 and K % 2) for r in rs)
+        D = cls.M0 * cls.qprime             # angles are v / D
+        if beta > 0:
+            v = rs[0]
+        else:
+            base, off = divmod(-(-D // 2), P)
+            i = bisect.bisect_left(rs, off)
+            v = base * P + rs[i] if i < len(rs) else (base + 1) * P + rs[0]
+        row = self._memo["arch"] = (fibers / cls.degree,
+                                    _log_distance(la, lb, v / D, beta < 0))
+        return row
 
 
 def class_norm_data(cls: ConjugacyClass, beta: Fraction) -> ClassNormData:
@@ -459,25 +497,25 @@ def class_norm_data(cls: ConjugacyClass, beta: Fraction) -> ClassNormData:
         value = cls.c0 ** n * _phi_at_pm1(qprime, int(x))
     if value == 0:
         raise BetaIsConjugate("beta lies in the orbit")
-    return ClassNormData(beta, cls.c0, cls.M0, qprime, x, value)
+    return ClassNormData(cls, beta, x, value)
 
 
 # --- valuation and log helpers ---------------------------------------------
 
 
-def _ord_full_norm(q: int, beta: Fraction, c0: Fraction, M0: int,
-                   p: int) -> int:
+def _ord_full_norm(q: int, beta: Fraction, c0: Fraction, M0: int, p: int,
+                   ob: int, oc: int) -> int:
     """ord_p of the full-class norm c0^phi(q) Phi_q(x), x = beta^M0 / c0 not
-    +-1, in closed form from small numbers, never reading x.
+    +-1, in closed form from small numbers, never reading x; ob = ord_p(beta)
+    and oc = ord_p(c0) are given.
 
-    With v = ord_p(x) = M0 ord_p(beta) - ord_p(c0), Phi_q(x) has valuation
-    phi(q) min(v, 0) when v != 0.  For a p-unit x and q = q0 p^k with p
-    prime to q0, Phi_q(x) is a p-unit unless x has order q0 mod p: then it
-    is ord_p(x^q0 - 1) at k = 0 and 1 past it, except that Phi_2(x) = x + 1
-    at p = 2.  x mod p^j comes from the p-free parts of beta and c0.
+    With v = ord_p(x) = M0 ob - oc, Phi_q(x) has valuation phi(q) min(v, 0)
+    when v != 0.  For a p-unit x and q = q0 p^k with p prime to q0, Phi_q(x)
+    is a p-unit unless x has order q0 mod p: then it is ord_p(x^q0 - 1) at
+    k = 0 and 1 past it, except that Phi_2(x) = x + 1 at p = 2.  x mod p^j
+    comes from the p-free parts of beta and c0.
     """
     phi = _qprime_data(q)[0]
-    ob, oc = ord_p(beta, p), ord_p(c0, p)
     v = M0 * ob - oc
     if v:
         return phi * (oc + min(v, 0))
@@ -543,3 +581,15 @@ def _log_abs_power_minus_one(x: Fraction, j: int) -> float:
     if x > 0 or j % 2 == 0:
         return math.log(abs(math.expm1(z)))
     return math.log1p(math.exp(z))
+
+
+def _log_distance(la: float, lb: float, t: float, negative: bool) -> float:
+    """log|e^la e(t) - s e^lb| for s = -1 if negative else 1, at the scale
+    m = max(e^la, e^lb) so that no float overflows: with a = e^la / m,
+    b = e^lb / m, |a e(t) - s b|^2 = (a - b)^2 + 4ab sin^2(pi t) (cos for
+    s = -1), free of cancellation near s b.  -inf where that float is 0."""
+    lm = max(la, lb)
+    a, b = math.exp(la - lm), math.exp(lb - lm)
+    trig = math.cos if negative else math.sin
+    d2 = (a - b) ** 2 + 4 * a * b * trig(math.pi * t) ** 2
+    return lm + 0.5 * math.log(d2) if d2 else -math.inf

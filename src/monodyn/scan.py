@@ -17,17 +17,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .bounds import (DistanceBoundCert, arch_row, class_discrepancy,
+from .bounds import (DistanceBoundCert, class_discrepancy,
                      class_min_log_distances, distance_bound_constant)
 from .errors import (EnumerationCap, FactorBudgetExceeded, InvalidConfig,
                      NotSIntegral)
 from .exactreal import PosReal
-from .galois import (DEGREE_CAP, ClassNormData, ConjugacyClass,
-                     class_norm_data, class_of_point, decompose_binomial_roots)
+from .galois import (DEGREE_CAP, ClassNormData, class_norm_data,
+                     class_of_point, decompose_binomial_roots)
 from .orbits import is_preperiodic
 from .places import INF, Place, height_rational
 from .preper import collision_binomial, minimal_polynomial, word_pairs
-from .primes import factor_fraction, factorint, is_prime, ord_p
+from .primes import factor_fraction, factorint, is_prime
 from .radical import RadicalPoint
 from .semigroup import Semigroup, Word, format_word
 
@@ -40,13 +40,11 @@ GATE_DEPTH = 8        # orbit depth of beta's non-preperiodicity certificate
 # meets / bad primes / S-integrality
 
 
-def class_meets_at_prime(cls: ConjugacyClass, nd: ClassNormData,
-                         p: int) -> bool:
-    """Whether some conjugate in the class meets nd's base point at p: both
-    are non-integral at p, both have positive valuation, or both are units
-    and p divides the class norm."""
-    o_a = cls.modulus.ord_at(p)
-    o_b = ord_p(nd.beta, p)
+def class_meets_at_prime(nd: ClassNormData, p: int) -> bool:
+    """Whether some conjugate in the class nd.cls meets beta = nd.beta at p:
+    both are non-integral at p, both have positive valuation, or both are
+    units and p divides the class norm."""
+    o_a, o_b = nd.ords(p)
     if o_a < 0 or o_b < 0:
         return o_a < 0 and o_b < 0
     if o_a > 0 or o_b > 0:
@@ -57,8 +55,8 @@ def class_meets_at_prime(cls: ConjugacyClass, nd: ClassNormData,
 def meets_at_prime(alpha: RadicalPoint, beta: Fraction, p: int) -> bool:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    cls = class_of_point(alpha)
-    return class_meets_at_prime(cls, class_norm_data(cls, beta), p)
+    nd = class_norm_data(class_of_point(alpha), beta)
+    return class_meets_at_prime(nd, p)
 
 
 def _bounded_factor(n: int) -> dict[int, int]:
@@ -69,8 +67,7 @@ def _bounded_factor(n: int) -> dict[int, int]:
     return factorint(n)
 
 
-def bad_primes(alpha: RadicalPoint, beta: Fraction,
-               degree_cap: int = DEGREE_CAP) -> list[int]:
+def bad_primes(alpha: RadicalPoint, beta: Fraction) -> list[int]:
     """All primes where some conjugate of alpha meets beta.
 
     Candidates: support primes of alpha and beta plus the primes of the
@@ -78,18 +75,17 @@ def bad_primes(alpha: RadicalPoint, beta: Fraction,
     meet test.  Desk-scale only: the norm numerator gets factored.
     """
     beta = Fraction(beta)
-    cls = class_of_point(alpha)
-    nd = class_norm_data(cls, beta)
-    value = minimal_polynomial(cls.representative, degree_cap=degree_cap)(beta)
-    candidates = _support(cls, beta)
+    nd = class_norm_data(class_of_point(alpha), beta)
+    value = minimal_polynomial(nd.cls.representative)(beta)
+    candidates = _support(nd)
     candidates.update(_bounded_factor(value.numerator))
     candidates.update(_bounded_factor(value.denominator))
-    return sorted(p for p in candidates if class_meets_at_prime(cls, nd, p))
+    return sorted(p for p in candidates if class_meets_at_prime(nd, p))
 
 
-def _support(cls: ConjugacyClass, beta: Fraction) -> set[int]:
+def _support(nd: ClassNormData) -> set[int]:
     """The primes at which the class or beta is not a unit."""
-    return set(cls.modulus.exps) | _primes_of(beta)
+    return set(nd.cls.modulus.exps) | _primes_of(nd.beta)
 
 
 @lru_cache(maxsize=64)
@@ -106,13 +102,12 @@ class SIntegrality:
     certified: bool                # False when the gap lands in the float band
 
 
-def class_s_integrality(cls: ConjugacyClass, nd: ClassNormData,
-                        S: list[Place]) -> SIntegrality:
-    """Decide bad_primes(alpha, beta) inside S without factoring the norm;
-    beta is the base point of the norm data nd."""
+def class_s_integrality(nd: ClassNormData, S: list[Place]) -> SIntegrality:
+    """Decide bad_primes(alpha, beta) inside S without factoring the norm,
+    for alpha in the class nd.cls and beta = nd.beta."""
     s_primes = {v.p for v in S if not v.is_archimedean}
-    inspected = sorted(s_primes | _support(cls, nd.beta))
-    known_bad = {p for p in inspected if class_meets_at_prime(cls, nd, p)}
+    inspected = sorted(s_primes | _support(nd))
+    known_bad = {p for p in inspected if class_meets_at_prime(nd, p)}
     # outside part of the norm numerator: a positive integer, so the true
     # balance gap is 0 or at least log 2; the numeric error stays far below
     # the slack, making both sides of the band certain
@@ -126,8 +121,7 @@ def class_s_integrality(cls: ConjugacyClass, nd: ClassNormData,
 
 
 def is_S_integral(alpha: RadicalPoint, beta: Fraction, S: list[Place]) -> bool:
-    cls = class_of_point(alpha)
-    res = class_s_integrality(cls, class_norm_data(cls, beta), S)
+    res = class_s_integrality(class_norm_data(class_of_point(alpha), beta), S)
     if not res.certified:
         raise FactorBudgetExceeded(
             f"outside-S balance gap {res.outside_clean_gap:.3f} falls in the "
@@ -142,31 +136,26 @@ def is_S_integral(alpha: RadicalPoint, beta: Fraction, S: list[Place]) -> bool:
 
 @dataclass(frozen=True)
 class GammaReport:
-    """The Gamma table of one class: the archimedean row from the angle set,
-    one row per support prime and an `outside` row for the rest, both from
-    the closed-form valuations and log of the class norm.  The
-    residual, the sum of the rows, is the check between the angle set and
-    the norm."""
+    """The Gamma table of one class: the archimedean row, the mean of
+    ClassNormData.arch() over the fibers of the phi(q') residues, one row
+    per support prime and an `outside` row for the rest, both from the
+    closed-form valuations and log of the class norm.  The residual, the sum
+    of the rows, is the check between the archimedean row and the norm."""
 
     table: tuple[tuple[str, float], ...]
     residual: float
 
 
 def gamma_sum(alpha: RadicalPoint, beta: Fraction) -> GammaReport:
-    cls = class_of_point(alpha)
-    return class_gamma(cls, class_norm_data(cls, beta))
+    return class_gamma(class_norm_data(class_of_point(alpha), beta))
 
 
-def class_gamma(cls: ConjugacyClass, nd: ClassNormData,
-                arch: tuple[float, float] | None = None) -> GammaReport:
-    """The Gamma table at nd's base point; arch, when given, is
-    arch_row(cls, nd.beta), whose mean is the archimedean row."""
-    beta = nd.beta
-    if arch is None:
-        arch = arch_row(cls, beta)
-    rows = [("inf", arch[0])]
+def class_gamma(nd: ClassNormData) -> GammaReport:
+    """The Gamma table of the class nd.cls at beta = nd.beta."""
+    cls = nd.cls
+    rows = [("inf", nd.arch()[0])]
     leftover = nd.log_w()
-    for p in sorted(_support(cls, beta)):
+    for p in sorted(_support(nd)):
         o = float(nd.ord_w(p))
         leftover -= o * math.log(p)
         rows.append((str(p), -o / cls.degree * math.log(p)))
@@ -189,22 +178,22 @@ class GammaDecomposition:
 def gamma_decomposition(alpha: RadicalPoint, beta: Fraction,
                         S: list[Place]) -> GammaDecomposition:
     beta = Fraction(beta)
-    cls = class_of_point(alpha)
-    nd = class_norm_data(cls, beta)
-    if not class_s_integrality(cls, nd, S).s_integral:
+    nd = class_norm_data(class_of_point(alpha), beta)
+    cls = nd.cls
+    if not class_s_integrality(nd, S).s_integral:
         raise NotSIntegral("decomposition requires S-integrality")
     s_primes = {v.p for v in S if not v.is_archimedean}
     non_s_terms = []
     non_s = 0.0
     witness = max(alpha.modulus, PosReal.of(beta)).log()
-    for p in sorted(_support(cls, beta)):
-        m = min(alpha.ord_at(p), Fraction(ord_p(beta, p)))
+    for p in sorted(_support(nd)):
+        m = Fraction(min(nd.ords(p)))
         if m != 0:
             witness += -float(m) * math.log(p)
         if p not in s_primes and m != 0:
             non_s_terms.append((p, -m))
             non_s += -float(m) * math.log(p)
-    s_part = arch_row(cls, beta)[0]
+    s_part = nd.arch()[0]
     for p in sorted(s_primes):
         s_part += -float(nd.ord_w(p)) / cls.degree * math.log(p)
     return GammaDecomposition(s_part, non_s, tuple(non_s_terms),
@@ -324,14 +313,14 @@ class ScanReport:
         }
 
 
-def _scan_distance_checks(cls: ConjugacyClass, nd: ClassNormData,
-                          certs: list[tuple[Place, DistanceBoundCert]],
-                          nearest: float):
-    """(place, ok) rows at nd's base point: class_min_log_distances against
-    each certificate's bound, with nearest = arch_row(cls, nd.beta)[1]."""
+def _scan_distance_checks(nd: ClassNormData,
+                          certs: list[tuple[Place, DistanceBoundCert]]):
+    """(place, ok) rows of the class nd.cls at beta = nd.beta:
+    class_min_log_distances against each certificate's bound."""
+    cls = nd.cls
     h_beta = height_rational(nd.beta)
     MQ = max(2, cls.M0 * cls.first_angle.denominator)
-    observed = class_min_log_distances(cls, nd, [v for v, _ in certs], nearest)
+    observed = class_min_log_distances(nd, [v for v, _ in certs])
     return tuple((str(v), obs > -cert.bound(h_beta, cls.degree, MQ))
                  for (v, cert), obs in zip(certs, observed))
 
@@ -339,8 +328,9 @@ def _scan_distance_checks(cls: ConjugacyClass, nd: ClassNormData,
 def zero_infinity_verdict(beta: Fraction, S: list[Place]) -> dict:
     """The always-preperiodic fixed points of the chart, reported separately."""
     s_primes = {v.p for v in S if not v.is_archimedean}
-    num_primes = sorted(p for p in _primes_of(beta) if ord_p(beta, p) > 0)
-    den_primes = sorted(p for p in _primes_of(beta) if ord_p(beta, p) < 0)
+    primes = _primes_of(beta)
+    num_primes = sorted(p for p in primes if beta.numerator % p == 0)
+    den_primes = sorted(primes.difference(num_primes))
     return {
         "zero": {"bad_primes": num_primes,
                  "s_integral": all(p in s_primes for p in num_primes)},
@@ -395,10 +385,9 @@ def run_scan(config: ScanConfig) -> ScanReport:
         for cls, w, m in word_pair_classes(G, config.max_wordlen,
                                            config.node_cap):
             nd = class_norm_data(cls, beta)
-            integ = class_s_integrality(cls, nd, config.S)
-            arch = arch_row(cls, beta)
-            gamma = class_gamma(cls, nd, arch)
-            dist = _scan_distance_checks(cls, nd, certs, arch[1])
+            integ = class_s_integrality(nd, config.S)
+            gamma = class_gamma(nd)
+            dist = _scan_distance_checks(nd, certs)
             disc = None
             if cls.degree <= config.degree_cap:
                 disc = float(class_discrepancy(cls))

@@ -19,11 +19,19 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from monodyn.errors import ReducibleInput, RootIsolationFailure, ZeroInput
+from monodyn.errors import MonodynError, ZeroInput
 from monodyn.polyfactor import (_distinct_degree, _frobenius, _next_prime,
                                 _squarefree_mod, _subset_sums, factor_poly,
                                 rational_roots)
 from monodyn.polynomials import UniPoly
+
+
+class ReducibleInput(MonodynError):
+    """The minimal polynomial handed to a height oracle is reducible."""
+
+
+class RootIsolationFailure(MonodynError):
+    """No disjoint inclusion disks within the precision budget."""
 
 
 def isolate_roots(f: UniPoly, tol: float = 1e-15, max_prec: int = 4096

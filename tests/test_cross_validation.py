@@ -40,8 +40,7 @@ def test_s_integrality_matches_norm_factoring():
                     except BetaIsConjugate:
                         continue
                     expect = all(p in s_primes for p in bad)
-                    got = class_s_integrality(
-                        cls, class_norm_data(cls, beta), S)
+                    got = class_s_integrality(class_norm_data(cls, beta), S)
                     assert got.certified
                     assert got.s_integral == expect, (N, a, beta, S, bad, got)
                     if got.s_integral:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -116,7 +117,7 @@ def _match_factor(cls, fac):
 
 
 def _is_genuine_twin(cls):
-    return cls.degree < cls.M0 * euler_phi(cls.angle_order())
+    return cls.degree < cls.M0 * euler_phi(cls.qprime)
 
 
 def test_classes_match_factorization():
@@ -212,15 +213,15 @@ def test_norms_against_minpoly_values():
 
 def test_class_norm_data_memoizes_ord_and_log(monkeypatch):
     cls = next(c for c in decompose_binomial_roots(8, F(1, 81))
-               if c.angle_order() == 4)
+               if c.qprime == 4)
     nd = class_norm_data(cls, F(5, 3))
     assert nd.value is None
     calls = []
     inner = galois._ord_full_norm
 
-    def counted(q, beta, c0, M0, p):
+    def counted(q, beta, c0, M0, p, ob, oc):
         calls.append((q, p))
-        return inner(q, beta, c0, M0, p)
+        return inner(q, beta, c0, M0, p, ob, oc)
     monkeypatch.setattr(galois, "_ord_full_norm", counted)
     first = nd.ord_w(3)
     assert calls
@@ -253,10 +254,12 @@ def test_full_norm_valuations_closed_form():
             val = Phi(x)
             for p in primes:
                 o = ord_p(val, p)
-                assert galois._ord_full_norm(q, x, F(1), 1, p) == o, (q, x, p)
+                assert galois._ord_full_norm(q, x, F(1), 1, p, ord_p(x, p),
+                                             0) == o, (q, x, p)
                 beta = F(p if x > 0 else -p)
                 c0 = beta ** 3 / x
-                assert galois._ord_full_norm(q, beta, c0, 3, p) \
+                assert galois._ord_full_norm(q, beta, c0, 3, p, 1,
+                                             ord_p(c0, p)) \
                     == o + phi * ord_p(c0, p), (q, x, p)
                 checked += 1
     assert checked == 61800
@@ -296,13 +299,14 @@ def test_twin_norms_past_the_degree_cap():
     twins = [c for c in decompose_binomial_roots(8748, F(3) ** 4374)
              if c.degree == 1458]
     assert len(twins) == 2
-    assert all(_is_genuine_twin(c) and (c.M0, c.angle_order()) == (2, 4374)
+    assert all(_is_genuine_twin(c) and (c.M0, c.qprime) == (2, 4374)
                for c in twins)
     with pytest.raises(DegreeCapExceeded):
         class_polynomial(twins[0])
     for beta in (F(2), F(5, 3), F(-7, 2), F(6, 35)):
         nds = [class_norm_data(c, beta) for c in twins]
-        full = ClassNormData(beta, F(3), 2, 4374, beta ** 2 / 3, None)
+        full = ClassNormData(replace(twins[0], sign=0), beta, beta ** 2 / 3,
+                             None)
         for p in (2, 3, 5, 7):
             assert sum(nd.ord_w(p) for nd in nds) == full.ord_w(p), (beta, p)
         assert abs(sum(nd.log_w() for nd in nds) - full.log_w()) < 1e-9

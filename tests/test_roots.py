@@ -3,10 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from monodyn.errors import ReducibleInput
 from monodyn.places import height_rational
 from monodyn.polynomials import UniPoly
-from oracles import height_from_minpoly, isolate_roots, mahler_height
+from oracles import (ReducibleInput, height_from_minpoly, isolate_roots,
+                     mahler_height)
 
 
 def P(*cs):

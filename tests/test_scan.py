@@ -143,7 +143,7 @@ def test_class_norms_are_per_class(monkeypatch):
                 assert nd.ord_w(p) == ord_p(value, p), (cls, beta, p)
                 vals = newton_polygon_root_valuations(shifted, p)
                 true_min = -float(max(vals)) * math.log(p)
-                lower = class_min_log_distances(cls, nd, [Place(p)])[0]
+                lower = class_min_log_distances(nd, [Place(p)])[0]
                 assert lower <= true_min + 1e-9, (cls, beta, p)
                 checked += 1
     assert checked > 5000
@@ -170,7 +170,7 @@ def test_observed_distance_is_the_top_newton_slope():
                 if (cls.degree <= bounds.EXACT_DEGREE
                         or cls.M0 * cls.qprime % p
                         or cls.modulus.ord_at(p) != ord_p(beta, p)):
-                    got = class_min_log_distances(cls, nd, [Place(p)])[0]
+                    got = class_min_log_distances(nd, [Place(p)])[0]
                     assert got == -float(max(vals)) * math.log(p), \
                         (cls, beta, p)
                     routine += 1
@@ -224,7 +224,7 @@ def test_gamma_rows_match_materialized_norm():
             value = f(beta)
             if value == 0:
                 continue
-            rep = class_gamma(cls, class_norm_data(cls, beta))
+            rep = class_gamma(class_norm_data(cls, beta))
             table = dict(rep.table)
             log_value = (math.log(abs(value.numerator))
                          - math.log(value.denominator))
@@ -311,3 +311,32 @@ def test_scan_builds_norm_data_once_per_class(monkeypatch):
     rep = run_scan(ScanConfig(G2, S_DEFAULT, F(2), 3))
     assert calls["norm"] == len(rep.verdicts) > 0
     assert calls["cert"] == len(S_DEFAULT)
+
+
+def test_scan_takes_each_beta_valuation_once_per_class(monkeypatch):
+    # ord_p(beta, p) is computed once per (class, p), by ClassNormData.ords,
+    # and _ord_full_norm reads ord_p of beta and c0 from there: its only
+    # ord_p calls are ord_diff's, on modular residues
+    import sys
+
+    import monodyn.galois as galois
+    import monodyn.scan as scan
+    calls = []
+
+    def counted(x, p):
+        calls.append((sys._getframe(1).f_code.co_name, x, p))
+        return ord_p(x, p)
+    for mod in (galois, scan, bounds):
+        if hasattr(mod, "ord_p"):
+            monkeypatch.setattr(mod, "ord_p", counted)
+    beta = F(2)
+    rep = run_scan(ScanConfig(G2, S_DEFAULT, beta, 4))
+    assert not any(caller == "_ord_full_norm" for caller, _, _ in calls)
+    per_prime: dict[int, int] = {}
+    for caller, x, p in calls:
+        # first_newton_slope and ord_diff take ord_p of coefficients and
+        # residues, which may equal beta by chance
+        if x == beta and caller not in ("first_newton_slope", "ord_diff"):
+            per_prime[p] = per_prime.get(p, 0) + 1
+    assert per_prime and all(n <= len(rep.verdicts)
+                             for n in per_prime.values()), per_prime
