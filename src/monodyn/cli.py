@@ -9,11 +9,11 @@ a rational must print back, a degree must be an integer, --depth >= 0,
 --degree-cap, --node-cap and --samples >= 1), 3 cap exceeded (a tree, enumeration, degree or
 factoring cap, an OverflowGuard size or step budget, or an output number
 past the int-to-text digit limit), 4 internal invariant violation.  A scan
-stopped by its node cap (or holding an uncertified verdict or a Gamma
-residual above --tol) still writes its partial report, marked "truncated",
-and exits 3; every other cap ends the command with no output.  A scan reads
-every class norm in closed form and takes its distance checks at every
-degree, so on scan --degree-cap only leaves the discrepancy null past it.
+stopped by its node cap (a count of classes), or holding an uncertified
+verdict or a Gamma residual above --tol, still writes its partial report,
+marked "truncated", and exits 3; every other cap ends the command with no
+output.  A scan takes every norm, distance check and discrepancy in closed
+form at every degree, so it reads no degree cap.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ def _checked(parse, ok, what: str):
 
 
 MAX_NODES = 1 << 20
+EQUID_CAP = 10 ** 6     # points, summed over the rows of equid
 _rational = _checked(parse_rational, lambda x: True, "a rational number")
 _nonzero = _checked(parse_rational, bool, "a nonzero rational number")
 _positive = _checked(float, lambda x: x > 0, "a positive number")
@@ -179,12 +180,18 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_equid(args) -> int:
+    """One row per class; EnumerationCap before the rows pass EQUID_CAP points."""
     G = _load_semigroup(args.config)
-    rows = [{"point": cls.representative.to_json(),
-             "degree": cls.degree,
-             "discrepancy": float(class_discrepancy(cls)),
-             "progressions": cls.progressions()}
-            for cls, _, _ in word_pair_classes(G, args.depth, 10 ** 6)]
+    rows, points = [], 0
+    for cls, w, _ in word_pair_classes(G, args.depth):
+        points += cls.degree
+        if points > EQUID_CAP:
+            raise EnumerationCap(
+                f"node cap {EQUID_CAP} reached at |w| = {len(w)}")
+        rows.append({"point": cls.representative.to_json(),
+                     "degree": cls.degree,
+                     "discrepancy": float(class_discrepancy(cls)),
+                     "progressions": cls.progressions()})
     lhs, rhs, diff = jensen_check(1.0, args.beta, args.nodes)
     doc = {"schema": "monodyn/1", "classes": rows,
            "jensen": {"radius": 1.0, "beta": str(args.beta),
@@ -197,8 +204,7 @@ def _cmd_equid(args) -> int:
 def _cmd_scan(args) -> int:
     G = _load_semigroup(args.config)
     S = [INF] + [Place(p) for p in args.S]
-    cfg = ScanConfig(G, S, args.beta, args.depth, tol=args.tol,
-                     node_cap=args.node_cap, degree_cap=args.degree_cap)
+    cfg = ScanConfig(G, S, args.beta, args.depth, args.tol, args.node_cap)
     report = run_scan(cfg)
     if args.format == "csv":
         _emit(report_to_csv(report), args.out)
@@ -227,7 +233,7 @@ def _add_globals(ap, suppress: bool):
     ap.add_argument("--seed", type=int, default=d(0))
     ap.add_argument("--tol", type=_positive, default=d(1e-9))
     ap.add_argument("--degree-cap", dest="degree_cap", type=_degree_cap,
-                    default=d(DEGREE_CAP))
+                    default=d(DEGREE_CAP), help="preper and factor only")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-S", type=_primes, default="2,3,5",
                    help="finite primes of S (the archimedean place is implied)")
     p.add_argument("--node-cap", dest="node_cap", type=_node_cap,
-                   default=10 ** 7)
+                   default=10 ** 7,
+                   help="classes the scan gives verdicts on before it stops")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("factor", help="factor a polynomial over Q")

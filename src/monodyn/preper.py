@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
-from .errors import (DegenerateCollision, NoRationalBElement,
+from .errors import (DegenerateCollision, EnumerationCap, NoRationalBElement,
                      RootOfUnityInput)
 from .galois import (DEGREE_CAP, ConjugacyClass, class_of_point,
                      class_polynomial)
@@ -276,15 +276,19 @@ def enumerate_preperiodic(G: Semigroup, n_max: int,
     binomial that one point of a Galois orbit satisfies holds the whole
     orbit, so a point is new exactly when its class is: the points of a
     witness are those of its new classes in scan.word_pair_classes, sorted
-    by angle (the root order of X^N = a).  EnumerationCap once the summed
-    binomial degrees pass node_cap.  Zero and infinity, always
-    preperiodic, are not listed.
+    by angle (the root order of X^N = a).  EnumerationCap before a witness
+    whose points would take the list past node_cap.  Zero and infinity,
+    always preperiodic, are not listed.
     """
     from .scan import word_pair_classes
     out: list[EnumeratedPoint] = []
-    for (w, m), batch in groupby(word_pair_classes(G, n_max, node_cap),
+    for (w, m), batch in groupby(word_pair_classes(G, n_max),
                                  key=lambda item: item[1:]):
-        points = sorted(((t, cls) for cls, _, _ in batch for t in cls.angles),
+        classes = [cls for cls, _, _ in batch]
+        if len(out) + sum(cls.degree for cls in classes) > node_cap:
+            raise EnumerationCap(
+                f"node cap {node_cap} reached at |w| = {len(w)}")
+        points = sorted(((t, cls) for cls in classes for t in cls.angles),
                         key=lambda pair: pair[0])
         out.extend(EnumeratedPoint(RadicalPoint(cls.modulus, t), w, m, cls)
                    for t, cls in points)

@@ -19,8 +19,7 @@ from functools import lru_cache
 
 from .bounds import (DistanceBoundCert, class_discrepancy,
                      class_min_log_distances, distance_bound_constant)
-from .errors import (EnumerationCap, FactorBudgetExceeded, InvalidConfig,
-                     NotSIntegral)
+from .errors import FactorBudgetExceeded, InvalidConfig, NotSIntegral
 from .exactreal import PosReal
 from .galois import (DEGREE_CAP, ClassNormData, class_norm_data,
                      class_of_point, decompose_binomial_roots)
@@ -55,8 +54,7 @@ def class_meets_at_prime(nd: ClassNormData, p: int) -> bool:
 def meets_at_prime(alpha: RadicalPoint, beta: Fraction, p: int) -> bool:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    nd = class_norm_data(class_of_point(alpha), beta)
-    return class_meets_at_prime(nd, p)
+    return class_meets_at_prime(class_norm_data(class_of_point(alpha), beta), p)
 
 
 def _bounded_factor(n: int) -> dict[int, int]:
@@ -179,7 +177,6 @@ def gamma_decomposition(alpha: RadicalPoint, beta: Fraction,
                         S: list[Place]) -> GammaDecomposition:
     beta = Fraction(beta)
     nd = class_norm_data(class_of_point(alpha), beta)
-    cls = nd.cls
     if not class_s_integrality(nd, S).s_integral:
         raise NotSIntegral("decomposition requires S-integrality")
     s_primes = {v.p for v in S if not v.is_archimedean}
@@ -195,7 +192,7 @@ def gamma_decomposition(alpha: RadicalPoint, beta: Fraction,
             non_s += -float(m) * math.log(p)
     s_part = nd.arch()[0]
     for p in sorted(s_primes):
-        s_part += -float(nd.ord_w(p)) / cls.degree * math.log(p)
+        s_part += -float(nd.ord_w(p)) / nd.cls.degree * math.log(p)
     return GammaDecomposition(s_part, non_s, tuple(non_s_terms),
                               s_part + non_s, witness)
 
@@ -211,8 +208,7 @@ class ScanConfig:
     beta: Fraction
     max_wordlen: int
     tol: float = 1e-9
-    node_cap: int = 10 ** 7
-    degree_cap: int = DEGREE_CAP
+    node_cap: int = 10 ** 7     # verdicts, i.e. classes
 
     def validate(self):
         if INF not in self.S:
@@ -221,6 +217,10 @@ class ScanConfig:
             raise InvalidConfig("beta must be nonzero")
         if self.max_wordlen < 1:
             raise InvalidConfig("max_wordlen must be >= 1")
+        if self.node_cap < 1:
+            raise InvalidConfig("node_cap must be >= 1")
+        if not self.tol > 0:
+            raise InvalidConfig("tol must be > 0")
 
 
 @dataclass
@@ -235,7 +235,7 @@ class ClassVerdict:
     certified: bool
     gamma_residual: float
     distance_checks: tuple[tuple[str, bool], ...]
-    discrepancy: float | None
+    discrepancy: float
     progressions: int
 
     def to_json(self) -> dict:
@@ -294,7 +294,7 @@ class ScanReport:
             "tol": self.config.tol,
             "quadrature_nodes": 1 << 12,    # no scan reads it; monodyn/1 keeps it
             "node_cap": self.config.node_cap,
-            "degree_cap": self.config.degree_cap,
+            "degree_cap": DEGREE_CAP,       # no scan reads it; monodyn/1 keeps it
             "beta_certificate": self.beta_certificate,
             "zero_infinity": self.zero_infinity_note,
             "verdicts": [v.to_json() for v in self.verdicts],
@@ -339,20 +339,15 @@ def zero_infinity_verdict(beta: Fraction, S: list[Place]) -> dict:
     }
 
 
-def word_pair_classes(G: Semigroup, n_max: int, node_cap: int):
+def word_pair_classes(G: Semigroup, n_max: int):
     """Each class of nonzero preperiodic points from word pairs of length
     <= n_max once, as (class, w, m) with its first witness in (|w|, lex, m)
-    order; EnumerationCap once the summed binomial degrees N pass node_cap."""
+    order.  It caps nothing: each consumer caps what it emits."""
     if n_max < 1:
         raise InvalidConfig("n_max must be >= 1")
     seen: set = set()
-    budget = 0
     for w, m in word_pairs(G, n_max):
         cb = collision_binomial(G, w, m)
-        budget += cb.N
-        if budget > node_cap:
-            raise EnumerationCap(
-                f"node cap {node_cap} reached at |w| = {len(w)}")
         for cls in decompose_binomial_roots(cb.N, cb.a):
             if cls.key not in seen:
                 seen.add(cls.key)
@@ -360,15 +355,13 @@ def word_pair_classes(G: Semigroup, n_max: int, node_cap: int):
 
 
 def run_scan(config: ScanConfig) -> ScanReport:
-    """Verdicts for every class of word_pair_classes, of any degree; the
-    node cap stops it with the classes done so far, marked truncated.  The
-    degree cap only leaves discrepancy null past it; the distance checks
-    take bounds.class_min_log_distances at every degree."""
+    """Verdicts for every class of word_pair_classes, of any degree, each
+    with its discrepancy and distance checks; once it holds config.node_cap
+    verdicts it stops with the classes done so far, marked truncated."""
     config.validate()
     G = config.semigroup
     beta = Fraction(config.beta)
-    status = is_preperiodic(G, RadicalPoint.from_rational(beta),
-                            GATE_DEPTH)
+    status = is_preperiodic(G, RadicalPoint.from_rational(beta), GATE_DEPTH)
     if status.tag != "not_preperiodic":
         raise InvalidConfig(
             f"beta = {beta} lacks a non-preperiodicity certificate "
@@ -381,38 +374,34 @@ def run_scan(config: ScanConfig) -> ScanReport:
     si_point_counts: dict[int, int] = {}
     truncated = False
     notes: list[str] = []
-    try:
-        for cls, w, m in word_pair_classes(G, config.max_wordlen,
-                                           config.node_cap):
-            nd = class_norm_data(cls, beta)
-            integ = class_s_integrality(nd, config.S)
-            gamma = class_gamma(nd)
-            dist = _scan_distance_checks(nd, certs)
-            disc = None
-            if cls.degree <= config.degree_cap:
-                disc = float(class_discrepancy(cls))
-            if not integ.certified:
-                truncated = True
-                notes.append(f"uncertified verdict at degree {cls.degree}")
-            if abs(gamma.residual) > config.tol:
-                truncated = True
-                notes.append(
-                    f"gamma residual {gamma.residual:.2e} above tol at "
-                    f"degree {cls.degree}")
-            L = len(w)
-            class_counts[L] = class_counts.get(L, 0) + 1
-            point_counts[L] = point_counts.get(L, 0) + cls.degree
-            if integ.s_integral:
-                si_class_counts[L] = si_class_counts.get(L, 0) + 1
-                si_point_counts[L] = si_point_counts.get(L, 0) + cls.degree
-            verdicts.append(ClassVerdict(
-                cls.representative, cls.degree, w, m, L,
-                integ.s_integral, integ.known_bad, integ.certified,
-                gamma.residual, dist, disc,
-                cls.progressions()))
-    except EnumerationCap as exc:
-        truncated = True
-        notes.append(str(exc))
+    for cls, w, m in word_pair_classes(G, config.max_wordlen):
+        if len(verdicts) >= config.node_cap:
+            truncated = True
+            notes.append(
+                f"node cap {config.node_cap} reached at |w| = {len(w)}")
+            break
+        nd = class_norm_data(cls, beta)
+        integ = class_s_integrality(nd, config.S)
+        gamma = class_gamma(nd)
+        dist = _scan_distance_checks(nd, certs)
+        if not integ.certified:
+            truncated = True
+            notes.append(f"uncertified verdict at degree {cls.degree}")
+        if abs(gamma.residual) > config.tol:
+            truncated = True
+            notes.append(f"gamma residual {gamma.residual:.2e} above tol "
+                         f"at degree {cls.degree}")
+        L = len(w)
+        class_counts[L] = class_counts.get(L, 0) + 1
+        point_counts[L] = point_counts.get(L, 0) + cls.degree
+        if integ.s_integral:
+            si_class_counts[L] = si_class_counts.get(L, 0) + 1
+            si_point_counts[L] = si_point_counts.get(L, 0) + cls.degree
+        verdicts.append(ClassVerdict(
+            cls.representative, cls.degree, w, m, L,
+            integ.s_integral, integ.known_bad, integ.certified,
+            gamma.residual, dist, float(class_discrepancy(cls)),
+            cls.progressions()))
     verdicts.sort(key=lambda v: (v.degree, v.point.key()))
     last = config.max_wordlen
     stab = (si_class_counts.get(last, 0) == 0
@@ -437,6 +426,6 @@ def report_to_csv(report: ScanReport) -> str:
             str(v.s_integral).lower(),
             '"' + " ".join(map(str, v.bad_primes)) + '"',
             f"{v.gamma_residual:.3e}",
-            "" if v.discrepancy is None else f"{v.discrepancy:.6f}",
+            f"{v.discrepancy:.6f}",
         ]))
     return "\n".join(lines) + "\n"

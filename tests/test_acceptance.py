@@ -269,11 +269,15 @@ def test_c14_finiteness_stabilization():
     rep5 = run_scan(ScanConfig(G2, S4, F(2), 5))
     rep6 = run_scan(ScanConfig(G2, S4, F(2), 6))
     rep7 = run_scan(ScanConfig(G2, S4, F(2), 7))
+    rep9 = run_scan(ScanConfig(G2, S4, F(2), 9))
     assert not rep6.truncated and rep6.stabilization
     assert all(v.certified for v in rep6.verdicts)
     assert rep5.s_integral_points == rep6.s_integral_points
     assert rep6.s_integral_points == rep7.s_integral_points
     assert rep6.s_integral_classes == rep7.s_integral_classes
     assert not rep7.truncated
+    # the default node cap counts classes: depth 9 has 13,578 of them
+    assert not rep9.truncated and rep9.stabilization
+    assert rep9.s_integral_points == rep7.s_integral_points
     _finish(14, f"S-integral set stabilizes: {rep6.s_integral_points} points "
-            f"at depths 5, 6 and 7", t0, 300.0)
+            f"at depths 5, 6, 7 and 9", t0, 300.0)

@@ -231,7 +231,7 @@ def _classes(depth):
     from monodyn.scan import word_pair_classes
     for pairs in DEPTH6_SEMIGROUPS:
         G = Semigroup.from_pairs(pairs)
-        yield from (cls for cls, _, _ in word_pair_classes(G, depth, 10 ** 7))
+        yield from (cls for cls, _, _ in word_pair_classes(G, depth))
     for N, a in TWIN_EXTRAS:
         yield from decompose_binomial_roots(N, a)
 

@@ -11,7 +11,9 @@ import pytest
 
 from monodyn.errors import BetaIsConjugate, OverflowGuard
 from monodyn.exactreal import PosReal
-from monodyn.galois import class_norm_data, decompose_binomial_roots
+from monodyn.bounds import discrepancy_exact
+from monodyn.galois import (class_norm_data, class_of_point,
+                            decompose_binomial_roots)
 from monodyn.places import INF, Place
 from monodyn.scan import ScanConfig, bad_primes, class_s_integrality, run_scan
 from monodyn.semigroup import Semigroup
@@ -60,7 +62,8 @@ def test_scan_is_deterministic():
 
 @pytest.mark.parametrize("beta, depth, digest", [
     (F(2), 5, "bbe424717ae8"), (F(2), 6, "b3fb311c8262"),
-    (F(-3, 7), 5, "ca9ef528989b"), (F(-3, 7), 6, "53bf03ca9e1c")])
+    (F(-3, 7), 5, "ca9ef528989b"), (F(-3, 7), 6, "53bf03ca9e1c"),
+    (F(2), 7, "d2d8686ec7d1"), (F(-3, 7), 7, "726fd19c6724")])
 def test_scan_reports_are_pinned(beta, depth, digest):
     # sha256 prefix of the raw report: a speed-up of any scan layer must
     # leave every verdict, count and float of it byte-identical
@@ -68,6 +71,18 @@ def test_scan_reports_are_pinned(beta, depth, digest):
     cfg = ScanConfig(G2, [INF, Place(2), Place(3), Place(5)], beta, depth)
     raw = json.dumps(run_scan(cfg).to_json(), sort_keys=True)
     assert hashlib.sha256(raw.encode()).hexdigest()[:12] == digest
+
+
+def test_scan_discrepancy_past_degree_512_matches_angles():
+    # the depth-7 pins carry a discrepancy on every verdict; past the old
+    # degree cap of 512 it must be the exact discrepancy of the angle set
+    G2 = Semigroup.from_pairs([("2", 2), ("3", 3)])
+    cfg = ScanConfig(G2, [INF, Place(2), Place(3), Place(5)], F(2), 7)
+    big = [v for v in run_scan(cfg).verdicts if v.degree > 512]
+    assert len(big) == 227
+    for v in big:
+        angles = class_of_point(v.point).angles
+        assert v.discrepancy == float(discrepancy_exact(angles))
 
 
 def test_posreal_comparisons_match_floats():

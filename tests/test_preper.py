@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from monodyn.errors import DegreeCapExceeded, RootOfUnityInput
+from monodyn.errors import DegreeCapExceeded, EnumerationCap, RootOfUnityInput
 from monodyn.galois import class_of_point
 from monodyn.places import INF, Place
 from monodyn.polyfactor import factor_poly
@@ -212,6 +212,16 @@ def test_enumeration_examples():
     pts = enumerate_preperiodic(G2, 1)
     vals = sorted(str(p.point) for p in pts)
     assert len(pts) == 3  # 1/2 and the two square roots of 1/3
+
+
+def test_enumeration_caps_listed_points():
+    # the node cap counts listed points: 13,005 to depth 5, although the
+    # binomial degrees N of the word pairs sum to 15,993
+    pts = enumerate_preperiodic(G2, 5, node_cap=13005)
+    assert len(pts) == 13005
+    assert len({ep.point.key() for ep in pts}) == 13005
+    with pytest.raises(EnumerationCap, match="node cap 13004 reached at"):
+        enumerate_preperiodic(G2, 5, node_cap=13004)
 
 
 def test_enumeration_dedup_first_witness():

@@ -184,7 +184,7 @@ def test_unramified_distance_is_the_norm_branch():
     checked = past_exact = 0
     for pairs in TEST_SEMIGROUPS:
         G = Semigroup.from_pairs(pairs)
-        for cls, _, _ in word_pair_classes(G, 5, 10 ** 7):
+        for cls, _, _ in word_pair_classes(G, 5):
             if cls.degree > 256:
                 continue
             poly = class_polynomial(cls)
@@ -250,6 +250,16 @@ def test_gate_refuses_preperiodic_and_unknown():
         ScanConfig(G2, S_DEFAULT, F(0), 2).validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("node_cap", 0), ("node_cap", -5), ("tol", 0.0), ("tol", -1e-9),
+    ("tol", float("nan"))])
+def test_config_refuses_bad_caps(field, value):
+    # a library caller gets the error the CLI gives at parse time, not an
+    # empty or all-truncated report
+    with pytest.raises(InvalidConfig, match=field):
+        run_scan(ScanConfig(G2, S_DEFAULT, F(2), 2, **{field: value}))
+
+
 def test_zero_infinity():
     note = zero_infinity_verdict(F(2), S_DEFAULT)
     assert note["zero"]["s_integral"] and note["zero"]["bad_primes"] == [2]
@@ -288,9 +298,12 @@ def test_scan_generator_reordering_invariance():
 
 
 def test_scan_truncation_marker():
+    # the node cap counts verdicts: 38 classes up to |w| = 3, the 50th and
+    # the first one left out both of length 4
     cfg = ScanConfig(G2, S_DEFAULT, F(2), 5, node_cap=50)
     rep = run_scan(cfg)
-    assert rep.truncated and rep.notes
+    assert rep.truncated and len(rep.verdicts) == 50
+    assert rep.notes == ["node cap 50 reached at |w| = 4"]
     assert not rep.stabilization
 
 
