@@ -6,14 +6,15 @@ semigroup comes from a JSON config file ({"generators": [{"a": "2", "d": 2},
 
 Exit codes: 0 ok, 2 invalid config or option (checked as it is parsed;
 a rational must print back, a degree must be an integer, --depth >= 0,
---degree-cap, --node-cap and --samples >= 1), 3 cap exceeded (a tree, enumeration, degree or
-factoring cap, an OverflowGuard size or step budget, or an output number
-past the int-to-text digit limit), 4 internal invariant violation.  A scan
-stopped by its node cap (a count of classes), or holding an uncertified
-verdict or a Gamma residual above --tol, still writes its partial report,
-marked "truncated", and exits 3; every other cap ends the command with no
-output.  A scan takes every norm, distance check and discrepancy in closed
-form at every degree, so it reads no degree cap.
+--degree-cap, --node-cap and --samples >= 1; scan, which reads no degree
+cap, refuses one other than 512), 3 cap exceeded (a tree, enumeration,
+degree or factoring cap, the root budget of the class stream, an
+OverflowGuard size or step budget, or an output number past the
+int-to-text digit limit), 4 internal invariant violation.  A scan stopped
+by its node cap (a count of classes) or the root budget, or holding an
+uncertified verdict or a Gamma residual above --tol, still writes its
+partial report, marked "truncated", and exits 3; every other cap ends the
+command with no output.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .polyfactor import factor_poly
 from .preper import enumerate_preperiodic, minimal_polynomial
 from .primes import is_prime
 from .radical import RadicalPoint
-from .scan import ScanConfig, report_to_csv, run_scan, word_pair_classes
+from .scan import ScanConfig, capped_classes, report_to_csv, run_scan
 from .semigroup import Semigroup, Word, format_word, parse_rational, parse_word
 
 
@@ -153,8 +154,7 @@ def _cmd_bounds(args) -> int:
     rng = random.Random(args.seed)
     places = [INF, Place(2), Place(3), Place(5)]
     lines = ["id,v,log_lambda,bound,margin"]
-    bad = 0
-    made = 0
+    bad = made = 0
     while made < args.samples:
         n = rng.randint(1, 3)
         alphas = tuple(rng.choice(_ALPHA_POOL) for _ in range(n))
@@ -180,18 +180,14 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_equid(args) -> int:
-    """One row per class; EnumerationCap before the rows pass EQUID_CAP points."""
+    """One row per class; EnumerationCap before the rows pass EQUID_CAP
+    points, or once the class stream spends its root budget."""
     G = _load_semigroup(args.config)
-    rows, points = [], 0
-    for cls, w, _ in word_pair_classes(G, args.depth):
-        points += cls.degree
-        if points > EQUID_CAP:
-            raise EnumerationCap(
-                f"node cap {EQUID_CAP} reached at |w| = {len(w)}")
-        rows.append({"point": cls.representative.to_json(),
-                     "degree": cls.degree,
-                     "discrepancy": float(class_discrepancy(cls)),
-                     "progressions": cls.progressions()})
+    rows = [{"point": cls.representative.to_json(),
+             "degree": cls.degree,
+             "discrepancy": float(class_discrepancy(cls)),
+             "progressions": cls.progressions()}
+            for cls, _, _ in capped_classes(G, args.depth, EQUID_CAP)]
     lhs, rhs, diff = jensen_check(1.0, args.beta, args.nodes)
     doc = {"schema": "monodyn/1", "classes": rows,
            "jensen": {"radius": 1.0, "beta": str(args.beta),
@@ -202,6 +198,8 @@ def _cmd_equid(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if args.degree_cap != DEGREE_CAP:
+        raise InvalidConfig("scan reads no --degree-cap")
     G = _load_semigroup(args.config)
     S = [INF] + [Place(p) for p in args.S]
     cfg = ScanConfig(G, S, args.beta, args.depth, args.tol, args.node_cap)

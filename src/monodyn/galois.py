@@ -75,8 +75,7 @@ def unit_group_generators(n: int) -> tuple[int, ...]:
     if n <= 2:
         return ()
     gens = []
-    fac = factorint(n)
-    for p, e in fac.items():
+    for p, e in factorint(n).items():
         q = p ** e
         rest = n // q
         if p == 2:

@@ -105,13 +105,9 @@ def product_formula_check(x: Fraction | int) -> ProductFormulaWitness:
     # numerator and denominator.  The two must cancel prime by prime.
     num = factorint(x.numerator) if abs(x.numerator) != 1 else {}
     den = factorint(x.denominator) if x.denominator != 1 else {}
-    net = []
-    for p in sorted(set(num) | set(den)):
-        arch = num.get(p, 0) - den.get(p, 0)
-        net.append((p, -ord_p(x, p) + arch))
-    net_t = tuple(net)
-    ok = all(c == 0 for _, c in net_t)
-    return ProductFormulaWitness(net_t, ok)
+    net = tuple((p, num.get(p, 0) - den.get(p, 0) - ord_p(x, p))
+                for p in sorted(set(num) | set(den)))
+    return ProductFormulaWitness(net, all(c == 0 for _, c in net))
 
 
 def height_rational(x: Fraction | int) -> float:

@@ -221,12 +221,9 @@ class UniPoly:
 
     def int_coeffs(self) -> list[int]:
         """Coefficients as integers; raises if any is not integral."""
-        out = []
-        for c in self.coeffs:
-            if c.denominator != 1:
-                raise ValueError("non-integer coefficient")
-            out.append(c.numerator)
-        return out
+        if any(c.denominator != 1 for c in self.coeffs):
+            raise ValueError("non-integer coefficient")
+        return [c.numerator for c in self.coeffs]
 
     def to_strings(self) -> list[str]:
         return [rational_text(c) for c in self.coeffs]

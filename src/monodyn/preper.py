@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
-from .errors import (DegenerateCollision, EnumerationCap, NoRationalBElement,
-                     RootOfUnityInput)
+from .errors import DegenerateCollision, NoRationalBElement, RootOfUnityInput
 from .galois import (DEGREE_CAP, ConjugacyClass, class_of_point,
                      class_polynomial)
 from .places import Place, height_exact_arg
@@ -258,11 +257,7 @@ def word_pairs(G: Semigroup, n_max: int):
     """(w, m) pairs ordered by (|w|, lex, m)."""
     level: list[Word] = [()]
     for _ in range(n_max):
-        nxt = []
-        for w in level:
-            for i in range(G.s):
-                nxt.append(w + (i,))
-        level = nxt
+        level = [w + (i,) for w in level for i in range(G.s)]
         for w in level:
             for m in range(len(w)):
                 yield w, m
@@ -276,19 +271,16 @@ def enumerate_preperiodic(G: Semigroup, n_max: int,
     binomial that one point of a Galois orbit satisfies holds the whole
     orbit, so a point is new exactly when its class is: the points of a
     witness are those of its new classes in scan.word_pair_classes, sorted
-    by angle (the root order of X^N = a).  EnumerationCap before a witness
-    whose points would take the list past node_cap.  Zero and infinity,
-    always preperiodic, are not listed.
+    by angle (the root order of X^N = a).  EnumerationCap (from
+    scan.capped_classes) before a witness whose points would take the list
+    past node_cap, or once the stream spends its root budget.  Zero and
+    infinity, always preperiodic, are not listed.
     """
-    from .scan import word_pair_classes
+    from .scan import capped_classes
     out: list[EnumeratedPoint] = []
-    for (w, m), batch in groupby(word_pair_classes(G, n_max),
+    for (w, m), batch in groupby(capped_classes(G, n_max, node_cap),
                                  key=lambda item: item[1:]):
-        classes = [cls for cls, _, _ in batch]
-        if len(out) + sum(cls.degree for cls in classes) > node_cap:
-            raise EnumerationCap(
-                f"node cap {node_cap} reached at |w| = {len(w)}")
-        points = sorted(((t, cls) for cls in classes for t in cls.angles),
+        points = sorted(((t, cls) for cls, _, _ in batch for t in cls.angles),
                         key=lambda pair: pair[0])
         out.extend(EnumeratedPoint(RadicalPoint(cls.modulus, t), w, m, cls)
                    for t, cls in points)

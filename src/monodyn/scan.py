@@ -19,7 +19,8 @@ from functools import lru_cache
 
 from .bounds import (DistanceBoundCert, class_discrepancy,
                      class_min_log_distances, distance_bound_constant)
-from .errors import FactorBudgetExceeded, InvalidConfig, NotSIntegral
+from .errors import (EnumerationCap, FactorBudgetExceeded, InvalidConfig,
+                     NotSIntegral)
 from .exactreal import PosReal
 from .galois import (DEGREE_CAP, ClassNormData, class_norm_data,
                      class_of_point, decompose_binomial_roots)
@@ -33,6 +34,7 @@ from .semigroup import Semigroup, Word, format_word
 LOG2 = math.log(2)
 BALANCE_SLACK = 0.2   # certified float error headroom for the log-2 gap test
 GATE_DEPTH = 8        # orbit depth of beta's non-preperiodicity certificate
+ROOT_BUDGET = 2 * 10 ** 7   # roots walked; depth 9 of {2z^2, 3z^3} walks 19.7 M
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +300,10 @@ class ScanReport:
             "beta_certificate": self.beta_certificate,
             "zero_infinity": self.zero_infinity_note,
             "verdicts": [v.to_json() for v in self.verdicts],
-            "class_counts": {str(k): v for k, v in sorted(self.class_counts.items())},
-            "point_counts": {str(k): v for k, v in sorted(self.point_counts.items())},
-            "s_integral_class_counts": {str(k): v for k, v in
-                                        sorted(self.s_integral_class_counts.items())},
-            "s_integral_point_counts": {str(k): v for k, v in
-                                        sorted(self.s_integral_point_counts.items())},
+            **{key: {str(k): v for k, v in sorted(getattr(self, key).items())}
+               for key in ("class_counts", "point_counts",
+                           "s_integral_class_counts",
+                           "s_integral_point_counts")},
             "s_integral_classes": self.s_integral_classes,
             "s_integral_points": self.s_integral_points,
             "stabilization": self.stabilization,
@@ -342,22 +342,42 @@ def zero_infinity_verdict(beta: Fraction, S: list[Place]) -> dict:
 def word_pair_classes(G: Semigroup, n_max: int):
     """Each class of nonzero preperiodic points from word pairs of length
     <= n_max once, as (class, w, m) with its first witness in (|w|, lex, m)
-    order.  It caps nothing: each consumer caps what it emits."""
+    order.  EnumerationCap once the binomials walked pass ROOT_BUDGET roots
+    in all: a bound on the work, which repeated classes also cost; what a
+    consumer emits it caps through capped_classes."""
     if n_max < 1:
         raise InvalidConfig("n_max must be >= 1")
     seen: set = set()
+    walked = 0
     for w, m in word_pairs(G, n_max):
         cb = collision_binomial(G, w, m)
+        walked += cb.N
+        if walked > ROOT_BUDGET:
+            raise EnumerationCap(
+                f"root budget {ROOT_BUDGET} reached at |w| = {len(w)}")
         for cls in decompose_binomial_roots(cb.N, cb.a):
             if cls.key not in seen:
                 seen.add(cls.key)
                 yield cls, w, m
 
 
+def capped_classes(G: Semigroup, n_max: int, cap: int,
+                   weight=lambda cls: cls.degree):
+    """word_pair_classes, EnumerationCap before the classes passed on weigh
+    more than cap in all (by default their degrees: the points they hold)."""
+    total = 0
+    for cls, w, m in word_pair_classes(G, n_max):
+        total += weight(cls)
+        if total > cap:
+            raise EnumerationCap(f"node cap {cap} reached at |w| = {len(w)}")
+        yield cls, w, m
+
+
 def run_scan(config: ScanConfig) -> ScanReport:
     """Verdicts for every class of word_pair_classes, of any degree, each
-    with its discrepancy and distance checks; once it holds config.node_cap
-    verdicts it stops with the classes done so far, marked truncated."""
+    with its discrepancy and distance checks.  Before a verdict past
+    config.node_cap, or once the stream spends its ROOT_BUDGET, it stops
+    with the classes done so far, marked truncated."""
     config.validate()
     G = config.semigroup
     beta = Fraction(config.beta)
@@ -368,51 +388,49 @@ def run_scan(config: ScanConfig) -> ScanReport:
             f"(status {status.tag}); refusing to scan")
     certs = [(v, distance_bound_constant(G, v)) for v in config.S]
     verdicts: list[ClassVerdict] = []
-    class_counts: dict[int, int] = {}
-    point_counts: dict[int, int] = {}
-    si_class_counts: dict[int, int] = {}
-    si_point_counts: dict[int, int] = {}
     truncated = False
     notes: list[str] = []
-    for cls, w, m in word_pair_classes(G, config.max_wordlen):
-        if len(verdicts) >= config.node_cap:
-            truncated = True
-            notes.append(
-                f"node cap {config.node_cap} reached at |w| = {len(w)}")
-            break
-        nd = class_norm_data(cls, beta)
-        integ = class_s_integrality(nd, config.S)
-        gamma = class_gamma(nd)
-        dist = _scan_distance_checks(nd, certs)
-        if not integ.certified:
-            truncated = True
-            notes.append(f"uncertified verdict at degree {cls.degree}")
-        if abs(gamma.residual) > config.tol:
-            truncated = True
-            notes.append(f"gamma residual {gamma.residual:.2e} above tol "
-                         f"at degree {cls.degree}")
-        L = len(w)
-        class_counts[L] = class_counts.get(L, 0) + 1
-        point_counts[L] = point_counts.get(L, 0) + cls.degree
-        if integ.s_integral:
-            si_class_counts[L] = si_class_counts.get(L, 0) + 1
-            si_point_counts[L] = si_point_counts.get(L, 0) + cls.degree
-        verdicts.append(ClassVerdict(
-            cls.representative, cls.degree, w, m, L,
-            integ.s_integral, integ.known_bad, integ.certified,
-            gamma.residual, dist, float(class_discrepancy(cls)),
-            cls.progressions()))
+    try:
+        for cls, w, m in capped_classes(G, config.max_wordlen,
+                                        config.node_cap, lambda cls: 1):
+            nd = class_norm_data(cls, beta)
+            integ = class_s_integrality(nd, config.S)
+            gamma = class_gamma(nd)
+            dist = _scan_distance_checks(nd, certs)
+            if not integ.certified:
+                truncated = True
+                notes.append(f"uncertified verdict at degree {cls.degree}")
+            if abs(gamma.residual) > config.tol:
+                truncated = True
+                notes.append(f"gamma residual {gamma.residual:.2e} above tol "
+                             f"at degree {cls.degree}")
+            verdicts.append(ClassVerdict(
+                cls.representative, cls.degree, w, m, len(w),
+                integ.s_integral, integ.known_bad, integ.certified,
+                gamma.residual, dist, float(class_discrepancy(cls)),
+                cls.progressions()))
+    except EnumerationCap as exc:
+        truncated = True
+        notes.append(str(exc))
     verdicts.sort(key=lambda v: (v.degree, v.point.key()))
+    si = [v for v in verdicts if v.s_integral]
+    si_classes = _by_length(si)
     last = config.max_wordlen
-    stab = (si_class_counts.get(last, 0) == 0
-            and si_class_counts.get(last - 1, 0) == 0
-            and not truncated)
-    max_deg = max((v.degree for v in verdicts if v.s_integral), default=0)
+    stab = not (truncated or si_classes.get(last) or si_classes.get(last - 1))
     return ScanReport(config, status.certificate or "", verdicts,
                       zero_infinity_verdict(beta, config.S),
-                      class_counts, point_counts,
-                      si_class_counts, si_point_counts,
-                      stab, max_deg, truncated, notes)
+                      _by_length(verdicts), _by_length(verdicts, True),
+                      si_classes, _by_length(si, True), stab,
+                      max((v.degree for v in si), default=0), truncated, notes)
+
+
+def _by_length(verdicts: list[ClassVerdict], points=False) -> dict[int, int]:
+    """Classes, or their points, per first word length."""
+    out: dict[int, int] = {}
+    for v in verdicts:
+        L = v.first_length
+        out[L] = out.get(L, 0) + (v.degree if points else 1)
+    return out
 
 
 def report_to_csv(report: ScanReport) -> str:

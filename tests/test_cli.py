@@ -130,16 +130,17 @@ def test_depth_zero_is_invalid_config(config, command, capsys):
 
 def test_scan_degree_cap_on_genuine_twin(config, tmp_path, capsys):
     # depth 3 reaches the degree-2 genuine twins of sqrt(1/3) e(1/12) and
-    # e(5/12); the scan reads no degree cap, so --degree-cap 1 leaves the
-    # report byte-identical and every verdict carries its discrepancy
-    out, ref = tmp_path / "r.json", tmp_path / "ref.json"
+    # e(5/12); the scan reads no degree cap, so it refuses --degree-cap 1
+    # rather than write a report whose "degree_cap" says 512, and every
+    # verdict of the default report carries its discrepancy
+    out = tmp_path / "r.json"
     rc = main(["--config", config, "scan", "--beta", "2", "--depth", "3",
                "--degree-cap", "1", "--out", str(out)])
-    assert rc == 0
-    assert "Traceback" not in capsys.readouterr().err
+    assert rc == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err == "invalid config: scan reads no --degree-cap\n"
     assert main(["--config", config, "scan", "--beta", "2", "--depth", "3",
-                 "--out", str(ref)]) == 0
-    assert out.read_bytes() == ref.read_bytes()
+                 "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert not doc["truncated"] and not doc["notes"]
     twins = [v for v in doc["verdicts"]
@@ -349,6 +350,31 @@ def test_deep_equid_is_a_cap(shared_config, capsys):
     out, err = capsys.readouterr()
     assert err.startswith("cap exceeded: node cap 1000000")
     assert "Traceback" not in err and not out
+
+
+@pytest.mark.parametrize("argv", (["equid", "--depth", "25"],
+                                  ["preper", "--depth", "25"],
+                                  ["scan", "--beta", "2", "--depth", "30"]),
+                         ids=" ".join)
+def test_repeated_classes_spend_the_root_budget(tmp_path, argv, capsys):
+    # z^2 twice: level L has 2^L L word pairs but only a few new classes of
+    # roots of unity, so no cap on what is emitted trips; the stream's root
+    # budget stops it near |w| = 11 (the scan with its partial report)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"generators": [{"a": "1", "d": 2}] * 2}))
+    out = tmp_path / "out.json"
+    start = time.perf_counter()
+    rc = main(["--config", str(path), "--out", str(out)] + argv)
+    assert time.perf_counter() - start < 10.0
+    assert rc == 3
+    note = "root budget 20000000 reached at |w| = 11"
+    err = capsys.readouterr().err
+    if argv[0] == "scan":
+        doc = json.loads(out.read_text())
+        assert doc["truncated"] and doc["notes"] == [note] and not err
+        assert max(map(int, doc["class_counts"])) == 11
+    else:
+        assert err == f"cap exceeded: {note}\n" and not out.exists()
 
 
 def test_import_leaves_numpy_out():

@@ -307,6 +307,18 @@ def test_scan_truncation_marker():
     assert not rep.stabilization
 
 
+def test_scan_report_stops_at_the_root_budget(monkeypatch):
+    # the binomials up to |w| = 4 hold 2430 roots; with that budget the
+    # stream stops at the first pair of length 5 and the scan keeps the
+    # 119 classes before it
+    import monodyn.scan as scan
+    monkeypatch.setattr(scan, "ROOT_BUDGET", 2430)
+    rep = run_scan(ScanConfig(G2, S_DEFAULT, F(2), 5))
+    assert rep.truncated and len(rep.verdicts) == 119
+    assert rep.notes == ["root budget 2430 reached at |w| = 5"]
+    assert max(rep.class_counts) == 4
+
+
 def test_scan_builds_norm_data_once_per_class(monkeypatch):
     import monodyn.scan as scan
     calls = {"norm": 0, "cert": 0}
