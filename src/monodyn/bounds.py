@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (BadWindow, BetaIsConjugate, DegenerateDegree, LambdaZero,
                      ZeroAlpha, ZeroInput)
@@ -124,31 +123,33 @@ def discrepancy_exact(angles) -> Fraction:
     """sup over circular arcs of |empirical mass - arc length|, exact.
 
     For sorted angles t_j mod 1 the supremum equals 1/n + max_j (j/n - t_j)
-    - min_j (j/n - t_j).  On integers: with L the lcm of the denominators and
-    k_j = L t_j sorted, that is 1/n + (max - min of j L - n k_j) / (n L).
-    The tests check it against a brute-force scan of all endpoint arcs.
+    - min_j (j/n - t_j): _discrepancy on k_j = L t_j, L the lcm of the
+    denominators.  The tests check it against a brute-force scan of all
+    endpoint arcs.
     """
     ts = [t if isinstance(t, Fraction) else Fraction(t) for t in angles]
-    n = len(ts)
-    if n == 0:
+    if not ts:
         raise ZeroInput("need at least one angle")
     L = math.lcm(*(t.denominator for t in ts))
-    ks = sorted(t.numerator % t.denominator * (L // t.denominator) for t in ts)
-    u = [j * L - n * k for j, k in enumerate(ks)]
-    return Fraction(L + max(u) - min(u), n * L)
+    return _discrepancy(sorted(t.numerator % t.denominator
+                               * (L // t.denominator) for t in ts), L)
 
 
 def class_discrepancy(cls: ConjugacyClass) -> Fraction:
     """discrepancy_exact(cls.angles) without the angles: they are K copies
     t = (r / P + m) / K of the residue set {r / P}, with 1/K of its
-    discrepancy (cached per residue set)."""
+    discrepancy."""
     rs = cls.residues()
-    return _residue_discrepancy(rs, cls.period) / (cls.degree // len(rs))
+    return _discrepancy(rs, cls.period) / (cls.degree // len(rs))
 
 
-@lru_cache(maxsize=1024)
-def _residue_discrepancy(rs: tuple[int, ...], P: int) -> Fraction:
-    return discrepancy_exact([Fraction(r, P) for r in rs])
+def _discrepancy(ks, L: int) -> Fraction:
+    """The discrepancy of the angles k_j / L, ks sorted integers in [0, L):
+    1/n + (max - min of j L - n k_j) / (n L), unchanged when ks and L are
+    scaled by a common factor."""
+    n = len(ks)
+    u = [j * L - n * k for j, k in enumerate(ks)]
+    return Fraction(L + max(u) - min(u), n * L)
 
 
 # ---------------------------------------------------------------------------

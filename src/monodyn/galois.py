@@ -39,11 +39,12 @@ Class norms: one ClassNormData per (class, beta) holds the local terms of
 For a full class that is W(beta), whose valuation at p is closed-form in
 v = ord_p(x) = M0 ord_p(beta) - ord_p(c0) (x = beta^M0 / c0, ord_p(c0) =
 M0 ord_p(alpha)) and, for a p-unit x, in the order of x mod p: it is read
-from small numbers, never from x or a materialized W(beta).  A genuine
-twin's norm is the value r^phi B(beta^(M0/2) / r) of its Aurifeuillian
-factor, r = (twin sign) s, by integer Horner: no class polynomial is built
-on the norm path, so it has no degree cap.  A zero norm (beta in the orbit)
-is rejected once, when the norm data is built.
+from the numerator and denominator of the held x, never from a
+materialized W(beta).  A genuine twin's norm is the value
+r^phi B(beta^(M0/2) / r) of its Aurifeuillian factor, r = (twin sign) s,
+by integer Horner: no class polynomial is built on the norm path, so it
+has no degree cap.  A zero norm (beta in the orbit) is rejected once, when
+the norm data is built.
 """
 
 from __future__ import annotations
@@ -180,12 +181,8 @@ class ConjugacyClass:
 
     @cached_property
     def first_angle(self) -> Fraction:
-        """The least angle, by a short search for the least residue."""
-        q, f, sign = self.qprime, self.conductor, self.sign
-        r = 0
-        while math.gcd(r, q) != 1 or (sign and _twin_sign(r, q, f) != sign):
-            r += 1
-        return Fraction(r, self.M0 * q)
+        """The least angle, from the least residue."""
+        return Fraction(self.residues()[0], self.M0 * self.qprime)
 
     @cached_property
     def angles(self) -> tuple[Fraction, ...]:
@@ -243,8 +240,8 @@ def decompose_binomial_roots(N: int, a: Fraction) -> list[ConjugacyClass]:
     entangled with f | 2q' and (q' odd or chi(1 + q') = -1).
     OverflowGuard when the radicand c0 cannot be printed."""
     a = Fraction(a)
-    if a == 0:
-        raise ZeroInput("binomial needs a != 0")
+    if N < 1 or a == 0:
+        raise ZeroInput("binomial needs N >= 1 and a != 0")
     cached = _decompose_cache.get((N, a))
     if cached is not None:
         return cached
@@ -385,7 +382,7 @@ class ClassNormData:
 
     For a class of full degree M0 phi(q') the norm is W(beta) =
     c0^phi(q') Phi_{q'}(x), x = beta^M0 / c0: ord_w takes the closed form of
-    _ord_full_norm from ords(p), and log_w sums the logs of the Moebius
+    _ord_full_norm from ords(p) and x, and log_w sums the logs of the Moebius
     pieces x^j - 1 in floats.  value holds the norm exactly where that is
     cheap: a genuine twin's from its Aurifeuillian factor, and c0^phi(q')
     Phi_{q'}(+-1) for x = +-1.
@@ -409,19 +406,18 @@ class ClassNormData:
                                      ord_p(self.beta, p))
         return out
 
-    def ord_w(self, p: int) -> Fraction:
+    def ord_w(self, p: int) -> int:
         """ord_p of the norm, exact; computed once per prime."""
         total = self._memo.get(p)
         if total is not None:
             return total
         if self.value is not None:
-            total = Fraction(ord_p(self.value, p))
+            total = ord_p(self.value, p)
         else:
-            cls = self.cls
             o_a, o_b = self.ords(p)
-            total = Fraction(_ord_full_norm(cls.qprime, self.beta, cls.c0,
-                                            cls.M0, p, o_b,
-                                            int(cls.M0 * o_a)))
+            oc = int(self.cls.M0 * o_a)
+            total = _ord_full_norm(self.cls.qprime, self.x, p,
+                                   self.cls.M0 * o_b - oc, oc)
         self._memo[p] = total
         return total
 
@@ -502,43 +498,29 @@ def class_norm_data(cls: ConjugacyClass, beta: Fraction) -> ClassNormData:
 # --- valuation and log helpers ---------------------------------------------
 
 
-def _ord_full_norm(q: int, beta: Fraction, c0: Fraction, M0: int, p: int,
-                   ob: int, oc: int) -> int:
+def _ord_full_norm(q: int, x: Fraction, p: int, v: int, oc: int) -> int:
     """ord_p of the full-class norm c0^phi(q) Phi_q(x), x = beta^M0 / c0 not
-    +-1, in closed form from small numbers, never reading x; ob = ord_p(beta)
-    and oc = ord_p(c0) are given.
+    +-1, in closed form; v = ord_p(x) and oc = ord_p(c0) are given.
 
-    With v = ord_p(x) = M0 ob - oc, Phi_q(x) has valuation phi(q) min(v, 0)
-    when v != 0.  For a p-unit x and q = q0 p^k with p prime to q0, Phi_q(x)
-    is a p-unit unless x has order q0 mod p: then it is ord_p(x^q0 - 1) at
-    k = 0 and 1 past it, except that Phi_2(x) = x + 1 at p = 2.  x mod p^j
-    comes from the p-free parts of beta and c0.
+    Phi_q(x) has valuation phi(q) min(v, 0) when v != 0.  For a p-unit x
+    and q = q0 p^k with p prime to q0, Phi_q(x) is a p-unit unless x has
+    order q0 mod p: then it is ord_p(x^q0 - 1) at k = 0 and 1 past it,
+    except that Phi_2(x) = x + 1 at p = 2.  Then x mod p^j comes from the
+    numerator and denominator of x, both p-units.
     """
     phi = _qprime_data(q)[0]
-    v = M0 * ob - oc
     if v:
         return phi * (oc + min(v, 0))
     base = phi * oc
-    # the p-free parts bn / bd of beta and cn / cd of c0, on ints
-    bn, bd = beta.numerator, beta.denominator
-    if ob > 0:
-        bn //= p ** ob
-    elif ob < 0:
-        bd //= p ** -ob
-    cn, cd = c0.numerator, c0.denominator
-    if oc > 0:
-        cn //= p ** oc
-    elif oc < 0:
-        cd //= p ** -oc
+    n, d = x.numerator, x.denominator
 
     def ord_diff(e, s):
-        """ord_p(x^e - s) = ord_p(N^e - s D^e) for x = N / D, N = bn^M0 cd,
-        D = bd^M0 cn p-units; by adaptive modular doubling."""
+        """ord_p(x^e - s) = ord_p(n^e - s d^e), by adaptive modular
+        doubling."""
         j = 8
         while True:
             mod = p ** j
-            r = (pow(bn, M0 * e, mod) * pow(cd, e, mod)
-                 - s * pow(bd, M0 * e, mod) * pow(cn, e, mod)) % mod
+            r = (pow(n, e, mod) - s * pow(d, e, mod)) % mod
             if r:
                 return ord_p(r, p)
             j *= 2
@@ -549,7 +531,7 @@ def _ord_full_norm(q: int, beta: Fraction, c0: Fraction, M0: int, p: int,
         q0, k = q0 // p, k + 1
     if (p - 1) % q0:
         return base
-    xb = pow(bn, M0, p) * cd * pow(pow(bd, M0, p) * cn, -1, p) % p
+    xb = n * pow(d, -1, p) % p
     if pow(xb, q0, p) != 1 or any(pow(xb, q0 // ell, p) == 1
                                   for ell in factorint(q0)):
         return base

@@ -23,7 +23,8 @@ from fractions import Fraction
 
 from .errors import DepthNonPositive, TreeSizeCap
 from .exactreal import PosReal
-from .places import INF, Place
+from .places import INF, Place, height_exact_arg
+from .primes import ord_p
 from .radical import RadicalPoint
 from .semigroup import Semigroup, Word, check_printable
 
@@ -32,7 +33,6 @@ NODE_CAP = 10 ** 6
 
 def window_radius_exact(G: Semigroup, v: Place) -> PosReal:
     """r(G, v) <= 1 as an exact positive real."""
-    from .primes import ord_p
     best: PosReal | None = None
     for g in G.generators:
         e = Fraction(1, abs(g.d) - 1)
@@ -72,7 +72,6 @@ def _height_budget(G: Semigroup) -> PosReal:
     the budget is sum h(a_i); mixed-sign degrees only guarantee
     |k_i| <= (3/2)|N|, so the budget gets the 3/2 exponent.
     """
-    from .places import height_exact_arg
     acc = PosReal.one()
     for g in G.generators:
         acc = acc * PosReal.of(height_exact_arg(g.a))

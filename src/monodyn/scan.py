@@ -113,7 +113,7 @@ def class_s_integrality(nd: ClassNormData, S: list[Place]) -> SIntegrality:
     # the slack, making both sides of the band certain
     gap = nd.log_w()
     for p in inspected:
-        gap -= float(nd.ord_w(p)) * math.log(p)
+        gap -= nd.ord_w(p) * math.log(p)
     outside_clean = gap < BALANCE_SLACK   # conservative in the (unreached) band
     certified = outside_clean or gap > LOG2 - BALANCE_SLACK
     s_integral = outside_clean and all(p in s_primes for p in known_bad)
@@ -156,7 +156,7 @@ def class_gamma(nd: ClassNormData) -> GammaReport:
     rows = [("inf", nd.arch()[0])]
     leftover = nd.log_w()
     for p in sorted(_support(nd)):
-        o = float(nd.ord_w(p))
+        o = nd.ord_w(p)
         leftover -= o * math.log(p)
         rows.append((str(p), -o / cls.degree * math.log(p)))
     leftover /= cls.degree
@@ -194,7 +194,7 @@ def gamma_decomposition(alpha: RadicalPoint, beta: Fraction,
             non_s += -float(m) * math.log(p)
     s_part = nd.arch()[0]
     for p in sorted(s_primes):
-        s_part += -float(nd.ord_w(p)) / nd.cls.degree * math.log(p)
+        s_part += -nd.ord_w(p) / nd.cls.degree * math.log(p)
     return GammaDecomposition(s_part, non_s, tuple(non_s_terms),
                               s_part + non_s, witness)
 

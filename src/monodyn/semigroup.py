@@ -154,5 +154,3 @@ def good_reduction(f: MonomialMap, p: int) -> bool:
     """A monomial has good reduction at p exactly when its coefficient is a p-unit."""
     return ord_p(f.a, p) == 0
 
-
-# the exact size window r(G, v) lives in orbits.window_radius_exact

@@ -63,7 +63,8 @@ def test_scan_is_deterministic():
 @pytest.mark.parametrize("beta, depth, digest", [
     (F(2), 5, "bbe424717ae8"), (F(2), 6, "b3fb311c8262"),
     (F(-3, 7), 5, "ca9ef528989b"), (F(-3, 7), 6, "53bf03ca9e1c"),
-    (F(2), 7, "d2d8686ec7d1"), (F(-3, 7), 7, "726fd19c6724")])
+    (F(2), 7, "d2d8686ec7d1"), (F(-3, 7), 7, "726fd19c6724"),
+    (F(2), 8, "d2d880a27bbd"), (F(-3, 7), 8, "2ee7adbe24d7")])
 def test_scan_reports_are_pinned(beta, depth, digest):
     # sha256 prefix of the raw report: a speed-up of any scan layer must
     # leave every verdict, count and float of it byte-identical

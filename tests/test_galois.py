@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from monodyn import galois
-from monodyn.errors import BetaIsConjugate, DegreeCapExceeded
+from monodyn.errors import BetaIsConjugate, DegreeCapExceeded, ZeroInput
 from monodyn.exactreal import PosReal
 from monodyn.galois import (ClassNormData, class_norm_data,
                             class_of_point, class_polynomial,
@@ -219,9 +219,9 @@ def test_class_norm_data_memoizes_ord_and_log(monkeypatch):
     calls = []
     inner = galois._ord_full_norm
 
-    def counted(q, beta, c0, M0, p, ob, oc):
+    def counted(q, x, p, v, oc):
         calls.append((q, p))
-        return inner(q, beta, c0, M0, p, ob, oc)
+        return inner(q, x, p, v, oc)
     monkeypatch.setattr(galois, "_ord_full_norm", counted)
     first = nd.ord_w(3)
     assert calls
@@ -239,8 +239,8 @@ def test_class_norm_data_memoizes_ord_and_log(monkeypatch):
 def test_full_norm_valuations_closed_form():
     # oracle: ord_p of Phi_q(x) evaluated as a Fraction; x = +-n/d on a
     # thinned grid and every 2-adic and p-adic neighbour +-1 +- p^k of +-1,
-    # once as beta with c0 = 1, M0 = 1 and once as x = beta^3 / c0 with p in
-    # beta and c0, whose p-parts cancel
+    # once with c0 = 1 and once as x = beta^3 / c0 with p in beta and c0,
+    # whose p-parts cancel
     primes = (2, 3, 5, 7, 11)
     xs = {F(s * n, d) for n in range(1, 41, 4) for d in (1, 2, 3, 4, 9, 25, 27)
           for s in (1, -1)}
@@ -254,13 +254,13 @@ def test_full_norm_valuations_closed_form():
             val = Phi(x)
             for p in primes:
                 o = ord_p(val, p)
-                assert galois._ord_full_norm(q, x, F(1), 1, p, ord_p(x, p),
-                                             0) == o, (q, x, p)
+                v = ord_p(x, p)
+                assert galois._ord_full_norm(q, x, p, v, 0) == o, (q, x, p)
                 beta = F(p if x > 0 else -p)
                 c0 = beta ** 3 / x
-                assert galois._ord_full_norm(q, beta, c0, 3, p, 1,
-                                             ord_p(c0, p)) \
-                    == o + phi * ord_p(c0, p), (q, x, p)
+                oc = ord_p(c0, p)
+                assert galois._ord_full_norm(q, beta ** 3 / c0, p, 3 - oc,
+                                             oc) == o + phi * oc, (q, x, p)
                 checked += 1
     assert checked == 61800
 
@@ -346,3 +346,30 @@ def test_class_of_point_matches_listing():
                 assert found == [class_of_point(x)], x
                 checked += 1
     assert checked > 20000
+
+
+def test_first_angle_is_the_least_angle():
+    # oracle: the least of the built angles, for every class of every
+    # collision binomial up to depth 6 of the three test semigroups, which
+    # hold genuine twins and binomials with a < 0
+    cases = set()
+    for pairs in TEST_SEMIGROUPS:
+        G = Semigroup.from_pairs(pairs)
+        for w, m in word_pairs(G, 6):
+            cb = collision_binomial(G, w, m)
+            cases.add((cb.N, cb.a))
+    checked = twins = negative = 0
+    for N, a in sorted(cases):
+        for cls in decompose_binomial_roots(N, a):
+            assert cls.first_angle == min(cls.angles), (N, a, cls.key)
+            checked += 1
+            twins += _is_genuine_twin(cls)
+            negative += a < 0
+    assert (checked, twins, negative) == (5347, 328, 449)
+
+
+@pytest.mark.parametrize("a", [F(2), F(-2)])
+@pytest.mark.parametrize("N", [0, -2, -3])
+def test_decompose_refuses_nonpositive_degree(N, a):
+    with pytest.raises(ZeroInput):
+        decompose_binomial_roots(N, a)

@@ -1,5 +1,6 @@
-"""Every name a source module imports is used in it (no linter is a
-dependency, so the check parses the modules with ast)."""
+"""Every name a source module imports is used in it, and a relative import
+inside a function breaks an import cycle (no linter is a dependency, so the
+checks parse the modules with ast)."""
 
 import ast
 import pathlib
@@ -26,6 +27,23 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
+def local_relative_imports(source: str) -> list[tuple[str, int]]:
+    """(module, line) of the relative imports inside function bodies."""
+    return sorted({(node.module or node.names[0].name, node.lineno)
+                   for fn in ast.walk(ast.parse(source))
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.ImportFrom) and node.level})
+
+
+def top_relative_imports(source: str) -> set[str]:
+    """The sibling modules a module imports at module level."""
+    return {name for node in ast.parse(source).body
+            if isinstance(node, ast.ImportFrom) and node.level
+            for name in ([node.module] if node.module
+                         else [alias.name for alias in node.names])}
+
+
 def test_the_check_sees_unused_names():
     assert unused_imports("import os\nimport a.b\nfrom x import y as z\n"
                           "from __future__ import annotations\n") == [
@@ -37,3 +55,22 @@ def test_the_check_sees_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+def test_the_check_sees_local_imports():
+    source = ("from .a import b\nfrom . import c, d\nimport e\n"
+              "def f():\n    from .g import h\n    import i\n"
+              "    def k():\n        from . import m\n")
+    assert local_relative_imports(source) == [("g", 5), ("m", 8)]
+    assert top_relative_imports(source) == {"a", "c", "d"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_local_imports_break_cycles(path):
+    # a function-local import is kept only where the imported module
+    # imports this one at module level; any other belongs at the top
+    acyclic = [f"{module} (line {line})"
+               for module, line in local_relative_imports(path.read_text())
+               if path.stem not in
+               top_relative_imports((SRC / f"{module}.py").read_text())]
+    assert acyclic == [], path.name
