@@ -119,13 +119,17 @@ def _cmd_orbit(args) -> int:
 def _cmd_preper(args) -> int:
     G = _load_semigroup(args.config)
     lines = []
+    minpolys: dict = {}         # one text per class, shared by its points
     for ep in enumerate_preperiodic(G, args.depth):
+        cls = ep.cls
         row = ep.point.to_json()
         row["witness"] = [format_word(ep.word), ep.prefix]
-        row["minpoly"] = minimal_polynomial(
-            ep.cls.representative, degree_cap=args.degree_cap).to_strings() \
-            if ep.cls.degree <= args.degree_cap else None
-        row["degree"] = ep.cls.degree
+        if cls.key not in minpolys:
+            minpolys[cls.key] = minimal_polynomial(
+                cls.representative, degree_cap=args.degree_cap).to_strings() \
+                if cls.degree <= args.degree_cap else None
+        row["minpoly"] = minpolys[cls.key]
+        row["degree"] = cls.degree
         lines.append(json.dumps(row))
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -174,7 +174,7 @@ class ConjugacyClass:
         return _residues(self.qprime, self.conductor if self.sign else 0,
                          self.sign)
 
-    @property
+    @cached_property
     def degree(self) -> int:
         full = self.M0 * _qprime_data(self.qprime)[0]
         return full // 2 if self.sign else full
@@ -192,9 +192,13 @@ class ConjugacyClass:
         return tuple(Fraction(r + m * P, den)
                      for m in range(den // P) for r in rs)
 
-    @property
+    @cached_property
     def representative(self) -> RadicalPoint:
         return RadicalPoint(self.modulus, self.first_angle)
+
+    @cached_property
+    def log_modulus(self) -> float:
+        return self.modulus.log()
 
     def progressions(self) -> int:
         """Number of step-1/M0 arithmetic progressions forming the angles:
@@ -244,6 +248,7 @@ def decompose_binomial_roots(N: int, a: Fraction) -> list[ConjugacyClass]:
         raise ZeroInput("binomial needs N >= 1 and a != 0")
     cached = _decompose_cache.get((N, a))
     if cached is not None:
+        check_printable(cached[0].c0)   # the digit limit may have dropped
         return cached
     modulus = PosReal.of(a, Fraction(1, N))
     c0, M0 = modulus.radical_form()
@@ -450,7 +455,7 @@ class ClassNormData:
         cls, beta = self.cls, self.beta
         rs, P = cls.residues(), cls.period
         K = cls.degree // len(rs)
-        la, lb = cls.modulus.log(), _log_fraction(abs(beta))
+        la, lb = cls.log_modulus, _log_fraction(abs(beta))
         fibers = math.fsum(_log_distance(K * la, K * lb, r / P,
                                          beta < 0 and K % 2) for r in rs)
         D = cls.M0 * cls.qprime             # angles are v / D

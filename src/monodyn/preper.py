@@ -253,16 +253,6 @@ class EnumeratedPoint:
     cls: ConjugacyClass           # the Galois orbit of point
 
 
-def word_pairs(G: Semigroup, n_max: int):
-    """(w, m) pairs ordered by (|w|, lex, m)."""
-    level: list[Word] = [()]
-    for _ in range(n_max):
-        level = [w + (i,) for w in level for i in range(G.s)]
-        for w in level:
-            for m in range(len(w)):
-                yield w, m
-
-
 def enumerate_preperiodic(G: Semigroup, n_max: int,
                           node_cap: int = 10 ** 6) -> list[EnumeratedPoint]:
     """All nonzero preperiodic points from word pairs of length <= n_max.

@@ -13,6 +13,7 @@ positive integer, trivial iff the balance gap stays below log 2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -20,13 +21,13 @@ from functools import lru_cache
 from .bounds import (DistanceBoundCert, class_discrepancy,
                      class_min_log_distances, distance_bound_constant)
 from .errors import (EnumerationCap, FactorBudgetExceeded, InvalidConfig,
-                     NotSIntegral)
+                     NotSIntegral, OverflowGuard)
 from .exactreal import PosReal
 from .galois import (DEGREE_CAP, ClassNormData, class_norm_data,
                      class_of_point, decompose_binomial_roots)
 from .orbits import is_preperiodic
 from .places import INF, Place, height_rational
-from .preper import collision_binomial, minimal_polynomial, word_pairs
+from .preper import collision_binomial, minimal_polynomial
 from .primes import factor_fraction, factorint, is_prime
 from .radical import RadicalPoint
 from .semigroup import Semigroup, Word, format_word
@@ -314,11 +315,11 @@ class ScanReport:
 
 
 def _scan_distance_checks(nd: ClassNormData,
-                          certs: list[tuple[Place, DistanceBoundCert]]):
-    """(place, ok) rows of the class nd.cls at beta = nd.beta:
-    class_min_log_distances against each certificate's bound."""
+                          certs: list[tuple[Place, DistanceBoundCert]],
+                          h_beta: float):
+    """(place, ok) rows of the class nd.cls at beta = nd.beta, whose height
+    is h_beta: class_min_log_distances against each certificate's bound."""
     cls = nd.cls
-    h_beta = height_rational(nd.beta)
     MQ = max(2, cls.M0 * cls.first_angle.denominator)
     observed = class_min_log_distances(nd, [v for v, _ in certs])
     return tuple((str(v), obs > -cert.bound(h_beta, cls.degree, MQ))
@@ -339,26 +340,88 @@ def zero_infinity_verdict(beta: Fraction, S: list[Place]) -> dict:
     }
 
 
+class _ClassTable:
+    """The class stream of one semigroup as grown so far: rows (cls, w, m),
+    each class once with its first witness in (|w|, lex, m) order, and None
+    after the last pair of each word length; error is the exception that
+    ended the stream, raised again at the row where it ended."""
+
+    def __init__(self, limits: tuple[int, int]):
+        self.limits = limits          # (ROOT_BUDGET, int-to-text digit limit)
+        self.rows: list = []
+        self.error: Exception | None = None
+        self.pair: tuple[Word, int] = ((0,), 0)     # the next pair to walk
+        self.walked = 0               # roots of the binomials walked
+        self.seen: set = set()
+
+    def grow(self, G: Semigroup) -> None:
+        """Walk the next word pair: append the rows of its new classes, or
+        store the exception that ends the stream."""
+        w, m = self.pair
+        try:
+            cb = collision_binomial(G, w, m)
+            if self.walked + cb.N > ROOT_BUDGET:
+                raise EnumerationCap(
+                    f"root budget {ROOT_BUDGET} reached at |w| = {len(w)}")
+            classes = decompose_binomial_roots(cb.N, cb.a)
+        except (EnumerationCap, OverflowGuard) as exc:
+            self.error = exc
+            return
+        self.walked += cb.N
+        for cls in classes:
+            if cls.key not in self.seen:
+                self.seen.add(cls.key)
+                self.rows.append((cls, w, m))
+        if m + 1 < len(w):
+            self.pair = w, m + 1
+            return
+        i = len(w) - 1              # the next word, in lex order
+        while i >= 0 and w[i] == G.s - 1:
+            i -= 1
+        if i < 0:
+            self.rows.append(None)
+            self.pair = (0,) * (len(w) + 1), 0
+        else:
+            self.pair = w[:i] + (w[i] + 1,) + (0,) * (len(w) - 1 - i), 0
+
+
 def word_pair_classes(G: Semigroup, n_max: int):
     """Each class of nonzero preperiodic points from word pairs of length
     <= n_max once, as (class, w, m) with its first witness in (|w|, lex, m)
     order.  EnumerationCap once the binomials walked pass ROOT_BUDGET roots
     in all: a bound on the work, which repeated classes also cost; what a
-    consumer emits it caps through capped_classes."""
+    consumer emits it caps through capped_classes.
+
+    G keeps its stream for as long as the object lives, in G._memo: the
+    classes read so far, with any angles they have cached (about 1.2 KB a
+    class without them), and the exception that ended the stream, if one
+    did.  A later call replays them and walks a word pair (collision
+    binomial and decomposition) only past the last pair an earlier call
+    read, so scans of G at many base points walk each pair once.  The
+    stream is rebuilt when ROOT_BUDGET or Python's int-to-text digit limit
+    differs from the one it was grown under.  Equal semigroups built apart
+    do not share it."""
     if n_max < 1:
         raise InvalidConfig("n_max must be >= 1")
-    seen: set = set()
-    walked = 0
-    for w, m in word_pairs(G, n_max):
-        cb = collision_binomial(G, w, m)
-        walked += cb.N
-        if walked > ROOT_BUDGET:
-            raise EnumerationCap(
-                f"root budget {ROOT_BUDGET} reached at |w| = {len(w)}")
-        for cls in decompose_binomial_roots(cb.N, cb.a):
-            if cls.key not in seen:
-                seen.add(cls.key)
-                yield cls, w, m
+    limits = (ROOT_BUDGET, sys.get_int_max_str_digits())
+    table = G._memo.get("classes")
+    if table is None or table.limits != limits:
+        table = G._memo["classes"] = _ClassTable(limits)
+    rows = table.rows
+    i = ends = 0
+    while True:
+        while i == len(rows):
+            if table.error is not None:
+                raise table.error.with_traceback(None)
+            table.grow(G)
+        row = rows[i]
+        i += 1
+        if row is not None:
+            yield row
+        else:
+            ends += 1
+            if ends == n_max:
+                return
 
 
 def capped_classes(G: Semigroup, n_max: int, cap: int,
@@ -387,6 +450,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
             f"beta = {beta} lacks a non-preperiodicity certificate "
             f"(status {status.tag}); refusing to scan")
     certs = [(v, distance_bound_constant(G, v)) for v in config.S]
+    h_beta = height_rational(beta)
     verdicts: list[ClassVerdict] = []
     truncated = False
     notes: list[str] = []
@@ -396,7 +460,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
             nd = class_norm_data(cls, beta)
             integ = class_s_integrality(nd, config.S)
             gamma = class_gamma(nd)
-            dist = _scan_distance_checks(nd, certs)
+            dist = _scan_distance_checks(nd, certs, h_beta)
             if not integ.certified:
                 truncated = True
                 notes.append(f"uncertified verdict at degree {cls.degree}")

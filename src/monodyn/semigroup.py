@@ -10,7 +10,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import EmptyWord, InvalidConfig, OverflowGuard
@@ -73,7 +73,14 @@ class MonomialMap:
 
 @dataclass(frozen=True)
 class Semigroup:
+    """A finitely generated semigroup of monomial maps.  _memo holds what
+    is derived from the generators alone and kept while the object lives
+    (the scan's class stream, under "classes"); it is no part of ==, hash,
+    repr, to_json or dataclasses.replace."""
+
     generators: tuple[MonomialMap, ...]
+    _memo: dict = field(init=False, default_factory=dict, compare=False,
+                        hash=False, repr=False)
 
     def __post_init__(self):
         if not self.generators:

@@ -24,6 +24,7 @@ from monodyn.polyfactor import (_distinct_degree, _frobenius, _next_prime,
                                 _squarefree_mod, _subset_sums, factor_poly,
                                 rational_roots)
 from monodyn.polynomials import UniPoly
+from monodyn.semigroup import Semigroup, Word
 
 
 class ReducibleInput(MonodynError):
@@ -196,3 +197,18 @@ def irreducibility_certificate(f: UniPoly, primes_to_try: int = 12) -> str:
         if possible == {0, f.degree}:
             return "irreducible"
     return "unknown"
+
+
+# ---------------------------------------------------------------------------
+# word pairs
+
+
+def word_pairs(G: Semigroup, n_max: int):
+    """(w, m) pairs ordered by (|w|, lex, m), level by level: the order
+    scan.word_pair_classes walks them in."""
+    level: list[Word] = [()]
+    for _ in range(n_max):
+        level = [w + (i,) for w in level for i in range(G.s)]
+        for w in level:
+            for m in range(len(w)):
+                yield w, m

@@ -14,11 +14,12 @@ from monodyn.galois import (ClassNormData, class_norm_data,
                             decompose_binomial_roots, unit_group_generators)
 from monodyn.polyfactor import factor_poly
 from monodyn.polynomials import UniPoly, cyclotomic_poly
-from monodyn.preper import collision_binomial, minimal_polynomial, word_pairs
+from monodyn.preper import collision_binomial, minimal_polynomial
 from monodyn.primes import euler_phi, kronecker, ord_p, squarefree_kernel
 from monodyn.radical import RadicalPoint
 from monodyn.scan import word_pair_classes
 from monodyn.semigroup import Semigroup
+from oracles import word_pairs
 
 POOL = [F(x) for x in ("2", "3", "4", "-2", "-3", "-4", "8", "9", "-8", "16",
                        "-16", "1/2", "-1/2", "4/9", "-4/9", "12", "-12",

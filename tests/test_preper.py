@@ -11,10 +11,10 @@ from monodyn.polynomials import UniPoly, newton_polygon_root_valuations
 from monodyn.preper import (CollisionBinomial, capelli_reducible,
                             collision_binomial, conjugates,
                             degree_lower_bound, enumerate_preperiodic,
-                            minimal_polynomial, structure_decompose,
-                            word_pairs)
+                            minimal_polynomial, structure_decompose)
 from monodyn.radical import RadicalPoint
 from monodyn.semigroup import Semigroup
+from oracles import word_pairs
 
 
 def G(*pairs):

@@ -1,11 +1,15 @@
+import dataclasses
+import json
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from monodyn import bounds
 from monodyn.bounds import class_min_log_distances, first_newton_slope
-from monodyn.errors import BetaIsConjugate, InvalidConfig, NotSIntegral
+from monodyn.errors import (BetaIsConjugate, EnumerationCap, InvalidConfig,
+                            NotSIntegral, OverflowGuard)
 from monodyn.galois import class_norm_data, class_of_point, class_polynomial
 from monodyn.places import INF, Place
 from monodyn.polynomials import newton_polygon_root_valuations
@@ -17,6 +21,8 @@ from monodyn.scan import (ScanConfig, bad_primes, class_gamma,
                           meets_at_prime, report_to_csv, run_scan,
                           word_pair_classes, zero_infinity_verdict)
 from monodyn.semigroup import Semigroup
+from oracles import word_pairs
+from test_cross_validation import PINNED_REPORTS, raw_report_digest
 from test_galois import TEST_SEMIGROUPS
 
 G2 = Semigroup.from_pairs([("2", 2), ("3", 3)])
@@ -365,3 +371,130 @@ def test_scan_takes_each_beta_valuation_once_per_class(monkeypatch):
             per_prime[p] = per_prime.get(p, 0) + 1
     assert per_prime and all(n <= len(rep.verdicts)
                              for n in per_prime.values()), per_prime
+
+
+# ---------------------------------------------------------------------------
+# the class stream a semigroup keeps
+
+
+def _g2():
+    return Semigroup.from_pairs([("2", 2), ("3", 3)])
+
+
+def _report_text(report) -> str:
+    return json.dumps(report.to_json(), sort_keys=True)
+
+
+def _count_walks(monkeypatch):
+    """The word lengths of the pairs scan's collision_binomial binding is
+    called on, and the N of each call through its decompose_binomial_roots
+    binding."""
+    import monodyn.scan as scan
+    lengths: list[int] = []
+    degrees: list[int] = []
+    binomial, decompose = scan.collision_binomial, scan.decompose_binomial_roots
+
+    def counted_binomial(G, w, m):
+        lengths.append(len(w))
+        return binomial(G, w, m)
+
+    def counted_decompose(N, a):
+        degrees.append(N)
+        return decompose(N, a)
+    monkeypatch.setattr(scan, "collision_binomial", counted_binomial)
+    monkeypatch.setattr(scan, "decompose_binomial_roots", counted_decompose)
+    return lengths, degrees
+
+
+def test_second_beta_replays_the_class_stream(monkeypatch):
+    G = _g2()
+    run_scan(ScanConfig(G, S_DEFAULT, F(2), 4))
+    lengths, degrees = _count_walks(monkeypatch)
+    rep = run_scan(ScanConfig(G, S_DEFAULT, F(-3, 7), 4))
+    assert lengths == [] and degrees == []
+    fresh = run_scan(ScanConfig(_g2(), S_DEFAULT, F(-3, 7), 4))
+    assert lengths and _report_text(rep) == _report_text(fresh)
+
+
+@pytest.mark.parametrize("betas", [(F(2), F(-3, 7)), (F(-3, 7), F(2))],
+                         ids=["2 first", "-3/7 first"])
+def test_pinned_reports_hold_on_a_shared_semigroup(betas):
+    pins = {(beta, depth): digest for beta, depth, digest in PINNED_REPORTS}
+    G = _g2()
+    for depth in (5, 6):
+        for beta in betas:
+            assert raw_report_digest(G, beta, depth) == pins[beta, depth]
+
+
+def test_deeper_scan_walks_only_the_new_lengths(monkeypatch):
+    G = _g2()
+    run_scan(ScanConfig(G, S_DEFAULT, F(2), 4))
+    lengths, _ = _count_walks(monkeypatch)
+    assert raw_report_digest(G, F(2), 6) == "b3fb311c8262"
+    # each pair of lengths 5 and 6 once: 2^L words of L prefixes each
+    assert sorted(lengths) == [5] * 5 * 2 ** 5 + [6] * 6 * 2 ** 6
+
+
+def test_capped_consumer_grows_the_stream_no_further(monkeypatch):
+    # preper stops at the class that takes its points past node_cap; the
+    # stream walks the pairs up to that class's witness and no more
+    cap = 200
+    total, stop = 0, None
+    for cls, w, m in word_pair_classes(_g2(), 5):
+        total += cls.degree
+        if total > cap:
+            stop = (w, m)
+            break
+    G = _g2()
+    lengths, _ = _count_walks(monkeypatch)
+    with pytest.raises(EnumerationCap, match=f"node cap {cap}"):
+        enumerate_preperiodic(G, 5, node_cap=cap)
+    assert len(lengths) == list(word_pairs(G, 5)).index(stop) + 1
+    # a later consumer reads on from there, as on a fresh semigroup
+    assert ([ep.point.key() for ep in enumerate_preperiodic(G, 4)]
+            == [ep.point.key() for ep in enumerate_preperiodic(_g2(), 4)])
+
+
+def test_root_budget_replays_on_a_reused_semigroup(monkeypatch):
+    import monodyn.scan as scan
+    G = _g2()
+    full = _report_text(run_scan(ScanConfig(G, S_DEFAULT, F(2), 5)))
+    monkeypatch.setattr(scan, "ROOT_BUDGET", 2430)
+    fresh = _report_text(run_scan(ScanConfig(_g2(), S_DEFAULT, F(2), 5)))
+    for _ in range(2):
+        # rebuilt under the new budget, then replayed up to its stop
+        rep = run_scan(ScanConfig(G, S_DEFAULT, F(2), 5))
+        assert rep.notes == ["root budget 2430 reached at |w| = 5"]
+        assert len(rep.verdicts) == 119 and _report_text(rep) == fresh
+    monkeypatch.undo()
+    assert _report_text(run_scan(ScanConfig(G, S_DEFAULT, F(2), 5))) == full
+
+
+def test_overflow_guard_replays_and_follows_the_digit_limit():
+    # the radicands of length-2 pairs pass the digit limit; length 1 prints
+    G = Semigroup.from_pairs([("1e4000", 2), ("3", 3)])
+    errors = []
+    for H in (G, G, Semigroup.from_pairs([("1e4000", 2), ("3", 3)])):
+        with pytest.raises(OverflowGuard) as exc:
+            run_scan(ScanConfig(H, S_DEFAULT, F(2), 2))
+        errors.append(str(exc.value))
+    assert len(set(errors)) == 1 and "39865-bit" in errors[0]
+    assert len(run_scan(ScanConfig(G, S_DEFAULT, F(2), 1)).verdicts) == 2
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        assert len(list(word_pair_classes(G, 2))) == 11
+    finally:
+        sys.set_int_max_str_digits(limit)
+    with pytest.raises(OverflowGuard, match="39865-bit"):
+        list(word_pair_classes(G, 2))
+
+
+def test_equal_semigroups_keep_their_own_streams():
+    G, H = _g2(), _g2()
+    assert len(list(word_pair_classes(G, 3))) == 38
+    assert "classes" in G._memo and H._memo == {}
+    assert G == H and hash(G) == hash(H) and repr(G) == repr(H)
+    assert G.to_json() == H.to_json() and "_memo" not in repr(G)
+    copy = dataclasses.replace(G)
+    assert copy == G and copy._memo == {}
