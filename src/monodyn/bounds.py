@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import (BadWindow, BetaIsConjugate, DegenerateDegree, LambdaZero,
                      ZeroAlpha, ZeroInput)
-from .galois import (ClassNormData, ConjugacyClass, class_norm_data,
+from .galois import (ClassNormData, _discrepancy, class_norm_data,
                      class_of_point)
 from .places import Place, height_rational, log_abs
 from .polynomials import UniPoly
@@ -123,8 +123,8 @@ def discrepancy_exact(angles) -> Fraction:
     """sup over circular arcs of |empirical mass - arc length|, exact.
 
     For sorted angles t_j mod 1 the supremum equals 1/n + max_j (j/n - t_j)
-    - min_j (j/n - t_j): _discrepancy on k_j = L t_j, L the lcm of the
-    denominators.  The tests check it against a brute-force scan of all
+    - min_j (j/n - t_j): galois._discrepancy on k_j = L t_j, L the lcm of
+    the denominators.  The tests check it against a brute-force scan of all
     endpoint arcs.
     """
     ts = [t if isinstance(t, Fraction) else Fraction(t) for t in angles]
@@ -133,23 +133,6 @@ def discrepancy_exact(angles) -> Fraction:
     L = math.lcm(*(t.denominator for t in ts))
     return _discrepancy(sorted(t.numerator % t.denominator
                                * (L // t.denominator) for t in ts), L)
-
-
-def class_discrepancy(cls: ConjugacyClass) -> Fraction:
-    """discrepancy_exact(cls.angles) without the angles: they are K copies
-    t = (r / P + m) / K of the residue set {r / P}, with 1/K of its
-    discrepancy."""
-    rs = cls.residues()
-    return _discrepancy(rs, cls.period) / (cls.degree // len(rs))
-
-
-def _discrepancy(ks, L: int) -> Fraction:
-    """The discrepancy of the angles k_j / L, ks sorted integers in [0, L):
-    1/n + (max - min of j L - n k_j) / (n L), unchanged when ks and L are
-    scaled by a common factor."""
-    n = len(ks)
-    u = [j * L - n * k for j, k in enumerate(ks)]
-    return Fraction(L + max(u) - min(u), n * L)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .bounds import (LinFormInstance, class_discrepancy, linform_bound,
-                     verify_linform)
+from .bounds import LinFormInstance, linform_bound, verify_linform
 from .errors import (DegreeCapExceeded, EnumerationCap, FactorBudgetExceeded,
                      InvalidConfig, MonodynError, OverflowGuard, TreeSizeCap)
 from .galois import DEGREE_CAP
@@ -189,7 +188,7 @@ def _cmd_equid(args) -> int:
     G = _load_semigroup(args.config)
     rows = [{"point": cls.representative.to_json(),
              "degree": cls.degree,
-             "discrepancy": float(class_discrepancy(cls)),
+             "discrepancy": float(cls.discrepancy),
              "progressions": cls.progressions()}
             for cls, _, _ in capped_classes(G, args.depth, EQUID_CAP)]
     lhs, rhs, diff = jensen_check(1.0, args.beta, args.nodes)

@@ -98,15 +98,21 @@ class PosReal:
         bits = sum(abs(e * L) * p.bit_length() for p, e in self.exps.items())
         if bits > 10 ** 8:
             raise OverflowGuard("exact comparison beyond the size budget")
-        num = 1
-        den = 1
+        num, den, _ = self._power_ints()
+        return (num > den) - (num < den)
+
+    def _power_ints(self) -> tuple[int, int, int]:
+        """(num, den, M) with self^M = num / den, M the least positive such
+        power and num, den coprime: one product of prime powers, no gcd."""
+        M = math.lcm(*(e.denominator for e in self.exps.values()))
+        num = den = 1
         for p, e in self.exps.items():
-            k = int(e * L)
+            k = e.numerator * (M // e.denominator)
             if k > 0:
                 num *= p ** k
             else:
-                den *= p ** (-k)
-        return (num > den) - (num < den)
+                den *= p ** -k
+        return num, den, M
 
     def __eq__(self, other):
         return isinstance(other, PosReal) and self._key == other._key
@@ -136,21 +142,11 @@ class PosReal:
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not rational")
-        out = Fraction(1)
-        for p, e in self.exps.items():
-            out *= Fraction(p) ** int(e)
-        return out
+        return self.radical_form()[0]
 
     def radical_form(self) -> tuple[Fraction, int]:
         """(c, M) with self = c^(1/M), M minimal positive, c > 0 rational."""
-        M = math.lcm(*(e.denominator for e in self.exps.values()))
-        num = den = 1
-        for p, e in self.exps.items():
-            k = e.numerator * (M // e.denominator)
-            if k > 0:
-                num *= p ** k
-            else:
-                den *= p ** -k
+        num, den, M = self._power_ints()
         return Fraction(num, den), M
 
     def ord_at(self, p: int) -> Fraction:

@@ -156,7 +156,9 @@ class ConjugacyClass:
     M0: int                       # canonical radical index
     qprime: int                   # order of e^(2 pi i M0 t)
     sign: int                     # twin sign of a genuine twin, else 0
-    conductor: int                # entanglement(modulus, M0, 2N)
+    # entanglement(modulus, M0) when it divides the class's own level
+    # M0 lcm(2, q'), that of its minimal rational binomial; else 0
+    conductor: int
 
     @property
     def entangled(self) -> bool:
@@ -200,6 +202,14 @@ class ConjugacyClass:
     def log_modulus(self) -> float:
         return self.modulus.log()
 
+    @cached_property
+    def discrepancy(self) -> Fraction:
+        """The circle discrepancy of the angles, without them: they are K
+        copies t = (r / P + m) / K of the residue set {r / P}, with 1/K of
+        its discrepancy."""
+        rs = self.residues()
+        return _discrepancy(rs, self.period) / (self.degree // len(rs))
+
     def progressions(self) -> int:
         """Number of step-1/M0 arithmetic progressions forming the angles:
         the distinct residues M0 t mod 1, which are the phi(q') fractions of
@@ -207,29 +217,42 @@ class ConjugacyClass:
         return _qprime_data(self.qprime)[0]
 
 
+def _discrepancy(ks, L: int) -> Fraction:
+    """The discrepancy of the angles k_j / L, ks sorted integers in [0, L):
+    1/n + (max - min of j L - n k_j) / (n L), unchanged when ks and L are
+    scaled by a common factor."""
+    n = len(ks)
+    u = [j * L - n * k for j, k in enumerate(ks)]
+    return Fraction(L + max(u) - min(u), n * L)
+
+
 def _kernel(modulus: PosReal, M0: int) -> int:
     """The squarefree part d of c0 = modulus^M0, read off the exponents."""
     return math.prod(p for p, e in modulus.exps.items() if e * M0 % 2)
 
 
-def entanglement(modulus: PosReal, M0: int, L: int) -> int:
-    """Conductor f of Q(sqrt(c0)), c0 = modulus^M0, when sqrt(c0) is
-    entangled with zeta_L, i.e. M0 even, sqrt(c0) irrational and f | L;
-    0 otherwise."""
+def entanglement(modulus: PosReal, M0: int) -> int:
+    """Conductor f of Q(sqrt(c0)), c0 = modulus^M0, when M0 is even and
+    sqrt(c0) irrational; 0 otherwise.  sqrt(c0) is entangled with zeta_L
+    exactly when f | L."""
     d = 1 if M0 % 2 else _kernel(modulus, M0)
-    if d == 1:
-        # odd M0 or sqrt(c0) rational: the m-parity is free, no constraint
-        return 0
-    f = quadratic_conductor(d)
-    return 0 if L % f else f
+    # odd M0 or sqrt(c0) rational: the m-parity is free, no constraint
+    return 0 if d == 1 else quadratic_conductor(d)
 
 
-def _twin_signs(q: int, f: int) -> tuple[int, ...]:
-    """The twin signs of the classes of a q'-set: (1, -1) when it is two
-    genuine twins (conductor f, f | 2q' and q' odd or chi(1 + q') = -1)."""
-    if f and 2 * q % f == 0 and (q % 2 or kronecker(f, 1 + q) == -1):
-        return 1, -1
-    return (0,)
+def _qprime_set(modulus: PosReal, c0: Fraction, M0: int, q: int,
+                f: int) -> tuple[ConjugacyClass, ...]:
+    """The classes of one q'-set, for the radical's conductor f =
+    entanglement(modulus, M0): one class, or two genuine twins of signs
+    (1, -1) when f | 2q' and (q' odd or chi(1 + q') = -1).  A class keeps f
+    only when f divides its own level M0 lcm(2, q') = 2 n0, that of the
+    orbit's minimal rational binomial X^n0 = a0, so its record does not
+    depend on the binomial that listed it; 2q' divides that level."""
+    if f and M0 * math.lcm(2, q) % f:
+        f = 0
+    twins = f and 2 * q % f == 0 and (q % 2 or kronecker(f, 1 + q) == -1)
+    return tuple(ConjugacyClass(modulus, c0, M0, q, sign, f)
+                 for sign in ((1, -1) if twins else (0,)))
 
 
 _decompose_cache: dict[tuple[int, Fraction], list] = {}
@@ -240,9 +263,9 @@ def decompose_binomial_roots(N: int, a: Fraction) -> list[ConjugacyClass]:
     by first angle.  With n = N / M0, the angles t = num / 2N (num even for
     a > 0, odd for a < 0) have M0 t of order q' = 2n / gcd(num, 2n): q'
     runs over the divisors of n for a > 0, and over 2n / g for the odd
-    g | n for a < 0.  A q'-set is one class, or two genuine twins when
-    entangled with f | 2q' and (q' odd or chi(1 + q') = -1).
-    OverflowGuard when the radicand c0 cannot be printed."""
+    g | n for a < 0.  Each q'-set gives its classes by _qprime_set, with
+    the entanglement taken at the class's own level M0 lcm(2, q'), not at
+    2N.  OverflowGuard when the radicand c0 cannot be printed."""
     a = Fraction(a)
     if N < 1 or a == 0:
         raise ZeroInput("binomial needs N >= 1 and a != 0")
@@ -253,15 +276,15 @@ def decompose_binomial_roots(N: int, a: Fraction) -> list[ConjugacyClass]:
     modulus = PosReal.of(a, Fraction(1, N))
     c0, M0 = modulus.radical_form()
     check_printable(c0)
-    f = entanglement(modulus, M0, 2 * N)
+    f = entanglement(modulus, M0)
     n = N // M0
     if a > 0:
         qs = divisors(n)
     else:
         odd = n // (n & -n)
         qs = [2 * n // g for g in divisors(odd)]
-    out = sorted((ConjugacyClass(modulus, c0, M0, q, sign, f)
-                  for q in qs for sign in _twin_signs(q, f)),
+    out = sorted((cls for q in qs
+                  for cls in _qprime_set(modulus, c0, M0, q, f)),
                  key=lambda c: c.first_angle)
     if len(_decompose_cache) > 4096:
         _decompose_cache.clear()
@@ -270,15 +293,16 @@ def decompose_binomial_roots(N: int, a: Fraction) -> list[ConjugacyClass]:
 
 
 def class_of_point(x: RadicalPoint) -> ConjugacyClass:
-    """The Galois orbit of a radical point, from its radical form, the order
-    q' of e^(2 pi i M0 t) and its twin sign.  Its entanglement is taken at
-    2 n0 = M0 lcm(2, q') for its minimal rational binomial X^n0 = a0."""
+    """The Galois orbit of a radical point: the class of its q'-set
+    (_qprime_set, q' the order of e^(2 pi i M0 t)) that holds its angle,
+    picked by its twin sign when the q'-set is two genuine twins."""
     c0, M0 = x.modulus.radical_form()
     r = M0 * x.angle
     q = r.denominator
-    f = entanglement(x.modulus, M0, M0 * math.lcm(2, q))
-    sign = _twin_sign(r.numerator, q, f) if _twin_signs(q, f) != (0,) else 0
-    return ConjugacyClass(x.modulus, c0, M0, q, sign, f)
+    classes = _qprime_set(x.modulus, c0, M0, q, entanglement(x.modulus, M0))
+    if len(classes) == 1:
+        return classes[0]
+    return classes[_twin_sign(r.numerator, q, classes[0].conductor) < 0]
 
 
 def twin_class(cls: ConjugacyClass) -> ConjugacyClass:

@@ -8,7 +8,6 @@ polynomial and the zero polynomial is the empty tuple.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,13 +43,6 @@ class UniPoly:
     @staticmethod
     def x() -> "UniPoly":
         return UniPoly((Fraction(0), Fraction(1)))
-
-    @staticmethod
-    def monomial(n: int, c=1) -> "UniPoly":
-        c = Fraction(c)
-        if c == 0:
-            return UniPoly(())
-        return UniPoly(tuple([Fraction(0)] * n + [c]))
 
     @staticmethod
     def binomial(n: int, a) -> "UniPoly":
@@ -275,19 +267,13 @@ def squarefree_decomposition(f: UniPoly) -> list[tuple[UniPoly, int]]:
     return out
 
 
-_cyclo_cache: dict[int, UniPoly] = {}
-_cyclo_lock = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> UniPoly:
     """The n-th cyclotomic polynomial, of degree phi(n): the Moebius product
     prod_{d | n} (X^(n/d) - 1)^mu(d) on Python ints, as power series mod
     X^(phi(n) + 1), where the product is exact."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    got = _cyclo_cache.get(n)
-    if got is not None:
-        return got
     pieces = _moebius_divisors(n)
     top = sum(mu * (n // d) for d, mu in pieces)
     cs = [1] + [0] * top
@@ -297,10 +283,7 @@ def cyclotomic_poly(n: int) -> UniPoly:
         k = n // d
         for i in (range(top, -1, -1) if mu == 1 else range(top + 1)):
             cs[i] = (cs[i - k] if i >= k else 0) - cs[i]
-    out = UniPoly(tuple(Fraction(c) for c in cs))
-    with _cyclo_lock:
-        _cyclo_cache.setdefault(n, out)
-    return out
+    return UniPoly(tuple(Fraction(c) for c in cs))
 
 
 @lru_cache(maxsize=None)

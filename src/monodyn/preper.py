@@ -16,11 +16,12 @@ from fractions import Fraction
 from itertools import groupby
 
 from .errors import DegenerateCollision, NoRationalBElement, RootOfUnityInput
+from .exactreal import PosReal
 from .galois import (DEGREE_CAP, ConjugacyClass, class_of_point,
                      class_polynomial)
 from .places import Place, height_exact_arg
 from .polynomials import UniPoly
-from .primes import euler_phi, factor_fraction, max_power_exponent
+from .primes import euler_phi, factorint, max_power_exponent
 from .radical import RadicalPoint
 from .semigroup import Semigroup, Word, word_coefficient_exponents
 
@@ -72,42 +73,29 @@ class CapelliResult:
         return self.kind != "irreducible"
 
 
-def _rational_nth_root(c: Fraction, n: int) -> Fraction | None:
-    """y with y^n = c, if one exists in Q."""
-    if c == 0:
-        return Fraction(0)
-    if n % 2 == 0 and c < 0:
-        return None
-    fac = factor_fraction(abs(c))
-    y = Fraction(1)
-    for p, e in fac.exponents:
-        if e % n:
-            return None
-        y *= Fraction(p) ** (e // n)
-    if c < 0:
-        y = -y
-    return y
-
-
 def capelli_reducible(M: int, c: Fraction) -> CapelliResult:
     """Reducibility of X^M - c over Q.
 
     Reducible exactly when c is a p-th power for some prime p | M, or when
-    4 | M and c = -4 y^4.
+    4 | M and c = -4 y^4.  Both are read off the exponents of |c|, factored
+    once: |c| = y^p when p divides them all (and c < 0 needs p odd), and
+    |c| / 4 = y^4 when 4 divides them all after taking 2 from that of 2.
     """
     c = Fraction(c)
     if M < 1:
         raise ValueError("M must be >= 1")
     if c == 0 or c == 1 or c == -1:
         raise RootOfUnityInput("c must not be 0 or a root of unity")
-    for p in sorted(factor_fraction(Fraction(M)).as_dict()) if M > 1 else []:
-        y = _rational_nth_root(c, p)
-        if y is not None:
-            return CapelliResult("split_prime", p=p, y=y)
-    if M % 4 == 0:
-        y = _rational_nth_root(-c / 4, 4)
-        if y is not None:
-            return CapelliResult("quartic", y=y)
+    fac = PosReal.of(c)
+    for p in factorint(M):
+        if (c > 0 or p > 2) and all(e % p == 0 for e in fac.exps.values()):
+            y = (fac ** Fraction(1, p)).as_fraction()
+            return CapelliResult("split_prime", p=p, y=y if c > 0 else -y)
+    if M % 4 == 0 and c < 0:
+        quarter = fac / PosReal({2: 2})
+        if all(e % 4 == 0 for e in quarter.exps.values()):
+            return CapelliResult("quartic",
+                                 y=(quarter ** Fraction(1, 4)).as_fraction())
     return CapelliResult("irreducible")
 
 

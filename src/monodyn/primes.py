@@ -274,18 +274,6 @@ def max_power_exponent(a: Fraction | int) -> tuple[int, Fraction, int]:
     return ell, x, -1
 
 
-def squarefree_kernel(x: Fraction | int) -> int:
-    """Squarefree integer d with sqrt(|x|) in sqrt(d) * Q; keeps the sign of x."""
-    x = Fraction(x)
-    if x == 0:
-        raise ZeroInput("x must be nonzero")
-    d = 1
-    for p, e in factor_fraction(abs(x)).exponents:
-        if e % 2:
-            d *= p
-    return d if x > 0 else -d
-
-
 def quadratic_conductor(d: int) -> int:
     """Conductor of Q(sqrt(d)) for squarefree d != 0, 1 (= |discriminant|)."""
     if d % 4 == 1:

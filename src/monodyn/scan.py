@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .bounds import (DistanceBoundCert, class_discrepancy,
-                     class_min_log_distances, distance_bound_constant)
+from .bounds import (DistanceBoundCert, class_min_log_distances,
+                     distance_bound_constant)
 from .errors import (EnumerationCap, FactorBudgetExceeded, InvalidConfig,
                      NotSIntegral, OverflowGuard)
 from .exactreal import PosReal
@@ -471,7 +471,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
             verdicts.append(ClassVerdict(
                 cls.representative, cls.degree, w, m, len(w),
                 integ.s_integral, integ.known_bad, integ.certified,
-                gamma.residual, dist, float(class_discrepancy(cls)),
+                gamma.residual, dist, float(cls.discrepancy),
                 cls.progressions()))
     except EnumerationCap as exc:
         truncated = True

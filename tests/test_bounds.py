@@ -239,11 +239,10 @@ def _classes(depth):
 def test_class_discrepancy_matches_angles():
     # oracles: discrepancy_exact on the full angle tuple, and
     # discrepancy_brute on every distinct angle set of degree <= 64
-    from monodyn.bounds import class_discrepancy
     brute_sets = set()
     twins = checked = 0
     for cls in _classes(6):
-        got = class_discrepancy(cls)
+        got = cls.discrepancy
         assert got == discrepancy_exact(cls.angles), cls
         if cls.degree <= 64 and cls.angles not in brute_sets:
             brute_sets.add(cls.angles)

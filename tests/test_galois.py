@@ -15,7 +15,7 @@ from monodyn.galois import (ClassNormData, class_norm_data,
 from monodyn.polyfactor import factor_poly
 from monodyn.polynomials import UniPoly, cyclotomic_poly
 from monodyn.preper import collision_binomial, minimal_polynomial
-from monodyn.primes import euler_phi, kronecker, ord_p, squarefree_kernel
+from monodyn.primes import euler_phi, factor_fraction, kronecker, ord_p
 from monodyn.radical import RadicalPoint
 from monodyn.scan import word_pair_classes
 from monodyn.semigroup import Semigroup
@@ -48,10 +48,12 @@ def _union_find_classes(N, a):
     t -> t + 1/M0.  Under entanglement (M0 even, d = squarefree part of c0
     not 1, its discriminant dividing 2N) k moves with the shift when
     chi(k) = -1, and the free shift is t -> t + 2/M0.  Each class is
-    (its sorted angles, the entanglement flag), in order of first angle."""
+    (its sorted angles, its own entanglement flag: M0 even, d != 1 and the
+    discriminant dividing M0 lcm(2, q'), q' the order of e^(2 pi i M0 t)),
+    in order of first angle."""
     modulus = PosReal.of(a, F(1, N))
     c0, M0 = modulus.radical_form()
-    d = squarefree_kernel(c0)
+    d = math.prod(p for p, e in factor_fraction(c0).exponents if e % 2)
     disc = d if d % 4 == 1 else 4 * d
     ent = M0 % 2 == 0 and d != 1 and 2 * N % disc == 0
     s = 0 if a > 0 else 1
@@ -74,8 +76,12 @@ def _union_find_classes(N, a):
     groups = {}
     for j in range(N):
         groups.setdefault(find(j), []).append(F(2 * j + s, 2 * N))
-    return sorted(((tuple(angles), ent) for angles in groups.values()),
-                  key=lambda c: c[0][0])
+
+    def own_flag(t):
+        level = M0 * math.lcm(2, (M0 * t).denominator)
+        return M0 % 2 == 0 and d != 1 and level % disc == 0
+    return sorted(((tuple(angles), own_flag(angles[0]))
+                   for angles in groups.values()), key=lambda c: c[0][0])
 
 
 # genuine twins with q' = 10, 12 and 20
@@ -84,6 +90,8 @@ TWIN_EXTRAS = [(10, F(3125)), (12, F(-46656)), (20, F(-10 ** 10))]
 ODD_CONDUCTORS = [F(x) for x in ("5", "-5", "13", "-13", "21", "-21", "10",
                                  "-10", "15/4", "-15/4")]
 SEMIGROUPS = ([(2, 2), (3, 3)], [(F(-5, 2), 3), (4, -2)], [(4, 2), (9, 3)])
+# entangled classes over the union-find cases, each at its own level
+ENTANGLED_FLOOR = 1554
 
 
 def test_classes_match_union_find():
@@ -102,8 +110,24 @@ def test_classes_match_union_find():
         assert [(c.angles, c.entangled) for c in classes] == \
             _union_find_classes(N, a), (N, a)
         assert all(c.degree == len(c.angles) for c in classes), (N, a)
-        entangled += classes[0].entangled
-    assert len(cases) >= 3994 and entangled >= 647
+        # one record per orbit, however the orbit was reached
+        assert all(c == class_of_point(c.representative)
+                   for c in classes), (N, a)
+        entangled += sum(c.entangled for c in classes)
+    assert len(cases) >= 3994 and entangled >= ENTANGLED_FLOOR
+
+
+def test_stream_classes_are_the_classes_of_their_points():
+    # the conductor 12 of Q(sqrt 3) divides the level 2N of X^6 = 27 and of
+    # X^12 = 27, but not the own levels 4 and 8 of +-sqrt(3) and 3^(1/4)
+    # times i^k: those classes are not entangled, as from X^2 = 3, X^4 = 3
+    for N, a in ((6, F(27)), (12, F(27)), (2, F(3)), (4, F(3))):
+        for cls in decompose_binomial_roots(N, a):
+            assert cls == class_of_point(cls.representative), (N, a, cls)
+    for pairs in SEMIGROUPS:
+        G = Semigroup.from_pairs(pairs)
+        for cls, w, m in word_pair_classes(G, 6):
+            assert cls == class_of_point(cls.representative), (pairs, w, m)
 
 
 def _match_factor(cls, fac):

@@ -110,7 +110,7 @@ def test_disc_count_calibrated_over_enumeration():
 
 def test_cyclotomic_memo_thread_safety():
     from monodyn import polynomials
-    polynomials._cyclo_cache.clear()
+    polynomials.cyclotomic_poly.cache_clear()
     ns = [12, 30, 36, 60, 72, 90, 105]
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(cyclotomic_poly, ns * 8))

@@ -87,6 +87,22 @@ def test_capelli_witness_consistency():
             assert -4 * r.y ** 4 == c
 
 
+def test_capelli_factors_c_once(monkeypatch):
+    # both tests read the exponents of one factorization of c
+    from monodyn import primes
+    factored = []
+    factorint = primes.factorint
+
+    def counted(n):
+        factored.append(n)
+        return factorint(n)
+    monkeypatch.setattr(primes, "factorint", counted)
+    for c in (F(5), F(-5), F(7, 4), F(12)):
+        factored.clear()
+        capelli_reducible(24, c)
+        assert factored.count(abs(c.numerator)) == 1, c
+
+
 def test_structure_decompose():
     cb = collision_binomial(G2, (0, 1), 0)
     sps = structure_decompose(cb, G2)

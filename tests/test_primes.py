@@ -7,7 +7,7 @@ from monodyn import primes
 from monodyn.errors import FactorBudgetExceeded, RootOfUnityInput, ZeroInput
 from monodyn.primes import (euler_phi, factor_fraction, factorint, is_prime,
                             kronecker, max_power_exponent, ord_p,
-                            quadratic_conductor, squarefree_kernel)
+                            quadratic_conductor)
 
 
 def test_is_prime_small():
@@ -123,9 +123,14 @@ def test_kronecker_against_legendre():
 
 
 def test_quadratic_kernel_conductor():
-    assert squarefree_kernel(F(8)) == 2
-    assert squarefree_kernel(F(12)) == 3
-    assert squarefree_kernel(F(1, 3)) == 3
+    # the squarefree part d of c0 = modulus^M0, read off the exponents
+    from monodyn.exactreal import PosReal
+    from monodyn.galois import _kernel
+    assert _kernel(PosReal.of(8), 1) == 2
+    assert _kernel(PosReal.of(12), 1) == 3
+    assert _kernel(PosReal.of(F(1, 3)), 1) == 3
+    assert _kernel(PosReal.of(12, F(1, 2)), 2) == 3     # sqrt(12), c0 = 12
+    assert _kernel(PosReal.of(36, F(1, 4)), 4) == 1     # 6^(1/2) = 36^(1/4)
     assert quadratic_conductor(2) == 8
     assert quadratic_conductor(3) == 12
     assert quadratic_conductor(5) == 5

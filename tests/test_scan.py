@@ -416,6 +416,25 @@ def test_second_beta_replays_the_class_stream(monkeypatch):
     assert lengths and _report_text(rep) == _report_text(fresh)
 
 
+def test_second_beta_reuses_each_class_discrepancy(monkeypatch):
+    # ConjugacyClass.discrepancy is free of beta: two scans of one G at two
+    # base points evaluate the kernel once per class
+    import monodyn.galois as galois
+    calls = []
+    kernel = galois._discrepancy
+
+    def counted(ks, L):
+        calls.append(L)
+        return kernel(ks, L)
+    monkeypatch.setattr(galois, "_discrepancy", counted)
+    monkeypatch.setattr(galois, "_decompose_cache", {})    # fresh classes
+    G = _g2()
+    rep = run_scan(ScanConfig(G, S_DEFAULT, F(2), 4))
+    assert len(calls) == len(rep.verdicts) > 0
+    run_scan(ScanConfig(G, S_DEFAULT, F(-3, 7), 4))
+    assert len(calls) == len(rep.verdicts)
+
+
 @pytest.mark.parametrize("betas", [(F(2), F(-3, 7)), (F(-3, 7), F(2))],
                          ids=["2 first", "-3/7 first"])
 def test_pinned_reports_hold_on_a_shared_semigroup(betas):
