@@ -6,8 +6,8 @@ counts of p-adically close roots of unity.
 The linear-form quantity 1 - prod alpha_i^(b_i) is always computed as an
 exact rational before any logarithm; vanishing is an exact branch.  The
 scan and distance_lower_bound observe distances by class_min_log_distances,
-which reads the valuations and the archimedean row of one (class, beta)
-record, galois.ClassNormData.
+which reads the integer valuation table and the archimedean row of one
+(class, beta) record, galois.ClassNormData.
 """
 
 from __future__ import annotations
@@ -218,9 +218,9 @@ def class_min_log_distances(nd: ClassNormData,
                             places: list[Place]) -> list[float]:
     """min over conjugates of log|sigma(alpha) - beta|_v at each place v, for
     the class nd.cls and beta = nd.beta outside the orbit.  At the
-    archimedean place: the nearest conjugate of nd.arch().  At a finite p
-    with ord_p alpha != ord_p beta (nd.ords(p)): -min of the two times
-    log p, exactly (ultrametric).
+    archimedean place: the nearest conjugate of nd.arch().  At a finite p,
+    p's row (oc, ob, ow) of nd.table() has ord_p alpha = oc / M0 and ord_p
+    beta = ob / M0; when they differ: -min of the two times log p (exact).
 
     With equal valuations o and p prime to M0 q': the ratios
     sigma(alpha) / beta are p-units differing by roots of unity of order
@@ -230,24 +230,25 @@ def class_min_log_distances(nd: ClassNormData,
     p | M0 q' (ramified): the first Newton slope of the beta-shifted class
     polynomial up to EXACT_DEGREE (shifted once per class), past it that
     same norm expression as a sound lower bound, as no term exceeds
-    log|beta|_p."""
+    log|beta|_p.  Each slope is an integer over M0, divided once."""
     cls = nd.cls
+    table = nd.table([v.p for v in places if not v.is_archimedean])
     shifted = None
     out = []
     for v in places:
         if v.is_archimedean:
             out.append(nd.arch()[1])
             continue
-        o_a, o_b = nd.ords(v.p)
-        if o_a != o_b:
-            slope = -min(o_a, o_b)
+        oc, ob, ow = table[v.p]
+        if oc != ob:
+            slope = -min(oc, ob) / cls.M0
         elif cls.M0 * cls.qprime % v.p == 0 and cls.degree <= EXACT_DEGREE:
             if shifted is None:
                 shifted = minimal_polynomial(cls.representative).shift(nd.beta)
-            slope = first_newton_slope(shifted, v.p)
+            slope = float(first_newton_slope(shifted, v.p))
         else:
-            slope = (cls.degree - 1) * o_a - nd.ord_w(v.p)
-        out.append(float(slope) * math.log(v.p))
+            slope = ((cls.degree - 1) * oc - cls.M0 * ow) / cls.M0
+        out.append(slope * math.log(v.p))
     return out
 
 

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 from .errors import OverflowGuard, ZeroInput
-from .primes import factor_fraction
+from .primes import factor_fraction, power_product
 
 
 class PosReal:
@@ -103,15 +103,10 @@ class PosReal:
 
     def _power_ints(self) -> tuple[int, int, int]:
         """(num, den, M) with self^M = num / den, M the least positive such
-        power and num, den coprime: one product of prime powers, no gcd."""
+        power and num, den coprime: primes.power_product, no gcd."""
         M = math.lcm(*(e.denominator for e in self.exps.values()))
-        num = den = 1
-        for p, e in self.exps.items():
-            k = e.numerator * (M // e.denominator)
-            if k > 0:
-                num *= p ** k
-            else:
-                den *= p ** -k
+        num, den = power_product((p, e.numerator * (M // e.denominator))
+                                 for p, e in self.exps.items())
         return num, den, M
 
     def __eq__(self, other):

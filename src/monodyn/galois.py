@@ -35,12 +35,12 @@ one of the two Aurifeuillian factors of d^phi(q') Phi_{q'}(y^2 / d) at
 y = X^(M0/2) / s, built exactly from Gauss-sum power sums.
 
 Class norms: one ClassNormData per (class, beta) holds the local terms of
-|Nm(beta - alpha)| = |f(beta)|, f the class polynomial, each computed once.
-For a full class that is W(beta), whose valuation at p is closed-form in
-v = ord_p(x) = M0 ord_p(beta) - ord_p(c0) (x = beta^M0 / c0, ord_p(c0) =
-M0 ord_p(alpha)) and, for a p-unit x, in the order of x mod p: it is read
-from the numerator and denominator of the held x, never from a
-materialized W(beta).  A genuine twin's norm is the value
+|Nm(beta - alpha)| = |f(beta)|, f the class polynomial, each computed once;
+its valuations are integers.  For a full class that is W(beta), whose
+valuation at p is closed-form in v = ord_p(x) = M0 ord_p(beta) - ord_p(c0)
+(x = beta^M0 / c0, ord_p(c0) = M0 ord_p(alpha)) and, for a p-unit x, in the
+order of x mod p: it is read from the numerator and denominator of the
+held x, never from a materialized W(beta).  A genuine twin's norm is the value
 r^phi B(beta^(M0/2) / r) of its Aurifeuillian factor, r = (twin sign) s,
 by integer Horner: no class polynomial is built on the norm path, so it
 has no degree cap.  A zero norm (beta in the orbit) is rejected once, when
@@ -59,7 +59,7 @@ from .errors import BetaIsConjugate, DegreeCapExceeded, ZeroInput
 from .exactreal import PosReal
 from .places import _log_fraction, _log_int
 from .polynomials import UniPoly, _moebius_divisors, cyclotomic_poly
-from .primes import (divisors, factorint, kronecker, ord_p,
+from .primes import (divisors, factor_fraction, factorint, kronecker, ord_p,
                      quadratic_conductor)
 from .radical import RadicalPoint
 from .semigroup import check_printable
@@ -201,6 +201,11 @@ class ConjugacyClass:
     @cached_property
     def log_modulus(self) -> float:
         return self.modulus.log()
+
+    @cached_property
+    def c0_exponents(self) -> dict[int, int]:
+        """ord_p(c0) at the primes of c0 = modulus^M0, as ints."""
+        return {p: int(e * self.M0) for p, e in self.modulus.exps.items()}
 
     @cached_property
     def discrepancy(self) -> Fraction:
@@ -402,53 +407,57 @@ def _phi_at_pm1(n: int, sign: int) -> int:
     return next(iter(fac)) if len(fac) == 1 else 1
 
 
+@lru_cache(maxsize=64)
+def beta_exponents(beta: Fraction) -> dict[int, int]:
+    """ord_p(beta) at the primes of rational beta != 0, factored once per
+    base point; callers share the map and only read it."""
+    return dict(factor_fraction(beta).exponents)
+
+
 @dataclass(frozen=True)
 class ClassNormData:
     """The record of one (class, beta) pair, beta outside the orbit: the
     class cls, beta and the local terms of |Nm(beta - alpha)|, each computed
-    once: ords(p), the valuations of alpha and beta at p; ord_w(p) and
-    log_w(), the valuation and log of the norm; arch(), the archimedean row.
+    once: table(), the integer rows (ord_p c0, M0 ord_p beta, ord_p W), whose
+    first two are M0 times ord_p alpha and ord_p beta; log_w(), the log of
+    the norm; arch(), the archimedean row.
 
     For a class of full degree M0 phi(q') the norm is W(beta) =
-    c0^phi(q') Phi_{q'}(x), x = beta^M0 / c0: ord_w takes the closed form of
-    _ord_full_norm from ords(p) and x, and log_w sums the logs of the Moebius
-    pieces x^j - 1 in floats.  value holds the norm exactly where that is
-    cheap: a genuine twin's from its Aurifeuillian factor, and c0^phi(q')
-    Phi_{q'}(+-1) for x = +-1.
+    c0^phi(q') Phi_{q'}(x), x = beta^M0 / c0: ord_p W takes the closed form
+    of _ord_full_norm from the row and x, and log_w sums the logs of the
+    Moebius pieces x^j - 1 in floats.  value holds the norm exactly where
+    that is cheap: a genuine twin's from its Aurifeuillian factor, and
+    c0^phi(q') Phi_{q'}(+-1) for x = +-1.
     """
 
     cls: ConjugacyClass
     beta: Fraction
     x: Fraction                 # beta^M0 / c0
     value: Fraction | None      # the exact norm (twin or x = +-1), else None
-    # keyed ("ords", p), p (ord_w), "log" and "arch"
+    # keyed "table", "log" and "arch"
     _memo: dict = field(default_factory=dict, compare=False, hash=False,
                         repr=False)
 
-    def ords(self, p: int) -> tuple[Fraction, int]:
-        """(ord_p alpha, ord_p beta): alpha's from the modulus, beta's
-        computed once per prime."""
-        key = ("ords", p)
-        out = self._memo.get(key)
-        if out is None:
-            out = self._memo[key] = (self.cls.modulus.ord_at(p),
-                                     ord_p(self.beta, p))
-        return out
+    def table(self, primes=()) -> dict[int, tuple[int, int, int]]:
+        """{p: (ord_p c0, M0 ord_p beta, ord_p W)} in increasing p, over the
+        primes of c0 and beta and every prime asked for so far, each row
+        computed once.  The map is the record's own: read it only."""
+        rows = self._memo.get("table")
+        if rows is not None and all(p in rows for p in primes):
+            return rows
+        cls, b_exps = self.cls, beta_exponents(self.beta)
+        rows = dict(rows or {})
+        for p in set(primes).union(cls.c0_exponents, b_exps) - rows.keys():
+            oc, ob = cls.c0_exponents.get(p, 0), cls.M0 * b_exps.get(p, 0)
+            rows[p] = oc, ob, (
+                ord_p(self.value, p) if self.value is not None
+                else _ord_full_norm(cls.qprime, self.x, p, ob - oc, oc))
+        rows = self._memo["table"] = dict(sorted(rows.items()))
+        return rows
 
     def ord_w(self, p: int) -> int:
-        """ord_p of the norm, exact; computed once per prime."""
-        total = self._memo.get(p)
-        if total is not None:
-            return total
-        if self.value is not None:
-            total = ord_p(self.value, p)
-        else:
-            o_a, o_b = self.ords(p)
-            oc = int(self.cls.M0 * o_a)
-            total = _ord_full_norm(self.cls.qprime, self.x, p,
-                                   self.cls.M0 * o_b - oc, oc)
-        self._memo[p] = total
-        return total
+        """ord_p of the norm, exact: the last entry of p's table row."""
+        return self.table((p,))[p][2]
 
     def log_w(self) -> float:
         """log of the norm's absolute value; computed once."""
@@ -476,21 +485,21 @@ class ClassNormData:
         row = self._memo.get("arch")
         if row is not None:
             return row
-        cls, beta = self.cls, self.beta
+        cls, negative = self.cls, self.beta.numerator < 0
         rs, P = cls.residues(), cls.period
         K = cls.degree // len(rs)
-        la, lb = cls.log_modulus, _log_fraction(abs(beta))
+        la, lb = cls.log_modulus, _log_fraction(abs(self.beta))
         fibers = math.fsum(_log_distance(K * la, K * lb, r / P,
-                                         beta < 0 and K % 2) for r in rs)
+                                         negative and K % 2) for r in rs)
         D = cls.M0 * cls.qprime             # angles are v / D
-        if beta > 0:
+        if not negative:
             v = rs[0]
         else:
             base, off = divmod(-(-D // 2), P)
             i = bisect.bisect_left(rs, off)
             v = base * P + rs[i] if i < len(rs) else (base + 1) * P + rs[0]
         row = self._memo["arch"] = (fibers / cls.degree,
-                                    _log_distance(la, lb, v / D, beta < 0))
+                                    _log_distance(la, lb, v / D, negative))
         return row
 
 

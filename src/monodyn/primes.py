@@ -179,13 +179,20 @@ class PrimeFactorization:
     exponents: tuple[tuple[int, int], ...]  # strictly increasing primes, nonzero exponents
 
     def value(self) -> Fraction:
-        out = Fraction(self.sign)
-        for p, e in self.exponents:
-            out *= Fraction(p) ** e
-        return out
+        num, den = power_product(self.exponents)
+        return Fraction(self.sign * num, den)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.exponents)
+
+def power_product(pairs) -> tuple[int, int]:
+    """Coprime (num, den) with num / den = prod p^k over the (p, k) pairs
+    of distinct primes: one product of prime powers per side, no gcd."""
+    num = den = 1
+    for p, k in pairs:
+        if k > 0:
+            num *= p ** k
+        elif k < 0:
+            den *= p ** -k
+    return num, den
 
 
 def factor_fraction(x: Fraction | int) -> PrimeFactorization:
@@ -264,9 +271,7 @@ def max_power_exponent(a: Fraction | int) -> tuple[int, Fraction, int]:
     ell = 0
     for _, e in fac.exponents:
         ell = math.gcd(ell, abs(e))
-    x = Fraction(1)
-    for p, e in fac.exponents:
-        x *= Fraction(p) ** (e // ell)
+    x = Fraction(*power_product((p, e // ell) for p, e in fac.exponents))
     if a > 0:
         return ell, x, 1
     if ell % 2 == 1:

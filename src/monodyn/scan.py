@@ -8,6 +8,8 @@ the conjugate norm Nm(beta - alpha), which the Galois layer delivers without
 materializing anything large; whether meets exist outside the scan set S is
 decided by an integer-log balance on the norm (its outside-S part is a
 positive integer, trivial iff the balance gap stays below log 2).
+Every rule reads integer valuations, the table of one (class, beta)
+record (galois.ClassNormData.table); beta is factored once per base point.
 """
 
 from __future__ import annotations
@@ -16,19 +18,18 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .bounds import (DistanceBoundCert, class_min_log_distances,
                      distance_bound_constant)
 from .errors import (EnumerationCap, FactorBudgetExceeded, InvalidConfig,
                      NotSIntegral, OverflowGuard)
 from .exactreal import PosReal
-from .galois import (DEGREE_CAP, ClassNormData, class_norm_data,
-                     class_of_point, decompose_binomial_roots)
+from .galois import (DEGREE_CAP, ClassNormData, beta_exponents,
+                     class_norm_data, class_of_point, decompose_binomial_roots)
 from .orbits import is_preperiodic
 from .places import INF, Place, height_rational
 from .preper import collision_binomial, minimal_polynomial
-from .primes import factor_fraction, factorint, is_prime
+from .primes import factorint, is_prime
 from .radical import RadicalPoint
 from .semigroup import Semigroup, Word, format_word
 
@@ -46,12 +47,16 @@ def class_meets_at_prime(nd: ClassNormData, p: int) -> bool:
     """Whether some conjugate in the class nd.cls meets beta = nd.beta at p:
     both are non-integral at p, both have positive valuation, or both are
     units and p divides the class norm."""
-    o_a, o_b = nd.ords(p)
-    if o_a < 0 or o_b < 0:
-        return o_a < 0 and o_b < 0
-    if o_a > 0 or o_b > 0:
-        return o_a > 0 and o_b > 0
-    return nd.ord_w(p) > 0
+    return _meets(*nd.table((p,))[p])
+
+
+def _meets(oc: int, ob: int, ow: int) -> bool:
+    """The meet rule on a row (M0 ord_p alpha, M0 ord_p beta, ord_p W)."""
+    if oc < 0 or ob < 0:
+        return oc < 0 and ob < 0
+    if oc > 0 or ob > 0:
+        return oc > 0 and ob > 0
+    return ow > 0
 
 
 def meets_at_prime(alpha: RadicalPoint, beta: Fraction, p: int) -> bool:
@@ -78,21 +83,9 @@ def bad_primes(alpha: RadicalPoint, beta: Fraction) -> list[int]:
     beta = Fraction(beta)
     nd = class_norm_data(class_of_point(alpha), beta)
     value = minimal_polynomial(nd.cls.representative)(beta)
-    candidates = _support(nd)
-    candidates.update(_bounded_factor(value.numerator))
-    candidates.update(_bounded_factor(value.denominator))
-    return sorted(p for p in candidates if class_meets_at_prime(nd, p))
-
-
-def _support(nd: ClassNormData) -> set[int]:
-    """The primes at which the class or beta is not a unit."""
-    return set(nd.cls.modulus.exps) | _primes_of(nd.beta)
-
-
-@lru_cache(maxsize=64)
-def _primes_of(beta: Fraction) -> frozenset[int]:
-    """The primes of nonzero beta, factored once per base point."""
-    return frozenset(p for p, _ in factor_fraction(beta).exponents)
+    norm_primes = (_bounded_factor(value.numerator).keys()
+                   | _bounded_factor(value.denominator).keys())
+    return [p for p, row in nd.table(norm_primes).items() if _meets(*row)]
 
 
 @dataclass(frozen=True)
@@ -105,20 +98,22 @@ class SIntegrality:
 
 def class_s_integrality(nd: ClassNormData, S: list[Place]) -> SIntegrality:
     """Decide bad_primes(alpha, beta) inside S without factoring the norm,
-    for alpha in the class nd.cls and beta = nd.beta."""
+    for alpha in the class nd.cls and beta = nd.beta, in one table pass."""
     s_primes = {v.p for v in S if not v.is_archimedean}
-    inspected = sorted(s_primes | _support(nd))
-    known_bad = {p for p in inspected if class_meets_at_prime(nd, p)}
+    known_bad = []
     # outside part of the norm numerator: a positive integer, so the true
     # balance gap is 0 or at least log 2; the numeric error stays far below
     # the slack, making both sides of the band certain
     gap = nd.log_w()
-    for p in inspected:
-        gap -= nd.ord_w(p) * math.log(p)
+    for p, (oc, ob, ow) in nd.table(s_primes).items():
+        if oc or ob or p in s_primes:
+            if _meets(oc, ob, ow):
+                known_bad.append(p)
+            gap -= ow * math.log(p)
     outside_clean = gap < BALANCE_SLACK   # conservative in the (unreached) band
     certified = outside_clean or gap > LOG2 - BALANCE_SLACK
     s_integral = outside_clean and all(p in s_primes for p in known_bad)
-    return SIntegrality(s_integral, tuple(sorted(known_bad)), gap, certified)
+    return SIntegrality(s_integral, tuple(known_bad), gap, certified)
 
 
 def is_S_integral(alpha: RadicalPoint, beta: Fraction, S: list[Place]) -> bool:
@@ -153,14 +148,14 @@ def gamma_sum(alpha: RadicalPoint, beta: Fraction) -> GammaReport:
 
 def class_gamma(nd: ClassNormData) -> GammaReport:
     """The Gamma table of the class nd.cls at beta = nd.beta."""
-    cls = nd.cls
+    degree = nd.cls.degree
     rows = [("inf", nd.arch()[0])]
     leftover = nd.log_w()
-    for p in sorted(_support(nd)):
-        o = nd.ord_w(p)
-        leftover -= o * math.log(p)
-        rows.append((str(p), -o / cls.degree * math.log(p)))
-    leftover /= cls.degree
+    for p, (oc, ob, ow) in nd.table().items():
+        if oc or ob:                    # the support of alpha and beta
+            leftover -= ow * math.log(p)
+            rows.append((str(p), -ow / degree * math.log(p)))
+    leftover /= degree
     if leftover:
         rows.append(("outside", -leftover))
     residual = sum(v for _, v in rows)
@@ -186,8 +181,9 @@ def gamma_decomposition(alpha: RadicalPoint, beta: Fraction,
     non_s_terms = []
     non_s = 0.0
     witness = max(alpha.modulus, PosReal.of(beta)).log()
-    for p in sorted(_support(nd)):
-        m = Fraction(min(nd.ords(p)))
+    table = nd.table(s_primes)
+    for p, (oc, ob, _) in table.items():
+        m = Fraction(min(oc, ob), nd.cls.M0)    # min(ord_p alpha, ord_p beta)
         if m != 0:
             witness += -float(m) * math.log(p)
         if p not in s_primes and m != 0:
@@ -195,7 +191,7 @@ def gamma_decomposition(alpha: RadicalPoint, beta: Fraction,
             non_s += -float(m) * math.log(p)
     s_part = nd.arch()[0]
     for p in sorted(s_primes):
-        s_part += -nd.ord_w(p) / nd.cls.degree * math.log(p)
+        s_part += -table[p][2] / nd.cls.degree * math.log(p)
     return GammaDecomposition(s_part, non_s, tuple(non_s_terms),
                               s_part + non_s, witness)
 
@@ -329,9 +325,9 @@ def _scan_distance_checks(nd: ClassNormData,
 def zero_infinity_verdict(beta: Fraction, S: list[Place]) -> dict:
     """The always-preperiodic fixed points of the chart, reported separately."""
     s_primes = {v.p for v in S if not v.is_archimedean}
-    primes = _primes_of(beta)
-    num_primes = sorted(p for p in primes if beta.numerator % p == 0)
-    den_primes = sorted(primes.difference(num_primes))
+    exps = beta_exponents(beta)
+    num_primes = [p for p, e in exps.items() if e > 0]
+    den_primes = [p for p, e in exps.items() if e < 0]
     return {
         "zero": {"bad_primes": num_primes,
                  "s_integral": all(p in s_primes for p in num_primes)},

@@ -1,8 +1,9 @@
-"""The scan-twin benchmark's report gate, run in the test suite.
+"""The scan benchmarks' report gates, run in the test suite.
 
-perfbench/workloads.py holds the scan-twin configuration and the canonical
-form its golden reports are stored in; it is loaded read-only, so a report
-drift fails here before it fails the benchmark.
+perfbench/workloads.py holds the scan-twin and sweep-beta configurations
+and the canonical form their golden reports and digests are stored in; it
+and perfbench/golden/ are loaded read-only, so a report drift fails here
+before it fails the benchmark.
 """
 
 import importlib.util
@@ -36,3 +37,16 @@ def test_scan_twin_report_matches_golden(depth):
     golden = json.loads((PERFBENCH / "golden" / f"scan-twin-d{depth}.json")
                         .read_text())
     assert wl.canonical(run_scan(cfg).to_json()) == golden
+
+
+def test_sweep_beta_reports_match_golden_digests():
+    # the full seed-0 sweep: 24 base points at depth 4 on one semigroup,
+    # which keeps its class stream from the first scan to the last
+    wl = _workloads()
+    golden = json.loads((PERFBENCH / "golden" / "digests.json").read_text())
+    expected = golden["sweep-beta"]["full"]["0"]
+    ops = wl.sweep_beta(0, wl.FULL).ops
+    assert len(ops) == len(expected) == 24
+    reports = [op.fn() for op in ops]
+    assert [wl.digest(r.to_json()) for r in reports] == expected
+    assert [op.check(r) for op, r in zip(ops, reports)] == [None] * 24

@@ -58,7 +58,7 @@ def test_factorint_step_budget(monkeypatch):
 def test_factor_fraction():
     f = factor_fraction(F(-12, 35))
     assert f.sign == -1
-    assert f.as_dict() == {2: 2, 3: 1, 5: -1, 7: -1}
+    assert dict(f.exponents) == {2: 2, 3: 1, 5: -1, 7: -1}
     assert f.value() == F(-12, 35)
 
 

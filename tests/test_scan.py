@@ -14,9 +14,10 @@ from monodyn.galois import class_norm_data, class_of_point, class_polynomial
 from monodyn.places import INF, Place
 from monodyn.polynomials import newton_polygon_root_valuations
 from monodyn.preper import enumerate_preperiodic, minimal_polynomial
-from monodyn.primes import ord_p
+from monodyn.primes import factorint, ord_p
 from monodyn.radical import RadicalPoint
 from monodyn.scan import (ScanConfig, bad_primes, class_gamma,
+                          class_meets_at_prime, class_s_integrality,
                           gamma_decomposition, gamma_sum, is_S_integral,
                           meets_at_prime, report_to_csv, run_scan,
                           word_pair_classes, zero_infinity_verdict)
@@ -246,6 +247,47 @@ def test_gamma_rows_match_materialized_norm():
     assert checked > 1000
 
 
+def test_valuation_table_matches_fraction_definitions():
+    # oracle: the Fraction definitions, from cls.modulus.ord_at(p),
+    # ord_p(beta, p) and ord_p of the materialized norm f(beta) of the exact
+    # minimal polynomial f; 7 and 11 in beta lie outside S
+    def meets(o_a, o_b, o_w):
+        if o_a < 0 or o_b < 0:
+            return o_a < 0 and o_b < 0
+        if o_a > 0 or o_b > 0:
+            return o_a > 0 and o_b > 0
+        return o_w > 0
+    primes = (2, 3, 5, 7, 11)
+    checked = unequal = 0
+    for cls in _classes_to_depth_4():
+        f = minimal_polynomial(cls.representative)
+        for beta in (F(2), F(1, 2), F(-3, 7), F(5), F(7, 4), F(-27, 5),
+                     F(11, 9)):
+            value = f(beta)
+            if value == 0:
+                continue
+            nd = class_norm_data(cls, beta)
+            support = (set(cls.modulus.exps) | set(factorint(beta.numerator))
+                       | set(factorint(beta.denominator)))
+            rows = {p: (cls.modulus.ord_at(p), ord_p(beta, p),
+                        ord_p(value, p)) for p in support.union(primes)}
+            bad = sorted(p for p in support.union({2, 3, 5})
+                         if meets(*rows[p]))
+            assert class_s_integrality(nd, S_DEFAULT).known_bad \
+                == tuple(bad), (cls, beta)
+            for p in primes:
+                o_a, o_b, o_w = rows[p]
+                assert nd.table((p,))[p] == (cls.M0 * o_a, cls.M0 * o_b, o_w)
+                assert class_meets_at_prime(nd, p) == meets(o_a, o_b, o_w)
+                if o_a != o_b:
+                    got = class_min_log_distances(nd, [Place(p)])[0]
+                    assert got == -float(min(o_a, o_b)) * math.log(p), \
+                        (cls, beta, p)
+                    unequal += 1
+                checked += 1
+    assert (checked, unequal) == (13190, 6939)
+
+
 def test_gate_refuses_preperiodic_and_unknown():
     cfg = ScanConfig(G2, S_DEFAULT, F(1, 2), 2)
     with pytest.raises(InvalidConfig):
@@ -344,15 +386,16 @@ def test_scan_builds_norm_data_once_per_class(monkeypatch):
     assert calls["cert"] == len(S_DEFAULT)
 
 
-def test_scan_takes_each_beta_valuation_once_per_class(monkeypatch):
-    # ord_p(beta, p) is computed once per (class, p), by ClassNormData.ords,
-    # and _ord_full_norm reads ord_p of beta and c0 from there: its only
-    # ord_p calls are ord_diff's, on modular residues
+def test_scan_factors_beta_once_and_takes_no_beta_valuation(monkeypatch):
+    # ord_p(beta) is a lookup in beta's exponent map, factored once per
+    # scan: the verdict path calls ord_p only on twin norm values, on the
+    # coefficients first_newton_slope reads and on ord_diff's residues
     import sys
 
     import monodyn.galois as galois
     import monodyn.scan as scan
     calls = []
+    factored = []
 
     def counted(x, p):
         calls.append((sys._getframe(1).f_code.co_name, x, p))
@@ -360,17 +403,20 @@ def test_scan_takes_each_beta_valuation_once_per_class(monkeypatch):
     for mod in (galois, scan, bounds):
         if hasattr(mod, "ord_p"):
             monkeypatch.setattr(mod, "ord_p", counted)
+    factor = galois.factor_fraction
+
+    def counted_factor(x):
+        factored.append(x)
+        return factor(x)
+    monkeypatch.setattr(galois, "factor_fraction", counted_factor)
+    galois.beta_exponents.cache_clear()
     beta = F(2)
     rep = run_scan(ScanConfig(G2, S_DEFAULT, beta, 4))
+    assert len(rep.verdicts) > 100 and factored == [beta]
     assert not any(caller == "_ord_full_norm" for caller, _, _ in calls)
-    per_prime: dict[int, int] = {}
-    for caller, x, p in calls:
-        # first_newton_slope and ord_diff take ord_p of coefficients and
-        # residues, which may equal beta by chance
-        if x == beta and caller not in ("first_newton_slope", "ord_diff"):
-            per_prime[p] = per_prime.get(p, 0) + 1
-    assert per_prime and all(n <= len(rep.verdicts)
-                             for n in per_prime.values()), per_prime
+    assert {caller for caller, _, _ in calls} <= {
+        "table", "first_newton_slope", "ord_diff"}
+    assert not any(x == beta and caller == "table" for caller, x, _ in calls)
 
 
 # ---------------------------------------------------------------------------
