@@ -9,8 +9,8 @@ from .errors import MonodynError
 from .exactreal import PosReal
 from .places import INF, LogAbs, Place, height_rational, log_abs, product_formula_check
 from .polynomials import UniPoly, cyclotomic_poly, newton_polygon_root_valuations
-from .polyfactor import factor_poly, rational_roots
-from .primes import euler_phi, factor_fraction, factorint, is_prime, max_power_exponent
+from .polyfactor import factor_poly
+from .primes import euler_phi, factor_fraction, factorint, is_prime
 from .radical import RadicalPoint
 from .semigroup import MonomialMap, Semigroup, compose_word, good_reduction
 from .orbits import is_preperiodic, orbit_tree, window_radius_exact

@@ -41,8 +41,7 @@ class PosReal:
         if x == 0:
             raise ZeroInput("PosReal of zero")
         power = Fraction(power)
-        fac = factor_fraction(abs(x))
-        return PosReal({p: e * power for p, e in fac.exponents})
+        return PosReal({p: e * power for p, e in factor_fraction(x).items()})
 
     # multiplicative structure -------------------------------------------
     def __mul__(self, other: "PosReal") -> "PosReal":

@@ -409,9 +409,9 @@ def _phi_at_pm1(n: int, sign: int) -> int:
 
 @lru_cache(maxsize=64)
 def beta_exponents(beta: Fraction) -> dict[int, int]:
-    """ord_p(beta) at the primes of rational beta != 0, factored once per
-    base point; callers share the map and only read it."""
-    return dict(factor_fraction(beta).exponents)
+    """factor_fraction(beta), {p: ord_p beta}, cached per base point:
+    callers share the one map and only read it."""
+    return factor_fraction(beta)
 
 
 @dataclass(frozen=True)

@@ -43,16 +43,15 @@ INF = Place(0)
 
 @dataclass(frozen=True)
 class LogAbs:
-    """log|x|_v with its exact form alongside the float.
+    """log|x|_v as a float, with its exact form at a finite place.
 
     Finite v: value = exponent * log(p) with exponent = -ord_p(x).
-    Archimedean v: value = log(magnitude) for the exact rational magnitude |x|.
+    Archimedean v: value = log|x|, exponent None.
     """
 
     place: Place
     value: float
     exponent: int | None = None
-    magnitude: Fraction | None = None
 
 
 def log_abs(x: Fraction | int, v: Place) -> LogAbs:
@@ -61,8 +60,7 @@ def log_abs(x: Fraction | int, v: Place) -> LogAbs:
     if x == 0:
         raise ZeroInput("log_abs(0) is -infinity")
     if v.is_archimedean:
-        mag = abs(x)
-        return LogAbs(v, _log_fraction(mag), magnitude=mag)
+        return LogAbs(v, _log_fraction(abs(x)))
     e = -ord_p(x, v.p)
     return LogAbs(v, e * math.log(v.p), exponent=e)
 

@@ -17,12 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 
 from .errors import DegreeCapExceeded, FactorBudgetExceeded, ZeroInput
 from .galois import DEGREE_CAP
 from .polynomials import UniPoly, squarefree_decomposition
-from .primes import divisors, is_prime
+from .primes import is_prime
 
 RECOMBINATION_BUDGET = 1 << 16   # subsets per squarefree part
 
@@ -443,27 +442,3 @@ def factor_poly(f: UniPoly, degree_cap: int = DEGREE_CAP,
                 out.append((UniPoly.from_coeffs(piece), mult))
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Rational roots by the divisor sieve
-
-
-def rational_roots(f: UniPoly) -> list[Fraction]:
-    """All rational roots via the numerator/denominator divisor sieve."""
-    if f.degree < 1:
-        return []
-    _, prim = f.content_and_primitive()
-    cs = prim.int_coeffs()
-    out = []
-    if cs[0] == 0:
-        out.append(Fraction(0))
-        while cs[0] == 0:
-            cs.pop(0)
-    for num in divisors(abs(cs[0])):
-        for den in divisors(abs(cs[-1])):
-            for s in (1, -1):
-                r = Fraction(s * num, den)
-                if r not in out and prim(r) == 0:
-                    out.append(r)
-    return sorted(out)

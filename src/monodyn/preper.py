@@ -16,12 +16,11 @@ from fractions import Fraction
 from itertools import groupby
 
 from .errors import DegenerateCollision, NoRationalBElement, RootOfUnityInput
-from .exactreal import PosReal
 from .galois import (DEGREE_CAP, ConjugacyClass, class_of_point,
                      class_polynomial)
 from .places import Place, height_exact_arg
 from .polynomials import UniPoly
-from .primes import euler_phi, factorint, max_power_exponent
+from .primes import euler_phi, factor_fraction, factorint, power_product
 from .radical import RadicalPoint
 from .semigroup import Semigroup, Word, word_coefficient_exponents
 
@@ -86,16 +85,16 @@ def capelli_reducible(M: int, c: Fraction) -> CapelliResult:
         raise ValueError("M must be >= 1")
     if c == 0 or c == 1 or c == -1:
         raise RootOfUnityInput("c must not be 0 or a root of unity")
-    fac = PosReal.of(c)
+    exps = factor_fraction(c)
     for p in factorint(M):
-        if (c > 0 or p > 2) and all(e % p == 0 for e in fac.exps.values()):
-            y = (fac ** Fraction(1, p)).as_fraction()
+        if (c > 0 or p > 2) and all(e % p == 0 for e in exps.values()):
+            y = Fraction(*power_product((q, e // p) for q, e in exps.items()))
             return CapelliResult("split_prime", p=p, y=y if c > 0 else -y)
     if M % 4 == 0 and c < 0:
-        quarter = fac / PosReal({2: 2})
-        if all(e % 4 == 0 for e in quarter.exps.values()):
-            return CapelliResult("quartic",
-                                 y=(quarter ** Fraction(1, 4)).as_fraction())
+        exps[2] = exps.get(2, 0) - 2        # now the map of |c| / 4
+        if all(e % 4 == 0 for e in exps.values()):
+            return CapelliResult("quartic", y=Fraction(*power_product(
+                (q, e // 4) for q, e in exps.items())))
     return CapelliResult("irreducible")
 
 
@@ -118,41 +117,46 @@ class StructuredPreper:
     b: Fraction
     radicand: Fraction
     Q: int
-    branch: int
     pure_root_of_unity: bool
 
 
 def structure_decompose(cb: CollisionBinomial, G: Semigroup) -> list[StructuredPreper]:
-    """Reduced presentations of every root of the collision binomial."""
+    """Reduced presentations of every root of the collision binomial.
+
+    a is factored once, into the modulus |a|^(1/N) = c0^(1/M) (M minimal)
+    that every root shares with gamma.  Root j is the first root times
+    e(j/N), the order of RadicalPoint.from_binomial_root, and its Q is the
+    denominator of its angle less gamma's.  In the split
+    a = xi * radicand^u, u = N/M, xi = -1 exactly when a < 0 and
+    |a| = modulus^N is a square; otherwise radicand carries a's sign.
+    """
     a, N = cb.a, cb.N
-    s = G.s
     check = Fraction(1)
     for g, e in zip(G.generators, cb.exponents):
         check *= g.a ** e
     if check != a:
         raise NoRationalBElement("exponents do not reproduce the constant term")
+    first = RadicalPoint.from_binomial_root(a, N, 0)
+    roots = [RadicalPoint(first.modulus, first.angle + Fraction(j, N))
+             for j in range(N)]
     if a in (1, -1):
-        out = []
-        for j in range(N):
-            pt = RadicalPoint.from_binomial_root(a, N, j)
-            out.append(StructuredPreper(pt, 1, (0,) * s, Fraction(1), Fraction(1),
-                                        pt.angle.denominator, 0, True))
-        return out
-    ell, x, xi = max_power_exponent(a)
-    u = math.gcd(N, ell)
-    M = N // u
+        return [StructuredPreper(pt, 1, (0,) * G.s, Fraction(1), Fraction(1),
+                                 pt.angle.denominator, True) for pt in roots]
+    c0, M = first.modulus.radical_form()
+    u = N // M
+    xi = -1 if a < 0 and (first.modulus ** Fraction(N, 2)).is_rational() else 1
+    radicand = c0 if xi * a > 0 else -c0
     m_exps = []
     ell_exps = []
     for k in cb.exponents:
         li = k - round(Fraction(k, u)) * u if u > 1 else 0
         m_exps.append((k - li) // u)
         ell_exps.append(li)
-    radicand = x ** (ell // u)
     b = radicand
     for g, mi in zip(G.generators, m_exps):
         b /= g.a ** mi
-    # b is a rational root of X^u - xi^{-1} prod a_i^{l_i}; verify both sides
-    rhs = Fraction(1) / xi
+    # b is a rational root of X^u - xi prod a_i^{l_i}; verify both sides
+    rhs = Fraction(xi)
     for g, li in zip(G.generators, ell_exps):
         rhs *= g.a ** li
     if b ** u != rhs:
@@ -162,16 +166,10 @@ def structure_decompose(cb: CollisionBinomial, G: Semigroup) -> list[StructuredP
         budget *= height_exact_arg(g.a)
     if height_exact_arg(b) > budget:
         raise NoRationalBElement("reduced element exceeds the height budget")
-    gamma = RadicalPoint.from_binomial_root(radicand, M, 0)
-    out = []
-    for j in range(N):
-        pt = RadicalPoint.from_binomial_root(a, N, j)
-        zeta = pt.div(gamma)
-        if not zeta.modulus.is_one():
-            raise AssertionError("root/gamma is not a root of unity")
-        out.append(StructuredPreper(pt, M, tuple(m_exps), b, radicand,
-                                    zeta.angle.denominator, j % M, False))
-    return out
+    gamma_angle = Fraction(0 if radicand > 0 else 1, 2 * M)
+    return [StructuredPreper(pt, M, tuple(m_exps), b, radicand,
+                             (pt.angle - gamma_angle).denominator, False)
+            for pt in roots]
 
 
 @dataclass(frozen=True)
@@ -179,8 +177,6 @@ class DegreeBound:
     lower: Fraction
     M: int
     Q: int
-    w_field: int
-    phi_Q: int
 
 
 def degree_lower_bound(sp: StructuredPreper) -> DegreeBound:
@@ -189,7 +185,7 @@ def degree_lower_bound(sp: StructuredPreper) -> DegreeBound:
     lower = max(Fraction(sp.M, 2),
                 Fraction(max(Fraction(phi), Fraction(sp.M, 2)),
                          min(phi, sp.M)))
-    return DegreeBound(lower, sp.M, sp.Q, 2, phi)
+    return DegreeBound(lower, sp.M, sp.Q)
 
 
 # ---------------------------------------------------------------------------

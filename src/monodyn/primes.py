@@ -8,10 +8,9 @@ is exact; floats never enter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FactorBudgetExceeded, RootOfUnityInput, ZeroInput
+from .errors import FactorBudgetExceeded, ZeroInput
 
 # Deterministic witness set, valid for all n < 3,317,044,064,679,887,385,961,981.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -171,18 +170,6 @@ def _iroot(n: int, k: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class PrimeFactorization:
-    """Signed exponent map for a nonzero rational: x = sign * prod p^e."""
-
-    sign: int
-    exponents: tuple[tuple[int, int], ...]  # strictly increasing primes, nonzero exponents
-
-    def value(self) -> Fraction:
-        num, den = power_product(self.exponents)
-        return Fraction(self.sign * num, den)
-
-
 def power_product(pairs) -> tuple[int, int]:
     """Coprime (num, den) with num / den = prod p^k over the (p, k) pairs
     of distinct primes: one product of prime powers per side, no gcd."""
@@ -195,18 +182,16 @@ def power_product(pairs) -> tuple[int, int]:
     return num, den
 
 
-def factor_fraction(x: Fraction | int) -> PrimeFactorization:
-    """Exact prime factorization of a nonzero rational."""
-    x = Fraction(x)
+def factor_fraction(x: Fraction | int) -> dict[int, int]:
+    """{p: ord_p x} over the primes of a nonzero rational, in increasing p:
+    the exponent map factorint gives an integer, negative below the line.
+    The sign of x is not part of it."""
+    x = abs(Fraction(x))
     if x == 0:
         raise ZeroInput("0 has no factorization")
-    num = factorint(x.numerator)
-    den = factorint(x.denominator)
-    exps = dict(num)
-    for p, e in den.items():
-        exps[p] = exps.get(p, 0) - e
-    exps = {p: e for p, e in exps.items() if e != 0}
-    return PrimeFactorization(1 if x > 0 else -1, tuple(sorted(exps.items())))
+    exps = factorint(x.numerator)
+    exps.update((p, -e) for p, e in factorint(x.denominator).items())
+    return dict(sorted(exps.items()))
 
 
 def ord_p(x: Fraction | int, p: int) -> int:
@@ -253,30 +238,6 @@ def euler_phi(n: int) -> int:
     for p in factorint(n) if n > 1 else {}:
         out -= out // p
     return out
-
-
-def max_power_exponent(a: Fraction | int) -> tuple[int, Fraction, int]:
-    """Largest l with a = xi * x^l for xi in {1,-1} and rational x.
-
-    Returns (l, x, xi) with the identity exact.  Since the only rational roots
-    of unity are +-1, l is the gcd of the prime exponents of |a|, and the sign
-    is absorbed by x when l is odd and by xi when l is even.
-    """
-    a = Fraction(a)
-    if a == 0:
-        raise ZeroInput("a must be nonzero")
-    if a == 1 or a == -1:
-        raise RootOfUnityInput("a must not be a root of unity")
-    fac = factor_fraction(abs(a))
-    ell = 0
-    for _, e in fac.exponents:
-        ell = math.gcd(ell, abs(e))
-    x = Fraction(*power_product((p, e // ell) for p, e in fac.exponents))
-    if a > 0:
-        return ell, x, 1
-    if ell % 2 == 1:
-        return ell, -x, 1
-    return ell, x, -1
 
 
 def quadratic_conductor(d: int) -> int:

@@ -60,11 +60,6 @@ class RadicalPoint:
         """Canonical radicand: the point is |c|^(1/M) e^(2 pi i t), c > 0."""
         return self.modulus.radical_form()[0]
 
-    @property
-    def q(self) -> int:
-        """Order of the angle part e^(2 pi i t)."""
-        return self.angle.denominator
-
     def key(self):
         return (self.modulus._key, self.angle)
 
@@ -102,10 +97,6 @@ class RadicalPoint:
         return RadicalPoint(self.modulus * other.modulus,
                             _mod1(self.angle + other.angle))
 
-    def div(self, other: "RadicalPoint") -> "RadicalPoint":
-        return RadicalPoint(self.modulus / other.modulus,
-                            _mod1(self.angle - other.angle))
-
     def scale(self, x: Fraction) -> "RadicalPoint":
         return self.mul(RadicalPoint.from_rational(x))
 
@@ -124,23 +115,22 @@ class RadicalPoint:
         return tuple(sorted(self.modulus.exps))
 
     # height ----------------------------------------------------------------
+    def _height_arg(self) -> PosReal:
+        """H(x), the product over the places of max(1, |x|_v): every
+        conjugate has the modulus and the valuations of x, so it is
+        max(prod_{e>0} p^e, prod_{e<0} p^-e) over the exponents of the
+        modulus, the first side exactly when the modulus exceeds 1."""
+        side = 1 if self.modulus.compare_one() > 0 else -1
+        return PosReal({p: abs(e) for p, e in self.modulus.exps.items()
+                        if e * side > 0})
+
     def height(self) -> float:
-        """h(x) = h(c)/M, assembled place by place with exact signs."""
-        h = self.modulus.log() if self.modulus.compare_one() > 0 else 0.0
-        for p, e in self.modulus.exps.items():
-            if e < 0:
-                h += -e * math.log(p)
-        return float(h)
+        """h(x) = log H(x), summed from the exponents of H in increasing p."""
+        return self._height_arg().log()
 
     def height_le(self, bound_num: PosReal) -> bool:
-        """Exact test h(x) <= log(bound_num)."""
-        acc = PosReal.one()
-        if self.modulus.compare_one() > 0:
-            acc = acc * self.modulus
-        for p, e in self.modulus.exps.items():
-            if e < 0:
-                acc = acc * PosReal({p: -e})
-        return acc <= bound_num
+        """Exact test h(x) <= log(bound_num): H(x) <= bound_num."""
+        return self._height_arg() <= bound_num
 
     # rational power relation ---------------------------------------------------
     def rational_binomial(self) -> tuple[int, Fraction]:

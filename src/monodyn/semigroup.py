@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import EmptyWord, InvalidConfig, OverflowGuard
-from .primes import factor_fraction, ord_p
+from .primes import ord_p
 
 Word = tuple[int, ...]
 
@@ -110,13 +110,6 @@ class Semigroup:
 
     def to_json(self) -> dict:
         return {"generators": [{"a": str(g.a), "d": g.d} for g in self.generators]}
-
-    def support_primes(self) -> tuple[int, ...]:
-        """Primes dividing some coefficient's numerator or denominator."""
-        ps: set[int] = set()
-        for g in self.generators:
-            ps.update(p for p, _ in factor_fraction(g.a).exponents)
-        return tuple(sorted(ps))
 
 
 def format_word(w: Word) -> str:

@@ -1,7 +1,8 @@
 """Independent oracles kept for the tests, reached by no monodyn command:
 certified complex root isolation and heights of algebraic numbers, circle
-discrepancy by brute force over arcs, and irreducibility evidence apart
-from factor_poly.
+discrepancy by brute force over arcs, irreducibility evidence apart from
+factor_poly (with the rational root sieve), and the split a = xi * x^l of a
+rational apart from preper.structure_decompose.
 
 Simultaneous (Durand-Kerner) iteration in mpmath arithmetic.  The a
 posteriori certificate is the classical Weierstrass inclusion: for monic f of
@@ -19,11 +20,11 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from monodyn.errors import MonodynError, ZeroInput
+from monodyn.errors import MonodynError, RootOfUnityInput, ZeroInput
 from monodyn.polyfactor import (_distinct_degree, _frobenius, _next_prime,
-                                _squarefree_mod, _subset_sums, factor_poly,
-                                rational_roots)
+                                _squarefree_mod, _subset_sums, factor_poly)
 from monodyn.polynomials import UniPoly
+from monodyn.primes import divisors, factor_fraction, power_product
 from monodyn.semigroup import Semigroup, Word
 
 
@@ -164,6 +165,26 @@ def discrepancy_brute(angles) -> Fraction:
     return best
 
 
+def rational_roots(f: UniPoly) -> list[Fraction]:
+    """All rational roots via the numerator/denominator divisor sieve."""
+    if f.degree < 1:
+        return []
+    _, prim = f.content_and_primitive()
+    cs = prim.int_coeffs()
+    out = []
+    if cs[0] == 0:
+        out.append(Fraction(0))
+        while cs[0] == 0:
+            cs.pop(0)
+    for num in divisors(abs(cs[0])):
+        for den in divisors(abs(cs[-1])):
+            for s in (1, -1):
+                r = Fraction(s * num, den)
+                if r not in out and prim(r) == 0:
+                    out.append(r)
+    return sorted(out)
+
+
 def irreducibility_certificate(f: UniPoly, primes_to_try: int = 12) -> str:
     """'irreducible', 'reducible' or 'unknown', independent of factor_poly.
 
@@ -212,3 +233,29 @@ def word_pairs(G: Semigroup, n_max: int):
         for w in level:
             for m in range(len(w)):
                 yield w, m
+
+
+# ---------------------------------------------------------------------------
+# perfect powers
+
+
+def max_power_exponent(a: Fraction | int) -> tuple[int, Fraction, int]:
+    """Largest l with a = xi * x^l for xi in {1,-1} and rational x.
+
+    Returns (l, x, xi) with the identity exact.  Since the only rational roots
+    of unity are +-1, l is the gcd of the prime exponents of |a|, and the sign
+    is absorbed by x when l is odd and by xi when l is even.
+    """
+    a = Fraction(a)
+    if a == 0:
+        raise ZeroInput("a must be nonzero")
+    if a == 1 or a == -1:
+        raise RootOfUnityInput("a must not be a root of unity")
+    exps = factor_fraction(a)
+    ell = math.gcd(*exps.values())
+    x = Fraction(*power_product((p, e // ell) for p, e in exps.items()))
+    if a > 0:
+        return ell, x, 1
+    if ell % 2 == 1:
+        return ell, -x, 1
+    return ell, x, -1

@@ -75,7 +75,7 @@ def test_c02_height_identities():
         # h(xy) <= h(x) + h(y)
         assert height_exact_arg(x * y) <= height_exact_arg(x) * height_exact_arg(y)
         # place-subset window
-        places = [INF] + [Place(p) for p, _ in factor_fraction(x).exponents]
+        places = [INF] + [Place(p) for p in factor_fraction(x)]
         subset = [v for v in places if rng.random() < 0.5]
         total = sum(log_abs(x, v).value for v in subset)
         h = height_rational(x)
@@ -161,8 +161,7 @@ def test_c08_size_window():
     t0 = _begin()
     checked = 0
     for g in (GZ, G1, G2):
-        support = {p for gen in g.generators
-                   for p, _ in factor_fraction(gen.a).exponents}
+        support = {p for gen in g.generators for p in factor_fraction(gen.a)}
         for ep in enumerate_preperiodic(g, 3):
             places = [INF] + [Place(p) for p in
                               sorted(support | set(ep.point.support_primes()))]

@@ -1,7 +1,15 @@
-"""Every function, method and class defined in src/ is referenced: by a
-name, an attribute or an import alias somewhere in src/, tests/ or
-perfbench/, or by a string in perfbench (its span targets name what they
-wrap).  No linter is a dependency, so the check parses the files with ast."""
+"""Every function, method and class defined in src/ is referenced somewhere
+in src/, tests/ or perfbench/.  A module-level function or a class counts
+as used when a name, an attribute, an import alias or a string in perfbench
+(its span targets name what they wrap) names it.  A method or property
+counts as used only when an attribute access (.name) or a string in
+perfbench names it: a bare name that matches it is some other variable,
+as q is.  No linter is a dependency, so the check parses the files with ast.
+
+What it still cannot see: which class an attribute access reaches.  A
+method that shares its name with another class's method counts as used
+when the other one is, as Semigroup.support_primes did through the calls
+of RadicalPoint.support_primes."""
 
 import ast
 import pathlib
@@ -12,51 +20,74 @@ READERS = SRC + sorted((ROOT / "tests").glob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
-def definitions(source: str) -> list[tuple[str, int]]:
-    """(name, line) of the functions, methods and classes a module defines,
-    dunder methods aside: Python calls those itself."""
-    return [(node.name, node.lineno) for node in ast.walk(ast.parse(source))
+def definitions(source: str) -> list[tuple[str, int, bool]]:
+    """(name, line, is a method) of the functions, methods and classes a
+    module defines, dunder methods aside: Python calls those itself."""
+    tree = ast.parse(source)
+    methods = {id(node) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body}
+    return [(node.name, node.lineno, id(node) in methods)
+            for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef))
             and not (node.name.startswith("__") and node.name.endswith("__"))]
 
 
-def references(source: str, strings: bool = False) -> set[str]:
-    """The names a module reads, the attributes it takes and the names it
-    imports; with strings, also its string constants."""
-    out = set()
+def references(source: str, strings: bool = False) -> tuple[set, set]:
+    """(names, attributes): the names a module reads and imports, and the
+    attributes it takes; with strings, its string constants join both."""
+    names, attrs = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            attrs.add(node.attr)
         elif isinstance(node, ast.alias):
-            out.add(node.name.split(".")[-1])
+            names.add(node.name.split(".")[-1])
         elif (strings and isinstance(node, ast.Constant)
               and isinstance(node.value, str)):
-            out.add(node.value)
-    return out
+            names.add(node.value)
+            attrs.add(node.value)
+    return names, attrs
+
+
+def dead(sources: list[str], readers: list[str],
+         perfbench: list[str]) -> list[tuple[int, str, int]]:
+    """(source index, name, line) of each definition that nothing uses."""
+    names, attrs = set(), set()
+    for source, strings in ([(s, False) for s in readers]
+                            + [(s, True) for s in perfbench]):
+        more_names, more_attrs = references(source, strings)
+        names |= more_names
+        attrs |= more_attrs
+    return [(i, name, line) for i, source in enumerate(sources)
+            for name, line, method in definitions(source)
+            if name not in (attrs if method else names | attrs)]
 
 
 def test_the_check_sees_dead_definitions():
     source = ("class A:\n    def used(self):\n        return self.used\n"
               "    def dead(self):\n        pass\n    def __eq__(self, o):\n"
-              "        pass\ndef f():\n    pass\nfrom m import g\n")
-    assert definitions(source) == [("A", 1), ("f", 8), ("used", 2),
-                                   ("dead", 4)]
-    assert {"used", "g"} <= references(source)
-    assert "dead" not in references(source) | references(source, True)
-    assert "x" in references("t = ('x', 1)\n", strings=True)
-    assert "x" not in references("t = ('x', 1)\n")
+              "        pass\n    @property\n    def q(self):\n        pass\n"
+              "def f():\n    pass\nfrom m import g\nq = 1\nprint(q)\n")
+    assert definitions(source) == [("A", 1, False), ("f", 11, False),
+                                   ("used", 2, True), ("dead", 4, True),
+                                   ("q", 9, True)]
+    names, attrs = references(source)
+    assert "g" in names and "used" in attrs and "q" in names - attrs
+    assert "dead" not in names | attrs | references(source, True)[0]
+    assert "x" in references("t = ('x', 1)\n", strings=True)[1]
+    assert "x" not in references("t = ('x', 1)\n")[1]
+    # q, a method, is read only as a bare name; f, a function, by its name
+    user = "from mod import A, f\nf(A())\n"
+    assert dead([source], [source, user], []) == [(0, "dead", 4),
+                                                  (0, "q", 9)]
+    assert dead([source], [source, user], ["x = 'q'\n"]) == [(0, "dead", 4)]
 
 
 def test_no_dead_definitions():
-    used = set()
-    for path in READERS:
-        used |= references(path.read_text())
-    for path in PERFBENCH:
-        used |= references(path.read_text(), strings=True)
-    dead = [f"{path.name}: {name} (line {line})" for path in SRC
-            for name, line in definitions(path.read_text())
-            if name not in used]
-    assert dead == []
+    found = dead([path.read_text() for path in SRC],
+                 [path.read_text() for path in READERS],
+                 [path.read_text() for path in PERFBENCH])
+    assert [f"{SRC[i].name}: {name} (line {line})"
+            for i, name, line in found] == []

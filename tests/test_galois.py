@@ -53,7 +53,7 @@ def _union_find_classes(N, a):
     in order of first angle."""
     modulus = PosReal.of(a, F(1, N))
     c0, M0 = modulus.radical_form()
-    d = math.prod(p for p, e in factor_fraction(c0).exponents if e % 2)
+    d = math.prod(p for p, e in factor_fraction(c0).items() if e % 2)
     disc = d if d % 4 == 1 else 4 * d
     ent = M0 % 2 == 0 and d != 1 and 2 * N % disc == 0
     s = 0 if a > 0 else 1

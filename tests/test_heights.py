@@ -6,10 +6,12 @@ from fractions import Fraction as F
 import pytest
 
 from monodyn.errors import BadWindow, ZeroInput
+from monodyn.exactreal import PosReal
 from monodyn.heights import (SequenceSpec, canonical_height_closed,
                              canonical_height_iterative, equilibrium_radius,
                              height_drift, height_lower_bound_nonpreperiodic,
                              jensen_check, witness_sequence_height)
+from monodyn.places import height_exact_arg, height_rational
 from monodyn.preper import enumerate_preperiodic
 from monodyn.radical import RadicalPoint
 from monodyn.semigroup import Semigroup
@@ -23,6 +25,27 @@ GZ = G(("1", 2))
 G1 = G(("2", 2))
 G2 = G(("2", 2), ("3", 3))
 GNEG = G(("2", 2), ("1/3", -2))
+
+
+def test_point_height_matches_exact_integer_oracle():
+    # x = c^(1/N) e(t) with |x| = c0^(1/M0): H(x)^M0 = max(|num c0|, den c0),
+    # so height_le(B) is that integer against B^M0 and height its log / M0
+    rng = random.Random(22)
+    ties = 0
+    for _ in range(400):
+        num = rng.randint(1, 7) ** rng.randint(1, 4)
+        c = F(rng.choice((1, -1)) * num, rng.randint(1, 7) ** rng.randint(0, 4))
+        N = rng.randint(1, 8)
+        x = RadicalPoint.from_binomial_root(c, N, rng.randrange(N))
+        c0, M0 = x.modulus.radical_form()
+        h = height_exact_arg(c0)
+        root = round(h ** (1 / M0))
+        for B in range(max(1, root - 2), root + 3):
+            assert x.height_le(PosReal.of(B)) == (h <= B ** M0), (x, B)
+            ties += h == B ** M0
+        assert math.isclose(x.height(), height_rational(c0) / M0,
+                            rel_tol=1e-12, abs_tol=0), x
+    assert ties > 50
 
 
 def test_height_drift():

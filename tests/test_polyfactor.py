@@ -7,9 +7,9 @@ import pytest
 
 from monodyn import polyfactor
 from monodyn.errors import DegreeCapExceeded
-from monodyn.polyfactor import factor_poly, rational_roots
+from monodyn.polyfactor import factor_poly
 from monodyn.polynomials import UniPoly
-from oracles import irreducibility_certificate
+from oracles import irreducibility_certificate, rational_roots
 
 
 def P(*cs):

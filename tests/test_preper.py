@@ -14,7 +14,7 @@ from monodyn.preper import (CollisionBinomial, capelli_reducible,
                             minimal_polynomial, structure_decompose)
 from monodyn.radical import RadicalPoint
 from monodyn.semigroup import Semigroup
-from oracles import word_pairs
+from oracles import max_power_exponent, word_pairs
 
 
 def G(*pairs):
@@ -24,6 +24,7 @@ def G(*pairs):
 G1 = G(("2", 2))
 G2 = G(("2", 2), ("3", 3))
 GZ = G(("1", 2))
+GMIX = G(("-2", 2), ("3/5", 3))
 
 
 def test_collision_examples():
@@ -103,6 +104,47 @@ def test_capelli_factors_c_once(monkeypatch):
         assert factored.count(abs(c.numerator)) == 1, c
 
 
+def test_structure_decompose_factors_a_once(monkeypatch):
+    # every root and gamma share the modulus of one factorization of a
+    from monodyn import primes
+    factored = []
+    factorint = primes.factorint
+
+    def counted(n):
+        factored.append(n)
+        return factorint(n)
+    monkeypatch.setattr(primes, "factorint", counted)
+    for g, w, m in ((G2, (0, 1), 0), (G2, (1, 1, 0), 1), (G2, (1, 0, 1), 0),
+                    (G1, (0, 0, 0), 1), (GMIX, (0, 1, 1), 0)):
+        cb = collision_binomial(g, w, m)
+        factored.clear()
+        assert len(structure_decompose(cb, g)) == cb.N > 4
+        assert factored.count(abs(cb.a.numerator)) == 1, (w, m)
+        assert factored.count(cb.a.denominator) == 1, (w, m)
+
+
+def test_structure_decompose_split_matches_max_power_exponent():
+    # radicand^u = xi * a with radicand = x^(l/u), u = gcd(N, l), for
+    # (l, x, xi) = max_power_exponent(a), which factors a on its own
+    cases = [(cb, g) for g in (G1, G2, GMIX, G(("-4", 3)), G(("-8", 2)))
+             for w, m in word_pairs(g, 3)
+             for cb in [collision_binomial(g, w, m)]]
+    cases += [(CollisionBinomial(N, (k,), F(a) ** k), G((str(a), 2)))
+              for a in (-4, -8, -27, -64, 36, -36) for N in range(1, 13)
+              for k in (1, 2, 3)]
+    for cb, g in cases:
+        if cb.a in (1, -1):
+            continue
+        ell, x, xi = max_power_exponent(cb.a)
+        u = math.gcd(cb.N, ell)
+        sps = structure_decompose(cb, g)
+        assert {(sp.M, sp.radicand) for sp in sps} \
+            == {(cb.N // u, x ** (ell // u))}, cb
+        assert [sp.point for sp in sps] == \
+            [RadicalPoint.from_binomial_root(cb.a, cb.N, j)
+             for j in range(cb.N)]
+
+
 def test_structure_decompose():
     cb = collision_binomial(G2, (0, 1), 0)
     sps = structure_decompose(cb, G2)
@@ -146,10 +188,10 @@ def test_degree_bound_examples():
     # pure root of unity of order 7 forces degree >= 6
     from monodyn.preper import StructuredPreper
     sp7 = StructuredPreper(RadicalPoint.root_of_unity(F(1, 7)), 1, (0,),
-                           F(1), F(1), 7, 0, True)
+                           F(1), F(1), 7, True)
     assert degree_lower_bound(sp7).lower == 6
     sp1 = StructuredPreper(RadicalPoint.from_rational(F(2)), 1, (0,),
-                           F(1), F(1), 1, 0, True)
+                           F(1), F(1), 1, True)
     assert degree_lower_bound(sp1).lower == 1
 
 

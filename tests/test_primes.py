@@ -6,8 +6,8 @@ import pytest
 from monodyn import primes
 from monodyn.errors import FactorBudgetExceeded, RootOfUnityInput, ZeroInput
 from monodyn.primes import (euler_phi, factor_fraction, factorint, is_prime,
-                            kronecker, max_power_exponent, ord_p,
-                            quadratic_conductor)
+                            kronecker, ord_p, quadratic_conductor)
+from oracles import max_power_exponent
 
 
 def test_is_prime_small():
@@ -57,9 +57,22 @@ def test_factorint_step_budget(monkeypatch):
 
 def test_factor_fraction():
     f = factor_fraction(F(-12, 35))
-    assert f.sign == -1
-    assert dict(f.exponents) == {2: 2, 3: 1, 5: -1, 7: -1}
-    assert f.value() == F(-12, 35)
+    assert f == {2: 2, 3: 1, 5: -1, 7: -1} and list(f) == [2, 3, 5, 7]
+    assert factor_fraction(1) == {} and factor_fraction(F(-1, 9)) == {3: -2}
+
+
+def test_factor_fraction_merges_factorint():
+    # the exponent map of x is that of its numerator, less that of its
+    # denominator, in increasing p
+    rng = random.Random(22)
+    for _ in range(300):
+        num = rng.choice((1, -1)) * rng.randint(1, 10 ** rng.randint(1, 12))
+        x = F(num, rng.randint(1, 10 ** rng.randint(1, 12)))
+        expect = dict(factorint(x.numerator))
+        for p, e in factorint(x.denominator).items():
+            expect[p] = expect.get(p, 0) - e
+        got = factor_fraction(x)
+        assert got == expect and list(got) == sorted(expect), x
 
 
 def test_ord_p():
