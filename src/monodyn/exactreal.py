@@ -14,9 +14,11 @@ from .primes import factor_fraction, power_product
 
 
 class PosReal:
-    """Immutable factored positive real: prod p^{exps[p]}."""
+    """Immutable factored positive real: prod p^{exps[p]}.  _radical keeps
+    radical_form() once it is asked for; equality, hashing and pickling
+    read exps alone."""
 
-    __slots__ = ("exps", "_key")
+    __slots__ = ("exps", "_key", "_radical")
 
     def __init__(self, exps: dict[int, Fraction] | None = None):
         cleaned = {}
@@ -26,9 +28,13 @@ class PosReal:
                 cleaned[p] = e
         object.__setattr__(self, "exps", cleaned)
         object.__setattr__(self, "_key", tuple(sorted(cleaned.items())))
+        object.__setattr__(self, "_radical", None)
 
     def __setattr__(self, *a):
         raise AttributeError("PosReal is immutable")
+
+    def __reduce__(self):
+        return PosReal, (self.exps,)
 
     @staticmethod
     def one() -> "PosReal":
@@ -127,9 +133,6 @@ class PosReal:
         return (self / other).compare_one() >= 0
 
     # views ----------------------------------------------------------------
-    def is_one(self) -> bool:
-        return not self.exps
-
     def is_rational(self) -> bool:
         return all(e.denominator == 1 for e in self.exps.values())
 
@@ -139,9 +142,13 @@ class PosReal:
         return self.radical_form()[0]
 
     def radical_form(self) -> tuple[Fraction, int]:
-        """(c, M) with self = c^(1/M), M minimal positive, c > 0 rational."""
-        num, den, M = self._power_ints()
-        return Fraction(num, den), M
+        """(c, M) with self = c^(1/M), M minimal positive, c > 0 rational:
+        computed on the first call and kept, so the points and classes that
+        share this object share one form."""
+        if self._radical is None:
+            num, den, M = self._power_ints()
+            object.__setattr__(self, "_radical", (Fraction(num, den), M))
+        return self._radical
 
     def ord_at(self, p: int) -> Fraction:
         """Exponent of p: self = p^{ord} * (p-unit part)."""

@@ -164,9 +164,13 @@ class ConjugacyClass:
     def entangled(self) -> bool:
         return self.conductor > 0
 
-    @property
-    def key(self) -> tuple[Fraction, int, int, int]:
-        return self.c0, self.M0, self.qprime, self.sign
+    @cached_property
+    def key(self) -> tuple[int, int, int, int, int]:
+        """(numerator and denominator of c0, M0, q', sign): the class's
+        identity as ints, equal for two classes exactly when their
+        (c0, M0, q', sign) are."""
+        return (self.c0.numerator, self.c0.denominator, self.M0, self.qprime,
+                self.sign)
 
     @property
     def period(self) -> int:
@@ -201,6 +205,10 @@ class ConjugacyClass:
     @cached_property
     def log_modulus(self) -> float:
         return self.modulus.log()
+
+    @cached_property
+    def log_c0(self) -> float:
+        return _log_fraction(self.c0)
 
     @cached_property
     def c0_exponents(self) -> dict[int, int]:
@@ -265,7 +273,9 @@ _decompose_cache: dict[tuple[int, Fraction], list] = {}
 
 def decompose_binomial_roots(N: int, a: Fraction) -> list[ConjugacyClass]:
     """Conjugacy classes of the N roots of X^N = a (N >= 1, a != 0), sorted
-    by first angle.  With n = N / M0, the angles t = num / 2N (num even for
+    by first angle, on the integers first_angle * 2N = r0 * 2n / q' (r0 the
+    least residue): classes of one binomial have disjoint angles, so the
+    order is strict.  With n = N / M0, the angles t = num / 2N (num even for
     a > 0, odd for a < 0) have M0 t of order q' = 2n / gcd(num, 2n): q'
     runs over the divisors of n for a > 0, and over 2n / g for the odd
     g | n for a < 0.  Each q'-set gives its classes by _qprime_set, with
@@ -290,7 +300,7 @@ def decompose_binomial_roots(N: int, a: Fraction) -> list[ConjugacyClass]:
         qs = [2 * n // g for g in divisors(odd)]
     out = sorted((cls for q in qs
                   for cls in _qprime_set(modulus, c0, M0, q, f)),
-                 key=lambda c: c.first_angle)
+                 key=lambda c: c.residues()[0] * (2 * n // c.qprime))
     if len(_decompose_cache) > 4096:
         _decompose_cache.clear()
     _decompose_cache[(N, a)] = out
@@ -325,20 +335,23 @@ def class_polynomial(cls: ConjugacyClass,
                      degree_cap: int = DEGREE_CAP) -> UniPoly:
     """The monic minimal polynomial shared by the points of the class, exact.
 
-    W = c0^phi(q') Phi_{q'}(X^M0 / c0) for a class of full degree
-    M0 phi(q').  A genuine twin takes one Aurifeuillian factor of W:
-    r^phi B(X^(M0/2) / r), with B and r from _twin_factor.
+    Both kinds are r^n B(X^k / r) for a monic integer B of degree n, built
+    coefficient by coefficient: W = c0^phi(q') Phi_{q'}(X^M0 / c0) for a
+    class of full degree M0 phi(q') (B = Phi_{q'}, r = c0, k = M0), and
+    for a genuine twin one Aurifeuillian factor of W (B and r from
+    _twin_factor, k = M0 / 2).
     DegreeCapExceeded past degree_cap, before anything is computed.
     """
     if cls.degree > degree_cap:
         raise DegreeCapExceeded(f"degree {cls.degree} exceeds cap {degree_cap}")
-    if not cls.sign:
-        return cyclotomic_poly(cls.qprime).scale_arg(1 / cls.c0).monic() \
-            .compose_monomial(cls.M0)
-    B, r = _twin_factor(cls)
+    if cls.sign:
+        B, r = _twin_factor(cls)
+        k = cls.M0 // 2
+    else:
+        B, r, k = cyclotomic_poly(cls.qprime).coeffs, cls.c0, cls.M0
     n = len(B) - 1
     return UniPoly.from_coeffs([c * r ** (n - i) for i, c in enumerate(B)]) \
-        .compose_monomial(cls.M0 // 2)
+        .compose_monomial(k)
 
 
 def _twin_factor(cls: ConjugacyClass) -> tuple[tuple[int, ...], Fraction]:
@@ -468,9 +481,10 @@ class ClassNormData:
             total = _log_fraction(abs(self.value))
         else:
             phi, pieces = _qprime_data(self.cls.qprime)
-            total = phi * _log_fraction(self.cls.c0)
+            total = phi * self.cls.log_c0
+            log_x = _log_fraction(abs(self.x))
             for j, mu in pieces:
-                total += mu * _log_abs_power_minus_one(self.x, j)
+                total += mu * _log_abs_power_minus_one(self.x, j, log_x)
         self._memo["log"] = total
         return total
 
@@ -576,8 +590,9 @@ def _ord_full_norm(q: int, x: Fraction, p: int, v: int, oc: int) -> int:
     return base + (ord_diff(q0, 1) if k == 0 else 1)
 
 
-def _log_abs_power_minus_one(x: Fraction, j: int) -> float:
-    """log|x^j - 1| for rational x != +-1, in floats however long x is.
+def _log_abs_power_minus_one(x: Fraction, j: int, log_x: float) -> float:
+    """log|x^j - 1| for rational x != +-1, given log_x = log|x| as
+    places._log_fraction gives it, in floats however long x is.
 
     Past |j log|x|| = 40 it is j log|x| (or 0) within e^-40.  Between, z =
     j log|x| comes from the correctly rounded float of |x|, or of |x| - 1
@@ -585,7 +600,7 @@ def _log_abs_power_minus_one(x: Fraction, j: int) -> float:
     the result is log|expm1(z)|, or log1p(e^z) when x^j < 0.  When no float
     holds |x| - 1, x^j - 1 = j (x - 1) to within a factor 1 + 2^-57.
     """
-    L = j * _log_fraction(abs(x))
+    L = j * log_x
     if L > 40:
         return L
     if L < -40:

@@ -192,11 +192,6 @@ class UniPoly:
             cs[i * k] = c
         return UniPoly(_trim(cs))
 
-    def scale_arg(self, r) -> "UniPoly":
-        """p(r * X)."""
-        r = Fraction(r)
-        return UniPoly(_trim([c * r ** i for i, c in enumerate(self.coeffs)]))
-
     def content_and_primitive(self) -> tuple[Fraction, "UniPoly"]:
         """c, p with self = c * p, p in Z[X] primitive with positive lead."""
         if self.is_zero:

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from operator import itemgetter
 
 from .errors import DegenerateCollision, NoRationalBElement, RootOfUnityInput
 from .galois import (DEGREE_CAP, ConjugacyClass, class_of_point,
@@ -245,7 +246,9 @@ def enumerate_preperiodic(G: Semigroup, n_max: int,
     binomial that one point of a Galois orbit satisfies holds the whole
     orbit, so a point is new exactly when its class is: the points of a
     witness are those of its new classes in scan.word_pair_classes, sorted
-    by angle (the root order of X^N = a).  EnumerationCap (from
+    by angle (the root order of X^N = a).  The sort runs on the integers
+    t L, L the lcm of the angle denominators M0 q' of those classes; their
+    angles are disjoint, so the order is strict.  EnumerationCap (from
     scan.capped_classes) before a witness whose points would take the list
     past node_cap, or once the stream spends its root budget.  Zero and
     infinity, always preperiodic, are not listed.
@@ -254,8 +257,11 @@ def enumerate_preperiodic(G: Semigroup, n_max: int,
     out: list[EnumeratedPoint] = []
     for (w, m), batch in groupby(capped_classes(G, n_max, node_cap),
                                  key=lambda item: item[1:]):
-        points = sorted(((t, cls) for cls, _, _ in batch for t in cls.angles),
-                        key=lambda pair: pair[0])
+        classes = [cls for cls, _, _ in batch]
+        L = math.lcm(*(cls.M0 * cls.qprime for cls in classes))
+        points = sorted(((t.numerator * (L // t.denominator), t, cls)
+                         for cls in classes for t in cls.angles),
+                        key=itemgetter(0))
         out.extend(EnumeratedPoint(RadicalPoint(cls.modulus, t), w, m, cls)
-                   for t, cls in points)
+                   for _, t, cls in points)
     return out

@@ -29,7 +29,10 @@ class RadicalPoint:
     angle: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "angle", _mod1(Fraction(self.angle)))
+        """The angle mod 1 as a Fraction; one already in [0, 1) is kept."""
+        t = self.angle
+        if not (isinstance(t, Fraction) and 0 <= t.numerator < t.denominator):
+            object.__setattr__(self, "angle", _mod1(Fraction(t)))
 
     # constructors ---------------------------------------------------------
     @staticmethod
@@ -88,17 +91,10 @@ class RadicalPoint:
         """Image a * x^d under a monomial map, in canonical form."""
         sgn = Fraction(0) if f.a > 0 else Fraction(1, 2)
         return RadicalPoint(PosReal.of(f.a) * self.modulus ** f.d,
-                            _mod1(f.d * self.angle + sgn))
+                            f.d * self.angle + sgn)
 
     def pow(self, n: int) -> "RadicalPoint":
-        return RadicalPoint(self.modulus ** n, _mod1(n * self.angle))
-
-    def mul(self, other: "RadicalPoint") -> "RadicalPoint":
-        return RadicalPoint(self.modulus * other.modulus,
-                            _mod1(self.angle + other.angle))
-
-    def scale(self, x: Fraction) -> "RadicalPoint":
-        return self.mul(RadicalPoint.from_rational(x))
+        return RadicalPoint(self.modulus ** n, n * self.angle)
 
     # places -------------------------------------------------------------------
     def ord_at(self, p: int) -> Fraction:

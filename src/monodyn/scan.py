@@ -472,7 +472,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
     except EnumerationCap as exc:
         truncated = True
         notes.append(str(exc))
-    verdicts.sort(key=lambda v: (v.degree, v.point.key()))
+    verdicts.sort(key=_verdict_order(verdicts))
     si = [v for v in verdicts if v.s_integral]
     si_classes = _by_length(si)
     last = config.max_wordlen
@@ -482,6 +482,22 @@ def run_scan(config: ScanConfig) -> ScanReport:
                       _by_length(verdicts), _by_length(verdicts, True),
                       si_classes, _by_length(si, True), stab,
                       max((v.degree for v in si), default=0), truncated, notes)
+
+
+def _verdict_order(verdicts: list[ClassVerdict]):
+    """The report's sort key (degree, point.key()) on integers: each
+    modulus exponent times the lcm L of the M0 (the denominators of the
+    exponents) and each angle times the lcm T of the angle denominators, a
+    scale by a positive constant that keeps the order."""
+    L = math.lcm(*(v.point.modulus.radical_form()[1] for v in verdicts))
+    T = math.lcm(*(v.point.angle.denominator for v in verdicts))
+
+    def key(v: ClassVerdict):
+        mod, t = v.point.key()
+        return (v.degree,
+                tuple((p, e.numerator * (L // e.denominator)) for p, e in mod),
+                t.numerator * (T // t.denominator))
+    return key
 
 
 def _by_length(verdicts: list[ClassVerdict], points=False) -> dict[int, int]:

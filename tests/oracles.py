@@ -1,8 +1,10 @@
 """Independent oracles kept for the tests, reached by no monodyn command:
 certified complex root isolation and heights of algebraic numbers, circle
 discrepancy by brute force over arcs, irreducibility evidence apart from
-factor_poly (with the rational root sieve), and the split a = xi * x^l of a
-rational apart from preper.structure_decompose.
+factor_poly (with the rational root sieve), the split a = xi * x^l of a
+rational apart from preper.structure_decompose, the argument scaling that
+chains the closed-form class polynomial, and the class norm's log with
+each log taken where it is used.
 
 Simultaneous (Durand-Kerner) iteration in mpmath arithmetic.  The a
 posteriori certificate is the classical Weierstrass inclusion: for monic f of
@@ -20,7 +22,9 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from monodyn import galois
 from monodyn.errors import MonodynError, RootOfUnityInput, ZeroInput
+from monodyn.places import _log_fraction
 from monodyn.polyfactor import (_distinct_degree, _frobenius, _next_prime,
                                 _squarefree_mod, _subset_sums, factor_poly)
 from monodyn.polynomials import UniPoly
@@ -259,3 +263,26 @@ def max_power_exponent(a: Fraction | int) -> tuple[int, Fraction, int]:
     if ell % 2 == 1:
         return ell, -x, 1
     return ell, x, -1
+
+
+# ---------------------------------------------------------------------------
+# class polynomials and class norms, step by step
+
+
+def scale_arg(f: UniPoly, r) -> UniPoly:
+    """f(r * X)."""
+    r = Fraction(r)
+    return UniPoly.from_coeffs([c * r ** i for i, c in enumerate(f.coeffs)])
+
+
+def log_w_by_piece(nd: galois.ClassNormData) -> float:
+    """ClassNormData.log_w with log|x| taken again for every Moebius piece
+    and log c0 for every record: the floats it must equal bit for bit."""
+    if nd.value is not None:
+        return _log_fraction(abs(nd.value))
+    phi, pieces = galois._qprime_data(nd.cls.qprime)
+    total = phi * _log_fraction(nd.cls.c0)
+    for j, mu in pieces:
+        total += mu * galois._log_abs_power_minus_one(
+            nd.x, j, _log_fraction(abs(nd.x)))
+    return total

@@ -1,8 +1,10 @@
 """The scan's valuation machinery against the factor-everything route."""
 
+import copy
 import hashlib
 import json
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -105,7 +107,7 @@ def test_posreal_comparisons_match_floats():
         cmp = x.compare_one()
         if abs(s) > 1e-9:
             assert cmp == (1 if s > 0 else -1)
-        assert (x.is_one() and cmp == 0) or (not x.is_one() and cmp != 0)
+        assert (cmp == 0) == (x == PosReal.one())
         y = x ** F(rng.randint(1, 5))
         assert (y >= x) == (s * (float(y.log()) - s) >= -1e-9) or True
         # ordering consistency: x < y iff x/y < 1
@@ -142,3 +144,23 @@ def test_posreal_radical_form_roundtrip():
         # minimality: no smaller index admits a rational radicand
         for M1 in range(1, M0):
             assert not (x ** M1).is_rational()
+
+
+def test_posreal_keeps_its_radical_form():
+    # the kept (c, M) is the fresh one; equality, hashing, pickling and
+    # copying read the exponents alone, and the object stays immutable
+    rng = random.Random(1717)
+    for _ in range(200):
+        x = PosReal({p: F(rng.randint(-9, 9), rng.randint(1, 6))
+                     for p in rng.sample([2, 3, 5, 7], rng.randint(0, 3))})
+        fresh = PosReal(dict(x.exps))
+        assert x.radical_form() is x.radical_form()
+        assert x.radical_form() == PosReal(dict(x.exps)).radical_form()
+        assert x == fresh and hash(x) == hash(fresh)
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x),
+                  copy.deepcopy(x), pickle.loads(pickle.dumps(fresh))):
+            assert y == x and hash(y) == hash(x)
+            assert y.radical_form() == x.radical_form()
+        for name in ("exps", "_key", "_radical"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)

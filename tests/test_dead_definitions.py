@@ -91,3 +91,20 @@ def test_no_dead_definitions():
                  [path.read_text() for path in PERFBENCH])
     assert [f"{SRC[i].name}: {name} (line {line})"
             for i, name, line in found] == []
+
+
+# read from tests/ alone; each waits for ROADMAP item 5 (the oracles move
+# out of src/), and no other definition may join them
+TEST_ONLY = ["polynomials.py: zero", "radical.py: complex_value",
+             "radical.py: pow", "radical.py: rational_binomial",
+             "radical.py: root_of_unity"]
+
+
+def test_src_definitions_read_only_by_tests():
+    """The definitions in src/ that nothing in src/ or perfbench/ reads,
+    the exports of monodyn/__init__ counting as src/ reads: exactly the
+    five of TEST_ONLY, so a new definition that only a test calls fails."""
+    sources = [path.read_text() for path in SRC]
+    found = dead(sources, sources, [path.read_text() for path in PERFBENCH])
+    assert sorted(f"{SRC[i].name}: {name}" for i, name, _ in found) \
+        == TEST_ONLY

@@ -19,7 +19,7 @@ from monodyn.primes import euler_phi, factor_fraction, kronecker, ord_p
 from monodyn.radical import RadicalPoint
 from monodyn.scan import word_pair_classes
 from monodyn.semigroup import Semigroup
-from oracles import word_pairs
+from oracles import log_w_by_piece, scale_arg, word_pairs
 
 POOL = [F(x) for x in ("2", "3", "4", "-2", "-3", "-4", "8", "9", "-8", "16",
                        "-16", "1/2", "-1/2", "4/9", "-4/9", "12", "-12",
@@ -182,7 +182,7 @@ def test_aurifeuillian_factors():
         B_neg = UniPoly.from_coeffs([c * (-1) ** (n - i)
                                      for i, c in enumerate(B.coeffs)])
         full = UniPoly.from_coeffs(
-            [c * d ** n for c in cyclotomic_poly(q).scale_arg(F(1, d)).coeffs])
+            [c * d ** n for c in scale_arg(cyclotomic_poly(q), F(1, d)).coeffs])
         assert B * B_neg == full.compose_monomial(2), (q, d)
         assert factor_poly(B) == [(B, 1)], (q, d)
 
@@ -376,7 +376,9 @@ def test_class_of_point_matches_listing():
 def test_first_angle_is_the_least_angle():
     # oracle: the least of the built angles, for every class of every
     # collision binomial up to depth 6 of the three test semigroups, which
-    # hold genuine twins and binomials with a < 0
+    # hold genuine twins and binomials with a < 0; the classes come in
+    # strictly increasing first angle, and two have equal integer keys
+    # exactly when their (c0, M0, q', sign) are equal
     cases = set()
     for pairs in TEST_SEMIGROUPS:
         G = Semigroup.from_pairs(pairs)
@@ -384,13 +386,37 @@ def test_first_angle_is_the_least_angle():
             cb = collision_binomial(G, w, m)
             cases.add((cb.N, cb.a))
     checked = twins = negative = 0
+    identity = {}
     for N, a in sorted(cases):
-        for cls in decompose_binomial_roots(N, a):
+        classes = decompose_binomial_roots(N, a)
+        assert all(c.first_angle < d.first_angle
+                   for c, d in zip(classes, classes[1:])), (N, a)
+        for cls in classes:
             assert cls.first_angle == min(cls.angles), (N, a, cls.key)
+            assert all(type(k) is int for k in cls.key)
+            fields = (cls.c0, cls.M0, cls.qprime, cls.sign)
+            assert identity.setdefault(cls.key, fields) == fields
             checked += 1
             twins += _is_genuine_twin(cls)
             negative += a < 0
     assert (checked, twins, negative) == (5347, 328, 449)
+    assert len(set(identity.values())) == len(identity)
+
+
+def test_decompose_order_is_the_first_angle_order():
+    # oracle: sorted(key=first_angle) on seeded binomials X^N = a, N <= 60,
+    # with a < 0 and genuine twins among them
+    rng = random.Random(6060)
+    twins = negative = 0
+    for _ in range(600):
+        N = rng.randint(1, 60)
+        a = rng.choice(POOL) * rng.choice((1, -1))
+        classes = decompose_binomial_roots(N, a)
+        by_angle = sorted(classes, key=lambda c: c.first_angle)
+        assert [c.key for c in classes] == [c.key for c in by_angle], (N, a)
+        twins += sum(map(_is_genuine_twin, classes))
+        negative += a < 0
+    assert twins > 30 and negative > 250
 
 
 @pytest.mark.parametrize("a", [F(2), F(-2)])
@@ -398,3 +424,36 @@ def test_first_angle_is_the_least_angle():
 def test_decompose_refuses_nonpositive_degree(N, a):
     with pytest.raises(ZeroInput):
         decompose_binomial_roots(N, a)
+
+
+def test_class_polynomial_matches_the_scaled_cyclotomic_chain():
+    # oracle: Phi_q'(X / c0) made monic, at X^M0, for every class of full
+    # degree up to depth 5 of the three test semigroups
+    checked = 0
+    for pairs in TEST_SEMIGROUPS:
+        G = Semigroup.from_pairs(pairs)
+        for cls, _, _ in word_pair_classes(G, 5):
+            if cls.sign:
+                continue
+            chain = scale_arg(cyclotomic_poly(cls.qprime), 1 / cls.c0) \
+                .monic().compose_monomial(cls.M0)
+            assert class_polynomial(cls, cls.degree) == chain, cls.key
+            checked += 1
+    assert checked > 500
+
+
+SWEEP_BETAS = [F(x) for x in ("2", "-3/2", "5/3", "7/4", "-27/5", "35/11")]
+
+
+def test_log_w_equals_the_per_piece_logs():
+    # bit-identical floats: log|x| once per record and log c0 once per
+    # class give the same sums as the logs taken per Moebius piece, on the
+    # depth-4 stream of {-5/2 z^3, 4 z^-2} at six base points
+    G = Semigroup.from_pairs([("-5/2", 3), ("4", -2)])
+    checked = 0
+    for beta in SWEEP_BETAS:
+        for cls, _, _ in word_pair_classes(G, 4):
+            nd = class_norm_data(cls, beta)
+            assert nd.log_w() == log_w_by_piece(nd), (beta, cls.key)
+            checked += nd.value is None
+    assert checked > 500

@@ -5,6 +5,7 @@ from monodyn.polynomials import (UniPoly, cyclotomic_poly,
                                  newton_polygon_root_valuations, poly_gcd,
                                  squarefree_decomposition)
 from monodyn.primes import euler_phi
+from oracles import scale_arg
 
 
 def P(*cs):
@@ -23,7 +24,7 @@ def test_basic_arithmetic():
     assert P(0, 0, 0).is_zero
     assert f.shift(F(1)) == P(4, 4, 1)      # (X+2)^2
     assert P(0, 1).compose_monomial(3) == P(0, 0, 0, 1)
-    assert P(1, 1).scale_arg(F(2)) == P(1, 2)
+    assert scale_arg(P(1, 1), F(2)) == P(1, 2)
 
 
 def _shift_by_fraction_horner(f: UniPoly, a) -> UniPoly:

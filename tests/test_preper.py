@@ -341,7 +341,7 @@ def per_root_enumeration(g, n_max):
 
 
 @pytest.mark.parametrize("g", [GZ, G1, G2, G(("-5/2", 3), ("4", -2)),
-                               G(("4", 2), ("9", 3))])
+                               G(("4", 2), ("9", 3)), G(("1", 2), ("3", -3))])
 def test_enumeration_matches_per_root_oracle(g):
     for n in range(1, 5):
         eps = enumerate_preperiodic(g, n)

@@ -563,3 +563,12 @@ def test_equal_semigroups_keep_their_own_streams():
     assert G.to_json() == H.to_json() and "_memo" not in repr(G)
     copy = dataclasses.replace(G)
     assert copy == G and copy._memo == {}
+
+
+@pytest.mark.parametrize("beta", [F(2), F(-3, 7)])
+def test_verdict_order_is_the_fraction_key_order(beta):
+    # oracle: the sort on (degree, point.key()), Fractions and all, that the
+    # integer order of the report replaces
+    verdicts = run_scan(ScanConfig(_g2(), S_DEFAULT, beta, 6)).verdicts
+    by_fractions = sorted(verdicts, key=lambda v: (v.degree, v.point.key()))
+    assert [id(v) for v in verdicts] == [id(v) for v in by_fractions]

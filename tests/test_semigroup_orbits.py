@@ -84,8 +84,8 @@ def test_apply_matches_compose():
         for i in w:
             y = y.apply(g.generators[i])
         A, D = compose_word(g, w)
-        direct = x.pow(D).scale(A) if D >= 0 else \
-            RadicalPoint(x.modulus ** D, x.angle * D).scale(A)
+        direct = RadicalPoint(x.modulus ** D * PosReal.of(A),
+                              x.angle * D + (0 if A > 0 else F(1, 2)))
         assert y == direct
 
 
@@ -102,7 +102,7 @@ def test_window_radius_examples():
     r = window_radius_exact(g1, INF)
     assert r == PosReal.of(F(1, 2))
     gz = G(("1", 3))
-    assert window_radius_exact(gz, Place(7)).is_one()
+    assert window_radius_exact(gz, Place(7)) == PosReal.one()
     g2 = G(("2", 2), ("3", 3))
     r3 = window_radius_exact(g2, Place(3))
     assert r3 == PosReal({3: F(-1, 2)})
