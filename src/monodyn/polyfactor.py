@@ -3,13 +3,21 @@
 Pipeline: integer content; a modular squarefree certificate (f squarefree
 modulo a prime not dividing lc(f)), with Yun's algorithm over Q only when
 none of six primes gives one; distinct-degree counts modulo six good small
-primes (Musser's prime choice; they also prove irreducibility or prune
-factor degrees); equal-degree splitting at the prime with the fewest
-factors; quadratic Hensel lifting past the Mignotte bound; and
-recombination of at most RECOMBINATION_BUDGET subsets, past which
-FactorBudgetExceeded is raised.  Both modular splits run on one Frobenius
-matrix (the rows X^(i*p) mod f) per prime, so each Frobenius power costs one
-matrix-vector product instead of a binary powering.
+primes, the first of them the certifying prime (Musser's prime choice;
+they also prove irreducibility or prune factor degrees); equal-degree
+splitting at the prime with the fewest factors; quadratic Hensel lifting
+past the Mignotte bound; and recombination of at most RECOMBINATION_BUDGET
+subsets, past which FactorBudgetExceeded is raised.  Both modular splits
+run on one Frobenius matrix (the rows X^(i*p) mod f) per prime, so each
+Frobenius power costs one matrix-vector product instead of a binary
+powering.
+
+Only the work the answer needs is done: a prime's distinct-degree split
+stops once the prime can neither prune the attainable degrees nor have
+fewer factors than the best prime so far (_good_prime_factorization), its
+Frobenius rows past X^p mod f are built only when its split reaches degree
+2, and the last Hensel step does not lift the Bezout pair it has no use
+for.  The result is the same as with every prime split in full.
 """
 
 from __future__ import annotations
@@ -131,12 +139,16 @@ def _squarefree_mod(f: list[int], p: int) -> list[int] | None:
     return [c * inv % p for c in fp]
 
 
-def _frobenius(f: list[int], p: int) -> list[list[int]]:
-    """Rows X^(i*p) mod f for i < deg f (f monic): the matrix of u -> u^p
-    on GF(p)[X]/(f).  Each row is the last one shifted p places and reduced,
-    about p * nnz(f) operations (von zur Gathen and Shoup 1992)."""
-    rows = [[1]]
-    for _ in range(len(f) - 2):
+def _frobenius(f: list[int], p: int, rows: list[list[int]] | None = None,
+               count: int | None = None) -> list[list[int]]:
+    """Rows X^(i*p) mod f for i < count, deg f by default (f monic): the
+    matrix of u -> u^p on GF(p)[X]/(f).  Each row is the last one shifted p
+    places and reduced, about p * nnz(f) operations (von zur Gathen and
+    Shoup 1992).  Given rows, the first ones already built, it appends the
+    rest to that list and returns it: the rows are built on demand, since
+    X^p mod f takes row 1 only."""
+    rows = [[1]] if rows is None else rows
+    for _ in range(len(rows), count or len(f) - 1):
         rows.append(_pmod([0] * p + rows[-1], f, p))
     return rows
 
@@ -151,22 +163,32 @@ def _frob_apply(u: list[int], rows: list[list[int]], p: int) -> list[int]:
     return _ptrim([c % p for c in out])
 
 
-def _distinct_degree(f: list[int], p: int,
-                     rows: list[list[int]]) -> list[tuple[list[int], int]]:
+def _distinct_degree(f: list[int], p: int, rows: list[list[int]], stop=None
+                     ) -> list[tuple[list[int], int]] | None:
     """[(product of irreducible factors of degree d, d)] for monic squarefree
-    f with Frobenius rows `rows`.  h = X^(p^d) stays reduced mod f: v | f, so
-    gcd(h - X, v) is the same as with h mod v."""
+    f with the Frobenius rows built so far, `rows`, which _frobenius extends
+    in place on demand: d = 1 takes row 1 (X^p mod f) only, d = 2 every row.
+    h = X^(p^d) stays reduced mod f: v | f, so gcd(h - X, v) is the same as
+    with h mod v.
+
+    stop(known, m), when given, runs after each factor found while a part v
+    of degree m > 0 is left unsplit; known is the split so far.  When it
+    returns True the split is dropped and None returned."""
     out = []
     v = f[:]
-    h = [0, 1]
     d = 0
     while len(v) - 1 >= 2 * (d + 1):
         d += 1
-        h = _frob_apply(h, rows, p)
+        if d == 1:      # h = X^p mod f is row 1
+            h = _frobenius(f, p, rows, 2)[1]
+        else:
+            h = _frob_apply(h, _frobenius(f, p, rows), p)
         g = _pgcd(_psub(h, [0, 1], p), v, p)
         if len(g) > 1:
             out.append((g, d))
             v, _ = _pdivmod(v, g, p)
+            if stop is not None and len(v) > 1 and stop(out, len(v) - 1):
+                return None
     if len(v) > 1:
         out.append((v, len(v) - 1))
     return out
@@ -205,31 +227,29 @@ def _equal_degree_split(g: list[int], d: int, p: int, rng: random.Random,
 # Hensel lifting (von zur Gathen-Gerhard style quadratic step on a tree)
 
 
-def _hensel_step(f, g, h, s, t, m):
-    """One quadratic lift: from f=gh, sg+th=1 (mod m) to the same mod m^2.
-
-    h must be monic; degrees: deg s < deg h, deg t < deg g.
-    """
-    m2 = m * m
-    f = [c % m2 for c in f]
-    e = _psub(f, _pmul(g, h, m2), m2)
-    q, r = _pdivmod(_pmul(s, e, m2), h, m2)
-    g1 = _padd(g, _padd(_pmul(t, e, m2), _pmul(q, g, m2), m2), m2)
-    h1 = _padd(h, r, m2)
-    b = _psub(_padd(_pmul(s, g1, m2), _pmul(t, h1, m2), m2), [1], m2)
-    c, d = _pdivmod(_pmul(s, b, m2), h1, m2)
-    s1 = _psub(s, d, m2)
-    t1 = _psub(t, _padd(_pmul(t, b, m2), _pmul(c, g1, m2), m2), m2)
-    return g1, h1, s1, t1
-
-
 def _hensel_lift_pair(f, g, h, p, k):
-    """Lift f = g*h from mod p to mod p^(2^k); h monic mod p."""
+    """Lift f = g*h from mod p to mod p^(2^k); h monic mod p.
+
+    Each quadratic step (von zur Gathen and Gerhard) takes f = gh and
+    sg + th = 1 mod m to the same mod m^2; deg s < deg h, deg t < deg g.  It
+    lifts g and h with s and t, then lifts s and t for the next step.  The
+    last step has no next one, so it returns after g and h: 4 of the 8
+    products and 1 of the 2 divisions are skipped, and g, h are the same.
+    """
     s, t = _pgcdext(g, h, p)
     m = p
-    for _ in range(k):
-        g, h, s, t = _hensel_step(f, g, h, s, t, m)
+    for step in range(k):
         m = m * m
+        e = _psub([c % m for c in f], _pmul(g, h, m), m)
+        q, r = _pdivmod(_pmul(s, e, m), h, m)
+        g = _padd(g, _padd(_pmul(t, e, m), _pmul(q, g, m), m), m)
+        h = _padd(h, r, m)
+        if step == k - 1:
+            break
+        b = _psub(_padd(_pmul(s, g, m), _pmul(t, h, m), m), [1], m)
+        c, d = _pdivmod(_pmul(s, b, m), h, m)
+        s = _psub(s, d, m)
+        t = _psub(t, _padd(_pmul(t, b, m), _pmul(c, g, m), m), m)
     return g, h
 
 
@@ -302,6 +322,11 @@ def _next_prime(p: int) -> int:
     return p
 
 
+def _count(dd) -> int:
+    """Number of irreducible factors in a _distinct_degree split."""
+    return sum((len(g) - 1) // d for g, d in dd)
+
+
 def _subset_sums(dd) -> set[int]:
     """Degrees of the products of factors in a _distinct_degree split."""
     sums = {0}
@@ -311,44 +336,75 @@ def _subset_sums(dd) -> set[int]:
     return sums
 
 
-def _good_prime_factorization(f: list[int], rng: random.Random):
+def _squarefree_primes(f: list[int], first=None):
+    """(p, f mod p made monic) at each prime p from 3 up at which f is
+    squarefree mod p (_squarefree_mod).  first, when given, is that pair at
+    the least such prime, already computed; the search resumes after it."""
+    p = 2
+    if first is not None:
+        yield first
+        p = first[0]
+    while True:
+        p = _next_prime(p)
+        fp = _squarefree_mod(f, p)
+        if fp is not None:
+            yield p, fp
+
+
+def _good_prime_factorization(f: list[int], rng: random.Random, first=None):
     """Musser's prime choice: None if f is proven irreducible, else (p, monic
     factors of f mod p, the attainable degrees of factors over Z).
 
-    Six good primes get a distinct-degree split only.  The degree of a factor
-    over Z is a subset sum of the modular degrees at each of them, so f is
-    irreducible once only 0 and deg f are left.  Otherwise the prime with the
-    fewest modular factors is split into irreducibles.
+    Six good primes (_squarefree_primes(f, first)) get a distinct-degree
+    split only.  The degree of a factor over Z is a subset sum of the
+    modular degrees at each of them, so f is irreducible once only 0 and
+    deg f are left.  Otherwise the first prime with the fewest modular
+    factors is split into irreducibles.
+
+    A prime's split stops early once it can neither prune nor win.  With
+    `known` split off and a part of degree m > 0 left, the full split's
+    subset sums contain S | (S + m), S those of known, and it has at least
+    count(known) + 1 factors.  When possible lies in S | (S + m) and
+    count(known) + 1 is at least the best count so far, the full split
+    leaves possible as it is and cannot be strictly fewer, so the prime
+    changes nothing and its split is dropped.  Each prime's Frobenius rows
+    are built as its split reaches them, and completed only for the prime
+    chosen.
     """
     n = len(f) - 1
     possible = set(range(n + 1))
     best = None
-    p = 2
-    tried = 0
-    while tried < 6:
-        p = _next_prime(p)
-        fp = _squarefree_mod(f, p)
-        if fp is None:
+
+    def cannot_prune_or_win(known, m):
+        if best is None or _count(known) + 1 < best[0]:
+            return False
+        sums = _subset_sums(known)
+        return possible <= sums | {s + m for s in sums}
+
+    for p, fp in itertools.islice(_squarefree_primes(f, first), 6):
+        rows = [[1]]
+        dd = _distinct_degree(fp, p, rows, cannot_prune_or_win)
+        if dd is None:
             continue
-        tried += 1
-        rows = _frobenius(fp, p)
-        dd = _distinct_degree(fp, p, rows)
         possible &= _subset_sums(dd)
         if possible == {0, n}:
             return None
-        count = sum((len(g) - 1) // d for g, d in dd)
+        count = _count(dd)
         if best is None or count < best[0]:
-            best = (count, p, dd, rows)
-    _, p, dd, rows = best
+            best = (count, p, fp, dd, rows)
+    _, p, fp, dd, rows = best
+    _frobenius(fp, p, rows)
     return p, [h for g, d in dd
                for h in _equal_degree_split(g, d, p, rng, rows)], possible
 
 
-def _factor_squarefree_z(f: list[int], rng: random.Random) -> list[list[int]]:
-    """Irreducible factors over Z of a squarefree primitive f, deg >= 1."""
+def _factor_squarefree_z(f: list[int], rng: random.Random,
+                         certificate) -> list[list[int]]:
+    """Irreducible factors over Z of a squarefree primitive f, deg >= 1;
+    certificate is _certified_squarefree(f), or None when it was not run."""
     if len(f) - 1 == 1:
         return [f]
-    chosen = _good_prime_factorization(f, rng)
+    chosen = _good_prime_factorization(f, rng, certificate)
     if chosen is None:
         return [f]
     p, modular, possible = chosen
@@ -395,17 +451,20 @@ def _factor_squarefree_z(f: list[int], rng: random.Random) -> list[list[int]]:
     return out
 
 
-def _certified_squarefree(f: list[int]) -> bool:
-    """True when f is squarefree modulo one of the first six primes that do
-    not divide lc(f), which proves it squarefree over Q (_squarefree_mod)."""
+def _certified_squarefree(f: list[int]) -> tuple[int, list[int]] | None:
+    """(p, f mod p made monic) at the least prime p from 3 up at which f is
+    squarefree mod p, when p is among the first six primes that do not
+    divide lc(f), else None.  Such a p proves f squarefree over Q
+    (_squarefree_mod), and the prime choice starts from it."""
     p = 2
     for _ in range(6):
         p = _next_prime(p)
         while f[-1] % p == 0:
             p = _next_prime(p)
-        if _squarefree_mod(f, p) is not None:
-            return True
-    return False
+        fp = _squarefree_mod(f, p)
+        if fp is not None:
+            return p, fp
+    return None
 
 
 def factor_poly(f: UniPoly, degree_cap: int = DEGREE_CAP,
@@ -432,13 +491,14 @@ def factor_poly(f: UniPoly, degree_cap: int = DEGREE_CAP,
     g = UniPoly(tuple(cs))
     if g.degree >= 1:
         prim = g.content_and_primitive()[1].int_coeffs()
-        if _certified_squarefree(prim):
-            parts = [(prim, 1)]
+        certificate = _certified_squarefree(prim)
+        if certificate is not None:
+            parts = [(prim, 1, certificate)]
         else:
-            parts = [(sqf.content_and_primitive()[1].int_coeffs(), mult)
+            parts = [(sqf.content_and_primitive()[1].int_coeffs(), mult, None)
                      for sqf, mult in squarefree_decomposition(g)]
-        for sqf, mult in parts:
-            for piece in _factor_squarefree_z(sqf, rng):
+        for sqf, mult, certificate in parts:
+            for piece in _factor_squarefree_z(sqf, rng, certificate):
                 out.append((UniPoly.from_coeffs(piece), mult))
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     return out

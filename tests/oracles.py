@@ -1,7 +1,8 @@
 """Independent oracles kept for the tests, reached by no monodyn command:
 certified complex root isolation and heights of algebraic numbers, circle
 discrepancy by brute force over arcs, irreducibility evidence apart from
-factor_poly (with the rational root sieve), the split a = xi * x^l of a
+factor_poly (with the rational root sieve), factor_poly's prime choice and
+Hensel lift without their shortcuts, the split a = xi * x^l of a
 rational apart from preper.structure_decompose, the argument scaling that
 chains the closed-form class polynomial, and the class norm's log with
 each log taken where it is used.
@@ -25,8 +26,10 @@ import mpmath as mp
 from monodyn import galois
 from monodyn.errors import MonodynError, RootOfUnityInput, ZeroInput
 from monodyn.places import _log_fraction
-from monodyn.polyfactor import (_distinct_degree, _frobenius, _next_prime,
-                                _squarefree_mod, _subset_sums, factor_poly)
+from monodyn.polyfactor import (_distinct_degree, _equal_degree_split,
+                                _frobenius, _next_prime, _padd, _pdivmod,
+                                _pgcdext, _pmul, _psub, _squarefree_mod,
+                                _subset_sums, factor_poly)
 from monodyn.polynomials import UniPoly
 from monodyn.primes import divisors, factor_fraction, power_product
 from monodyn.semigroup import Semigroup, Word
@@ -222,6 +225,75 @@ def irreducibility_certificate(f: UniPoly, primes_to_try: int = 12) -> str:
         if possible == {0, f.degree}:
             return "irreducible"
     return "unknown"
+
+
+def good_prime_factorization_oracle(f: list[int], rng):
+    """polyfactor._good_prime_factorization without its shortcuts: every one
+    of the six good primes, from 3 up, gets all its Frobenius rows and its
+    full distinct-degree split, and the first prime with the fewest factors
+    is split into irreducibles."""
+    n = len(f) - 1
+    possible = set(range(n + 1))
+    best = None
+    p = 2
+    tried = 0
+    while tried < 6:
+        p = _next_prime(p)
+        fp = _squarefree_mod(f, p)
+        if fp is None:
+            continue
+        tried += 1
+        rows = _frobenius(fp, p)
+        dd = _distinct_degree(fp, p, rows)
+        possible &= _subset_sums(dd)
+        if possible == {0, n}:
+            return None
+        count = sum((len(g) - 1) // d for g, d in dd)
+        if best is None or count < best[0]:
+            best = (count, p, dd, rows)
+    _, p, dd, rows = best
+    return p, [h for g, d in dd
+               for h in _equal_degree_split(g, d, p, rng, rows)], possible
+
+
+def _hensel_step_full(f, g, h, s, t, m):
+    """One quadratic lift from f = gh, sg + th = 1 (mod m) to the same mod
+    m^2, the Bezout pair s, t included."""
+    m2 = m * m
+    f = [c % m2 for c in f]
+    e = _psub(f, _pmul(g, h, m2), m2)
+    q, r = _pdivmod(_pmul(s, e, m2), h, m2)
+    g1 = _padd(g, _padd(_pmul(t, e, m2), _pmul(q, g, m2), m2), m2)
+    h1 = _padd(h, r, m2)
+    b = _psub(_padd(_pmul(s, g1, m2), _pmul(t, h1, m2), m2), [1], m2)
+    c, d = _pdivmod(_pmul(s, b, m2), h1, m2)
+    s1 = _psub(s, d, m2)
+    t1 = _psub(t, _padd(_pmul(t, b, m2), _pmul(c, g1, m2), m2), m2)
+    return g1, h1, s1, t1
+
+
+def hensel_tree_oracle(f: list[int], facs: list[list[int]], p: int,
+                       k: int) -> list[list[int]]:
+    """polyfactor._hensel_tree with the Bezout pair lifted after every
+    quadratic step, the last one too."""
+    big = p ** (2 ** k)
+    if len(facs) == 1:
+        inv = pow(f[-1] % big, -1, big)
+        return [[c * inv % big for c in f]]
+    mid = (len(facs) + 1) // 2
+    g = [f[-1] % p]
+    for fac in facs[:mid]:
+        g = _pmul(g, fac, p)
+    h = [1]
+    for fac in facs[mid:]:
+        h = _pmul(h, fac, p)
+    s, t = _pgcdext(g, h, p)
+    m = p
+    for _ in range(k):
+        g, h, s, t = _hensel_step_full(f, g, h, s, t, m)
+        m = m * m
+    return (hensel_tree_oracle(g, facs[:mid], p, k)
+            + hensel_tree_oracle(h, facs[mid:], p, k))
 
 
 # ---------------------------------------------------------------------------

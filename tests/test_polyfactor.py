@@ -1,3 +1,4 @@
+import functools
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -9,7 +10,9 @@ from monodyn import polyfactor
 from monodyn.errors import DegreeCapExceeded
 from monodyn.polyfactor import factor_poly
 from monodyn.polynomials import UniPoly
-from oracles import irreducibility_certificate, rational_roots
+from oracles import (good_prime_factorization_oracle, hensel_tree_oracle,
+                     irreducibility_certificate, rational_roots)
+from test_bench_gate import perfbench_workloads
 
 
 def P(*cs):
@@ -231,6 +234,11 @@ def test_frobenius_rows_are_powers_of_x():
         rows = polyfactor._frobenius(f, p)
         assert rows == [polyfactor._ppowmod([0, 1], i * p, f, p)
                         for i in range(len(f) - 1)]
+        # rows built on demand: the first two, then the rest onto them
+        first = polyfactor._frobenius(f, p, count=min(2, len(f) - 1))
+        assert first == rows[:2]
+        assert polyfactor._frobenius(f, p, first) is first
+        assert first == rows
 
 
 def test_distinct_degree_matches_oracle():
@@ -290,3 +298,88 @@ def test_squarefree_past_every_tried_prime(yun_calls):
         f = f * P(-r, 1)
     assert factor_poly(f) == [(P(-r, 1), 1) for r in reversed(roots)]
     assert len(yun_calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Musser's prime choice and the Hensel lift against their full-work oracles
+
+
+@functools.cache
+def pool_prime_choices():
+    """(f, _good_prime_factorization(f)) on each seed-0 factor-pool input
+    of degree >= 2 that a prime certifies squarefree (all but 3 Eisenstein
+    products with a repeated factor), started from that prime as
+    factor_poly starts it."""
+    out = []
+    for op in perfbench_workloads().factor_pool(0).ops:
+        # each op is lambda f=f: factor_poly(f)
+        f = op.fn.__defaults__[0].content_and_primitive()[1].int_coeffs()
+        certificate = polyfactor._certified_squarefree(f)
+        if certificate is not None and len(f) > 2:
+            out.append((f, polyfactor._good_prime_factorization(
+                f, random.Random(len(out)), certificate)))
+    return out
+
+
+def test_prime_choice_matches_full_split_oracle():
+    # the same prime, modular factors and attainable degrees as when every
+    # prime is split in full: a dropped prime could neither prune nor win
+    choices = pool_prime_choices()
+    for i, (f, chosen) in enumerate(choices):
+        assert chosen == good_prime_factorization_oracle(f, random.Random(i))
+    assert sum(chosen is None for _, chosen in choices) > 100
+    # seeded products over Z, searched for good primes from 3 up
+    rng = random.Random(31)
+    others = []
+    while len(others) < 150:
+        f = UniPoly.one()
+        for _ in range(rng.randint(1, 4)):
+            deg = rng.randint(1, 6)
+            f = f * P(*[rng.randint(-9, 9) for _ in range(deg)],
+                      rng.randint(1, 5))
+        cs = f.content_and_primitive()[1].int_coeffs()
+        if cs[0] and len(cs) > 2 and polyfactor._certified_squarefree(cs):
+            others.append(cs)
+    others += [swinnerton_dyer((2, 3, 5)).int_coeffs(),
+               swinnerton_dyer((2, 3, 5, 7)).int_coeffs()]
+    for i, f in enumerate(others):
+        assert (polyfactor._good_prime_factorization(f, random.Random(i))
+                == good_prime_factorization_oracle(f, random.Random(i)))
+
+
+def test_prime_choice_drops_primes_that_cannot_matter(monkeypatch):
+    # X^23 - 3 splits as 1 + 22 modulo every prime tried, so after the first
+    # prime none prunes the attainable degrees {0, 1, 22, 23} or has fewer
+    # factors: each stops after its linear factor.  23 gcds: 2 to certify
+    # at 5, 11 for 5's full split, 2 at each of 7, 11, 13, 17, 19; 75 when
+    # every prime is split in full and 5's squarefree test runs twice
+    calls = []
+    gcd = polyfactor._pgcd
+    monkeypatch.setattr(polyfactor, "_pgcd",
+                        lambda *args: calls.append(args) or gcd(*args))
+    f = UniPoly.binomial(23, 3)
+    assert factor_poly(f) == [(f, 1)]
+    assert len(calls) <= 25
+
+
+def test_hensel_tree_matches_full_update_lift():
+    # the last quadratic step skips the Bezout update it has no use for
+    lifts = 0
+    for f, chosen in pool_prime_choices():
+        if chosen is None:
+            continue
+        p, modular, _ = chosen
+        mignotte = polyfactor._mignotte_bound(f)
+        k = 0
+        while p ** (2 ** k) <= 2 * mignotte:
+            k += 1
+        big = p ** (2 ** k)
+        fm = [c % big for c in f]
+        lifted = polyfactor._hensel_tree(fm, modular, p, k)
+        assert lifted == hensel_tree_oracle(fm, modular, p, k)
+        prod = [f[-1]]
+        for g in lifted:
+            prod = polyfactor._pmul(prod, g, big)
+        assert prod == fm
+        lifts += len(modular) > 1
+    assert lifts > 100
