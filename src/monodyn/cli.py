@@ -282,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factor", help="factor a polynomial over Q")
     p.add_argument("coeffs", type=_polynomial,
-                   help="coefficients low-to-high, e.g. 27,0,0,0,0,0,1")
+                   help="coefficients low-to-high, e.g. 27,0,0,0,0,0,1; "
+                   "after --, as in -- -2,0,1, when the first is negative")
     p.set_defaults(func=_cmd_factor)
     return ap
 

@@ -2,12 +2,15 @@
 
 Pipeline: integer content; a modular squarefree certificate (f squarefree
 modulo a prime not dividing lc(f)), with Yun's algorithm over Q only when
-none of six primes gives one; distinct-degree counts modulo six good small
-primes, the first of them the certifying prime (Musser's prime choice;
-they also prove irreducibility or prune factor degrees); equal-degree
-splitting at the prime with the fewest factors; quadratic Hensel lifting
-past the Mignotte bound; and recombination of at most RECOMBINATION_BUDGET
-subsets, past which FactorBudgetExceeded is raised.  Both modular splits
+none of six primes gives one; an irreducibility certificate from the
+Newton polygons of f at the primes below 1000 that divide f(0) * lc(f)
+(Dumas' criterion, which decides Eisenstein and most Capelli binomials with
+no modular work); distinct-degree counts modulo six good small primes, the
+first of them the certifying prime (Musser's prime choice; they also prove
+irreducibility or prune factor degrees); equal-degree splitting at the
+prime with the fewest factors; quadratic Hensel lifting past the Mignotte
+bound; and recombination of at most RECOMBINATION_BUDGET subsets, past
+which FactorBudgetExceeded is raised.  Both modular splits
 run on one Frobenius matrix (the rows X^(i*p) mod f) per prime, so each
 Frobenius power costs one matrix-vector product instead of a binary
 powering.
@@ -28,8 +31,9 @@ import random
 
 from .errors import DegreeCapExceeded, FactorBudgetExceeded, ZeroInput
 from .galois import DEGREE_CAP
-from .polynomials import UniPoly, squarefree_decomposition
-from .primes import is_prime
+from .polynomials import (UniPoly, newton_polygon_root_valuations,
+                          squarefree_decomposition)
+from .primes import TRIAL_PRIMES, is_prime
 
 RECOMBINATION_BUDGET = 1 << 16   # subsets per squarefree part
 
@@ -327,13 +331,55 @@ def _count(dd) -> int:
     return sum((len(g) - 1) // d for g, d in dd)
 
 
-def _subset_sums(dd) -> set[int]:
-    """Degrees of the products of factors in a _distinct_degree split."""
+def _piece_sums(pieces) -> set[int]:
+    """Sums of the sub-multisets of pieces given as (degree, copies)."""
     sums = {0}
-    for g, d in dd:
-        for _ in range((len(g) - 1) // d):
+    for d, copies in pieces:
+        for _ in range(copies):
             sums |= {s + d for s in sums}
     return sums
+
+
+def _subset_sums(dd) -> set[int]:
+    """Degrees of the products of factors in a _distinct_degree split."""
+    return _piece_sums((d, (len(g) - 1) // d) for g, d in dd)
+
+
+def _newton_degrees(f: UniPoly, p: int) -> set[int]:
+    """The degrees a factor of f over Q_p can have, read off the Newton
+    polygon of f at p (Dumas 1906), f(0) != 0.
+
+    The polygon of a product is the Minkowski sum of its factors'
+    polygons.  A segment of f with root valuation h/e in lowest terms and
+    length L meets a lattice point every e steps, so each factor's segment
+    of that slope has a length that is a multiple of e: a factor's degree
+    is a subset sum of the pieces, L/e of degree e per segment."""
+    vals = newton_polygon_root_valuations(f, p)   # sorted: a run per segment
+    return _piece_sums((v.denominator, len(list(run)) // v.denominator)
+                       for v, run in itertools.groupby(vals))
+
+
+def _newton_irreducible(f: list[int]) -> bool:
+    """Whether the Newton polygons of f, f(0) != 0, at the primes below 1000
+    that divide f(0) * lc(f) prove f irreducible over Q: a factor's degree
+    lies in _newton_degrees at each of them, and only 0 and deg f are left
+    in all of them.  At any other prime the polygon is one flat segment,
+    which admits every degree.  The primes are found by trial division, so
+    no integer is factored."""
+    n = len(f) - 1
+    possible = set(range(n + 1))
+    bound = max(abs(f[0]), abs(f[-1]))
+    poly = None
+    for p in TRIAL_PRIMES:
+        if p > bound:
+            break
+        if f[0] % p and f[-1] % p:
+            continue
+        poly = poly or UniPoly.from_coeffs(f)
+        possible &= _newton_degrees(poly, p)
+        if possible == {0, n}:
+            return True
+    return False
 
 
 def _squarefree_primes(f: list[int], first=None):
@@ -402,7 +448,7 @@ def _factor_squarefree_z(f: list[int], rng: random.Random,
                          certificate) -> list[list[int]]:
     """Irreducible factors over Z of a squarefree primitive f, deg >= 1;
     certificate is _certified_squarefree(f), or None when it was not run."""
-    if len(f) - 1 == 1:
+    if len(f) - 1 == 1 or _newton_irreducible(f):
         return [f]
     chosen = _good_prime_factorization(f, rng, certificate)
     if chosen is None:

@@ -296,7 +296,8 @@ def newton_polygon_root_valuations(f: UniPoly, p: int) -> list[Fraction]:
     Lower convex hull of the integer points (i, ord_p(c_i)) over the nonzero
     c_i; each hull segment of slope s and horizontal length L contributes L
     roots of valuation -s.  Zero roots (low zero coefficients) leave no
-    point and are not reported.
+    point and are not reported.  factor_poly reads the segments from it
+    for its irreducibility certificate (polyfactor._newton_degrees).
     """
     if f.is_zero:
         raise ZeroInput("Newton polygon of the zero polynomial")

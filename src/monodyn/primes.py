@@ -104,7 +104,9 @@ def _sieve_primes(limit: int) -> tuple[int, ...]:
     return tuple(i for i in range(limit + 1) if mark[i])
 
 
-_TRIAL_PRIMES = _sieve_primes(1000)
+# the primes below 1000: factorint's trial divisors, and the primes at which
+# factor_poly reads Newton polygons
+TRIAL_PRIMES = _sieve_primes(1000)
 
 
 def factorint(n: int) -> dict[int, int]:
@@ -113,7 +115,7 @@ def factorint(n: int) -> dict[int, int]:
         raise ZeroInput("0 has no factorization")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in _TRIAL_PRIMES:
+    for p in TRIAL_PRIMES:
         if p * p > n:
             break
         if n % p == 0:

@@ -229,6 +229,13 @@ def test_factor(capsys):
         sorted([["3", "-3", "1"], ["3", "0", "1"], ["3", "3", "1"]])
 
 
+def test_factor_negative_constant_after_double_dash(capsys):
+    # without --, argparse reads -2,0,1 as an option and exits 2
+    assert main(["factor", "--", "-2,0,1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["factors"] == [{"coeffs": ["-2", "0", "1"], "multiplicity": 1}]
+
+
 def test_factor_past_recombination_budget_is_a_cap(capsys):
     # the degree-64 Swinnerton-Dyer polynomial splits into quadratics
     # modulo every prime, so recombination runs out of its subset budget

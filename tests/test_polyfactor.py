@@ -10,6 +10,7 @@ from monodyn import polyfactor
 from monodyn.errors import DegreeCapExceeded
 from monodyn.polyfactor import factor_poly
 from monodyn.polynomials import UniPoly
+from monodyn.preper import capelli_reducible
 from oracles import (good_prime_factorization_oracle, hensel_tree_oracle,
                      irreducibility_certificate, rational_roots)
 from test_bench_gate import perfbench_workloads
@@ -118,6 +119,16 @@ def test_degree_cap():
         factor_poly(UniPoly.binomial(600, 2))
 
 
+def musser_prime_choice(f: UniPoly):
+    """Musser's prime choice on f, started from _certified_squarefree's
+    pair as factor_poly starts it.  X^24 - 2 and X^23 - 3 are Eisenstein,
+    so factor_poly returns them from their Newton polygons without
+    reaching the prime choice."""
+    cs = f.int_coeffs()
+    return polyfactor._good_prime_factorization(
+        cs, random.Random(0), polyfactor._certified_squarefree(cs))
+
+
 def test_irreducible_without_splitting(monkeypatch):
     # distinct-degree counts alone prove these irreducible, so no prime is
     # split into irreducibles.  X^24 - 2 is inert modulo 13; the minimal
@@ -129,7 +140,7 @@ def test_irreducible_without_splitting(monkeypatch):
     monkeypatch.setattr(polyfactor, "_equal_degree_split",
                         lambda *args: calls.append(args) or split(*args))
     for f in (UniPoly.binomial(24, 2), P(31, 36, 27, -4, 9, 0, 1)):
-        assert factor_poly(f) == [(f, 1)]
+        assert musser_prime_choice(f) is None
     assert calls == []
 
 
@@ -357,8 +368,9 @@ def test_prime_choice_drops_primes_that_cannot_matter(monkeypatch):
     gcd = polyfactor._pgcd
     monkeypatch.setattr(polyfactor, "_pgcd",
                         lambda *args: calls.append(args) or gcd(*args))
-    f = UniPoly.binomial(23, 3)
-    assert factor_poly(f) == [(f, 1)]
+    p, modular, possible = musser_prime_choice(UniPoly.binomial(23, 3))
+    assert p == 5 and sorted(len(g) - 1 for g in modular) == [1, 22]
+    assert possible == {0, 1, 22, 23}
     assert len(calls) <= 25
 
 
@@ -383,3 +395,91 @@ def test_hensel_tree_matches_full_update_lift():
         assert prod == fm
         lifts += len(modular) > 1
     assert lifts > 100
+
+
+# ---------------------------------------------------------------------------
+# the Newton-polygon (Dumas) certificate in front of Musser's prime choice
+
+
+def test_newton_certificate_on_binomials_agrees_with_capelli():
+    # X^M - c for the c04 radicands: a certified binomial is irreducible by
+    # Capelli's criterion, an oracle apart from the polygon
+    radicands = perfbench_workloads().CAPELLI_POOL
+    certified = 0
+    for M in range(1, 49):
+        for c in radicands:
+            f = UniPoly.binomial(M, c).content_and_primitive()[1].int_coeffs()
+            if polyfactor._newton_irreducible(f):
+                assert not capelli_reducible(M, c).reducible, (M, c)
+                certified += 1
+    assert certified == 1695
+
+
+def test_newton_certificate_never_certifies_eisenstein_products():
+    wl = perfbench_workloads()
+    for seed in range(4):
+        for parts in wl.eisenstein_products(seed, 100):
+            f = UniPoly.one()
+            for cs in parts:
+                f = f * UniPoly.from_coeffs(cs)
+            assert not polyfactor._newton_irreducible(f.int_coeffs()), parts
+
+
+def random_products():
+    """1200 seeded primitive integer products of 1 to 3 factors, some
+    squared, with p-power coefficients so that the polygons have slopes."""
+    rng = random.Random(53)
+    out = []
+    while len(out) < 1200:
+        f = UniPoly.one()
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            p = rng.choice((2, 3, 5, 7))
+            g = P(*[rng.choice((1, p, p * p)) * rng.randint(-4, 4)
+                    for _ in range(rng.randint(1, 7))],
+                  rng.choice((1, 1, 2, 3, p)))
+            if g.degree >= 1:
+                f = f * (g ** 2 if rng.random() < 0.1 else g)
+        cs = f.content_and_primitive()[1].int_coeffs() if f.degree >= 1 else []
+        if len(cs) > 2 and cs[0]:
+            out.append(cs)
+    return out
+
+
+def test_newton_certificate_agrees_with_factor_poly(monkeypatch):
+    certified = [f for f in random_products()
+                 if polyfactor._newton_irreducible(f)]
+    assert len(certified) > 100
+    monkeypatch.setattr(polyfactor, "_newton_irreducible", lambda f: False)
+    for f in certified:
+        assert factor_poly(P(*f)) == [(P(*f), 1)], f
+
+
+def test_newton_certificate_hand_cases():
+    # X^4 + 4 = (X^2 - 2X + 2)(X^2 + 2X + 2): one segment of slope -1/2 and
+    # length 4 at 2, so two pieces of degree 2
+    assert polyfactor._newton_degrees(P(4, 0, 0, 0, 1), 2) == {0, 2, 4}
+    assert not polyfactor._newton_irreducible([4, 0, 0, 0, 1])
+    # one segment of slope -2/21 at 2
+    assert polyfactor._newton_irreducible([-4] + [0] * 20 + [9])
+    # irreducible, but no polygon shows it: it still reaches recombination
+    # (test_factor_past_recombination_budget_is_a_cap)
+    sd = swinnerton_dyer((2, 3, 5, 7, 11, 13)).int_coeffs()
+    assert not polyfactor._newton_irreducible(sd)
+
+
+def test_factor_pool_work_counts(monkeypatch):
+    # seed-0 factor-pool ops that reach Musser's prime choice and the Hensel
+    # lift: 1250 and 766 without the polygon certificate
+    reached = set()
+    for name in ("_good_prime_factorization", "_hensel_tree"):
+        def counted(*args, name=name, fn=getattr(polyfactor, name)):
+            reached.add(name)
+            return fn(*args)
+        monkeypatch.setattr(polyfactor, name, counted)
+    musser = hensel = 0
+    for op in perfbench_workloads().factor_pool(0).ops:
+        reached.clear()
+        op.fn()
+        musser += "_good_prime_factorization" in reached
+        hensel += "_hensel_tree" in reached
+    assert musser <= 452 and hensel <= 419
