@@ -2,10 +2,13 @@
 
 These are the moduli that arise from radicals of rationals.  Comparison,
 multiplication and rational powers are exact; floats are derived views.
+A comparison tries floats, then decimal logs, then exact integers, whose
+size is checked from the exponents before any power is built.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -71,10 +74,20 @@ class PosReal:
         """Sign of log(self): -1, 0, +1, certified.
 
         By unique factorization a nonempty exponent vector never gives 1, so
-        the sign of sum e_p log p is decided by (in order): a same-sign fast
-        path, a float sum with a rigorous error bound, high-precision
-        escalation, and an exact big-integer comparison as the last resort.
-        Past 10^8 bits that comparison is refused with OverflowGuard.
+        the sign of s = sum_p t_p, t_p = e_p log p, is decided by (in order):
+        a same-sign fast path; a float sum with a rigorous error bound (a term
+        past float range passes the decision on); decimal sums at 40, 156,
+        618 and 2468 digits (about 128, 512, 2048 and 8192 bits); and the
+        exact comparison of self^M's numerator and denominator, refused with
+        OverflowGuard past the size budget of _power_ints.
+
+        The decimal bound: ln, multiply, divide and add are each correctly
+        rounded, so each carries a relative error of at most u = 10^(1-d)/2
+        at d digits.  A term is three operations and the sum of k terms k - 1
+        more, so |acc - s| <= ((1 + u)^(k+2) - 1) sum |t_p|, which is below
+        eps = 2 (k + 2) u mag for the rounded mag = sum |t_p| while
+        (k + 2) u < 1/4; the factor 2 also covers the rounding of mag and eps.
+        So |acc| > eps gives the sign of s.
         """
         if not self.exps:
             return 0
@@ -82,36 +95,37 @@ class PosReal:
             return 1
         if all(e < 0 for e in self.exps.values()):
             return -1
-        s = 0.0
-        mag = 0.0
-        for p, e in self.exps.items():
-            t = float(e) * math.log(p)
-            s += t
-            mag += abs(t)
-        if abs(s) > mag * 1e-12 + 5e-300:
+        try:
+            terms = [float(e) * math.log(p) for p, e in self.exps.items()]
+        except OverflowError:       # a NaN sum passes the decision on
+            terms = [math.nan]
+        s = sum(terms)
+        if abs(s) > sum(map(abs, terms)) * 1e-12 + 5e-300:
             return 1 if s > 0 else -1
-        import mpmath as mp
-        for prec in (128, 512, 2048, 8192):
-            with mp.workprec(prec):
-                acc = mp.mpf(0)
+        for digits in (40, 156, 618, 2468):
+            with decimal.localcontext(decimal.Context(
+                    digits, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)):
+                acc = mag = decimal.Decimal(0)
                 for p, e in self.exps.items():
-                    acc += mp.mpf(e.numerator) / e.denominator * mp.log(p)
-                eps = mp.mpf(2) ** (-prec + 16) * (mag + 1)
-                if abs(acc) > eps:
+                    t = decimal.Decimal(p).ln() * e.numerator / e.denominator
+                    acc += t
+                    mag += abs(t)
+                if abs(acc) > (mag * (len(self.exps) + 2)).scaleb(1 - digits):
                     return 1 if acc > 0 else -1
-        L = math.lcm(*(e.denominator for e in self.exps.values()))
-        bits = sum(abs(e * L) * p.bit_length() for p, e in self.exps.items())
-        if bits > 10 ** 8:
-            raise OverflowGuard("exact comparison beyond the size budget")
         num, den, _ = self._power_ints()
         return (num > den) - (num < den)
 
     def _power_ints(self) -> tuple[int, int, int]:
         """(num, den, M) with self^M = num / den, M the least positive such
-        power and num, den coprime: primes.power_product, no gcd."""
+        power and num, den coprime: primes.power_product, no gcd.
+        OverflowGuard, read off the exponents before any power is built,
+        when num and den would pass 10^8 bits together."""
         M = math.lcm(*(e.denominator for e in self.exps.values()))
-        num, den = power_product((p, e.numerator * (M // e.denominator))
-                                 for p, e in self.exps.items())
+        powers = [(p, e.numerator * (M // e.denominator))
+                  for p, e in self.exps.items()]
+        if sum(abs(k) * p.bit_length() for p, k in powers) > 10 ** 8:
+            raise OverflowGuard("an exact power past the 10^8-bit size budget")
+        num, den = power_product(powers)
         return num, den, M
 
     def __eq__(self, other):

@@ -41,8 +41,10 @@ class SequenceSpec:
 
 
 def height_drift(G: Semigroup) -> float:
-    """c(G): certified bound max_i h(a_i)/|d_i| for |h(f_i(x))/|d_i| - h(x)|."""
-    return max(height_rational(g.a) / abs(g.d) for g in G.generators)
+    """c(G): certified bound max_i h(a_i)/|d_i| for |h(f_i(x))/|d_i| - h(x)|,
+    rounded from the exact quotient, as |d_i| may pass float range."""
+    return max(float(Fraction(height_rational(g.a)) / abs(g.d))
+               for g in G.generators)
 
 
 @dataclass(frozen=True)
@@ -56,24 +58,26 @@ def canonical_height_iterative(G: Semigroup, seq: SequenceSpec,
                                beta: Fraction | RadicalPoint,
                                tol: float = 1e-9,
                                max_steps: int = 400) -> HeightEstimate:
-    """h(f_{i_1..i_n}(beta)) / |D_n| with n pushed until 2c(G)/|D_n| < tol."""
+    """h(f_{i_1..i_n}(beta)) / |D_n| with n pushed until 2c(G)/|D_n| < tol.
+    |D_n| and h(f(beta)) may pass float range, so the bound is rounded from
+    the exact quotient and the value is h(|f(beta)|^(1/|D_n|)): h reads the
+    modulus alone."""
     if tol <= 0:
         raise ZeroInput("tol must be positive")
     x = beta if isinstance(beta, RadicalPoint) else RadicalPoint.from_rational(beta)
-    c = height_drift(G)
+    c2 = Fraction(2 * height_drift(G))
     D = 1
     steps = 0
-    while 2 * c / abs(D) >= tol and c > 0:
+    while float(c2 / abs(D)) >= tol and steps <= max_steps:
         g = G.generators[seq.letter(steps)]
         x = x.apply(g)
         D *= g.d
         steps += 1
-        if steps > max_steps:
-            raise OverflowGuard(
-                f"no convergence within {max_steps} steps; partial value "
-                f"{x.height() / abs(D)}")
-    err = 2 * c / abs(D) if c > 0 else 0.0
-    return HeightEstimate(x.height() / abs(D), err, steps)
+    value = RadicalPoint(x.modulus ** Fraction(1, abs(D)), 0).height()
+    if steps > max_steps:
+        raise OverflowGuard(f"no convergence within {max_steps} steps; "
+                            f"partial value {value}")
+    return HeightEstimate(value, float(c2 / abs(D)), steps)
 
 
 def _word_abs(G: Semigroup, w: Word) -> tuple[PosReal, int]:

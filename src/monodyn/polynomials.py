@@ -33,10 +33,6 @@ class UniPoly:
         return UniPoly(_trim([Fraction(c) for c in cs]))
 
     @staticmethod
-    def zero() -> "UniPoly":
-        return UniPoly(())
-
-    @staticmethod
     def one() -> "UniPoly":
         return UniPoly((Fraction(1),))
 

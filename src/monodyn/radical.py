@@ -8,8 +8,6 @@ place, heights and monomial dynamics exact.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,10 +51,6 @@ class RadicalPoint:
         t = Fraction(j, N) if a > 0 else Fraction(2 * j + 1, 2 * N)
         return RadicalPoint(PosReal.of(a, Fraction(1, N)), t)
 
-    @staticmethod
-    def root_of_unity(t: Fraction) -> "RadicalPoint":
-        return RadicalPoint(PosReal.one(), t)
-
     # canonical data --------------------------------------------------------
     @property
     def c(self) -> Fraction:
@@ -83,18 +77,12 @@ class RadicalPoint:
         v = self.modulus.as_fraction()
         return v if self.angle == 0 else -v
 
-    def complex_value(self) -> complex:
-        return float(self.modulus) * cmath.exp(2j * math.pi * float(self.angle))
-
     # arithmetic ---------------------------------------------------------------
     def apply(self, f: MonomialMap) -> "RadicalPoint":
         """Image a * x^d under a monomial map, in canonical form."""
         sgn = Fraction(0) if f.a > 0 else Fraction(1, 2)
         return RadicalPoint(PosReal.of(f.a) * self.modulus ** f.d,
                             f.d * self.angle + sgn)
-
-    def pow(self, n: int) -> "RadicalPoint":
-        return RadicalPoint(self.modulus ** n, n * self.angle)
 
     # places -------------------------------------------------------------------
     def ord_at(self, p: int) -> Fraction:
@@ -127,19 +115,6 @@ class RadicalPoint:
     def height_le(self, bound_num: PosReal) -> bool:
         """Exact test h(x) <= log(bound_num): H(x) <= bound_num."""
         return self._height_arg() <= bound_num
-
-    # rational power relation ---------------------------------------------------
-    def rational_binomial(self) -> tuple[int, Fraction]:
-        """Minimal n with x^n rational; returns (n, x^n)."""
-        c, M = self.modulus.radical_form()
-        # k (M t) lies in Z/2 exactly when the denominator q of M t divides
-        # 2k; then x^(M k) = c^k e(M k t)
-        q = (self.angle * M).denominator
-        k = q // math.gcd(q, 2)
-        val = c ** k
-        if _mod1(self.angle * M * k) == Fraction(1, 2):
-            val = -val
-        return M * k, val
 
     # serialization --------------------------------------------------------------
     def to_json(self) -> dict:

@@ -5,7 +5,9 @@ factor_poly (with the rational root sieve), factor_poly's prime choice and
 Hensel lift without their shortcuts, the split a = xi * x^l of a
 rational apart from preper.structure_decompose, the argument scaling that
 chains the closed-form class polynomial, and the class norm's log with
-each log taken where it is used.
+each log taken where it is used, and the small radical-point and polynomial
+helpers only tests call (roots of unity, complex values, integer powers, the
+least rational power, the zero polynomial).
 
 Simultaneous (Durand-Kerner) iteration in mpmath arithmetic.  The a
 posteriori certificate is the classical Weierstrass inclusion: for monic f of
@@ -18,6 +20,7 @@ requested output accuracy.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -25,6 +28,7 @@ import mpmath as mp
 
 from monodyn import galois
 from monodyn.errors import MonodynError, RootOfUnityInput, ZeroInput
+from monodyn.exactreal import PosReal
 from monodyn.places import _log_fraction
 from monodyn.polyfactor import (_distinct_degree, _equal_degree_split,
                                 _frobenius, _next_prime, _padd, _pdivmod,
@@ -32,6 +36,7 @@ from monodyn.polyfactor import (_distinct_degree, _equal_degree_split,
                                 _subset_sums, factor_poly)
 from monodyn.polynomials import UniPoly
 from monodyn.primes import divisors, factor_fraction, power_product
+from monodyn.radical import RadicalPoint
 from monodyn.semigroup import Semigroup, Word
 
 
@@ -358,3 +363,32 @@ def log_w_by_piece(nd: galois.ClassNormData) -> float:
         total += mu * galois._log_abs_power_minus_one(
             nd.x, j, _log_fraction(abs(nd.x)))
     return total
+
+
+def zero_poly() -> UniPoly:
+    return UniPoly(())
+
+
+def root_of_unity(t: Fraction) -> RadicalPoint:
+    return RadicalPoint(PosReal.one(), t)
+
+
+def complex_value(x: RadicalPoint) -> complex:
+    return float(x.modulus) * cmath.exp(2j * math.pi * float(x.angle))
+
+
+def point_pow(x: RadicalPoint, n: int) -> RadicalPoint:
+    return RadicalPoint(x.modulus ** n, n * x.angle)
+
+
+def rational_binomial(x: RadicalPoint) -> tuple[int, Fraction]:
+    """Minimal n with x^n rational; returns (n, x^n)."""
+    c, M = x.modulus.radical_form()
+    # k (M t) lies in Z/2 exactly when the denominator q of M t divides
+    # 2k; then x^(M k) = c^k e(M k t)
+    q = (x.angle * M).denominator
+    k = q // math.gcd(q, 2)
+    val = c ** k
+    if x.angle * M * k % 1 == Fraction(1, 2):
+        val = -val
+    return M * k, val

@@ -1,9 +1,11 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +83,25 @@ def test_height(config, capsys):
     assert abs(doc["closed"] - 0.6212266624470001) < 1e-12
     assert abs(doc["iterative"]["value"] - doc["closed"]) \
         <= doc["iterative"]["error_bound"] + 1e-9
+
+
+@pytest.mark.parametrize("generators, argv", [
+    ([{"a": "2", "d": 10 ** 400}], ["--g2", "1"]),
+    ([{"a": "2", "d": 2}, {"a": "3", "d": 2 ** 600}],
+     ["--g2", "2", "--tol", "1e-300"])], ids=["d=10^400", "D=2^1200"])
+def test_height_past_float_range_degrees(tmp_path, generators, argv, capsys):
+    # a degree, or the degree product of two steps, passes float range: the
+    # drift bound is rounded from the exact quotient and the value is the
+    # height of |f(beta)|^(1/|D|), so neither ends in an OverflowError
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"generators": generators}))
+    start = time.perf_counter()
+    rc = main(["--config", str(path), "height", "--beta", "3"] + argv)
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert rc == 0 and "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["iterative"]["value"] == doc["closed"] == math.log(3)
 
 
 def test_bounds_csv(capsys):
@@ -316,18 +337,26 @@ def test_bad_config_is_invalid_config(tmp_path, generator, capsys):
     assert err.startswith("invalid config: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", (["scan", "--beta", "2"], ["preper"],
-                                  ["equid"], ["orbit", "--point", "2"]),
-                         ids=" ".join)
-def test_unprintable_output_is_a_cap(tmp_path, argv, capsys):
+BIG_COEFFICIENT = '[{"a": "1e4000", "d": 2}, {"a": "3", "d": 3}]'
+BIG_DEGREE = '[{"a": "2", "d": 2}, {"a": "3", "d": %d}]' % 10 ** 30
+
+
+@pytest.mark.parametrize("generators, argv", [
+    pytest.param(BIG_COEFFICIENT, argv, id=" ".join(argv))
+    for argv in (["scan", "--beta", "2"], ["preper"], ["equid"],
+                 ["orbit", "--point", "2"])] + [
+    pytest.param(BIG_DEGREE, ["orbit", "--point", "3"], id="orbit --point 3")])
+def test_unprintable_output_is_a_cap(tmp_path, generators, argv, capsys):
     # the config prints, but radicands of depth-2 points pass the
     # int-to-text digit limit; the scan refuses the class as it is listed,
-    # before its valuations (it took 3.9 s when to_json refused it)
+    # before its valuations (it took 3.9 s when to_json refused it).  With
+    # d = 10^30 the radicand 3^(10^30 + 1) is refused from its exponent,
+    # before the power is built (building it did not end in 60 s)
     path = tmp_path / "g.json"
-    path.write_text('{"generators": [{"a": "1e4000", "d": 2}, {"a": "3", "d": 3}]}')
+    path.write_text('{"generators": %s}' % generators)
     start = time.perf_counter()
     rc = main(["--config", str(path)] + argv + ["--depth", "2"])
-    if argv[0] == "scan":
+    if argv[0] == "scan" or generators == BIG_DEGREE:
         assert time.perf_counter() - start < 1.0
     assert rc == 3
     err = capsys.readouterr().err
@@ -385,13 +414,34 @@ def test_repeated_classes_spend_the_root_budget(tmp_path, argv, capsys):
 
 
 def test_import_leaves_numpy_out():
+    # with mpmath barred from import, a near-tie comparison and a depth-3
+    # scan still run: h/k is a convergent of log2(3) with k past 2^61, so
+    # the float sum cannot decide and the exact tier refuses
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = "import sys, monodyn, monodyn.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    code = (
+        "import sys; sys.modules['mpmath'] = None\n"
+        "from fractions import Fraction as F\n"
+        "import monodyn, monodyn.cli\n"
+        "from monodyn.exactreal import PosReal\n"
+        "from monodyn.places import INF, Place\n"
+        "from monodyn.scan import ScanConfig, run_scan\n"
+        "from monodyn.semigroup import Semigroup\n"
+        "h, k = map(int, sys.argv[1:])\n"
+        "print(PosReal({2: F(h, k), 3: F(-1)}).compare_one())\n"
+        "G = Semigroup.from_pairs([('2', 2), ('3', 3)])\n"
+        "S = [INF, Place(2), Place(3), Place(5)]\n"
+        "print(len(run_scan(ScanConfig(G, S, F(2), 3)).verdicts))\n"
+        "print('numpy' in sys.modules)\n")
+    h, k = 6724555128221608268, 4242721909926539673   # h/k ~ log2(3)
+    out = subprocess.run([sys.executable, "-c", code, str(h), str(k)],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    sign, verdicts, numpy = out.split()
+    with mpmath.workprec(256):
+        expect = mpmath.sign(mpmath.mpf(h) / k - mpmath.log(3, 2))
+    assert int(sign) == expect and int(verdicts) > 0 and numpy == "False"
 
 
 @pytest.fixture(scope="module")

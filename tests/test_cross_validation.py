@@ -132,6 +132,13 @@ def test_posreal_comparison_past_its_budget_is_typed():
         PosReal({2: F(h1, k1), 3: F(-1)}).compare_one()
 
 
+def test_posreal_terms_past_float_range():
+    # float(10^400) overflows: the float sum passes the decision on to the
+    # decimal tier instead of raising OverflowError
+    assert PosReal({2: F(10 ** 400), 3: F(-10 ** 400)}).compare_one() == -1
+    assert PosReal({2: F(-10 ** 400), 3: F(10 ** 400)}).compare_one() == 1
+
+
 def test_posreal_radical_form_roundtrip():
     rng = random.Random(77)
     for _ in range(200):
@@ -164,3 +171,40 @@ def test_posreal_keeps_its_radical_form():
         for name in ("exps", "_key", "_radical"):
             with pytest.raises(AttributeError):
                 setattr(x, name, None)
+
+
+def log2_convergents(base: int, bits: int):
+    """The continued-fraction convergents h/k of log2(base), from its
+    binary expansion to `bits` places: the true ones while k^2 stays well
+    below 2^bits."""
+    with mpmath.workprec(bits + 64):
+        num = int(mpmath.floor(mpmath.log(base, 2) * mpmath.mpf(2) ** bits))
+    den = 1 << bits
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while den:
+        a, (num, den) = num // den, (den, num % den)
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        yield h1, k1
+
+
+def test_posreal_near_ties_match_mpmath():
+    # 2^(h/k) / base is within about k^-2 of 1, so past k = 2^60 the float
+    # sum cannot decide and the exact tier would need a 2^61-bit power: the
+    # decimal tier decides, at 40 digits near 2^60 and up to 618 digits near
+    # 2^1000 (every eighth convergent); the first convergent of log2(3) past
+    # 2^1020 sits below the 618-digit bound 4 10^-617 (ln 2 h/k + ln 3) and
+    # needs 2468 digits (8192 bits)
+    cases = []
+    for base in (3, 5):
+        ks = [(h, k) for h, k in log2_convergents(base, 2400)
+              if 2 ** 60 <= k < 2 ** 1000]
+        assert len(ks) > 500
+        cases += [(base, h, k) for h, k in ks[::8]]
+    cases.append(next((3, h, k) for h, k in log2_convergents(3, 2400)
+                      if k >= 2 ** 1020))
+    for base, h, k in cases:
+        with mpmath.workprec(2 * k.bit_length() + 128):
+            s = mpmath.mpf(h) / k * mpmath.log(2) - mpmath.log(base)
+        assert PosReal({2: F(h, k), base: F(-1)}).compare_one() \
+            == int(mpmath.sign(s)), (base, h, k)
+    assert abs(s) < 8 * mpmath.mpf(10) ** -617

@@ -93,17 +93,15 @@ def test_no_dead_definitions():
             for i, name, line in found] == []
 
 
-# read from tests/ alone; each waits for ROADMAP item 5 (the oracles move
-# out of src/), and no other definition may join them
-TEST_ONLY = ["polynomials.py: zero", "radical.py: complex_value",
-             "radical.py: pow", "radical.py: rational_binomial",
-             "radical.py: root_of_unity"]
+# read from tests/ alone: none since the oracles moved to tests/oracles.py,
+# and no definition may join
+TEST_ONLY = []
 
 
 def test_src_definitions_read_only_by_tests():
     """The definitions in src/ that nothing in src/ or perfbench/ reads,
-    the exports of monodyn/__init__ counting as src/ reads: exactly the
-    five of TEST_ONLY, so a new definition that only a test calls fails."""
+    the exports of monodyn/__init__ counting as src/ reads: exactly those
+    of TEST_ONLY, so a new definition that only a test calls fails."""
     sources = [path.read_text() for path in SRC]
     found = dead(sources, sources, [path.read_text() for path in PERFBENCH])
     assert sorted(f"{SRC[i].name}: {name}" for i, name, _ in found) \

@@ -19,7 +19,7 @@ from monodyn.primes import euler_phi, factor_fraction, kronecker, ord_p
 from monodyn.radical import RadicalPoint
 from monodyn.scan import word_pair_classes
 from monodyn.semigroup import Semigroup
-from oracles import log_w_by_piece, scale_arg, word_pairs
+from oracles import log_w_by_piece, rational_binomial, scale_arg, word_pairs
 
 POOL = [F(x) for x in ("2", "3", "4", "-2", "-3", "-4", "8", "9", "-8", "16",
                        "-16", "1/2", "-1/2", "4/9", "-4/9", "12", "-12",
@@ -365,7 +365,7 @@ def test_class_of_point_matches_listing():
         for cls, _, _ in word_pair_classes(G, 5):
             for t in cls.angles:
                 x = RadicalPoint(cls.modulus, t)
-                n0, a0 = x.rational_binomial()
+                n0, a0 = rational_binomial(x)
                 found = [c for c in decompose_binomial_roots(n0, a0)
                          if t in c.angles]
                 assert found == [class_of_point(x)], x

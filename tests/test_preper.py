@@ -14,7 +14,8 @@ from monodyn.preper import (CollisionBinomial, capelli_reducible,
                             minimal_polynomial, structure_decompose)
 from monodyn.radical import RadicalPoint
 from monodyn.semigroup import Semigroup
-from oracles import max_power_exponent, word_pairs
+from oracles import (max_power_exponent, rational_binomial, root_of_unity,
+                     word_pairs)
 
 
 def G(*pairs):
@@ -187,7 +188,7 @@ def test_degree_bound_examples():
     assert db.lower == F(5, 2) and db.M == 5
     # pure root of unity of order 7 forces degree >= 6
     from monodyn.preper import StructuredPreper
-    sp7 = StructuredPreper(RadicalPoint.root_of_unity(F(1, 7)), 1, (0,),
+    sp7 = StructuredPreper(root_of_unity(F(1, 7)), 1, (0,),
                            F(1), F(1), 7, True)
     assert degree_lower_bound(sp7).lower == 6
     sp1 = StructuredPreper(RadicalPoint.from_rational(F(2)), 1, (0,),
@@ -198,7 +199,7 @@ def test_degree_bound_examples():
 def test_minimal_polynomials():
     assert minimal_polynomial(RadicalPoint.from_rational(F(1, 2))) \
         == UniPoly.from_coeffs([F(-1, 2), 1])
-    assert minimal_polynomial(RadicalPoint.root_of_unity(F(1, 3))) \
+    assert minimal_polynomial(root_of_unity(F(1, 3))) \
         == UniPoly.from_coeffs([1, 1, 1])
     sqrt_m3 = RadicalPoint.from_binomial_root(F(-3), 2, 0)
     assert minimal_polynomial(sqrt_m3) == UniPoly.from_coeffs([3, 0, 1])
@@ -213,7 +214,7 @@ def test_minimal_polynomial_divides_binomial():
     pts += [RadicalPoint.from_binomial_root(F(-64), 12, j) for j in range(12)]
     for pt in pts:
         poly = minimal_polynomial(pt)
-        n0, a0 = pt.rational_binomial()
+        n0, a0 = rational_binomial(pt)
         assert (UniPoly.binomial(n0, a0) % poly).is_zero
         assert poly.degree == class_of_point(pt).degree
         # cross-check against the factorization route
@@ -222,13 +223,13 @@ def test_minimal_polynomial_divides_binomial():
 
 
 def test_minimal_polynomial_degree_cap():
-    pt = RadicalPoint.root_of_unity(F(1, 2048))
+    pt = root_of_unity(F(1, 2048))
     with pytest.raises(DegreeCapExceeded):
         minimal_polynomial(pt, degree_cap=512)
 
 
 def test_conjugates():
-    i_pt = RadicalPoint.root_of_unity(F(1, 4))
+    i_pt = root_of_unity(F(1, 4))
     conj = conjugates(i_pt, INF)
     assert sorted(round(z.imag, 9) for z in conj) == [-1.0, 1.0]
     sqrt_m3 = RadicalPoint.from_binomial_root(F(-3), 2, 0)

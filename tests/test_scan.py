@@ -22,7 +22,7 @@ from monodyn.scan import (ScanConfig, bad_primes, class_gamma,
                           meets_at_prime, report_to_csv, run_scan,
                           word_pair_classes, zero_infinity_verdict)
 from monodyn.semigroup import Semigroup
-from oracles import word_pairs
+from oracles import root_of_unity, word_pairs
 from test_cross_validation import PINNED_REPORTS, raw_report_digest
 from test_galois import TEST_SEMIGROUPS
 
@@ -45,7 +45,7 @@ def test_meets_examples():
 def test_bad_primes_examples():
     assert bad_primes(RadicalPoint.from_rational(F(1, 2)), F(3)) == [5]
     assert bad_primes(RadicalPoint.from_binomial_root(F(-1), 2, 0), F(3)) == [2, 5]
-    assert bad_primes(RadicalPoint.root_of_unity(F(1, 3)), F(2)) == [7]
+    assert bad_primes(root_of_unity(F(1, 3)), F(2)) == [7]
 
 
 def test_beta_conjugate_guard():
@@ -59,7 +59,7 @@ def test_s_integrality_examples():
     half = RadicalPoint.from_rational(F(1, 2))
     assert is_S_integral(half, F(3), [INF, Place(5)])
     assert not is_S_integral(half, F(3), [INF])
-    zeta3 = RadicalPoint.root_of_unity(F(1, 3))
+    zeta3 = root_of_unity(F(1, 3))
     assert is_S_integral(zeta3, F(2), [INF, Place(7)])
     assert not is_S_integral(zeta3, F(2), [INF, Place(5)])
 
@@ -103,7 +103,7 @@ def test_gamma_decomposition():
     assert abs(gd.non_s_part - math.log(2)) < 1e-12
     assert gd.non_s_exact == ((2, F(1)),)
     assert abs(gd.residual) < 1e-9
-    zeta3 = RadicalPoint.root_of_unity(F(1, 3))
+    zeta3 = root_of_unity(F(1, 3))
     gd = gamma_decomposition(zeta3, F(2), [INF, Place(7)])
     assert gd.non_s_part == 0.0
     assert abs(gd.height_witness - math.log(2)) < 1e-12

@@ -12,6 +12,7 @@ from monodyn.radical import RadicalPoint
 from monodyn.semigroup import (MonomialMap, Semigroup, compose_word,
                                format_word, good_reduction, parse_word,
                                word_coefficient_exponents)
+from oracles import root_of_unity
 
 
 def G(*pairs):
@@ -123,7 +124,7 @@ def test_preperiodic_examples():
     st = is_preperiodic(g1, RadicalPoint.from_rational(F(2)), 5)
     assert st.tag == "not_preperiodic"
     gz = G(("1", 2))
-    st = is_preperiodic(gz, RadicalPoint.root_of_unity(F(1, 3)), 5)
+    st = is_preperiodic(gz, root_of_unity(F(1, 3)), 5)
     assert st.is_preperiodic and st.witness_word == (0, 0) and st.witness_prefix == 0
 
 

@@ -1,9 +1,11 @@
-"""Every name a source module imports is used in it, and a relative import
-inside a function breaks an import cycle (no linter is a dependency, so the
-checks parse the modules with ast)."""
+"""Every name a source module imports is used in it, every absolute import
+is from the standard library, and a relative import inside a function breaks
+an import cycle (no linter is a dependency, so the checks parse the modules
+with ast)."""
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -74,3 +76,27 @@ def test_local_imports_break_cycles(path):
                if path.stem not in
                top_relative_imports((SRC / f"{module}.py").read_text())]
     assert acyclic == [], path.name
+
+
+def absolute_imports(source: str) -> set[str]:
+    """The top-level modules a module imports by absolute name, in any
+    scope."""
+    tree = ast.parse(source)
+    return ({alias.name.split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names}
+            | {node.module.split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and not node.level})
+
+
+def test_the_check_sees_absolute_imports():
+    source = ("import os.path\nfrom . import a\nfrom .b import c\n"
+              "def f():\n    import mpmath as mp\n"
+              "    from fractions import Fraction\n")
+    assert absolute_imports(source) == {"os", "mpmath", "fractions"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_src_needs_the_standard_library_alone(path):
+    assert absolute_imports(path.read_text()) - sys.stdlib_module_names \
+        == set(), path.name
