@@ -20,6 +20,7 @@ command with no output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -237,6 +238,7 @@ def _add_globals(ap, suppress: bool):
                     default=d(DEGREE_CAP), help="preper and factor only")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="monodyn",
                                  description="exact monomial-semigroup dynamics")
@@ -250,26 +252,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="orbit tree and preperiodicity status")
     p.add_argument("--point", required=True, type=_nonzero,
                    help="nonzero rational point, e.g. 1/2")
-    p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("preper", help="enumerate preperiodic points")
-    p.set_defaults(func=_cmd_preper)
 
     p = sub.add_parser("height", help="canonical heights for a sequence")
     p.add_argument("--beta", required=True, type=_nonzero)
     p.add_argument("--g1", default="", help="preperiod word, 1-based indices")
     p.add_argument("--g2", default="1", help="period word, 1-based indices")
-    p.set_defaults(func=_cmd_height)
 
     p = sub.add_parser("bounds", help="linear-forms verification harness")
     p.add_argument("--samples", type=_samples, default=1000)
-    p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("equid", help="discrepancy of conjugate angles")
     p.add_argument("--beta", type=_rational, default="2")
     p.add_argument("--nodes", type=_nodes, default=1 << 12,
                    help=f"quadrature nodes, 16..{MAX_NODES}")
-    p.set_defaults(func=_cmd_equid)
 
     p = sub.add_parser("scan", help="S-integral finiteness scan")
     p.add_argument("--beta", required=True, type=_rational)
@@ -278,13 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-cap", dest="node_cap", type=_node_cap,
                    default=10 ** 7,
                    help="classes the scan gives verdicts on before it stops")
-    p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("factor", help="factor a polynomial over Q")
     p.add_argument("coeffs", type=_polynomial,
                    help="coefficients low-to-high, e.g. 27,0,0,0,0,0,1; "
                    "after --, as in -- -2,0,1, when the first is negative")
-    p.set_defaults(func=_cmd_factor)
     return ap
 
 
@@ -294,7 +289,11 @@ def main(argv=None) -> int:
         # argparse < 3.13 stores [] for --opt=--, skipping the option's type
         if [] in vars(args).values():
             raise InvalidConfig("'--' is not an option value")
-        return args.func(args)
+        # read at call time, so that a wrap or patch of a _cmd_ is what runs
+        return {"orbit": _cmd_orbit, "preper": _cmd_preper,
+                "height": _cmd_height, "bounds": _cmd_bounds,
+                "equid": _cmd_equid, "scan": _cmd_scan,
+                "factor": _cmd_factor}[args.command](args)
     except (InvalidConfig, OSError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2

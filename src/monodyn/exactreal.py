@@ -52,6 +52,17 @@ class PosReal:
         power = Fraction(power)
         return PosReal({p: e * power for p, e in factor_fraction(x).items()})
 
+    @staticmethod
+    def of_radical(exps: dict, c: Fraction, M: int) -> "PosReal":
+        """prod p^exps[p] = c^(1/M), its radical form set, with nothing
+        cleaned or built: the caller vouches for exps (nonzero Fractions in
+        increasing p) and for c and the minimal M."""
+        x = object.__new__(PosReal)
+        object.__setattr__(x, "exps", exps)
+        object.__setattr__(x, "_key", tuple(exps.items()))
+        object.__setattr__(x, "_radical", (c, M))
+        return x
+
     # multiplicative structure -------------------------------------------
     def __mul__(self, other: "PosReal") -> "PosReal":
         exps = dict(self.exps)
@@ -169,8 +180,12 @@ class PosReal:
         return self.exps.get(p, Fraction(0))
 
     def log(self) -> float:
-        """sum e_p log p in increasing p, so equal values give equal floats."""
-        return float(sum(e * math.log(p) for p, e in self._key))
+        """sum e_p log p in increasing p, so equal values give equal floats;
+        OverflowGuard when an exponent passes float range."""
+        try:
+            return float(sum(e * math.log(p) for p, e in self._key))
+        except OverflowError:
+            raise OverflowGuard("a log past float range") from None
 
     def __float__(self):
         return math.exp(self.log())

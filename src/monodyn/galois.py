@@ -60,7 +60,7 @@ from .exactreal import PosReal
 from .places import _log_fraction, _log_int
 from .polynomials import UniPoly, _moebius_divisors, cyclotomic_poly
 from .primes import (divisors, factor_fraction, factorint, kronecker, ord_p,
-                     quadratic_conductor)
+                     power_product, quadratic_conductor)
 from .radical import RadicalPoint
 from .semigroup import check_printable
 
@@ -275,12 +275,14 @@ def decompose_binomial_roots(N: int, a: Fraction) -> list[ConjugacyClass]:
     """Conjugacy classes of the N roots of X^N = a (N >= 1, a != 0), sorted
     by first angle, on the integers first_angle * 2N = r0 * 2n / q' (r0 the
     least residue): classes of one binomial have disjoint angles, so the
-    order is strict.  With n = N / M0, the angles t = num / 2N (num even for
-    a > 0, odd for a < 0) have M0 t of order q' = 2n / gcd(num, 2n): q'
-    runs over the divisors of n for a > 0, and over 2n / g for the odd
-    g | n for a < 0.  Each q'-set gives its classes by _qprime_set, with
-    the entanglement taken at the class's own level M0 lcm(2, q'), not at
-    2N.  OverflowGuard when the radicand c0 cannot be printed."""
+    order is strict.  With e_p the exponents of |a| and n = gcd(N, e_p ...),
+    |a|^(1/N) has the radical form c0 = prod p^(e_p / n), M0 = N / n, and
+    the conductor f of Q(sqrt(d)) for even M0, d the product of the p with
+    e_p / n odd (f = 0 for d = 1).  M0 t has order q' = 2n / gcd(num, 2n)
+    at t = num / 2N (num even for a > 0, odd for a < 0): q' | n for a > 0,
+    2n / g for odd g | n for a < 0.  _qprime_set gives each q'-set's
+    classes, with f taken at the class's level M0 lcm(2, q').  OverflowGuard
+    when c0 cannot be printed, read off its integers."""
     a = Fraction(a)
     if N < 1 or a == 0:
         raise ZeroInput("binomial needs N >= 1 and a != 0")
@@ -288,16 +290,18 @@ def decompose_binomial_roots(N: int, a: Fraction) -> list[ConjugacyClass]:
     if cached is not None:
         check_printable(cached[0].c0)   # the digit limit may have dropped
         return cached
-    modulus = PosReal.of(a, Fraction(1, N))
-    c0, M0 = modulus.radical_form()
-    check_printable(c0)
-    f = entanglement(modulus, M0)
-    n = N // M0
-    if a > 0:
-        qs = divisors(n)
-    else:
-        odd = n // (n & -n)
-        qs = [2 * n // g for g in divisors(odd)]
+    exps = factor_fraction(a)
+    n = math.gcd(N, *exps.values())
+    M0 = N // n
+    num, den = power_product((p, e // n) for p, e in exps.items())
+    check_printable(max(num, den))      # the longer side decides
+    c0 = Fraction(num, den)
+    modulus = PosReal.of_radical({p: Fraction(e, N) for p, e in exps.items()},
+                                 c0, M0)
+    d = 1 if M0 % 2 else math.prod(p for p, e in exps.items() if e // n % 2)
+    f = quadratic_conductor(d) if d > 1 else 0
+    qs = divisors(n) if a > 0 else \
+        [2 * n // g for g in divisors(n // (n & -n))]     # g | n odd
     out = sorted((cls for q in qs
                   for cls in _qprime_set(modulus, c0, M0, q, f)),
                  key=lambda c: c.residues()[0] * (2 * n // c.qprime))

@@ -129,7 +129,8 @@ def height_lower_bound_nonpreperiodic(G: Semigroup, beta: Fraction,
     """max over |w| <= depth of (h(f_w(beta)) - 2c(G)) / |D_w|, floored at 0.
 
     When positive, a certified lower bound for the canonical height of beta
-    under every sequence obtained from G.
+    under every sequence obtained from G.  h(y) / |D| is the height of
+    |y|^(1/|D|), exact before any float, as |D| may pass float range.
     """
     if depth < 1:
         raise ZeroInput("depth must be >= 1")
@@ -143,7 +144,8 @@ def height_lower_bound_nonpreperiodic(G: Semigroup, beta: Fraction,
             for g in G.generators:
                 y = pt.apply(g)
                 Dy = D * g.d
-                best = max(best, (y.height() - 2 * c) / abs(Dy))
+                h = RadicalPoint(y.modulus ** Fraction(1, abs(Dy)), 0).height()
+                best = max(best, h - float(Fraction(2 * c) / abs(Dy)))
                 nxt.append((y, Dy))
         frontier = nxt
     return best

@@ -40,7 +40,7 @@ def rational_text(x: Fraction) -> str:
                             "int-to-text digit limit") from None
 
 
-def check_printable(x: Fraction) -> None:
+def check_printable(x: Fraction | int) -> None:
     """OverflowGuard when x surely passes the int-to-text digit limit, by
     the bit lengths alone (one just past it is refused when printed)."""
     limit = sys.get_int_max_str_digits()

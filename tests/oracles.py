@@ -3,8 +3,10 @@ certified complex root isolation and heights of algebraic numbers, circle
 discrepancy by brute force over arcs, irreducibility evidence apart from
 factor_poly (with the rational root sieve), factor_poly's prime choice and
 Hensel lift without their shortcuts, the split a = xi * x^l of a
-rational apart from preper.structure_decompose, the argument scaling that
-chains the closed-form class polynomial, and the class norm's log with
+rational apart from preper.structure_decompose, the classes of X^N = a
+through the general PosReal route apart from the integer kernel of
+galois.decompose_binomial_roots, the argument scaling that chains the
+closed-form class polynomial, and the class norm's log with
 each log taken where it is used, and the small radical-point and polynomial
 helpers only tests call (roots of unity, complex values, integer powers, the
 least rational power, the zero polynomial).
@@ -37,7 +39,7 @@ from monodyn.polyfactor import (_distinct_degree, _equal_degree_split,
 from monodyn.polynomials import UniPoly
 from monodyn.primes import divisors, factor_fraction, power_product
 from monodyn.radical import RadicalPoint
-from monodyn.semigroup import Semigroup, Word
+from monodyn.semigroup import Semigroup, Word, check_printable
 
 
 class ReducibleInput(MonodynError):
@@ -340,6 +342,29 @@ def max_power_exponent(a: Fraction | int) -> tuple[int, Fraction, int]:
     if ell % 2 == 1:
         return ell, -x, 1
     return ell, x, -1
+
+
+# ---------------------------------------------------------------------------
+# conjugacy classes of X^N = a, through the general PosReal route
+
+
+def decompose_by_radical_form(N: int, a: Fraction
+                              ) -> list[galois.ConjugacyClass]:
+    """The classes of X^N = a, uncached, in first-angle order: the modulus
+    PosReal.of(a, 1/N), its radical_form() (the lcm of the exponent
+    denominators and one power product) and galois.entanglement, then the
+    q'-sets over the divisors of n = N / M0 (their 2n / g, g | n odd, for
+    a < 0).  OverflowGuard when c0 cannot be printed."""
+    modulus = PosReal.of(a, Fraction(1, N))
+    c0, M0 = modulus.radical_form()
+    check_printable(c0)
+    f = galois.entanglement(modulus, M0)
+    n = N // M0
+    odd = n // (n & -n)
+    qs = divisors(n) if a > 0 else [2 * n // g for g in divisors(odd)]
+    return sorted((cls for q in qs
+                   for cls in galois._qprime_set(modulus, c0, M0, q, f)),
+                  key=lambda c: c.first_angle)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from monodyn.cli import main
 from monodyn.errors import OverflowGuard
 from monodyn.galois import class_of_point
 from monodyn.preper import enumerate_preperiodic
+from monodyn.primes import is_prime
 from monodyn.semigroup import Semigroup
 from test_polyfactor import swinnerton_dyer
 
@@ -26,6 +27,14 @@ def config(tmp_path):
     path.write_text(json.dumps(
         {"generators": [{"a": "2", "d": 2}, {"a": "3", "d": 3}]}))
     return str(path)
+
+
+def _src_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH, for a
+    fresh interpreter."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 def test_orbit(config, tmp_path, capsys):
@@ -184,6 +193,26 @@ def test_scan_hard_to_factor_beta_is_a_cap(config, capsys):
     assert "cap exceeded" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", (["preper"], ["equid"],
+                                  ["scan", "--beta", "2"]), ids=" ".join)
+def test_hard_to_factor_coefficient_is_a_cap(tmp_path, argv, capsys):
+    # the coefficient p q has 222 bits, p and q the next primes after 2^110
+    # and 2^111: factoring the first collision binomial's a spends rho's
+    # budget, and each command exits 3 with no output
+    p, q = 2 ** 110 + 27, 2 ** 111 + 51
+    assert [n for n in range(2 ** 110, p + 1) if is_prime(n)] == [p]
+    assert [n for n in range(2 ** 111, q + 1) if is_prime(n)] == [q]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"generators": [{"a": str(p * q), "d": 2},
+                                               {"a": "3", "d": 3}]}))
+    t0 = time.perf_counter()
+    rc = main(["--config", str(path), "--depth", "2"] + argv)
+    assert rc == 3 and time.perf_counter() - t0 < 10
+    out, err = capsys.readouterr()
+    assert err.startswith("cap exceeded: ") and "Traceback" not in err
+    assert not out
+
+
 def test_scan_wide_composite_beta_is_a_cap_in_seconds(config, capsys):
     # trial division leaves a composite of over 900 bits in 10^299 + 7; rho
     # is charged per word operation, so its budget runs out in seconds
@@ -274,6 +303,22 @@ def test_overflow_guard_is_a_cap(monkeypatch, capsys):
     assert main(["factor", "1,1"]) == 3
     err = capsys.readouterr().err
     assert "cap exceeded" in err and "Traceback" not in err
+
+
+def test_one_parser_serves_every_call(config, monkeypatch, capsys):
+    # preper then equid in one process print what each prints in a fresh
+    # process, and a _cmd_ patched after the parser is built is the one run
+    argvs = (["--config", config, "--depth", "2", "preper"],
+             ["--config", config, "--depth", "2", "equid"])
+    for argv in argvs:
+        fresh = subprocess.run([sys.executable, "-m", "monodyn.cli"] + argv,
+                               env=_src_env(), check=True,
+                               capture_output=True, text=True).stdout
+        assert main(argv) == 0
+        assert capsys.readouterr().out == fresh
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "_cmd_equid", lambda args: 7)
+    assert main(argvs[1]) == 7
 
 
 def test_missing_config(capsys):
@@ -417,9 +462,6 @@ def test_import_leaves_numpy_out():
     # with mpmath barred from import, a near-tie comparison and a depth-3
     # scan still run: h/k is a convergent of log2(3) with k past 2^61, so
     # the float sum cannot decide and the exact tier refuses
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     code = (
         "import sys; sys.modules['mpmath'] = None\n"
         "from fractions import Fraction as F\n"
@@ -436,7 +478,7 @@ def test_import_leaves_numpy_out():
         "print('numpy' in sys.modules)\n")
     h, k = 6724555128221608268, 4242721909926539673   # h/k ~ log2(3)
     out = subprocess.run([sys.executable, "-c", code, str(h), str(k)],
-                         env=env, check=True, capture_output=True,
+                         env=_src_env(), check=True, capture_output=True,
                          text=True).stdout
     sign, verdicts, numpy = out.split()
     with mpmath.workprec(256):

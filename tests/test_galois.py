@@ -1,13 +1,15 @@
 import cmath
 import math
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from monodyn import galois
-from monodyn.errors import BetaIsConjugate, DegreeCapExceeded, ZeroInput
+from monodyn.errors import (BetaIsConjugate, DegreeCapExceeded, OverflowGuard,
+                           ZeroInput)
 from monodyn.exactreal import PosReal
 from monodyn.galois import (ClassNormData, class_norm_data,
                             class_of_point, class_polynomial,
@@ -19,7 +21,8 @@ from monodyn.primes import euler_phi, factor_fraction, kronecker, ord_p
 from monodyn.radical import RadicalPoint
 from monodyn.scan import word_pair_classes
 from monodyn.semigroup import Semigroup
-from oracles import log_w_by_piece, rational_binomial, scale_arg, word_pairs
+from oracles import (decompose_by_radical_form, log_w_by_piece,
+                     rational_binomial, scale_arg, word_pairs)
 
 POOL = [F(x) for x in ("2", "3", "4", "-2", "-3", "-4", "8", "9", "-8", "16",
                        "-16", "1/2", "-1/2", "4/9", "-4/9", "12", "-12",
@@ -417,6 +420,70 @@ def test_decompose_order_is_the_first_angle_order():
         twins += sum(map(_is_genuine_twin, classes))
         negative += a < 0
     assert twins > 30 and negative > 250
+
+
+# a = +-1, a < 0 with N even, fractional a, and perfect powers
+DECOMPOSE_EDGES = ((1, F(1)), (12, F(1)), (1, F(-1)), (12, F(-1)),
+                   (4, F(-4)), (6, F(-27)), (12, F(-64)), (8, F(1, 81)),
+                   (6, F(-4, 9)), (10, F(27, 8)), (12, F(2 ** 12 * 3 ** 6)),
+                   (18, F(2 ** 12 * 3 ** 6)), (24, F(-2 ** 12 * 3 ** 6)),
+                   (20, F(5 ** 10, 2 ** 30)))
+
+
+def _decomposition(classes) -> list:
+    """Each class's key, conductor and modulus (its value, hash and radical
+    form), in order."""
+    return [(c.key, c.conductor, c.modulus, hash(c.modulus),
+             c.modulus.radical_form()) for c in classes]
+
+
+def test_decompose_matches_the_radical_form_route(monkeypatch):
+    # oracle: the general PosReal route (PosReal.of, radical_form,
+    # entanglement) in first-angle order, on every collision binomial to
+    # depth 6 of the three test semigroups and on the edge cases
+    cases = set(DECOMPOSE_EDGES)
+    for pairs in TEST_SEMIGROUPS:
+        G = Semigroup.from_pairs(pairs)
+        for w, m in word_pairs(G, 6):
+            cb = collision_binomial(G, w, m)
+            cases.add((cb.N, cb.a))
+    monkeypatch.setattr(galois, "_decompose_cache", {})
+    for N, a in sorted(cases):
+        assert _decomposition(decompose_binomial_roots(N, a)) == \
+            _decomposition(decompose_by_radical_form(N, a)), (N, a)
+    assert len(cases) > 1000
+
+
+def test_decompose_refuses_unprintable_radicands_as_the_route_does(
+        monkeypatch):
+    # at the least digit limit, 640, a radicand of 2128 bits or more is
+    # refused; c0 = 3 2^k or 1 / (5 2^k) around that edge, as a = +-c0^2
+    # with N = 6 (M0 = 3) and as a = c0 with N = 1, cold and then cached
+    cases = [case for k in range(2122, 2130)
+             for c in (F(3 * 2 ** k), F(1, 5 * 2 ** k))
+             for case in ((6, c ** 2), (6, -c ** 2), (1, c))]
+
+    def outcome(decompose, N, a):
+        try:
+            return _decomposition(decompose(N, a))
+        except OverflowGuard:
+            return "refused"
+    limit = sys.get_int_max_str_digits()
+    refused = set()
+    for cold in (True, False):
+        monkeypatch.setattr(galois, "_decompose_cache", {})
+        if not cold:
+            for N, a in cases:
+                decompose_binomial_roots(N, a)
+        sys.set_int_max_str_digits(640)
+        try:
+            for N, a in cases:
+                got = outcome(decompose_binomial_roots, N, a)
+                assert got == outcome(decompose_by_radical_form, N, a), (N, a)
+                refused.add(got == "refused")
+        finally:
+            sys.set_int_max_str_digits(limit)
+    assert refused == {True, False}
 
 
 @pytest.mark.parametrize("a", [F(2), F(-2)])

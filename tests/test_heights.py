@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from monodyn.errors import BadWindow, ZeroInput
+from monodyn.errors import BadWindow, OverflowGuard, ZeroInput
 from monodyn.exactreal import PosReal
 from monodyn.heights import (SequenceSpec, canonical_height_closed,
                              canonical_height_iterative, equilibrium_radius,
@@ -14,7 +14,7 @@ from monodyn.heights import (SequenceSpec, canonical_height_closed,
 from monodyn.places import height_exact_arg, height_rational
 from monodyn.preper import enumerate_preperiodic
 from monodyn.radical import RadicalPoint
-from monodyn.semigroup import Semigroup
+from monodyn.semigroup import MonomialMap, Semigroup
 
 
 def G(*pairs):
@@ -117,6 +117,18 @@ def test_lower_bound():
     assert height_lower_bound_nonpreperiodic(GZ, F(2), 3) >= math.log(2) - 1e-12
     assert height_lower_bound_nonpreperiodic(G1, F(1, 2), 4) == 0.0
     assert height_lower_bound_nonpreperiodic(G2, F(2), 3) > 0.0
+
+
+def test_past_float_range_exponents_give_a_cap_or_the_value():
+    # 3 * 3^(2^1100) has a log past float range: its height is a cap, while
+    # the lower bound divides the exponents by |D| before any float and
+    # returns log 3 (from 3^(1 + 2^-1100), and from 18^(1/2) less h(2) / 2)
+    y = RadicalPoint.from_rational(3).apply(MonomialMap(3, 2 ** 1100))
+    with pytest.raises(OverflowGuard):
+        y.height()
+    bound = height_lower_bound_nonpreperiodic(G(("2", 2), ("3", 2 ** 1100)),
+                                              F(3), 1)
+    assert bound == pytest.approx(math.log(3), rel=1e-12)
 
 
 def test_equilibrium_radius():
