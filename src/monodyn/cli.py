@@ -4,17 +4,17 @@ Subcommands: orbit, preper, height, bounds, equid, scan, factor.  The
 semigroup comes from a JSON config file ({"generators": [{"a": "2", "d": 2},
 ...]}); words are written as comma-separated 1-based generator indices.
 
-Exit codes: 0 ok, 2 invalid config or option (checked as it is parsed;
-a rational must print back, a degree must be an integer, --depth >= 0,
---degree-cap, --node-cap and --samples >= 1; scan, which reads no degree
-cap, refuses one other than 512), 3 cap exceeded (a tree, enumeration,
-degree or factoring cap, the root budget of the class stream, an
-OverflowGuard size or step budget, or an output number past the
-int-to-text digit limit), 4 internal invariant violation.  A scan stopped
-by its node cap (a count of classes) or the root budget, or holding an
-uncertified verdict or a Gamma residual above --tol, still writes its
-partial report, marked "truncated", and exits 3; every other cap ends the
-command with no output.
+Exit codes: 0 ok, 2 invalid config or option (checked as it is parsed; a
+rational must print back, a degree must be an integer, --depth >= 0,
+--degree-cap and --node-cap >= 1, --samples in 1..MAX_SAMPLES; scan refuses
+a repeated prime in -S and, as it reads no degree cap, one other than 512),
+3 cap exceeded (a tree, enumeration, degree or factoring cap, the root
+budget of the class stream, an OverflowGuard size or step budget, or an
+output number past the int-to-text digit limit), 4 internal invariant
+violation.  A scan stopped by its node cap (a count of classes) or the root
+budget, or holding an uncertified verdict or a Gamma residual above --tol,
+still writes its partial report, marked "truncated", and exits 3; every
+other cap ends the command with no output.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ def _checked(parse, ok, what: str):
 
 
 MAX_NODES = 1 << 20
+MAX_SAMPLES = 10 ** 5   # about 0.1 ms a sample
 EQUID_CAP = 10 ** 6     # points, summed over the rows of equid
 _rational = _checked(parse_rational, lambda x: True, "a rational number")
 _nonzero = _checked(parse_rational, bool, "a nonzero rational number")
@@ -69,7 +70,8 @@ _nodes = _checked(int, lambda n: 16 <= n <= MAX_NODES,
 _depth = _checked(int, lambda n: n >= 0, "a depth >= 0")
 _degree_cap = _checked(int, lambda n: n >= 1, "a degree cap >= 1")
 _node_cap = _checked(int, lambda n: n >= 1, "a node cap >= 1")
-_samples = _checked(int, lambda n: n >= 1, "a sample count >= 1")
+_samples = _checked(int, lambda n: 1 <= n <= MAX_SAMPLES,
+                    f"a sample count in 1..{MAX_SAMPLES}")
 _primes = _checked(lambda t: tuple(int(p) for p in t.split(",") if p.strip()),
                    lambda ps: all(p > 1 and is_prime(p) for p in ps),
                    "a comma-separated list of primes")
@@ -261,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g2", default="1", help="period word, 1-based indices")
 
     p = sub.add_parser("bounds", help="linear-forms verification harness")
-    p.add_argument("--samples", type=_samples, default=1000)
+    p.add_argument("--samples", type=_samples, default=1000,
+                   help=f"linear forms to check, 1..{MAX_SAMPLES}")
 
     p = sub.add_parser("equid", help="discrepancy of conjugate angles")
     p.add_argument("--beta", type=_rational, default="2")

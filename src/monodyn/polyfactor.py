@@ -1,19 +1,20 @@
 """Factorization of univariate polynomials over Q.
 
-Pipeline: integer content; a modular squarefree certificate (f squarefree
-modulo a prime not dividing lc(f)), with Yun's algorithm over Q only when
-none of six primes gives one; an irreducibility certificate from the
-Newton polygons of f at the primes below 1000 that divide f(0) * lc(f)
-(Dumas' criterion, which decides Eisenstein and most Capelli binomials with
-no modular work); distinct-degree counts modulo six good small primes, the
-first of them the certifying prime (Musser's prime choice; they also prove
-irreducibility or prune factor degrees); equal-degree splitting at the
-prime with the fewest factors; quadratic Hensel lifting past the Mignotte
-bound; and recombination of at most RECOMBINATION_BUDGET subsets, past
-which FactorBudgetExceeded is raised.  Both modular splits
-run on one Frobenius matrix (the rows X^(i*p) mod f) per prime, so each
-Frobenius power costs one matrix-vector product instead of a binary
-powering.
+Pipeline: integer content; the degrees a factor can have by the Newton
+polygons of f at the primes below 1000 that divide f(0) * lc(f) (Dumas'
+criterion, which proves Eisenstein and most Capelli binomials irreducible,
+so squarefree, with no modular work); else a modular squarefree certificate
+(f squarefree modulo one of the first six primes not dividing lc(f)), with
+Yun's algorithm over Q only when none gives one; distinct-degree counts
+modulo six good small primes, the first of them the certifying prime, that
+narrow the polygon degrees (Musser's prime choice; they also prove
+irreducibility); equal-degree splitting at the prime with the fewest
+factors; quadratic Hensel lifting past the Mignotte bound; and
+recombination of at most RECOMBINATION_BUDGET subsets, past which
+FactorBudgetExceeded is raised.  The certificate and the prime choice read
+one walk over the primes (_primes_mod).  Both modular splits run on one
+Frobenius matrix (the rows X^(i*p) mod f) per prime, so each Frobenius
+power costs one matrix-vector product instead of a binary powering.
 
 Only the work the answer needs is done: a prime's distinct-degree split
 stops once the prime can neither prune the attainable degrees nor have
@@ -131,16 +132,25 @@ def _pderiv(a, p):
 
 
 def _squarefree_mod(f: list[int], p: int) -> list[int] | None:
-    """f mod p made monic, or None when p | lc(f) or f mod p has a repeated
-    factor.  A p that gives a polynomial proves f squarefree over Q: a
-    square factor of f over Z keeps its degree mod p."""
-    if f[-1] % p == 0:
-        return None
+    """f mod p made monic, p not dividing lc(f), or None when f mod p has a
+    repeated factor.  A p that gives a polynomial proves f squarefree over
+    Q: a square factor of f over Z keeps its degree mod p."""
     fp = [c % p for c in f]
     if _pgcd(fp, _pderiv(fp, p), p) != [1]:
         return None
     inv = pow(f[-1], -1, p)
     return [c * inv % p for c in fp]
+
+
+def _primes_mod(f: list[int]):
+    """(p, _squarefree_mod(f, p)) at each prime p from 3 up that does not
+    divide lc(f): the one walk over the primes that both the squarefree
+    certificate and Musser's prime choice read."""
+    p = 2
+    while True:
+        p = _next_prime(p)
+        if f[-1] % p:
+            yield p, _squarefree_mod(f, p)
 
 
 def _frobenius(f: list[int], p: int, rows: list[list[int]] | None = None,
@@ -359,53 +369,40 @@ def _newton_degrees(f: UniPoly, p: int) -> set[int]:
                        for v, run in itertools.groupby(vals))
 
 
-def _newton_irreducible(f: list[int]) -> bool:
-    """Whether the Newton polygons of f, f(0) != 0, at the primes below 1000
-    that divide f(0) * lc(f) prove f irreducible over Q: a factor's degree
-    lies in _newton_degrees at each of them, and only 0 and deg f are left
-    in all of them.  At any other prime the polygon is one flat segment,
-    which admits every degree.  The primes are found by trial division, so
-    no integer is factored."""
+def _polygon_degrees(f: list[int]) -> set[int]:
+    """The degrees a factor of f over Q can have by the Newton polygons of
+    f, f(0) != 0, at the primes below 1000 that divide f(0) * lc(f): a
+    factor's degree lies in _newton_degrees at each of them.  At any other
+    prime the polygon is one flat segment, which admits every degree.  It
+    stops once only 0 and deg f are left, which proves f irreducible, so
+    also squarefree.  The primes are found by trial division, so no integer
+    is factored."""
     n = len(f) - 1
     possible = set(range(n + 1))
     bound = max(abs(f[0]), abs(f[-1]))
     poly = None
     for p in TRIAL_PRIMES:
-        if p > bound:
+        if p > bound or possible == {0, n}:
             break
         if f[0] % p and f[-1] % p:
             continue
         poly = poly or UniPoly.from_coeffs(f)
         possible &= _newton_degrees(poly, p)
-        if possible == {0, n}:
-            return True
-    return False
+    return possible
 
 
-def _squarefree_primes(f: list[int], first=None):
-    """(p, f mod p made monic) at each prime p from 3 up at which f is
-    squarefree mod p (_squarefree_mod).  first, when given, is that pair at
-    the least such prime, already computed; the search resumes after it."""
-    p = 2
-    if first is not None:
-        yield first
-        p = first[0]
-    while True:
-        p = _next_prime(p)
-        fp = _squarefree_mod(f, p)
-        if fp is not None:
-            yield p, fp
-
-
-def _good_prime_factorization(f: list[int], rng: random.Random, first=None):
+def _good_prime_factorization(f: list[int], rng: random.Random, primes,
+                              possible: set[int]):
     """Musser's prime choice: None if f is proven irreducible, else (p, monic
     factors of f mod p, the attainable degrees of factors over Z).
 
-    Six good primes (_squarefree_primes(f, first)) get a distinct-degree
-    split only.  The degree of a factor over Z is a subset sum of the
-    modular degrees at each of them, so f is irreducible once only 0 and
-    deg f are left.  Otherwise the first prime with the fewest modular
-    factors is split into irreducibles.
+    The first six good primes of the walk `primes` (the pairs of
+    _primes_mod(f) with f squarefree mod p) get a distinct-degree split
+    only.  The degree of a factor over Z is a subset sum of the modular
+    degrees at each of them, so `possible`, the degrees attainable before
+    (_polygon_degrees), is narrowed by each, and f is irreducible once only
+    0 and deg f are left.  Otherwise the first prime with the fewest
+    modular factors is split into irreducibles.
 
     A prime's split stops early once it can neither prune nor win.  With
     `known` split off and a part of degree m > 0 left, the full split's
@@ -418,7 +415,6 @@ def _good_prime_factorization(f: list[int], rng: random.Random, first=None):
     chosen.
     """
     n = len(f) - 1
-    possible = set(range(n + 1))
     best = None
 
     def cannot_prune_or_win(known, m):
@@ -427,12 +423,13 @@ def _good_prime_factorization(f: list[int], rng: random.Random, first=None):
         sums = _subset_sums(known)
         return possible <= sums | {s + m for s in sums}
 
-    for p, fp in itertools.islice(_squarefree_primes(f, first), 6):
+    good = ((p, fp) for p, fp in primes if fp is not None)
+    for p, fp in itertools.islice(good, 6):
         rows = [[1]]
         dd = _distinct_degree(fp, p, rows, cannot_prune_or_win)
         if dd is None:
             continue
-        possible &= _subset_sums(dd)
+        possible = possible & _subset_sums(dd)
         if possible == {0, n}:
             return None
         count = _count(dd)
@@ -444,13 +441,14 @@ def _good_prime_factorization(f: list[int], rng: random.Random, first=None):
                for h in _equal_degree_split(g, d, p, rng, rows)], possible
 
 
-def _factor_squarefree_z(f: list[int], rng: random.Random,
-                         certificate) -> list[list[int]]:
-    """Irreducible factors over Z of a squarefree primitive f, deg >= 1;
-    certificate is _certified_squarefree(f), or None when it was not run."""
-    if len(f) - 1 == 1 or _newton_irreducible(f):
+def _factor_squarefree_z(f: list[int], rng: random.Random, primes,
+                         possible: set[int]) -> list[list[int]]:
+    """Irreducible factors over Z of a squarefree primitive f, deg >= 1, with
+    the polygon degrees `possible` and the prime walk `primes`, as
+    _good_prime_factorization takes them."""
+    if possible == {0, len(f) - 1}:
         return [f]
-    chosen = _good_prime_factorization(f, rng, certificate)
+    chosen = _good_prime_factorization(f, rng, primes, possible)
     if chosen is None:
         return [f]
     p, modular, possible = chosen
@@ -465,52 +463,35 @@ def _factor_squarefree_z(f: list[int], rng: random.Random,
     idx = list(range(len(lifted)))
     tries = 0
     r = 1
+    # after a factor is found, the subsets of the same size are tried again
+    # on the factors left; otherwise the size grows
     while 2 * r <= len(idx):
-        found = True
-        while found and 2 * r <= len(idx):
-            found = False
-            for subset in itertools.combinations(idx, r):
-                tries += 1
-                if tries > RECOMBINATION_BUDGET:
-                    raise FactorBudgetExceeded(
-                        f"over {RECOMBINATION_BUDGET} recombination subsets")
-                if sum(len(lifted[i]) - 1 for i in subset) not in possible:
-                    continue
-                cand = [remaining[-1] % big]
-                for i in subset:
-                    cand = _pmul(cand, lifted[i], big)
-                cand = [_symmetric(c, big) for c in cand]
-                # no lc-adjusted true factor exceeds the Mignotte bound
-                if any(abs(c) > mignotte for c in cand):
-                    continue
-                g = _int_primitive(cand)
-                q = _int_exact_div(remaining, g)
-                if q is not None:
-                    out.append(g)
-                    remaining = _int_primitive(q)
-                    idx = [i for i in idx if i not in subset]
-                    found = True
-                    break
-        r += 1
+        for subset in itertools.combinations(idx, r):
+            tries += 1
+            if tries > RECOMBINATION_BUDGET:
+                raise FactorBudgetExceeded(
+                    f"over {RECOMBINATION_BUDGET} recombination subsets")
+            if sum(len(lifted[i]) - 1 for i in subset) not in possible:
+                continue
+            cand = [remaining[-1] % big]
+            for i in subset:
+                cand = _pmul(cand, lifted[i], big)
+            cand = [_symmetric(c, big) for c in cand]
+            # no lc-adjusted true factor exceeds the Mignotte bound
+            if any(abs(c) > mignotte for c in cand):
+                continue
+            g = _int_primitive(cand)
+            q = _int_exact_div(remaining, g)
+            if q is not None:
+                out.append(g)
+                remaining = _int_primitive(q)
+                idx = [i for i in idx if i not in subset]
+                break
+        else:
+            r += 1
     if len(remaining) > 1:
         out.append(_int_primitive(remaining))
     return out
-
-
-def _certified_squarefree(f: list[int]) -> tuple[int, list[int]] | None:
-    """(p, f mod p made monic) at the least prime p from 3 up at which f is
-    squarefree mod p, when p is among the first six primes that do not
-    divide lc(f), else None.  Such a p proves f squarefree over Q
-    (_squarefree_mod), and the prime choice starts from it."""
-    p = 2
-    for _ in range(6):
-        p = _next_prime(p)
-        while f[-1] % p == 0:
-            p = _next_prime(p)
-        fp = _squarefree_mod(f, p)
-        if fp is not None:
-            return p, fp
-    return None
 
 
 def factor_poly(f: UniPoly, degree_cap: int = DEGREE_CAP,
@@ -537,14 +518,22 @@ def factor_poly(f: UniPoly, degree_cap: int = DEGREE_CAP,
     g = UniPoly(tuple(cs))
     if g.degree >= 1:
         prim = g.content_and_primitive()[1].int_coeffs()
-        certificate = _certified_squarefree(prim)
-        if certificate is not None:
-            parts = [(prim, 1, certificate)]
-        else:
-            parts = [(sqf.content_and_primitive()[1].int_coeffs(), mult, None)
-                     for sqf, mult in squarefree_decomposition(g)]
-        for sqf, mult, certificate in parts:
-            for piece in _factor_squarefree_z(sqf, rng, certificate):
+        possible, primes = _polygon_degrees(prim), _primes_mod(prim)
+        parts = [(prim, 1, primes, possible)]
+        if possible != {0, len(prim) - 1}:
+            # squarefree if so mod one of the first six primes of the walk,
+            # which Musser's prime choice then resumes from that prime
+            first = next((pair for pair in itertools.islice(primes, 6)
+                          if pair[1] is not None), None)
+            if first is not None:
+                parts = [(prim, 1, itertools.chain([first], primes), possible)]
+            else:
+                parts = []
+                for sqf, mult in squarefree_decomposition(g):
+                    h = sqf.content_and_primitive()[1].int_coeffs()
+                    parts.append((h, mult, _primes_mod(h), _polygon_degrees(h)))
+        for sqf, mult, primes, possible in parts:
+            for piece in _factor_squarefree_z(sqf, rng, primes, possible):
                 out.append((UniPoly.from_coeffs(piece), mult))
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     return out

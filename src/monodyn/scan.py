@@ -212,6 +212,8 @@ class ScanConfig:
     def validate(self):
         if INF not in self.S:
             raise InvalidConfig("S must contain the archimedean place")
+        if len(set(self.S)) < len(self.S):
+            raise InvalidConfig("the places of S must be distinct")
         if self.beta == 0:
             raise InvalidConfig("beta must be nonzero")
         if self.max_wordlen < 1:

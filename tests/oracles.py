@@ -224,6 +224,8 @@ def irreducibility_certificate(f: UniPoly, primes_to_try: int = 12) -> str:
     tried = 0
     while tried < primes_to_try:
         p = _next_prime(p)
+        if cs[-1] % p == 0:
+            continue
         fp = _squarefree_mod(cs, p)
         if fp is None:
             continue
@@ -234,25 +236,26 @@ def irreducibility_certificate(f: UniPoly, primes_to_try: int = 12) -> str:
     return "unknown"
 
 
-def good_prime_factorization_oracle(f: list[int], rng):
-    """polyfactor._good_prime_factorization without its shortcuts: every one
-    of the six good primes, from 3 up, gets all its Frobenius rows and its
-    full distinct-degree split, and the first prime with the fewest factors
-    is split into irreducibles."""
+def good_prime_factorization_oracle(f: list[int], rng, possible: set[int]):
+    """polyfactor._good_prime_factorization without its shortcuts: started
+    from the degrees `possible`, every one of the six good primes, from 3
+    up, gets all its Frobenius rows and its full distinct-degree split, and
+    the first prime with the fewest factors is split into irreducibles."""
     n = len(f) - 1
-    possible = set(range(n + 1))
     best = None
     p = 2
     tried = 0
     while tried < 6:
         p = _next_prime(p)
+        if f[-1] % p == 0:
+            continue
         fp = _squarefree_mod(f, p)
         if fp is None:
             continue
         tried += 1
         rows = _frobenius(fp, p)
         dd = _distinct_degree(fp, p, rows)
-        possible &= _subset_sums(dd)
+        possible = possible & _subset_sums(dd)
         if possible == {0, n}:
             return None
         count = sum((len(g) - 1) // d for g, d in dd)

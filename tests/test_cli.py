@@ -351,6 +351,8 @@ BAD_ARGV = (
     ["scan", "--beta", "2", "--degree-cap", "-1"],
     ["scan", "--beta", "2", "--node-cap", "-1"],
     ["bounds", "--samples", "-1"],
+    ["bounds", "--samples", str(cli.MAX_SAMPLES + 1)],
+    ["scan", "--beta", "2", "-S", "2,2,3"],
 )
 
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -120,13 +121,25 @@ def test_degree_cap():
 
 
 def musser_prime_choice(f: UniPoly):
-    """Musser's prime choice on f, started from _certified_squarefree's
-    pair as factor_poly starts it.  X^24 - 2 and X^23 - 3 are Eisenstein,
-    so factor_poly returns them from their Newton polygons without
-    reaching the prime choice."""
+    """Musser's prime choice on f, walking the primes from 3 up and started
+    from every degree.  X^24 - 2 and X^23 - 3 are Eisenstein, so
+    factor_poly returns them from their Newton polygons without reaching
+    the prime choice."""
     cs = f.int_coeffs()
     return polyfactor._good_prime_factorization(
-        cs, random.Random(0), polyfactor._certified_squarefree(cs))
+        cs, random.Random(0), polyfactor._primes_mod(cs), set(range(len(cs))))
+
+
+def certified_squarefree(f: list[int]) -> bool:
+    """Whether f is squarefree modulo one of the first six primes of its
+    walk, factor_poly's squarefree certificate."""
+    return any(fp is not None
+               for _, fp in itertools.islice(polyfactor._primes_mod(f), 6))
+
+
+def polygon_certified(f: list[int]) -> bool:
+    """Whether the Newton polygons of f prove it irreducible."""
+    return polyfactor._polygon_degrees(f) == {0, len(f) - 1}
 
 
 def test_irreducible_without_splitting(monkeypatch):
@@ -317,18 +330,23 @@ def test_squarefree_past_every_tried_prime(yun_calls):
 
 @functools.cache
 def pool_prime_choices():
-    """(f, _good_prime_factorization(f)) on each seed-0 factor-pool input
-    of degree >= 2 that a prime certifies squarefree (all but 3 Eisenstein
-    products with a repeated factor), started from that prime as
-    factor_poly starts it."""
+    """(f, start, _good_prime_factorization(f)) on each seed-0 factor-pool
+    input of degree >= 2 that a prime certifies squarefree (all but 3
+    Eisenstein products with a repeated factor).  The start set is the
+    polygon degrees, as factor_poly starts it, or every degree where the
+    polygons alone prove f irreducible, so that the prime choice still runs
+    on those."""
     out = []
     for op in perfbench_workloads().factor_pool(0).ops:
         # each op is lambda f=f: factor_poly(f)
         f = op.fn.__defaults__[0].content_and_primitive()[1].int_coeffs()
-        certificate = polyfactor._certified_squarefree(f)
-        if certificate is not None and len(f) > 2:
-            out.append((f, polyfactor._good_prime_factorization(
-                f, random.Random(len(out)), certificate)))
+        if certified_squarefree(f) and len(f) > 2:
+            start = polyfactor._polygon_degrees(f)
+            if start == {0, len(f) - 1}:
+                start = set(range(len(f)))
+            out.append((f, start, polyfactor._good_prime_factorization(
+                f, random.Random(len(out)), polyfactor._primes_mod(f),
+                start)))
     return out
 
 
@@ -336,9 +354,10 @@ def test_prime_choice_matches_full_split_oracle():
     # the same prime, modular factors and attainable degrees as when every
     # prime is split in full: a dropped prime could neither prune nor win
     choices = pool_prime_choices()
-    for i, (f, chosen) in enumerate(choices):
-        assert chosen == good_prime_factorization_oracle(f, random.Random(i))
-    assert sum(chosen is None for _, chosen in choices) > 100
+    for i, (f, start, chosen) in enumerate(choices):
+        assert chosen == good_prime_factorization_oracle(
+            f, random.Random(i), start)
+    assert sum(chosen is None for _, _, chosen in choices) > 100
     # seeded products over Z, searched for good primes from 3 up
     rng = random.Random(31)
     others = []
@@ -349,13 +368,15 @@ def test_prime_choice_matches_full_split_oracle():
             f = f * P(*[rng.randint(-9, 9) for _ in range(deg)],
                       rng.randint(1, 5))
         cs = f.content_and_primitive()[1].int_coeffs()
-        if cs[0] and len(cs) > 2 and polyfactor._certified_squarefree(cs):
+        if cs[0] and len(cs) > 2 and certified_squarefree(cs):
             others.append(cs)
     others += [swinnerton_dyer((2, 3, 5)).int_coeffs(),
                swinnerton_dyer((2, 3, 5, 7)).int_coeffs()]
     for i, f in enumerate(others):
-        assert (polyfactor._good_prime_factorization(f, random.Random(i))
-                == good_prime_factorization_oracle(f, random.Random(i)))
+        every = set(range(len(f)))
+        assert (polyfactor._good_prime_factorization(
+                    f, random.Random(i), polyfactor._primes_mod(f), every)
+                == good_prime_factorization_oracle(f, random.Random(i), every))
 
 
 def test_prime_choice_drops_primes_that_cannot_matter(monkeypatch):
@@ -377,7 +398,7 @@ def test_prime_choice_drops_primes_that_cannot_matter(monkeypatch):
 def test_hensel_tree_matches_full_update_lift():
     # the last quadratic step skips the Bezout update it has no use for
     lifts = 0
-    for f, chosen in pool_prime_choices():
+    for f, _, chosen in pool_prime_choices():
         if chosen is None:
             continue
         p, modular, _ = chosen
@@ -409,7 +430,7 @@ def test_newton_certificate_on_binomials_agrees_with_capelli():
     for M in range(1, 49):
         for c in radicands:
             f = UniPoly.binomial(M, c).content_and_primitive()[1].int_coeffs()
-            if polyfactor._newton_irreducible(f):
+            if polygon_certified(f):
                 assert not capelli_reducible(M, c).reducible, (M, c)
                 certified += 1
     assert certified == 1695
@@ -422,7 +443,7 @@ def test_newton_certificate_never_certifies_eisenstein_products():
             f = UniPoly.one()
             for cs in parts:
                 f = f * UniPoly.from_coeffs(cs)
-            assert not polyfactor._newton_irreducible(f.int_coeffs()), parts
+            assert not polygon_certified(f.int_coeffs()), parts
 
 
 def random_products():
@@ -446,10 +467,10 @@ def random_products():
 
 
 def test_newton_certificate_agrees_with_factor_poly(monkeypatch):
-    certified = [f for f in random_products()
-                 if polyfactor._newton_irreducible(f)]
+    certified = [f for f in random_products() if polygon_certified(f)]
     assert len(certified) > 100
-    monkeypatch.setattr(polyfactor, "_newton_irreducible", lambda f: False)
+    monkeypatch.setattr(polyfactor, "_polygon_degrees",
+                        lambda f: set(range(len(f))))
     for f in certified:
         assert factor_poly(P(*f)) == [(P(*f), 1)], f
 
@@ -458,18 +479,19 @@ def test_newton_certificate_hand_cases():
     # X^4 + 4 = (X^2 - 2X + 2)(X^2 + 2X + 2): one segment of slope -1/2 and
     # length 4 at 2, so two pieces of degree 2
     assert polyfactor._newton_degrees(P(4, 0, 0, 0, 1), 2) == {0, 2, 4}
-    assert not polyfactor._newton_irreducible([4, 0, 0, 0, 1])
+    assert polyfactor._polygon_degrees([4, 0, 0, 0, 1]) == {0, 2, 4}
     # one segment of slope -2/21 at 2
-    assert polyfactor._newton_irreducible([-4] + [0] * 20 + [9])
+    assert polygon_certified([-4] + [0] * 20 + [9])
     # irreducible, but no polygon shows it: it still reaches recombination
     # (test_factor_past_recombination_budget_is_a_cap)
     sd = swinnerton_dyer((2, 3, 5, 7, 11, 13)).int_coeffs()
-    assert not polyfactor._newton_irreducible(sd)
+    assert not polygon_certified(sd)
 
 
 def test_factor_pool_work_counts(monkeypatch):
     # seed-0 factor-pool ops that reach Musser's prime choice and the Hensel
-    # lift: 1250 and 766 without the polygon certificate
+    # lift: 1250 and 766 without the polygon certificate, 452 and 419 with
+    # Musser started from every degree
     reached = set()
     for name in ("_good_prime_factorization", "_hensel_tree"):
         def counted(*args, name=name, fn=getattr(polyfactor, name)):
@@ -482,4 +504,30 @@ def test_factor_pool_work_counts(monkeypatch):
         op.fn()
         musser += "_good_prime_factorization" in reached
         hensel += "_hensel_tree" in reached
-    assert musser <= 452 and hensel <= 419
+    assert musser <= 452 and hensel <= 406
+
+
+def test_polygon_certified_ops_skip_the_squarefree_certificate(monkeypatch):
+    # an input the polygons prove irreducible is squarefree, so no prime is
+    # tried: the 798 such ops of degree >= 2 made 1291 _squarefree_mod calls
+    # when the modular certificate ran first; the other 50 are linear
+    certified = []
+
+    def polygon_degrees(f, polygons=polyfactor._polygon_degrees):
+        possible = polygons(f)
+        certified.append(possible == {0, len(f) - 1})
+        return possible
+    monkeypatch.setattr(polyfactor, "_polygon_degrees", polygon_degrees)
+    calls = []
+    sqf = polyfactor._squarefree_mod
+    monkeypatch.setattr(polyfactor, "_squarefree_mod",
+                        lambda *args: calls.append(args) or sqf(*args))
+    ops = 0
+    for op in perfbench_workloads().factor_pool(0).ops:
+        certified.clear()
+        calls.clear()
+        op.fn()
+        if certified[0]:
+            ops += 1
+            assert calls == [], op.label
+    assert ops == 848

@@ -296,6 +296,10 @@ def test_gate_refuses_preperiodic_and_unknown():
         ScanConfig(G2, [Place(2)], F(2), 2).validate()
     with pytest.raises(InvalidConfig):
         ScanConfig(G2, S_DEFAULT, F(0), 2).validate()
+    # a repeated place gave a second, identical distance row per verdict
+    for S in ([INF, INF, Place(2)], [INF, Place(2), Place(3), Place(2)]):
+        with pytest.raises(InvalidConfig, match="distinct"):
+            run_scan(ScanConfig(G2, S, F(2), 2))
 
 
 @pytest.mark.parametrize("field, value", [
