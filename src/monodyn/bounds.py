@@ -15,13 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (BadWindow, BetaIsConjugate, DegenerateDegree, LambdaZero,
                      ZeroAlpha, ZeroInput)
 from .galois import (ClassNormData, _discrepancy, class_norm_data,
-                     class_of_point)
+                     class_of_point, radical_polynomial)
 from .places import Place, height_rational, log_abs
-from .polynomials import UniPoly
+from .polynomials import UniPoly, cyclotomic_poly
 from .preper import minimal_polynomial
 from .primes import euler_phi, ord_p
 from .radical import RadicalPoint
@@ -227,29 +228,62 @@ def class_min_log_distances(nd: ClassNormData,
     dividing M0 q', so they are distinct mod p and at most one conjugate
     is closer to beta than o; it carries all of ord_p Nm beyond deg o, and
     log|Nm|_p - (deg - 1) log|beta|_p is exact at every degree.  At
-    p | M0 q' (ramified): the first Newton slope of the beta-shifted class
-    polynomial up to EXACT_DEGREE (shifted once per class), past it that
-    same norm expression as a sound lower bound, as no term exceeds
-    log|beta|_p.  Each slope is an integer over M0, divided once."""
-    cls = nd.cls
+    p | M0 q' (ramified): _ramified_slope up to EXACT_DEGREE (each shift
+    made once per class and m), past it that same norm expression as a
+    sound lower bound, as no term exceeds log|beta|_p.  Each slope is an
+    integer over M0, divided once."""
+    cls, M0 = nd.cls, nd.cls.M0
     table = nd.table([v.p for v in places if not v.is_archimedean])
-    shifted = None
+    shifted: dict[int, UniPoly] = {}
     out = []
     for v in places:
-        if v.is_archimedean:
+        p = v.p
+        if not p:                           # the archimedean place
             out.append(nd.arch()[1])
             continue
-        oc, ob, ow = table[v.p]
+        oc, ob, ow = table[p]
         if oc != ob:
-            slope = -min(oc, ob) / cls.M0
-        elif cls.M0 * cls.qprime % v.p == 0 and cls.degree <= EXACT_DEGREE:
-            if shifted is None:
-                shifted = minimal_polynomial(cls.representative).shift(nd.beta)
-            slope = float(first_newton_slope(shifted, v.p))
+            slope = -min(oc, ob) / M0
+        elif M0 * cls.qprime % p == 0 and cls.degree <= EXACT_DEGREE:
+            slope = float(_ramified_slope(nd, p, ob // M0, shifted))
         else:
-            slope = ((cls.degree - 1) * oc - cls.M0 * ow) / cls.M0
-        out.append(slope * math.log(v.p))
+            slope = ((cls.degree - 1) * oc - M0 * ow) / M0
+        out.append(slope * math.log(p))
     return out
+
+
+def _ramified_slope(nd: ClassNormData, p: int, o: int,
+                    shifted: dict[int, UniPoly]) -> Fraction:
+    """The first Newton slope at p of the class polynomial shifted by beta =
+    nd.beta, for ord_p alpha = ord_p beta = o, on the p-part of M0.  With
+    M0 = p^e m, p prime to m, a full class is closed under gamma -> eta
+    gamma for the m-th roots of unity eta (W is a polynomial in X^M0), and
+    c0^phi(q') Phi_q'(Y^(M0/m) / c0) has the m-th powers of its conjugates
+    as roots, each once.  As |1 - eta|_p = 1 for eta != 1, each ord_p(gamma
+    - eta beta) is at least o and at most one exceeds it (two would give
+    ord_p((eta - eta') beta) > o), so ord_p(gamma^m - beta^m) = (m - 1) o +
+    max over eta of ord_p(gamma - eta beta); as eta^-1 gamma runs over the
+    class, the first slope of that polynomial shifted by beta^m, plus
+    (m - 1) o, is that of the class polynomial shifted by beta.  A genuine
+    twin keeps m = 1: a shift by an m-th root of unity can flip its sign.
+    shifted keeps the class's shifted polynomials by m."""
+    cls = nd.cls
+    m = 1 if cls.sign else cls.M0
+    while m % p == 0:
+        m //= p
+    f = shifted.get(m)
+    if f is None:
+        f = shifted[m] = (
+            minimal_polynomial(cls.representative) if m == 1
+            else _power_polynomial(cls.qprime, cls.c0, cls.M0 // m)
+        ).shift(nd.beta ** m)
+    return first_newton_slope(f, p) + (m - 1) * o
+
+
+@lru_cache(maxsize=1024)
+def _power_polynomial(q: int, c0: Fraction, k: int) -> UniPoly:
+    """c0^phi(q) Phi_q(X^k / c0), kept for the scans at other base points."""
+    return radical_polynomial(cyclotomic_poly(q).coeffs, c0, k)
 
 
 def first_newton_slope(f: UniPoly, p: int) -> Fraction:

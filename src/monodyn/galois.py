@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -350,9 +350,13 @@ def class_polynomial(cls: ConjugacyClass,
         raise DegreeCapExceeded(f"degree {cls.degree} exceeds cap {degree_cap}")
     if cls.sign:
         B, r = _twin_factor(cls)
-        k = cls.M0 // 2
-    else:
-        B, r, k = cyclotomic_poly(cls.qprime).coeffs, cls.c0, cls.M0
+        return radical_polynomial(B, r, cls.M0 // 2)
+    return radical_polynomial(cyclotomic_poly(cls.qprime).coeffs, cls.c0,
+                              cls.M0)
+
+
+def radical_polynomial(B, r: Fraction, k: int) -> UniPoly:
+    """r^n B(X^k / r) for B = (B_0, ..., B_n), low to high."""
     n = len(B) - 1
     return UniPoly.from_coeffs([c * r ** (n - i) for i, c in enumerate(B)]) \
         .compose_monomial(k)
@@ -451,25 +455,24 @@ class ClassNormData:
     beta: Fraction
     x: Fraction                 # beta^M0 / c0
     value: Fraction | None      # the exact norm (twin or x = +-1), else None
-    # keyed "table", "log" and "arch"
-    _memo: dict = field(default_factory=dict, compare=False, hash=False,
-                        repr=False)
 
     def table(self, primes=()) -> dict[int, tuple[int, int, int]]:
         """{p: (ord_p c0, M0 ord_p beta, ord_p W)} in increasing p, over the
-        primes of c0 and beta and every prime asked for so far, each row
-        computed once.  The map is the record's own: read it only."""
-        rows = self._memo.get("table")
-        if rows is not None and all(p in rows for p in primes):
-            return rows
-        cls, b_exps = self.cls, beta_exponents(self.beta)
-        rows = dict(rows or {})
-        for p in set(primes).union(cls.c0_exponents, b_exps) - rows.keys():
-            oc, ob = cls.c0_exponents.get(p, 0), cls.M0 * b_exps.get(p, 0)
-            rows[p] = oc, ob, (
+        primes of c0 and beta and every prime asked for so far, built in one
+        pass (a scan asks for its S first) and again, reusing its rows, only
+        for a prime outside it.  The map is the record's own: read it only."""
+        old = self.__dict__.get("_rows")
+        if old is not None and all(map(old.__contains__, primes)):
+            return old
+        cls, old = self.cls, old or {}
+        c_exps, b_exps = cls.c0_exponents, beta_exponents(self.beta)
+        rows = {}
+        for p in sorted({*old, *primes, *c_exps, *b_exps}):
+            oc, ob = c_exps.get(p, 0), cls.M0 * b_exps.get(p, 0)
+            rows[p] = old.get(p) or (oc, ob, (
                 ord_p(self.value, p) if self.value is not None
-                else _ord_full_norm(cls.qprime, self.x, p, ob - oc, oc))
-        rows = self._memo["table"] = dict(sorted(rows.items()))
+                else _ord_full_norm(cls.qprime, self.x, p, ob - oc, oc)))
+        self.__dict__["_rows"] = rows
         return rows
 
     def ord_w(self, p: int) -> int:
@@ -478,18 +481,18 @@ class ClassNormData:
 
     def log_w(self) -> float:
         """log of the norm's absolute value; computed once."""
-        total = self._memo.get("log")
+        total = self.__dict__.get("_log")
         if total is not None:
             return total
         if self.value is not None:
-            total = _log_fraction(abs(self.value))
+            total = _log_fraction(self.value)
         else:
             phi, pieces = _qprime_data(self.cls.qprime)
             total = phi * self.cls.log_c0
-            log_x = _log_fraction(abs(self.x))
+            log_x = _log_fraction(self.x)
             for j, mu in pieces:
                 total += mu * _log_abs_power_minus_one(self.x, j, log_x)
-        self._memo["log"] = total
+        self.__dict__["_log"] = total
         return total
 
     def arch(self) -> tuple[float, float]:
@@ -500,15 +503,15 @@ class ClassNormData:
         |beta^K - rho^K e(r / P)|.  The nearest conjugate has the angle
         closest to 0 (beta > 0) or 1/2 (beta < 0), found from one side: the
         orbit is closed under t -> -t."""
-        row = self._memo.get("arch")
+        row = self.__dict__.get("_arch")
         if row is not None:
             return row
         cls, negative = self.cls, self.beta.numerator < 0
         rs, P = cls.residues(), cls.period
         K = cls.degree // len(rs)
-        la, lb = cls.log_modulus, _log_fraction(abs(self.beta))
-        fibers = math.fsum(_log_distance(K * la, K * lb, r / P,
-                                         negative and K % 2) for r in rs)
+        la, lb = cls.log_modulus, _log_fraction(self.beta)
+        fibers = math.fsum(_log_distances(K * la, K * lb, [r / P for r in rs],
+                                          negative and K % 2))
         D = cls.M0 * cls.qprime             # angles are v / D
         if not negative:
             v = rs[0]
@@ -516,8 +519,8 @@ class ClassNormData:
             base, off = divmod(-(-D // 2), P)
             i = bisect.bisect_left(rs, off)
             v = base * P + rs[i] if i < len(rs) else (base + 1) * P + rs[0]
-        row = self._memo["arch"] = (fibers / cls.degree,
-                                    _log_distance(la, lb, v / D, negative))
+        nearest, = _log_distances(la, lb, (v / D,), negative)
+        row = self.__dict__["_arch"] = fibers / cls.degree, nearest
         return row
 
 
@@ -528,11 +531,13 @@ def class_norm_data(cls: ConjugacyClass, beta: Fraction) -> ClassNormData:
     z = beta^(M0/2), n = phi(q') (_twin_factor); with z / r = u / v in
     integers it is H / (den(r) den(z))^n for H = sum B_i u^i v^(n - i),
     by homogeneous Horner."""
-    beta = Fraction(beta)
+    if not isinstance(beta, Fraction):
+        beta = Fraction(beta)
     if beta == 0:
         raise ZeroInput("beta must be nonzero")
-    qprime = cls.qprime
-    x = beta ** cls.M0 / cls.c0
+    qprime, M0, c0 = cls.qprime, cls.M0, cls.c0
+    x = Fraction(beta.numerator ** M0 * c0.denominator,
+                 beta.denominator ** M0 * c0.numerator)
     n = _qprime_data(qprime)[0]
     value = None
     if cls.sign:
@@ -544,8 +549,8 @@ def class_norm_data(cls: ConjugacyClass, beta: Fraction) -> ClassNormData:
             h = h * u + c * vk
             vk *= v
         value = Fraction(h, (r.denominator * z.denominator) ** n)
-    elif x in (1, -1):
-        value = cls.c0 ** n * _phi_at_pm1(qprime, int(x))
+    elif x.denominator == 1 and x.numerator in (1, -1):
+        value = cls.c0 ** n * _phi_at_pm1(qprime, x.numerator)
     if value == 0:
         raise BetaIsConjugate("beta lies in the orbit")
     return ClassNormData(cls, beta, x, value)
@@ -611,23 +616,25 @@ def _log_abs_power_minus_one(x: Fraction, j: int, log_x: float) -> float:
         return 0.0
     num, den = abs(x.numerator), x.denominator
     d = num - den
-    if x > 0 or j % 2 == 0:
+    if x.numerator > 0 or j % 2 == 0:
         if (j * abs(d)) << 57 < den:
             return math.log(j) + _log_int(abs(d)) - _log_int(den)
     r = num / den
     z = j * (math.log1p(d / den) if r >= 0.5 else math.log(r))
-    if x > 0 or j % 2 == 0:
+    if x.numerator > 0 or j % 2 == 0:
         return math.log(abs(math.expm1(z)))
     return math.log1p(math.exp(z))
 
 
-def _log_distance(la: float, lb: float, t: float, negative: bool) -> float:
-    """log|e^la e(t) - s e^lb| for s = -1 if negative else 1, at the scale
-    m = max(e^la, e^lb) so that no float overflows: with a = e^la / m,
-    b = e^lb / m, |a e(t) - s b|^2 = (a - b)^2 + 4ab sin^2(pi t) (cos for
-    s = -1), free of cancellation near s b.  -inf where that float is 0."""
+def _log_distances(la: float, lb: float, ts, negative: bool):
+    """Each log|e^la e(t) - s e^lb|, t in ts, s = -1 if negative else 1, at
+    the scale m = max(e^la, e^lb) so that no float overflows: with a = e^la
+    / m, b = e^lb / m, |a e(t) - s b|^2 = (a - b)^2 + 4ab sin^2(pi t) (cos
+    for s = -1), free of cancellation near s b.  -inf where that is 0."""
     lm = max(la, lb)
     a, b = math.exp(la - lm), math.exp(lb - lm)
     trig = math.cos if negative else math.sin
-    d2 = (a - b) ** 2 + 4 * a * b * trig(math.pi * t) ** 2
-    return lm + 0.5 * math.log(d2) if d2 else -math.inf
+    square, ab4 = (a - b) ** 2, 4 * a * b
+    for t in ts:
+        d2 = square + ab4 * trig(math.pi * t) ** 2
+        yield lm + 0.5 * math.log(d2) if d2 else -math.inf

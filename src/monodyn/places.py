@@ -60,24 +60,21 @@ def log_abs(x: Fraction | int, v: Place) -> LogAbs:
     if x == 0:
         raise ZeroInput("log_abs(0) is -infinity")
     if v.is_archimedean:
-        return LogAbs(v, _log_fraction(abs(x)))
+        return LogAbs(v, _log_fraction(x))
     e = -ord_p(x, v.p)
     return LogAbs(v, e * math.log(v.p), exponent=e)
 
 
 def _log_fraction(x: Fraction) -> float:
-    """log of a positive rational, safe for huge numerators/denominators."""
-    return _log_int(x.numerator) - _log_int(x.denominator)
+    """log|x| of a nonzero rational, safe for huge numerators/denominators."""
+    return _log_int(abs(x.numerator)) - _log_int(x.denominator)
 
 
 def _log_int(n: int) -> float:
+    """log n; math.log reads an int of any size without overflow."""
     if n <= 0:
         raise ZeroInput("log of a nonpositive integer")
-    try:
-        return math.log(n)
-    except OverflowError:
-        k = n.bit_length() - 900
-        return math.log(n >> k) + k * math.log(2)
+    return math.log(n)
 
 
 @dataclass(frozen=True)

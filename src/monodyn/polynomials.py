@@ -154,28 +154,30 @@ class UniPoly:
         With a = u/v, D the lcm of the coefficient denominators and n the
         degree, H(Y) = sum h_i Y^i with h_i = D c_i v^(n-i) has integer
         coefficients and H(Y + u) = D v^n p((Y + u)/v).  The Taylor shift by
-        u runs on ints, term by term: h_i (Y + u)^i adds h_i C(i, k) u^(i-k)
-        to the coefficient of Y^k, so the cost is n + 1 products per nonzero
-        h_i (a class polynomial c0^phi Phi_q'(X^M0 / c0) has few).  The
-        coefficient of X^k is then the k-th one over D v^(n-k).
+        u runs on ints: h_i (Y + u)^i adds t_k = h_i C(i, k) u^(i-k) to the
+        coefficient of Y^k, t_(k-1) = t_k u k / (i - k + 1) exactly, so each
+        term of a nonzero h_i (c0^phi Phi_q'(X^M0 / c0) has few) is two
+        products and one division.  The coefficient of X^k is then the k-th
+        one over D v^(n-k).
         """
         cs = self.coeffs
         n = len(cs) - 1
-        a = Fraction(a)
-        if n < 1 or a == 0:
-            return self
+        a = a if isinstance(a, Fraction) else Fraction(a)
         u, v = a.numerator, a.denominator
+        if n < 1 or u == 0:
+            return self
         D = math.lcm(*(c.denominator for c in cs))
-        vpow, upow = [1], [1]
+        vpow = [1]
         for _ in range(n):
             vpow.append(vpow[-1] * v)
-            upow.append(upow[-1] * u)
         out = [0] * (n + 1)
         for i, c in enumerate(cs):
             if c:
-                h = c.numerator * (D // c.denominator) * vpow[n - i]
-                for k in range(i + 1):
-                    out[k] += h * math.comb(i, k) * upow[i - k]
+                t = c.numerator * (D // c.denominator) * vpow[n - i]
+                out[i] += t
+                for k in range(i, 0, -1):
+                    t = t * u * k // (i - k + 1)
+                    out[k - 1] += t
         return UniPoly(_trim([Fraction(h, D * vpow[n - k])
                               for k, h in enumerate(out)]))
 

@@ -9,7 +9,9 @@ materializing anything large; whether meets exist outside the scan set S is
 decided by an integer-log balance on the norm (its outside-S part is a
 positive integer, trivial iff the balance gap stays below log 2).
 Every rule reads integer valuations, the table of one (class, beta)
-record (galois.ClassNormData.table); beta is factored once per base point.
+record (galois.ClassNormData.table), built in one pass over S and the
+primes of c0 and beta; beta is factored once per base point, and each
+place's distance bound once per degree (and MQ at degree 1).
 """
 
 from __future__ import annotations
@@ -153,8 +155,9 @@ def class_gamma(nd: ClassNormData) -> GammaReport:
     leftover = nd.log_w()
     for p, (oc, ob, ow) in nd.table().items():
         if oc or ob:                    # the support of alpha and beta
-            leftover -= ow * math.log(p)
-            rows.append((str(p), -ow / degree * math.log(p)))
+            log_p = math.log(p)
+            leftover -= ow * log_p
+            rows.append((str(p), -ow / degree * log_p))
     leftover /= degree
     if leftover:
         rows.append(("outside", -leftover))
@@ -314,14 +317,21 @@ class ScanReport:
 
 def _scan_distance_checks(nd: ClassNormData,
                           certs: list[tuple[Place, DistanceBoundCert]],
-                          h_beta: float):
+                          h_beta: float, bounds: dict | None = None):
     """(place, ok) rows of the class nd.cls at beta = nd.beta, whose height
-    is h_beta: class_min_log_distances against each certificate's bound."""
-    cls = nd.cls
-    MQ = max(2, cls.M0 * cls.first_angle.denominator)
+    is h_beta: class_min_log_distances against each certificate's bound.
+    bounds keeps a scan's (place name, -bound) rows by (degree, MQ), MQ
+    put at 2 past degree 1, where no bound reads it."""
+    cls, bounds = nd.cls, {} if bounds is None else bounds
+    key = cls.degree, 2 if cls.degree > 1 else max(
+        2, cls.M0 * cls.first_angle.denominator)
+    rows = bounds.get(key)
+    if rows is None:
+        rows = bounds[key] = tuple((str(v), -cert.bound(h_beta, *key))
+                                   for v, cert in certs)
     observed = class_min_log_distances(nd, [v for v, _ in certs])
-    return tuple((str(v), obs > -cert.bound(h_beta, cls.degree, MQ))
-                 for (v, cert), obs in zip(certs, observed))
+    return tuple([(name, obs > low)
+                  for (name, low), obs in zip(rows, observed)])
 
 
 def zero_infinity_verdict(beta: Fraction, S: list[Place]) -> dict:
@@ -449,6 +459,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
             f"(status {status.tag}); refusing to scan")
     certs = [(v, distance_bound_constant(G, v)) for v in config.S]
     h_beta = height_rational(beta)
+    bounds: dict = {}
     verdicts: list[ClassVerdict] = []
     truncated = False
     notes: list[str] = []
@@ -458,7 +469,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
             nd = class_norm_data(cls, beta)
             integ = class_s_integrality(nd, config.S)
             gamma = class_gamma(nd)
-            dist = _scan_distance_checks(nd, certs, h_beta)
+            dist = _scan_distance_checks(nd, certs, h_beta, bounds)
             if not integ.certified:
                 truncated = True
                 notes.append(f"uncertified verdict at degree {cls.degree}")

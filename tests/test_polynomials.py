@@ -53,6 +53,16 @@ def test_shift_matches_fraction_horner():
             f = P(*cs)
             for a in shifts:
                 assert f.shift(a) == _shift_by_fraction_horner(f, a), (f, a)
+    # sparse degree 64, as c0^phi Phi_q'(X^k / c0) is, shifted by long u / v
+    for terms in ((0, 64), (0, 32, 64), (0, 16, 48, 64), (5, 17, 63, 64)):
+        cs = [F(0)] * 65
+        for i in terms:
+            cs[i] = F(rng.randint(-10 ** 30, 10 ** 30) or 1,
+                      rng.choice((1, 3 ** 40, 2 ** 61 - 1)))
+        f = P(*cs)
+        for a in (F(3 ** 50, 2 ** 70), F(-(10 ** 25 + 7), 13 ** 9),
+                  F(2 ** 100 + 1)):
+            assert f.shift(a) == _shift_by_fraction_horner(f, a), (terms, a)
     assert zero_poly().shift(F(3, 5)).is_zero
 
 

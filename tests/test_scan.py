@@ -10,7 +10,8 @@ from monodyn import bounds
 from monodyn.bounds import class_min_log_distances, first_newton_slope
 from monodyn.errors import (BetaIsConjugate, EnumerationCap, InvalidConfig,
                             NotSIntegral, OverflowGuard)
-from monodyn.galois import class_norm_data, class_of_point, class_polynomial
+from monodyn.galois import (class_norm_data, class_of_point, class_polynomial,
+                            decompose_binomial_roots)
 from monodyn.places import INF, Place
 from monodyn.polynomials import newton_polygon_root_valuations
 from monodyn.preper import enumerate_preperiodic, minimal_polynomial
@@ -209,6 +210,75 @@ def test_unramified_distance_is_the_norm_branch():
                     checked += 1
                     past_exact += cls.degree > bounds.EXACT_DEGREE
     assert (checked, past_exact) == (5799, 1071)
+
+
+G_SWEEP = Semigroup.from_pairs([("-5/2", 3), ("4", -2)])
+
+
+def test_ramified_slope_on_the_p_part_matches_the_full_shift():
+    # oracle: the first Newton slope of the minimal polynomial shifted by
+    # beta, as a Fraction, at every ramified p with equal valuations up to
+    # EXACT_DEGREE; the route shifts the polynomial of the m-th powers,
+    # m = M0 without its p-part, and a genuine twin keeps m = 1.  No class
+    # of the two semigroups has ord_p alpha = ord_p beta != 0 with m > 1,
+    # so four binomials add classes such as 2 * 3^(1/6) (c0 = 2^6 3)
+    built = [cls for N, a in ((6, F(192)), (12, F(192) ** 2), (6, F(-1458)),
+                              (10, F(3072)), (6, F(64, 3)))
+             for cls in decompose_binomial_roots(N, a)]
+    classes = [cls for G, depth in ((G2, 5), (G_SWEEP, 4))
+               for cls, _, _ in word_pair_classes(G, depth)] + built
+    checked = {"m = 1": 0, "twin": 0, "p-free M0": 0, "1 < m < M0": 0,
+               "(m - 1) o != 0": 0}
+    for cls in classes:
+        if cls.degree > bounds.EXACT_DEGREE:
+            continue
+        poly = minimal_polynomial(cls.representative)
+        for beta in (F(2), F(5), F(-3, 7), F(7, 4), F(13, 37), F(-7, 5),
+                     F(6), F(-2, 5), F(3, 2)):
+            if poly(beta) == 0:
+                continue
+            nd = class_norm_data(cls, beta)
+            for p in (2, 3, 5, 7):
+                o = ord_p(beta, p)
+                if cls.M0 * cls.qprime % p or cls.modulus.ord_at(p) != o:
+                    continue
+                got = bounds._ramified_slope(nd, p, o, {})
+                assert got == first_newton_slope(poly.shift(beta), p), \
+                    (cls, beta, p)
+                m = cls.M0
+                while m % p == 0:
+                    m //= p
+                kind = ("twin" if cls.sign else "m = 1" if m == 1 else
+                        "(m - 1) o != 0" if o else
+                        "p-free M0" if m == cls.M0 else "1 < m < M0")
+                checked[kind] += 1
+    assert checked == {"m = 1": 415, "twin": 56, "p-free M0": 258,
+                       "1 < m < M0": 432, "(m - 1) o != 0": 18}
+
+
+def test_scan_distance_rows_match_the_direct_bound():
+    # oracle: class_min_log_distances of a fresh record against the
+    # certificate's bound at h(beta), the degree and MQ, for every verdict
+    # of depth-4 scans, degree 1 included
+    from monodyn.bounds import distance_bound_constant
+    from monodyn.places import height_rational
+    checked = degree_one = 0
+    for G in (G2, G_SWEEP):
+        certs = [(v, distance_bound_constant(G, v)) for v in S_DEFAULT]
+        for beta in (F(2), F(-3, 7)):
+            rep = run_scan(ScanConfig(G, S_DEFAULT, beta, 4))
+            for v in rep.verdicts:
+                cls = class_of_point(v.point)
+                observed = class_min_log_distances(class_norm_data(cls, beta),
+                                                   S_DEFAULT)
+                MQ = max(2, cls.M0 * v.point.angle.denominator)
+                assert v.distance_checks == tuple(
+                    (str(place), obs > -cert.bound(height_rational(beta),
+                                                   cls.degree, MQ))
+                    for (place, cert), obs in zip(certs, observed)), v
+                checked += 1
+                degree_one += cls.degree == 1
+    assert (checked, degree_one) == (452, 4)
 
 
 def test_progressions_match_fraction_residues():
