@@ -15,14 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (BadWindow, BetaIsConjugate, DegenerateDegree, LambdaZero,
                      ZeroAlpha, ZeroInput)
 from .galois import (ClassNormData, _discrepancy, class_norm_data,
-                     class_of_point, radical_polynomial)
+                     class_of_point, cyclotomic_radical_polynomial)
 from .places import Place, height_rational, log_abs
-from .polynomials import UniPoly, cyclotomic_poly
+from .polynomials import UniPoly
 from .preper import minimal_polynomial
 from .primes import euler_phi, ord_p
 from .radical import RadicalPoint
@@ -275,15 +274,9 @@ def _ramified_slope(nd: ClassNormData, p: int, o: int,
     if f is None:
         f = shifted[m] = (
             minimal_polynomial(cls.representative) if m == 1
-            else _power_polynomial(cls.qprime, cls.c0, cls.M0 // m)
+            else cyclotomic_radical_polynomial(cls.qprime, cls.c0, cls.M0 // m)
         ).shift(nd.beta ** m)
     return first_newton_slope(f, p) + (m - 1) * o
-
-
-@lru_cache(maxsize=1024)
-def _power_polynomial(q: int, c0: Fraction, k: int) -> UniPoly:
-    """c0^phi(q) Phi_q(X^k / c0), kept for the scans at other base points."""
-    return radical_polynomial(cyclotomic_poly(q).coeffs, c0, k)
 
 
 def first_newton_slope(f: UniPoly, p: int) -> Fraction:
@@ -349,9 +342,9 @@ def unity_neighbor_count(p: int, eps: float) -> int:
     count = 1  # xi = 1
     n = 1
     while True:
-        size = p ** (-1.0 / (p ** (n - 1) * (p - 1)))
-        if size >= eps:
+        phi = euler_phi(p ** n)
+        if p ** (-1.0 / phi) >= eps:
             break
-        count += euler_phi(p ** n)
+        count += phi
         n += 1
     return count

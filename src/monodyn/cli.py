@@ -139,7 +139,9 @@ def _cmd_preper(args) -> int:
 
 def _cmd_height(args) -> int:
     G = _load_semigroup(args.config)
-    g1, g2 = _word(G, args.g1), _word(G, args.g2) or (0,)
+    g1, g2 = _word(G, args.g1), _word(G, args.g2)
+    if not g2:
+        raise InvalidConfig("--g2 must name a nonempty period word")
     est = canonical_height_iterative(G, SequenceSpec(g1, g2), args.beta,
                                      args.tol)
     closed = canonical_height_closed(G, g1, g2, args.beta)

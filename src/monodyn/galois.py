@@ -7,7 +7,7 @@ Galois field F = Q(zeta_L, rho): its automorphisms are the pairs
 (k in (Z/L)^x, m in Z/M0) acting by zeta_L -> zeta_L^k, rho -> zeta_M0^m rho.
 
 All pairs occur, except that when M0 is even and sqrt(c0) lies in Q(zeta_L)
-(conductor of Q(sqrt(c0)) divides L) the single constraint
+(its conductor f, from entanglement alone, divides L) the single constraint
 (-1)^m = chi(k) applies, with chi the quadratic character of Q(sqrt(c0)).
 This is complete: the canonical form forces X^M0 - c0 irreducible, and the
 maximal abelian subfield of Q(rho) is Q(sqrt(c0)) for even M0 and Q for odd
@@ -26,13 +26,15 @@ are built only when asked for.
 Class polynomials: multiplying out the m-fibers (prod_m (X - zeta_M0^m y)
 = X^M0 - y^M0) and collapsing the k-sum to primitive q'-th roots gives
 W(X) = c0^phi(q') Phi_{q'}(X^M0 / c0), with Phi_{q'} the integer Moebius
-product of the X^(q'/d) - 1.  W is monic of degree M0 phi(q'), the
+product of the X^(q'/d) - 1 over primes.moebius_divisors(q'), built once
+by cyclotomic_radical_polynomial.  W is monic of degree M0 phi(q'), the
 minimal polynomial of every class of that full degree: cyclotomic
 (M0 = 1), real radical, plain, and entangled classes equal to their own
 1/M0-shifted twin.  Only a genuine twin (degree
 M0 phi(q')/2) is a proper factor of W: with c0 = d s^2, d squarefree, it is
 one of the two Aurifeuillian factors of d^phi(q') Phi_{q'}(y^2 / d) at
-y = X^(M0/2) / s, built exactly from Gauss-sum power sums.
+y = X^(M0/2) / s, built exactly from Gauss-sum power sums; d is read back
+from the conductor the twin holds.
 
 Class norms: one ClassNormData per (class, beta) holds the local terms of
 |Nm(beta - alpha)| = |f(beta)|, f the class polynomial, each computed once;
@@ -58,9 +60,10 @@ from functools import cached_property, lru_cache
 from .errors import BetaIsConjugate, DegreeCapExceeded, ZeroInput
 from .exactreal import PosReal
 from .places import _log_fraction, _log_int
-from .polynomials import UniPoly, _moebius_divisors, cyclotomic_poly
-from .primes import (divisors, factor_fraction, factorint, kronecker, ord_p,
-                     power_product, quadratic_conductor)
+from .polynomials import UniPoly, cyclotomic_poly
+from .primes import (divisors, euler_phi, factor_fraction, factorint,
+                     kronecker, moebius_divisors, ord_p, power_product,
+                     quadratic_conductor)
 from .radical import RadicalPoint
 from .semigroup import check_printable
 
@@ -115,14 +118,6 @@ def _primitive_root_mod_p(p: int) -> int:
 
 # ---------------------------------------------------------------------------
 # conjugacy classes of the roots of X^N - a
-
-
-@lru_cache(maxsize=None)
-def _qprime_data(q: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(phi(q), the pairs (q / d, mu(d)) over the squarefree d | q): the
-    Moebius pieces Phi_q = prod (X^(q/d) - 1)^mu(d), once per q."""
-    pieces = tuple((q // d, mu) for d, mu in _moebius_divisors(q))
-    return sum(j * mu for j, mu in pieces), pieces
 
 
 def _twin_sign(r: int, q: int, f: int) -> int:
@@ -182,7 +177,7 @@ class ConjugacyClass:
 
     @cached_property
     def degree(self) -> int:
-        full = self.M0 * _qprime_data(self.qprime)[0]
+        full = self.M0 * euler_phi(self.qprime)
         return full // 2 if self.sign else full
 
     @cached_property
@@ -227,7 +222,7 @@ class ConjugacyClass:
         """Number of step-1/M0 arithmetic progressions forming the angles:
         the distinct residues M0 t mod 1, which are the phi(q') fractions of
         exact order q'."""
-        return _qprime_data(self.qprime)[0]
+        return euler_phi(self.qprime)
 
 
 def _discrepancy(ks, L: int) -> Fraction:
@@ -239,17 +234,16 @@ def _discrepancy(ks, L: int) -> Fraction:
     return Fraction(L + max(u) - min(u), n * L)
 
 
-def _kernel(modulus: PosReal, M0: int) -> int:
-    """The squarefree part d of c0 = modulus^M0, read off the exponents."""
-    return math.prod(p for p, e in modulus.exps.items() if e * M0 % 2)
-
-
 def entanglement(modulus: PosReal, M0: int) -> int:
     """Conductor f of Q(sqrt(c0)), c0 = modulus^M0, when M0 is even and
-    sqrt(c0) irrational; 0 otherwise.  sqrt(c0) is entangled with zeta_L
+    sqrt(c0) irrational; 0 otherwise: the one derivation of f and of the
+    kernel d of c0, the product of the p with ord_p c0 = M0 e_p odd, an
+    integer as the denominator of each exponent e_p of the modulus divides
+    M0 (a twin reads d back from f).  sqrt(c0) is entangled with zeta_L
     exactly when f | L."""
-    d = 1 if M0 % 2 else _kernel(modulus, M0)
     # odd M0 or sqrt(c0) rational: the m-parity is free, no constraint
+    d = 1 if M0 % 2 else math.prod(p for p, e in modulus.exps.items()
+                                   if e.numerator * (M0 // e.denominator) % 2)
     return 0 if d == 1 else quadratic_conductor(d)
 
 
@@ -277,8 +271,8 @@ def decompose_binomial_roots(N: int, a: Fraction) -> list[ConjugacyClass]:
     least residue): classes of one binomial have disjoint angles, so the
     order is strict.  With e_p the exponents of |a| and n = gcd(N, e_p ...),
     |a|^(1/N) has the radical form c0 = prod p^(e_p / n), M0 = N / n, and
-    the conductor f of Q(sqrt(d)) for even M0, d the product of the p with
-    e_p / n odd (f = 0 for d = 1).  M0 t has order q' = 2n / gcd(num, 2n)
+    the conductor f = entanglement(modulus, M0) of Q(sqrt(c0)) (0 for odd
+    M0 or rational sqrt(c0)).  M0 t has order q' = 2n / gcd(num, 2n)
     at t = num / 2N (num even for a > 0, odd for a < 0): q' | n for a > 0,
     2n / g for odd g | n for a < 0.  _qprime_set gives each q'-set's
     classes, with f taken at the class's level M0 lcm(2, q').  OverflowGuard
@@ -298,8 +292,7 @@ def decompose_binomial_roots(N: int, a: Fraction) -> list[ConjugacyClass]:
     c0 = Fraction(num, den)
     modulus = PosReal.of_radical({p: Fraction(e, N) for p, e in exps.items()},
                                  c0, M0)
-    d = 1 if M0 % 2 else math.prod(p for p, e in exps.items() if e // n % 2)
-    f = quadratic_conductor(d) if d > 1 else 0
+    f = entanglement(modulus, M0)
     qs = divisors(n) if a > 0 else \
         [2 * n // g for g in divisors(n // (n & -n))]     # g | n odd
     out = sorted((cls for q in qs
@@ -341,9 +334,9 @@ def class_polynomial(cls: ConjugacyClass,
 
     Both kinds are r^n B(X^k / r) for a monic integer B of degree n, built
     coefficient by coefficient: W = c0^phi(q') Phi_{q'}(X^M0 / c0) for a
-    class of full degree M0 phi(q') (B = Phi_{q'}, r = c0, k = M0), and
-    for a genuine twin one Aurifeuillian factor of W (B and r from
-    _twin_factor, k = M0 / 2).
+    class of full degree M0 phi(q') (cyclotomic_radical_polynomial at
+    k = M0), and for a genuine twin one Aurifeuillian factor of W (B and r
+    from _twin_factor, k = M0 / 2).
     DegreeCapExceeded past degree_cap, before anything is computed.
     """
     if cls.degree > degree_cap:
@@ -351,8 +344,14 @@ def class_polynomial(cls: ConjugacyClass,
     if cls.sign:
         B, r = _twin_factor(cls)
         return radical_polynomial(B, r, cls.M0 // 2)
-    return radical_polynomial(cyclotomic_poly(cls.qprime).coeffs, cls.c0,
-                              cls.M0)
+    return cyclotomic_radical_polynomial(cls.qprime, cls.c0, cls.M0)
+
+
+@lru_cache(maxsize=1024)
+def cyclotomic_radical_polynomial(q: int, c0: Fraction, k: int) -> UniPoly:
+    """c0^phi(q) Phi_q(X^k / c0), kept for the scans at other base points: a
+    full class's polynomial at k = M0, that of its (M0/k)-th powers below."""
+    return radical_polynomial(cyclotomic_poly(q).coeffs, c0, k)
 
 
 def radical_polynomial(B, r: Fraction, k: int) -> UniPoly:
@@ -367,31 +366,33 @@ def _twin_factor(cls: ConjugacyClass) -> tuple[tuple[int, ...], Fraction]:
 
     With c0 = d s^2 (d squarefree) and y = X^(M0/2) / s,
     W = s^(2 phi) (-1)^phi B(y) B(-y); the class takes B(sign y), its
-    twin sign, so r = sign * s.
+    twin sign, so r = sign * s.  d is read back from the twin's conductor
+    f, the discriminant of Q(sqrt(d)): d = f for odd f, f / 4 otherwise.
     """
-    d = _kernel(cls.modulus, cls.M0)
-    s2 = cls.c0 / d
+    f = cls.conductor
+    s2 = cls.c0 / (f if f % 2 else f // 4)
     s = Fraction(math.isqrt(s2.numerator), math.isqrt(s2.denominator))
-    return _aurifeuillian_factor(cls.qprime, d), cls.sign * s
+    return _aurifeuillian_factor(cls.qprime, f), cls.sign * s
 
 
 @lru_cache(maxsize=None)
-def _aurifeuillian_factor(q: int, d: int) -> tuple[int, ...]:
+def _aurifeuillian_factor(q: int, f: int) -> tuple[int, ...]:
     """Coefficients, low to high, of the monic integer factor B(y) of
     d^phi(q) Phi_q(y^2 / d) whose roots are sqrt(d) e^(pi i r / q) with
     chi(r) = 1 for odd r and chi(r + q) = -1 for even r, chi = kronecker(f, .)
-    for the conductor f of Q(sqrt(d)) (Brent, Math. Comp. 61 (1993)).
+    for the conductor f of Q(sqrt(d)), d = f for odd f and f / 4 otherwise
+    (Brent, Math. Comp. 61 (1993)).
 
     Its power sums s_j are integers: Ramanujan sums mod m = 2q for even j,
     Gauss sums of chi for odd j, both in closed form from g = gcd(m, j);
     Newton's identities give the coefficients with exact integer division.
     """
-    n, m = _qprime_data(q)[0], 2 * q
-    f = quadratic_conductor(d)
-    root_df = d if d % 4 == 1 else 2 * d    # sqrt(d f): sqrt(d) * Gauss sum
+    n, m = euler_phi(q), 2 * q
+    # d, and sqrt(d f): sqrt(d) times the Gauss sum
+    d, root_df = (f, f) if f % 2 else (f // 4, f // 2)
 
     def mobius(k):
-        return dict(_moebius_divisors(k)).get(k, 0)
+        return dict(moebius_divisors(k)).get(k, 0)
     sums = [0]
     for j in range(1, n + 1):
         g = math.gcd(m, j)
@@ -403,7 +404,7 @@ def _aurifeuillian_factor(q: int, d: int) -> tuple[int, ...]:
         else:
             val = (kronecker(f, j // g) * mobius(mj // f)
                    * kronecker(f, mj // f) * d ** (j // 2) * root_df)
-        sums.append(val * n // _qprime_data(mj)[0])
+        sums.append(val * n // euler_phi(mj))
     a = [1]                     # B = y^n + a_1 y^(n-1) + ... + a_n
     for k in range(1, n + 1):
         a.append(-sum(sums[i] * a[k - i] for i in range(1, k + 1)) // k)
@@ -487,11 +488,11 @@ class ClassNormData:
         if self.value is not None:
             total = _log_fraction(self.value)
         else:
-            phi, pieces = _qprime_data(self.cls.qprime)
-            total = phi * self.cls.log_c0
+            q = self.cls.qprime
+            total = euler_phi(q) * self.cls.log_c0
             log_x = _log_fraction(self.x)
-            for j, mu in pieces:
-                total += mu * _log_abs_power_minus_one(self.x, j, log_x)
+            for d, mu in moebius_divisors(q):
+                total += mu * _log_abs_power_minus_one(self.x, q // d, log_x)
         self.__dict__["_log"] = total
         return total
 
@@ -538,7 +539,7 @@ def class_norm_data(cls: ConjugacyClass, beta: Fraction) -> ClassNormData:
     qprime, M0, c0 = cls.qprime, cls.M0, cls.c0
     x = Fraction(beta.numerator ** M0 * c0.denominator,
                  beta.denominator ** M0 * c0.numerator)
-    n = _qprime_data(qprime)[0]
+    n = euler_phi(qprime)
     value = None
     if cls.sign:
         B, r = _twin_factor(cls)
@@ -569,7 +570,7 @@ def _ord_full_norm(q: int, x: Fraction, p: int, v: int, oc: int) -> int:
     except that Phi_2(x) = x + 1 at p = 2.  Then x mod p^j comes from the
     numerator and denominator of x, both p-units.
     """
-    phi = _qprime_data(q)[0]
+    phi = euler_phi(q)
     if v:
         return phi * (oc + min(v, 0))
     base = phi * oc

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ZeroInput
-from .primes import factorint, ord_p
+from .primes import euler_phi, moebius_divisors, ord_p
 from .semigroup import rational_text
 
 
@@ -267,25 +267,15 @@ def cyclotomic_poly(n: int) -> UniPoly:
     X^(phi(n) + 1), where the product is exact."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    pieces = _moebius_divisors(n)
-    top = sum(mu * (n // d) for d, mu in pieces)
+    top = euler_phi(n)
     cs = [1] + [0] * top
-    for d, mu in pieces:
+    for d, mu in moebius_divisors(n):
         # times X^k - 1 (old values, downwards) or over it (new values,
         # upwards): both are c_i <- c_(i-k) - c_i
         k = n // d
         for i in (range(top, -1, -1) if mu == 1 else range(top + 1)):
             cs[i] = (cs[i - k] if i >= k else 0) - cs[i]
     return UniPoly(tuple(Fraction(c) for c in cs))
-
-
-@lru_cache(maxsize=None)
-def _moebius_divisors(n: int) -> tuple[tuple[int, int], ...]:
-    """(d, mu(d)) over squarefree divisors d of n."""
-    out = [(1, 1)]
-    for p in factorint(n):
-        out += [(d * p, -mu) for d, mu in out]
-    return tuple(out)
 
 
 def newton_polygon_root_valuations(f: UniPoly, p: int) -> list[Fraction]:

@@ -9,28 +9,36 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import FactorBudgetExceeded, ZeroInput
-
-# Deterministic witness set, valid for all n < 3,317,044,064,679,887,385,961,981.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Pollard rho word operations per composite over all its seeds: a step mod
 # n of w 64-bit words costs w^2, a cycle-search round of length r 2r steps.
 # 2^24 is twice what a 77-bit composite took in the tests.
 RHO_WORD_BUDGET = 1 << 24
 
-_SMALL_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
-    151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229,
-)
+
+def _sieve_primes(limit: int) -> tuple[int, ...]:
+    mark = bytearray([1]) * (limit + 1)
+    mark[0:2] = b"\0\0"
+    for i in range(2, int(limit ** 0.5) + 1):
+        if mark[i]:
+            mark[i * i::i] = b"\0" * len(mark[i * i::i])
+    return tuple(i for i in range(limit + 1) if mark[i])
+
+
+# the primes below 1000: factorint's trial divisors, and the primes at which
+# factor_poly reads Newton polygons.  is_prime trial-divides by the first 50
+# (up to 229) and takes the first 12 (up to 37) as its Miller-Rabin witness
+# set, deterministic for all n < 3,317,044,064,679,887,385,961,981.
+TRIAL_PRIMES = _sieve_primes(1000)
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in TRIAL_PRIMES[:50]:
         if n == p:
             return True
         if n % p == 0:
@@ -40,7 +48,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in TRIAL_PRIMES[:12]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -95,20 +103,6 @@ def _pollard_brent(n: int) -> int:
         seed += 1
 
 
-def _sieve_primes(limit: int) -> tuple[int, ...]:
-    mark = bytearray([1]) * (limit + 1)
-    mark[0:2] = b"\0\0"
-    for i in range(2, int(limit ** 0.5) + 1):
-        if mark[i]:
-            mark[i * i::i] = b"\0" * len(mark[i * i::i])
-    return tuple(i for i in range(limit + 1) if mark[i])
-
-
-# the primes below 1000: factorint's trial divisors, and the primes at which
-# factor_poly reads Newton polygons
-TRIAL_PRIMES = _sieve_primes(1000)
-
-
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}; n must be nonzero."""
     if n == 0:
@@ -144,7 +138,7 @@ def _perfect_power(n: int) -> tuple[int, int] | None:
     """(b, k) with n = b^k for a prime k, or None (prime k suffices here)."""
     if n < 4:
         return None
-    for k in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+    for k in TRIAL_PRIMES[:18]:             # the primes up to 61
         if k >= n.bit_length():
             break
         b = _iroot(n, k)
@@ -233,13 +227,22 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+@lru_cache(maxsize=None)
+def moebius_divisors(n: int) -> tuple[tuple[int, int], ...]:
+    """(d, mu(d)) over the squarefree divisors d of n, once per n: the
+    Moebius pieces of Phi_n = prod (X^(n/d) - 1)^mu(d) and of phi(n)."""
+    out = [(1, 1)]
+    for p in factorint(n):
+        out += [(d * p, -mu) for d, mu in out]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
+    """phi(n), the sum of mu(d) n / d over the squarefree d | n."""
     if n < 1:
         raise ValueError("euler_phi expects n >= 1")
-    out = n
-    for p in factorint(n) if n > 1 else {}:
-        out -= out // p
-    return out
+    return sum(mu * (n // d) for d, mu in moebius_divisors(n))
 
 
 def quadratic_conductor(d: int) -> int:

@@ -233,7 +233,6 @@ class ClassVerdict:
     degree: int
     word: Word
     prefix: int
-    first_length: int
     s_integral: bool
     bad_primes: tuple[int, ...]
     certified: bool
@@ -247,7 +246,7 @@ class ClassVerdict:
         d.update({
             "degree": self.degree,
             "witness": [format_word(self.word), self.prefix],
-            "word_length": self.first_length,
+            "word_length": len(self.word),
             "s_integral": self.s_integral,
             "bad_primes": list(self.bad_primes),
             "certified": self.certified,
@@ -317,12 +316,12 @@ class ScanReport:
 
 def _scan_distance_checks(nd: ClassNormData,
                           certs: list[tuple[Place, DistanceBoundCert]],
-                          h_beta: float, bounds: dict | None = None):
+                          h_beta: float, bounds: dict):
     """(place, ok) rows of the class nd.cls at beta = nd.beta, whose height
     is h_beta: class_min_log_distances against each certificate's bound.
     bounds keeps a scan's (place name, -bound) rows by (degree, MQ), MQ
     put at 2 past degree 1, where no bound reads it."""
-    cls, bounds = nd.cls, {} if bounds is None else bounds
+    cls = nd.cls
     key = cls.degree, 2 if cls.degree > 1 else max(
         2, cls.M0 * cls.first_angle.denominator)
     rows = bounds.get(key)
@@ -478,7 +477,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
                 notes.append(f"gamma residual {gamma.residual:.2e} above tol "
                              f"at degree {cls.degree}")
             verdicts.append(ClassVerdict(
-                cls.representative, cls.degree, w, m, len(w),
+                cls.representative, cls.degree, w, m,
                 integ.s_integral, integ.known_bad, integ.certified,
                 gamma.residual, dist, float(cls.discrepancy),
                 cls.progressions()))
@@ -517,7 +516,7 @@ def _by_length(verdicts: list[ClassVerdict], points=False) -> dict[int, int]:
     """Classes, or their points, per first word length."""
     out: dict[int, int] = {}
     for v in verdicts:
-        L = v.first_length
+        L = len(v.word)
         out[L] = out.get(L, 0) + (v.degree if points else 1)
     return out
 

@@ -4,12 +4,13 @@ discrepancy by brute force over arcs, irreducibility evidence apart from
 factor_poly (with the rational root sieve), factor_poly's prime choice and
 Hensel lift without their shortcuts, the split a = xi * x^l of a
 rational apart from preper.structure_decompose, the classes of X^N = a
-through the general PosReal route apart from the integer kernel of
-galois.decompose_binomial_roots, the argument scaling that chains the
-closed-form class polynomial, and the class norm's log with
-each log taken where it is used, and the small radical-point and polynomial
-helpers only tests call (roots of unity, complex values, integer powers, the
-least rational power, the zero polynomial).
+through the general PosReal route, and the kernel and conductor of
+Q(sqrt(c0)) by the Fraction rule, apart from the integers of
+galois.decompose_binomial_roots and galois.entanglement, the argument
+scaling that chains the closed-form class polynomial, and the class norm's
+log with each log taken where it is used, and the small radical-point and
+polynomial helpers only tests call (roots of unity, complex values, integer
+powers, the least rational power, the zero polynomial).
 
 Simultaneous (Durand-Kerner) iteration in mpmath arithmetic.  The a
 posteriori certificate is the classical Weierstrass inclusion: for monic f of
@@ -37,7 +38,8 @@ from monodyn.polyfactor import (_distinct_degree, _equal_degree_split,
                                 _pgcdext, _pmul, _psub, _squarefree_mod,
                                 _subset_sums, factor_poly)
 from monodyn.polynomials import UniPoly
-from monodyn.primes import divisors, factor_fraction, power_product
+from monodyn.primes import (divisors, factor_fraction, moebius_divisors,
+                            power_product, quadratic_conductor)
 from monodyn.radical import RadicalPoint
 from monodyn.semigroup import Semigroup, Word, check_printable
 
@@ -355,19 +357,33 @@ def decompose_by_radical_form(N: int, a: Fraction
                               ) -> list[galois.ConjugacyClass]:
     """The classes of X^N = a, uncached, in first-angle order: the modulus
     PosReal.of(a, 1/N), its radical_form() (the lcm of the exponent
-    denominators and one power product) and galois.entanglement, then the
-    q'-sets over the divisors of n = N / M0 (their 2n / g, g | n odd, for
-    a < 0).  OverflowGuard when c0 cannot be printed."""
+    denominators and one power product) and entanglement_by_fraction, then
+    the q'-sets over the divisors of n = N / M0 (their 2n / g, g | n odd,
+    for a < 0).  OverflowGuard when c0 cannot be printed."""
     modulus = PosReal.of(a, Fraction(1, N))
     c0, M0 = modulus.radical_form()
     check_printable(c0)
-    f = galois.entanglement(modulus, M0)
+    f = entanglement_by_fraction(modulus, M0)
     n = N // M0
     odd = n // (n & -n)
     qs = divisors(n) if a > 0 else [2 * n // g for g in divisors(odd)]
     return sorted((cls for q in qs
                    for cls in galois._qprime_set(modulus, c0, M0, q, f)),
                   key=lambda c: c.first_angle)
+
+
+def quadratic_kernel(modulus: PosReal, M0: int) -> int:
+    """The squarefree part d of c0 = modulus^M0: the product of the p whose
+    ord_p c0, the Fraction e_p * M0, is odd."""
+    return math.prod(p for p, e in modulus.exps.items() if e * M0 % 2)
+
+
+def entanglement_by_fraction(modulus: PosReal, M0: int) -> int:
+    """galois.entanglement by the Fraction rule: the conductor of
+    Q(sqrt(d)) for even M0 and d = quadratic_kernel(modulus, M0) != 1,
+    else 0."""
+    d = 1 if M0 % 2 else quadratic_kernel(modulus, M0)
+    return 0 if d == 1 else quadratic_conductor(d)
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +398,13 @@ def scale_arg(f: UniPoly, r) -> UniPoly:
 
 def log_w_by_piece(nd: galois.ClassNormData) -> float:
     """ClassNormData.log_w with log|x| taken again for every Moebius piece
-    and log c0 for every record: the floats it must equal bit for bit."""
+    and log c0 for every record, phi(q') summed from the pieces of
+    primes.moebius_divisors: the floats it must equal bit for bit."""
     if nd.value is not None:
         return _log_fraction(abs(nd.value))
-    phi, pieces = galois._qprime_data(nd.cls.qprime)
-    total = phi * _log_fraction(nd.cls.c0)
+    q = nd.cls.qprime
+    pieces = [(q // d, mu) for d, mu in moebius_divisors(q)]
+    total = sum(j * mu for j, mu in pieces) * _log_fraction(nd.cls.c0)
     for j, mu in pieces:
         total += mu * galois._log_abs_power_minus_one(
             nd.x, j, _log_fraction(abs(nd.x)))

@@ -340,6 +340,7 @@ BAD_ARGV = (
     ["scan", "--beta", "2", "-S", "4"],
     ["height", "--beta", "2", "--g2", "3"],
     ["height", "--beta", "2", "--g2", "0"],
+    ["height", "--beta", "2", "--g2", ""],
     ["height", "--beta", "2", "--tol", "0"],
     ["height", "--beta", "0"],
     ["equid", "--nodes", "8"],

@@ -1,10 +1,11 @@
-"""Every function, method and class defined in src/ is referenced somewhere
-in src/, tests/ or perfbench/.  A module-level function or a class counts
-as used when a name, an attribute, an import alias or a string in perfbench
-(its span targets name what they wrap) names it.  A method or property
-counts as used only when an attribute access (.name) or a string in
-perfbench names it: a bare name that matches it is some other variable,
-as q is.  No linter is a dependency, so the check parses the files with ast.
+"""Every function, method, class and module-level constant defined in src/
+is referenced somewhere in src/, tests/ or perfbench/.  A module-level
+function, a class or a constant counts as used when a name it does not
+assign, an attribute, an import alias or a string in perfbench (its span
+targets name what they wrap) names it, so a table nothing reads fails.  A
+method or property counts as used only when an attribute access (.name) or
+a string in perfbench names it: a bare name that matches it is some other
+variable, as q is.  No linter is a dependency, so the check parses the files with ast.
 
 What it still cannot see: which class an attribute access reaches.  A
 method that shares its name with another class's method counts as used
@@ -22,23 +23,34 @@ PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 def definitions(source: str) -> list[tuple[str, int, bool]]:
     """(name, line, is a method) of the functions, methods and classes a
-    module defines, dunder methods aside: Python calls those itself."""
+    module defines, then of the names its top-level assignments bind,
+    dunders aside: Python calls those methods itself, and __version__ is
+    read from outside."""
     tree = ast.parse(source)
     methods = {id(node) for cls in ast.walk(tree)
                if isinstance(cls, ast.ClassDef) for node in cls.body}
-    return [(node.name, node.lineno, id(node) in methods)
+    defs = [(node.name, node.lineno, id(node) in methods)
             for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))]
+                                 ast.ClassDef))]
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target])
+            defs += [(node.id, node.lineno, False) for target in targets
+                     for node in ast.walk(target)
+                     if isinstance(node, ast.Name)]
+    return [(name, line, method) for name, line, method in defs
+            if not (name.startswith("__") and name.endswith("__"))]
 
 
 def references(source: str, strings: bool = False) -> tuple[set, set]:
     """(names, attributes): the names a module reads and imports, and the
-    attributes it takes; with strings, its string constants join both."""
+    attributes it takes; with strings, its string constants join both.  A
+    name it only assigns is not read."""
     names, attrs = set(), set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             attrs.add(node.attr)
@@ -69,20 +81,28 @@ def test_the_check_sees_dead_definitions():
     source = ("class A:\n    def used(self):\n        return self.used\n"
               "    def dead(self):\n        pass\n    def __eq__(self, o):\n"
               "        pass\n    @property\n    def q(self):\n        pass\n"
-              "def f():\n    pass\nfrom m import g\nq = 1\nprint(q)\n")
+              "def f():\n    pass\nfrom m import g\nq = 1\nprint(q)\n"
+              "_TABLE: tuple = (2, 3, 5)\n__version__ = '0'\n")
     assert definitions(source) == [("A", 1, False), ("f", 11, False),
                                    ("used", 2, True), ("dead", 4, True),
-                                   ("q", 9, True)]
+                                   ("q", 9, True), ("q", 14, False),
+                                   ("_TABLE", 16, False)]
     names, attrs = references(source)
     assert "g" in names and "used" in attrs and "q" in names - attrs
     assert "dead" not in names | attrs | references(source, True)[0]
+    assert "_TABLE" not in names | attrs        # assigned, never read
     assert "x" in references("t = ('x', 1)\n", strings=True)[1]
     assert "x" not in references("t = ('x', 1)\n")[1]
-    # q, a method, is read only as a bare name; f, a function, by its name
+    # q, a method, is read only as a bare name; f, a function, by its name;
+    # the constant q is read by print, the planted _TABLE by nothing
     user = "from mod import A, f\nf(A())\n"
     assert dead([source], [source, user], []) == [(0, "dead", 4),
-                                                  (0, "q", 9)]
-    assert dead([source], [source, user], ["x = 'q'\n"]) == [(0, "dead", 4)]
+                                                  (0, "q", 9),
+                                                  (0, "_TABLE", 16)]
+    assert dead([source], [source, user], ["x = 'q'\n"]) == [(0, "dead", 4),
+                                                             (0, "_TABLE", 16)]
+    assert dead([source], [source, user + "print(mod._TABLE)\n"], []) == \
+        [(0, "dead", 4), (0, "q", 9)]
 
 
 def test_no_dead_definitions():

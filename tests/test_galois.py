@@ -17,12 +17,14 @@ from monodyn.galois import (ClassNormData, class_norm_data,
 from monodyn.polyfactor import factor_poly
 from monodyn.polynomials import UniPoly, cyclotomic_poly
 from monodyn.preper import collision_binomial, minimal_polynomial
-from monodyn.primes import euler_phi, factor_fraction, kronecker, ord_p
+from monodyn.primes import (euler_phi, factor_fraction, kronecker, ord_p,
+                            quadratic_conductor)
 from monodyn.radical import RadicalPoint
 from monodyn.scan import word_pair_classes
 from monodyn.semigroup import Semigroup
-from oracles import (decompose_by_radical_form, log_w_by_piece,
-                     rational_binomial, scale_arg, word_pairs)
+from oracles import (decompose_by_radical_form, entanglement_by_fraction,
+                     log_w_by_piece, quadratic_kernel, rational_binomial,
+                     scale_arg, word_pairs)
 
 POOL = [F(x) for x in ("2", "3", "4", "-2", "-3", "-4", "8", "9", "-8", "16",
                        "-16", "1/2", "-1/2", "4/9", "-4/9", "12", "-12",
@@ -180,7 +182,8 @@ def test_aurifeuillian_factors():
     # to 220 included (0.2 to 1.3 s each on a 2-core Xeon, Python 3.11)
     for q, d in TWIN_PAIRS + EXTRA_PAIRS:
         n = euler_phi(q)
-        B = UniPoly.from_coeffs(galois._aurifeuillian_factor(q, d))
+        B = UniPoly.from_coeffs(
+            galois._aurifeuillian_factor(q, quadratic_conductor(d)))
         assert B.degree == n and B.lead == 1
         B_neg = UniPoly.from_coeffs([c * (-1) ** (n - i)
                                      for i, c in enumerate(B.coeffs)])
@@ -524,3 +527,56 @@ def test_log_w_equals_the_per_piece_logs():
             assert nd.log_w() == log_w_by_piece(nd), (beta, cls.key)
             checked += nd.value is None
     assert checked > 500
+
+
+def _stream(pairs, depth: int):
+    """The classes of the semigroup's word pairs up to depth."""
+    G = Semigroup.from_pairs(pairs)
+    return (cls for cls, _, _ in word_pair_classes(G, depth))
+
+
+def _binomial_classes():
+    """The classes of X^N = a for N <= 12 and a in POOL or ODD_CONDUCTORS,
+    and of TWIN_EXTRAS: conductors (8, 5, 13, ...) no test semigroup
+    reaches."""
+    for N, a in [(N, a) for N in range(1, 13)
+                 for a in POOL + ODD_CONDUCTORS] + TWIN_EXTRAS:
+        yield from decompose_binomial_roots(N, a)
+
+
+def test_integer_entanglement_matches_the_fraction_rule():
+    # the kernel read off numerator * (M0 // denominator) of each exponent
+    # against the Fraction products e_p M0, on every class of {2z^2, 3z^3}
+    # to depth 6 and of {-5/2 z^3, 4z^-2} to depth 5 (conductors 0, 12 and
+    # 40), then on _binomial_classes; a class keeps the conductor exactly
+    # when it divides its level M0 lcm(2, q')
+    seen = []
+    for classes in (_stream([("2", 2), ("3", 3)], 6),
+                    _stream([("-5/2", 3), ("4", -2)], 5), _binomial_classes()):
+        seen.append(set())
+        for cls in classes:
+            f = galois.entanglement(cls.modulus, cls.M0)
+            assert f == entanglement_by_fraction(cls.modulus, cls.M0), cls.key
+            level = cls.M0 * math.lcm(2, cls.qprime)
+            assert cls.conductor == (f if f and level % f == 0 else 0)
+            seen[-1].add(f)
+    assert seen[:2] == [{0, 12}, {0, 40}]
+    assert {0, 5, 8, 12, 13, 21, 24, 40, 60}.issubset(seen[2]), seen[2]
+
+
+def test_twin_factor_reads_the_kernel_of_its_conductor():
+    # d = f or f / 4 from the twin's conductor: c0 = d r^2 for the
+    # reference kernel d, whose conductor the twin holds, on every genuine
+    # twin of the three test semigroups to depth 6 and of _binomial_classes
+    counts = {True: 0, False: 0}        # by odd conductor
+    for classes in [*(_stream(pairs, 6) for pairs in TEST_SEMIGROUPS),
+                    _binomial_classes()]:
+        for cls in classes:
+            if not cls.sign:
+                continue
+            d = quadratic_kernel(cls.modulus, cls.M0)
+            _, r = galois._twin_factor(cls)
+            assert cls.c0 == d * r ** 2, cls.key
+            assert cls.conductor == quadratic_conductor(d), cls.key
+            counts[cls.conductor % 2 == 1] += 1
+    assert counts[True] >= 2 and counts[False] > 200, counts

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -137,6 +138,15 @@ def _cyclotomic_by_division(n, cache={}):
 def test_cyclotomic_moebius_product_matches_division():
     for n in range(1, 401):
         assert list(cyclotomic_poly(n).coeffs) == _cyclotomic_by_division(n), n
+
+
+def test_cyclotomic_degree_is_euler_phi():
+    # the degree of the Moebius product against phi(n) counted by gcds
+    for n in range(1, 301):
+        f = cyclotomic_poly(n)
+        assert f.degree == euler_phi(n) == \
+            sum(math.gcd(k, n) == 1 for k in range(1, n + 1)), n
+        assert f.lead == 1
 
 
 def test_newton_polygon_examples():

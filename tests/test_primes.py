@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -6,7 +7,8 @@ import pytest
 from monodyn import primes
 from monodyn.errors import FactorBudgetExceeded, RootOfUnityInput, ZeroInput
 from monodyn.primes import (euler_phi, factor_fraction, factorint, is_prime,
-                            kronecker, ord_p, quadratic_conductor)
+                            kronecker, moebius_divisors, ord_p,
+                            quadratic_conductor)
 from oracles import max_power_exponent
 
 
@@ -136,14 +138,45 @@ def test_kronecker_against_legendre():
 
 
 def test_quadratic_kernel_conductor():
-    # the squarefree part d of c0 = modulus^M0, read off the exponents
+    # the conductor of Q(sqrt(c0)), c0 = modulus^M0, from its kernel d, the
+    # squarefree part of c0 read off the exponents: the kernels 2, 3, 3, 3
+    # and 1 of 8, 12, 1/3, sqrt(12) and 36^(1/4), as even-M0 radicals
     from monodyn.exactreal import PosReal
-    from monodyn.galois import _kernel
-    assert _kernel(PosReal.of(8), 1) == 2
-    assert _kernel(PosReal.of(12), 1) == 3
-    assert _kernel(PosReal.of(F(1, 3)), 1) == 3
-    assert _kernel(PosReal.of(12, F(1, 2)), 2) == 3     # sqrt(12), c0 = 12
-    assert _kernel(PosReal.of(36, F(1, 4)), 4) == 1     # 6^(1/2) = 36^(1/4)
+    from monodyn.galois import entanglement
+    assert entanglement(PosReal.of(8, F(1, 2)), 2) == 8          # d = 2
+    assert entanglement(PosReal.of(12, F(1, 4)), 4) == 12        # d = 3
+    assert entanglement(PosReal.of(F(1, 3), F(1, 2)), 2) == 12   # d = 3
+    assert entanglement(PosReal.of(12, F(1, 2)), 2) == 12   # sqrt(12), c0 = 12
+    assert entanglement(PosReal.of(36, F(1, 4)), 4) == 0    # 6^(1/2) = 36^(1/4)
+    assert entanglement(PosReal.of(5, F(1, 2)), 2) == 5          # d = 1 mod 4
+    assert entanglement(PosReal.of(12, F(1, 3)), 3) == 0         # odd M0
     assert quadratic_conductor(2) == 8
     assert quadratic_conductor(3) == 12
     assert quadratic_conductor(5) == 5
+
+
+def _mobius_brute(n):
+    """mu(n) by trial division: 0 past a square factor, else (-1)^k."""
+    mu, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return mu
+
+
+def test_moebius_table_and_phi_against_brute_force():
+    # the table lists the squarefree divisors of n with their mu, in any
+    # order; mu(n) and phi(n) read from it match the brute-force values
+    mu = [0] + [_mobius_brute(n) for n in range(1, 2001)]
+    for n in range(1, 2001):
+        table = dict(moebius_divisors(n))
+        assert len(table) == len(moebius_divisors(n))
+        assert table == {d: mu[d] for d in range(1, n + 1)
+                         if n % d == 0 and mu[d]}, n
+        assert table.get(n, 0) == mu[n], n
+        assert euler_phi(n) == \
+            sum(math.gcd(k, n) == 1 for k in range(1, n + 1)), n
