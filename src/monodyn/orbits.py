@@ -32,8 +32,10 @@ NODE_CAP = 10 ** 6
 
 
 def window_radius_exact(G: Semigroup, v: Place) -> PosReal:
-    """r(G, v) <= 1 as an exact positive real."""
-    best: PosReal | None = None
+    """r(G, v) <= 1 as an exact positive real, kept in G._memo."""
+    best = G._memo.get(("window", v))
+    if best is not None:
+        return best
     for g in G.generators:
         e = Fraction(1, abs(g.d) - 1)
         if v.is_archimedean:
@@ -44,6 +46,7 @@ def window_radius_exact(G: Semigroup, v: Place) -> PosReal:
             r = r ** -1
         if best is None or r < best:
             best = r
+    G._memo[("window", v)] = best
     return best
 
 

@@ -52,10 +52,13 @@ def collision_binomial(G: Semigroup, w: Word, m: int) -> CollisionBinomial:
     k = [a - b for a, b in zip(km, kw)]
     if N < 0:
         N, k = -N, [-e for e in k]
-    a = Fraction(1)
-    for g, e in zip(G.generators, k):
-        a *= g.a ** e
-    return CollisionBinomial(N, tuple(k), a)
+    return CollisionBinomial(N, tuple(k), _coefficient_power(G, k))
+
+
+def _coefficient_power(G: Semigroup, exps) -> Fraction:
+    """prod a_i^(e_i) over the generators a_i z^(d_i) of G, exactly."""
+    return math.prod((g.a ** e for g, e in zip(G.generators, exps)),
+                     start=Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +135,7 @@ def structure_decompose(cb: CollisionBinomial, G: Semigroup) -> list[StructuredP
     |a| = modulus^N is a square; otherwise radicand carries a's sign.
     """
     a, N = cb.a, cb.N
-    check = Fraction(1)
-    for g, e in zip(G.generators, cb.exponents):
-        check *= g.a ** e
-    if check != a:
+    if _coefficient_power(G, cb.exponents) != a:
         raise NoRationalBElement("exponents do not reproduce the constant term")
     first = RadicalPoint.from_binomial_root(a, N, 0)
     roots = [RadicalPoint(first.modulus, first.angle + Fraction(j, N))
@@ -153,14 +153,9 @@ def structure_decompose(cb: CollisionBinomial, G: Semigroup) -> list[StructuredP
         li = k - round(Fraction(k, u)) * u if u > 1 else 0
         m_exps.append((k - li) // u)
         ell_exps.append(li)
-    b = radicand
-    for g, mi in zip(G.generators, m_exps):
-        b /= g.a ** mi
+    b = radicand / _coefficient_power(G, m_exps)
     # b is a rational root of X^u - xi prod a_i^{l_i}; verify both sides
-    rhs = Fraction(xi)
-    for g, li in zip(G.generators, ell_exps):
-        rhs *= g.a ** li
-    if b ** u != rhs:
+    if b ** u != xi * _coefficient_power(G, ell_exps):
         raise NoRationalBElement(f"inconsistent reduced radicand for {cb}")
     budget = 1
     for g in G.generators:

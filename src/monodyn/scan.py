@@ -16,6 +16,7 @@ place's distance bound once per degree (and MQ at degree 1).
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -348,48 +349,37 @@ def zero_infinity_verdict(beta: Fraction, S: list[Place]) -> dict:
 
 
 class _ClassTable:
-    """The class stream of one semigroup as grown so far: rows (cls, w, m),
-    each class once with its first witness in (|w|, lex, m) order, and None
-    after the last pair of each word length; error is the exception that
-    ended the stream, raised again at the row where it ended."""
+    """The class stream of one semigroup as read so far.  rows holds what
+    stream, the suspended walk, has yielded: (cls, w, m) for each class once
+    with its first witness in (|w|, lex, m) order, and None after the last
+    pair of each word length.  walked counts the roots walked; error is the
+    exception that ended the stream, raised again at the row where it ended.
+    The walk holds G: a cycle through G._memo, which the collector frees."""
 
-    def __init__(self, limits: tuple[int, int]):
+    def __init__(self, limits: tuple[int, int], G: Semigroup):
         self.limits = limits          # (ROOT_BUDGET, int-to-text digit limit)
         self.rows: list = []
         self.error: Exception | None = None
-        self.pair: tuple[Word, int] = ((0,), 0)     # the next pair to walk
-        self.walked = 0               # roots of the binomials walked
-        self.seen: set = set()
+        self.walked = 0
+        self.stream = self._walk(G)
 
-    def grow(self, G: Semigroup) -> None:
-        """Walk the next word pair: append the rows of its new classes, or
-        store the exception that ends the stream."""
-        w, m = self.pair
-        try:
-            cb = collision_binomial(G, w, m)
-            if self.walked + cb.N > ROOT_BUDGET:
-                raise EnumerationCap(
-                    f"root budget {ROOT_BUDGET} reached at |w| = {len(w)}")
-            classes = decompose_binomial_roots(cb.N, cb.a)
-        except (EnumerationCap, OverflowGuard) as exc:
-            self.error = exc
-            return
-        self.walked += cb.N
-        for cls in classes:
-            if cls.key not in self.seen:
-                self.seen.add(cls.key)
-                self.rows.append((cls, w, m))
-        if m + 1 < len(w):
-            self.pair = w, m + 1
-            return
-        i = len(w) - 1              # the next word, in lex order
-        while i >= 0 and w[i] == G.s - 1:
-            i -= 1
-        if i < 0:
-            self.rows.append(None)
-            self.pair = (0,) * (len(w) + 1), 0
-        else:
-            self.pair = w[:i] + (w[i] + 1,) + (0,) * (len(w) - 1 - i), 0
+    def _walk(self, G: Semigroup):
+        """The rows; EnumerationCap before walked would pass ROOT_BUDGET."""
+        seen = set()
+        for length in itertools.count(1):
+            for w in itertools.product(range(G.s), repeat=length):
+                for m in range(length):
+                    cb = collision_binomial(G, w, m)
+                    if self.walked + cb.N > ROOT_BUDGET:
+                        raise EnumerationCap(f"root budget {ROOT_BUDGET} "
+                                             f"reached at |w| = {length}")
+                    classes = decompose_binomial_roots(cb.N, cb.a)
+                    self.walked += cb.N
+                    for cls in classes:
+                        if cls.key not in seen:
+                            seen.add(cls.key)
+                            yield cls, w, m
+            yield None
 
 
 def word_pair_classes(G: Semigroup, n_max: int):
@@ -401,26 +391,34 @@ def word_pair_classes(G: Semigroup, n_max: int):
 
     G keeps its stream for as long as the object lives, in G._memo: the
     classes read so far, with any angles they have cached (about 1.2 KB a
-    class without them), and the exception that ended the stream, if one
-    did.  A later call replays them and walks a word pair (collision
-    binomial and decomposition) only past the last pair an earlier call
-    read, so scans of G at many base points walk each pair once.  The
-    stream is rebuilt when ROOT_BUDGET or Python's int-to-text digit limit
-    differs from the one it was grown under.  Equal semigroups built apart
-    do not share it."""
+    class without them), the suspended walk, the roots walked and the
+    exception that ended the stream, if one did.  A later call replays the
+    rows and resumes the walk (collision binomial and decomposition) only
+    past the last pair an earlier call read, so scans of G at many base
+    points walk each pair once.  Any other exception from the walk
+    (FactorBudgetExceeded, an interrupt) drops the stream, and the next
+    call grows it again from the first pair.  The stream is rebuilt when
+    ROOT_BUDGET or Python's int-to-text digit limit differs from the one
+    it was grown under.  Equal semigroups built apart do not share it."""
     if n_max < 1:
         raise InvalidConfig("n_max must be >= 1")
     limits = (ROOT_BUDGET, sys.get_int_max_str_digits())
     table = G._memo.get("classes")
     if table is None or table.limits != limits:
-        table = G._memo["classes"] = _ClassTable(limits)
+        table = G._memo["classes"] = _ClassTable(limits, G)
     rows = table.rows
     i = ends = 0
     while True:
         while i == len(rows):
             if table.error is not None:
                 raise table.error.with_traceback(None)
-            table.grow(G)
+            try:
+                rows.append(next(table.stream))
+            except (EnumerationCap, OverflowGuard) as exc:
+                table.error = exc
+            except BaseException:     # a generator cannot resume
+                G._memo.pop("classes", None)
+                raise
         row = rows[i]
         i += 1
         if row is not None:

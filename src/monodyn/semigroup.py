@@ -75,8 +75,9 @@ class MonomialMap:
 class Semigroup:
     """A finitely generated semigroup of monomial maps.  _memo holds what
     is derived from the generators alone and kept while the object lives
-    (the scan's class stream, under "classes"); it is no part of ==, hash,
-    repr, to_json or dataclasses.replace."""
+    (the scan's class stream, under "classes"; the size-window radius
+    r(G, v) of orbits.window_radius_exact, under ("window", v)); it is no
+    part of ==, hash, repr, to_json or dataclasses.replace."""
 
     generators: tuple[MonomialMap, ...]
     _memo: dict = field(init=False, default_factory=dict, compare=False,

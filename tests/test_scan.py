@@ -8,8 +8,9 @@ import pytest
 
 from monodyn import bounds
 from monodyn.bounds import class_min_log_distances, first_newton_slope
-from monodyn.errors import (BetaIsConjugate, EnumerationCap, InvalidConfig,
-                            NotSIntegral, OverflowGuard)
+from monodyn.errors import (BetaIsConjugate, EnumerationCap,
+                            FactorBudgetExceeded, InvalidConfig, NotSIntegral,
+                            OverflowGuard)
 from monodyn.galois import (class_norm_data, class_of_point, class_polynomial,
                             decompose_binomial_roots)
 from monodyn.places import INF, Place
@@ -627,6 +628,31 @@ def test_overflow_guard_replays_and_follows_the_digit_limit():
         sys.set_int_max_str_digits(limit)
     with pytest.raises(OverflowGuard, match="39865-bit"):
         list(word_pair_classes(G, 2))
+
+
+@pytest.mark.parametrize("error", [FactorBudgetExceeded, KeyboardInterrupt])
+def test_walk_failure_drops_the_stream(monkeypatch, error):
+    # the walk, a generator, cannot resume past an exception: it reaches
+    # the consumer, the stream leaves G._memo, and the next consumer grows
+    # it again from the first pair
+    import monodyn.scan as scan
+    decompose = scan.decompose_binomial_roots
+    calls = []
+
+    def failing_once(N, a):
+        calls.append(N)
+        if len(calls) == 20:        # a pair of length 3, of 34 to depth 3
+            raise error("injected")
+        return decompose(N, a)
+    monkeypatch.setattr(scan, "decompose_binomial_roots", failing_once)
+    G = _g2()
+    read = []
+    with pytest.raises(error, match="injected"):
+        read.extend(word_pair_classes(G, 3))
+    assert "classes" not in G._memo and 11 <= len(read) < 38
+    rows = [(cls.key, w, m) for cls, w, m in word_pair_classes(G, 3)]
+    fresh = [(cls.key, w, m) for cls, w, m in word_pair_classes(_g2(), 3)]
+    assert len(rows) == 38 and rows == fresh
 
 
 def test_equal_semigroups_keep_their_own_streams():

@@ -109,6 +109,36 @@ def test_window_radius_examples():
     assert r3 == PosReal({3: F(-1, 2)})
 
 
+def test_window_radius_is_kept_on_the_semigroup(monkeypatch):
+    # the gate asks for r(G, v) at every node it visits; a second gate on
+    # the same G factors no coefficient for a radius
+    import monodyn.exactreal as exactreal
+    import monodyn.orbits as orbits
+    radius, factor = orbits.window_radius_exact, exactreal.factor_fraction
+    depth, factored = [], []
+
+    def traced_radius(G, v):
+        depth.append(v)
+        try:
+            return radius(G, v)
+        finally:
+            depth.pop()
+
+    def traced_factor(x):
+        if depth:
+            factored.append(x)
+        return factor(x)
+    monkeypatch.setattr(orbits, "window_radius_exact", traced_radius)
+    monkeypatch.setattr(exactreal, "factor_fraction", traced_factor)
+    g = G(("2", 2), ("3", 3))
+    x = RadicalPoint.from_rational(F(2))
+    first = is_preperiodic(g, x, 8)
+    assert factored and first.tag == "not_preperiodic"
+    factored.clear()
+    assert is_preperiodic(g, x, 8) == first and factored == []
+    assert g._memo[("window", INF)] is radius(g, INF) == PosReal.of(F(1, 2))
+
+
 def test_posreal_float_views_ignore_insertion_order():
     # summed in insertion order, these two orders differ in the last bit
     items = [(3, F(-3, 2)), (11, F(5, 4)), (2, F(3, 2)), (13, F(-3, 2))]
