@@ -227,13 +227,11 @@ def class_min_log_distances(nd: ClassNormData,
     dividing M0 q', so they are distinct mod p and at most one conjugate
     is closer to beta than o; it carries all of ord_p Nm beyond deg o, and
     log|Nm|_p - (deg - 1) log|beta|_p is exact at every degree.  At
-    p | M0 q' (ramified): _ramified_slope up to EXACT_DEGREE (each shift
-    made once per class and m), past it that same norm expression as a
-    sound lower bound, as no term exceeds log|beta|_p.  Each slope is an
-    integer over M0, divided once."""
+    p | M0 q' (ramified): _ramified_slope up to EXACT_DEGREE, past it that
+    same norm expression as a sound lower bound, as no term exceeds
+    log|beta|_p.  Each slope is an integer over M0, divided once."""
     cls, M0 = nd.cls, nd.cls.M0
     table = nd.table([v.p for v in places if not v.is_archimedean])
-    shifted: dict[int, UniPoly] = {}
     out = []
     for v in places:
         p = v.p
@@ -244,15 +242,14 @@ def class_min_log_distances(nd: ClassNormData,
         if oc != ob:
             slope = -min(oc, ob) / M0
         elif M0 * cls.qprime % p == 0 and cls.degree <= EXACT_DEGREE:
-            slope = float(_ramified_slope(nd, p, ob // M0, shifted))
+            slope = float(_ramified_slope(nd, p, ob // M0))
         else:
             slope = ((cls.degree - 1) * oc - M0 * ow) / M0
         out.append(slope * math.log(p))
     return out
 
 
-def _ramified_slope(nd: ClassNormData, p: int, o: int,
-                    shifted: dict[int, UniPoly]) -> Fraction:
+def _ramified_slope(nd: ClassNormData, p: int, o: int) -> Fraction:
     """The first Newton slope at p of the class polynomial shifted by beta =
     nd.beta, for ord_p alpha = ord_p beta = o, on the p-part of M0.  With
     M0 = p^e m, p prime to m, a full class is closed under gamma -> eta
@@ -265,18 +262,15 @@ def _ramified_slope(nd: ClassNormData, p: int, o: int,
     class, the first slope of that polynomial shifted by beta^m, plus
     (m - 1) o, is that of the class polynomial shifted by beta.  A genuine
     twin keeps m = 1: a shift by an m-th root of unity can flip its sign.
-    shifted keeps the class's shifted polynomials by m."""
+    Each call shifts its polynomial: the minimal polynomial at m = 1, else
+    the cyclotomic radical polynomial at k = M0/m."""
     cls = nd.cls
     m = 1 if cls.sign else cls.M0
     while m % p == 0:
         m //= p
-    f = shifted.get(m)
-    if f is None:
-        f = shifted[m] = (
-            minimal_polynomial(cls.representative) if m == 1
-            else cyclotomic_radical_polynomial(cls.qprime, cls.c0, cls.M0 // m)
-        ).shift(nd.beta ** m)
-    return first_newton_slope(f, p) + (m - 1) * o
+    f = (minimal_polynomial(cls.representative) if m == 1
+         else cyclotomic_radical_polynomial(cls.qprime, cls.c0, cls.M0 // m))
+    return first_newton_slope(f.shift(nd.beta ** m), p) + (m - 1) * o
 
 
 def first_newton_slope(f: UniPoly, p: int) -> Fraction:

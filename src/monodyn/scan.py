@@ -46,13 +46,6 @@ ROOT_BUDGET = 2 * 10 ** 7   # roots walked; depth 9 of {2z^2, 3z^3} walks 19.7 M
 # meets / bad primes / S-integrality
 
 
-def class_meets_at_prime(nd: ClassNormData, p: int) -> bool:
-    """Whether some conjugate in the class nd.cls meets beta = nd.beta at p:
-    both are non-integral at p, both have positive valuation, or both are
-    units and p divides the class norm."""
-    return _meets(*nd.table((p,))[p])
-
-
 def _meets(oc: int, ob: int, ow: int) -> bool:
     """The meet rule on a row (M0 ord_p alpha, M0 ord_p beta, ord_p W)."""
     if oc < 0 or ob < 0:
@@ -63,9 +56,13 @@ def _meets(oc: int, ob: int, ow: int) -> bool:
 
 
 def meets_at_prime(alpha: RadicalPoint, beta: Fraction, p: int) -> bool:
+    """Whether some conjugate of alpha meets beta at p: both are
+    non-integral at p, both have positive valuation, or both are units and
+    p divides the class norm."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return class_meets_at_prime(class_norm_data(class_of_point(alpha), beta), p)
+    nd = class_norm_data(class_of_point(alpha), beta)
+    return _meets(*nd.table((p,))[p])
 
 
 def _bounded_factor(n: int) -> dict[int, int]:
@@ -352,14 +349,13 @@ class _ClassTable:
     """The class stream of one semigroup as read so far.  rows holds what
     stream, the suspended walk, has yielded: (cls, w, m) for each class once
     with its first witness in (|w|, lex, m) order, and None after the last
-    pair of each word length.  walked counts the roots walked; error is the
-    exception that ended the stream, raised again at the row where it ended.
+    pair of each word length; once the walk ends, its EnumerationCap or
+    OverflowGuard is the last row.  walked counts the roots walked.
     The walk holds G: a cycle through G._memo, which the collector frees."""
 
     def __init__(self, limits: tuple[int, int], G: Semigroup):
         self.limits = limits          # (ROOT_BUDGET, int-to-text digit limit)
         self.rows: list = []
-        self.error: Exception | None = None
         self.walked = 0
         self.stream = self._walk(G)
 
@@ -391,42 +387,46 @@ def word_pair_classes(G: Semigroup, n_max: int):
 
     G keeps its stream for as long as the object lives, in G._memo: the
     classes read so far, with any angles they have cached (about 1.2 KB a
-    class without them), the suspended walk, the roots walked and the
-    exception that ended the stream, if one did.  A later call replays the
-    rows and resumes the walk (collision binomial and decomposition) only
-    past the last pair an earlier call read, so scans of G at many base
-    points walk each pair once.  Any other exception from the walk
-    (FactorBudgetExceeded, an interrupt) drops the stream, and the next
-    call grows it again from the first pair.  The stream is rebuilt when
-    ROOT_BUDGET or Python's int-to-text digit limit differs from the one
-    it was grown under.  Equal semigroups built apart do not share it."""
+    class without them), the suspended walk, the roots walked and, as its
+    last row, the exception that ended the stream, if one did.  A later
+    call replays the rows and resumes the walk (collision binomial and
+    decomposition) only past the last pair an earlier call read, so scans
+    of G at many base points walk each pair once.  A reader holds the rows
+    and its index, and reads G._memo again only when it runs past the rows
+    it holds.  Any other exception from the walk (FactorBudgetExceeded, an
+    interrupt) drops the stream, and the next row needed past the end, by
+    any reader, grows it again from the first pair.  The stream is rebuilt
+    when ROOT_BUDGET or Python's int-to-text digit limit differs from the
+    one it was grown under.  Equal semigroups built apart do not share it."""
     if n_max < 1:
         raise InvalidConfig("n_max must be >= 1")
     limits = (ROOT_BUDGET, sys.get_int_max_str_digits())
-    table = G._memo.get("classes")
-    if table is None or table.limits != limits:
-        table = G._memo["classes"] = _ClassTable(limits, G)
-    rows = table.rows
+    rows: list = []
     i = ends = 0
     while True:
-        while i == len(rows):
-            if table.error is not None:
-                raise table.error.with_traceback(None)
-            try:
-                rows.append(next(table.stream))
-            except (EnumerationCap, OverflowGuard) as exc:
-                table.error = exc
-            except BaseException:     # a generator cannot resume
-                G._memo.pop("classes", None)
-                raise
+        if i == len(rows):
+            table = G._memo.get("classes")
+            if table is None or table.limits != limits:
+                table = G._memo["classes"] = _ClassTable(limits, G)
+            rows = table.rows
+            while i >= len(rows):
+                try:
+                    rows.append(next(table.stream))
+                except (EnumerationCap, OverflowGuard) as exc:
+                    rows.append(exc)
+                except BaseException:     # a generator cannot resume
+                    G._memo.pop("classes", None)
+                    raise
         row = rows[i]
         i += 1
-        if row is not None:
+        if type(row) is tuple:
             yield row
-        else:
+        elif row is None:
             ends += 1
             if ends == n_max:
                 return
+        else:
+            raise row.with_traceback(None)
 
 
 def capped_classes(G: Semigroup, n_max: int, cap: int,

@@ -18,11 +18,10 @@ from monodyn.polynomials import newton_polygon_root_valuations
 from monodyn.preper import enumerate_preperiodic, minimal_polynomial
 from monodyn.primes import factorint, ord_p
 from monodyn.radical import RadicalPoint
-from monodyn.scan import (ScanConfig, bad_primes, class_gamma,
-                          class_meets_at_prime, class_s_integrality,
-                          gamma_decomposition, gamma_sum, is_S_integral,
-                          meets_at_prime, report_to_csv, run_scan,
-                          word_pair_classes, zero_infinity_verdict)
+from monodyn.scan import (ScanConfig, _meets, bad_primes, class_gamma,
+                          class_s_integrality, gamma_decomposition, gamma_sum,
+                          is_S_integral, meets_at_prime, report_to_csv,
+                          run_scan, word_pair_classes, zero_infinity_verdict)
 from monodyn.semigroup import Semigroup
 from oracles import root_of_unity, word_pairs
 from test_cross_validation import PINNED_REPORTS, raw_report_digest
@@ -243,7 +242,7 @@ def test_ramified_slope_on_the_p_part_matches_the_full_shift():
                 o = ord_p(beta, p)
                 if cls.M0 * cls.qprime % p or cls.modulus.ord_at(p) != o:
                     continue
-                got = bounds._ramified_slope(nd, p, o, {})
+                got = bounds._ramified_slope(nd, p, o)
                 assert got == first_newton_slope(poly.shift(beta), p), \
                     (cls, beta, p)
                 m = cls.M0
@@ -349,7 +348,7 @@ def test_valuation_table_matches_fraction_definitions():
             for p in primes:
                 o_a, o_b, o_w = rows[p]
                 assert nd.table((p,))[p] == (cls.M0 * o_a, cls.M0 * o_b, o_w)
-                assert class_meets_at_prime(nd, p) == meets(o_a, o_b, o_w)
+                assert _meets(*nd.table((p,))[p]) == meets(o_a, o_b, o_w)
                 if o_a != o_b:
                     got = class_min_log_distances(nd, [Place(p)])[0]
                     assert got == -float(min(o_a, o_b)) * math.log(p), \
@@ -653,6 +652,53 @@ def test_walk_failure_drops_the_stream(monkeypatch, error):
     rows = [(cls.key, w, m) for cls, w, m in word_pair_classes(G, 3)]
     fresh = [(cls.key, w, m) for cls, w, m in word_pair_classes(_g2(), 3)]
     assert len(rows) == 38 and rows == fresh
+
+
+def test_open_reader_outlives_a_dropped_stream(monkeypatch):
+    # a walk failure drops the stream under a second reader still open on
+    # the same G: that reader grows a new stream past its index and reads
+    # on, as on a fresh semigroup
+    import monodyn.scan as scan
+    decompose = scan.decompose_binomial_roots
+    calls = []
+
+    def failing_once(N, a):
+        calls.append(N)
+        if len(calls) == 5:         # a pair of length 2
+            raise FactorBudgetExceeded("injected")
+        return decompose(N, a)
+    monkeypatch.setattr(scan, "decompose_binomial_roots", failing_once)
+    G = _g2()
+    first, second = word_pair_classes(G, 3), word_pair_classes(G, 3)
+    rows = [next(second)]
+    with pytest.raises(FactorBudgetExceeded, match="injected"):
+        list(first)
+    assert "classes" not in G._memo
+    rows.extend(second)
+    fresh = [(cls.key, w, m) for cls, w, m in word_pair_classes(_g2(), 3)]
+    assert len(rows) == 38
+    assert [(cls.key, w, m) for cls, w, m in rows] == fresh
+
+
+def test_root_budget_replays_as_a_row_for_an_interleaved_reader(monkeypatch):
+    # the EnumerationCap that ends the walk is the stream's last row: a
+    # reader opened before the walk reached it raises it at the same row,
+    # and no pair is walked twice
+    import monodyn.scan as scan
+    monkeypatch.setattr(scan, "ROOT_BUDGET", 2430)
+    lengths, _ = _count_walks(monkeypatch)
+    G = _g2()
+    first, second = word_pair_classes(G, 5), word_pair_classes(G, 5)
+    read = [], [next(second)]
+    errors = []
+    for reader, rows in zip((first, second), read):
+        with pytest.raises(EnumerationCap) as exc:
+            rows.extend(reader)
+        errors.append(str(exc.value))
+    assert errors == ["root budget 2430 reached at |w| = 5"] * 2
+    assert len(read[0]) == len(read[1]) == 119 and read[0] == read[1]
+    # every pair up to |w| = 4, then the first of length 5 hits the budget
+    assert len(lengths) == 2 + 2 * 4 + 3 * 8 + 4 * 16 + 1
 
 
 def test_equal_semigroups_keep_their_own_streams():
