@@ -5,16 +5,18 @@ polygons of f at the primes below 1000 that divide f(0) * lc(f) (Dumas'
 criterion, which proves Eisenstein and most Capelli binomials irreducible,
 so squarefree, with no modular work); else a modular squarefree certificate
 (f squarefree modulo one of the first six primes not dividing lc(f)), with
-Yun's algorithm over Q only when none gives one; distinct-degree counts
-modulo six good small primes, the first of them the certifying prime, that
-narrow the polygon degrees (Musser's prime choice; they also prove
-irreducibility); equal-degree splitting at the prime with the fewest
-factors; quadratic Hensel lifting past the Mignotte bound; and
-recombination of at most RECOMBINATION_BUDGET subsets, past which
-FactorBudgetExceeded is raised.  The certificate and the prime choice read
-one walk over the primes (_primes_mod).  Both modular splits run on one
-Frobenius matrix (the rows X^(i*p) mod f) per prime, so each Frobenius
-power costs one matrix-vector product instead of a binary powering.
+Yun's algorithm over Q only when none gives one; for f = H(X^e), e > 1,
+a split of H (degree n/e), each piece h(X^e) then factored in full;
+distinct-degree counts modulo six good small primes, the first of them the
+certifying prime, that narrow the polygon degrees (Musser's prime choice;
+they also prove irreducibility); equal-degree splitting at the prime with
+the fewest factors; quadratic Hensel lifting past the Mignotte bound; and
+recombination of at most RECOMBINATION_BUDGET subsets per polynomial
+factored, past which FactorBudgetExceeded is raised.  The certificate and
+the prime choice read one walk over the primes (_primes_mod).  Both
+modular splits run on one Frobenius matrix (the rows X^(i*p) mod f) per
+prime, so each Frobenius power costs one matrix-vector product instead of
+a binary powering.
 
 Only the work the answer needs is done: a prime's distinct-degree split
 stops once the prime can neither prune the attainable degrees nor have
@@ -36,7 +38,7 @@ from .polynomials import (UniPoly, newton_polygon_root_valuations,
                           squarefree_decomposition)
 from .primes import TRIAL_PRIMES, is_prime
 
-RECOMBINATION_BUDGET = 1 << 16   # subsets per squarefree part
+RECOMBINATION_BUDGET = 1 << 16   # subsets per polynomial factored
 
 # ---------------------------------------------------------------------------
 # (Z/m)[X] arithmetic on dense low-to-high int lists: m is a prime p, except
@@ -441,13 +443,40 @@ def _good_prime_factorization(f: list[int], rng: random.Random, primes,
                for h in _equal_degree_split(g, d, p, rng, rows)], possible
 
 
+def _factor_whole(f: list[int], rng: random.Random) -> list[list[int]]:
+    """_factor_squarefree_z with f's own polygon degrees and prime walk."""
+    return _factor_squarefree_z(f, rng, _primes_mod(f), _polygon_degrees(f))
+
+
+def _deflated_split(f: list[int], rng: random.Random
+                    ) -> list[list[int]] | None:
+    """The pieces h(X^e) of f = H(X^e), h over the irreducible factors of H,
+    at the first e that splits H, or None.  With k the gcd of f's exponents,
+    e = k/l for each l | k that is prime or 4, e > 1: by Capelli a reducible
+    X^k - c has some Y^l - c reducible, and H has degree n/e."""
+    k = math.gcd(*(i for i, c in enumerate(f) if c))
+    for ell in range(2, k):
+        if k % ell == 0 and (is_prime(ell) or ell == 4):
+            e = k // ell
+            factors = _factor_whole(f[::e], rng)
+            if len(factors) > 1:
+                return [[0 if i % e else h[i // e]
+                         for i in range((len(h) - 1) * e + 1)]
+                        for h in factors]
+    return None
+
+
 def _factor_squarefree_z(f: list[int], rng: random.Random, primes,
                          possible: set[int]) -> list[list[int]]:
     """Irreducible factors over Z of a squarefree primitive f, deg >= 1, with
     the polygon degrees `possible` and the prime walk `primes`, as
-    _good_prime_factorization takes them."""
+    _good_prime_factorization takes them.  Past the polygon certificate, a
+    split of f in X^e at degree n/e (_deflated_split) comes first."""
     if possible == {0, len(f) - 1}:
         return [f]
+    pieces = _deflated_split(f, rng)
+    if pieces is not None:
+        return [g for h in pieces for g in _factor_whole(h, rng)]
     chosen = _good_prime_factorization(f, rng, primes, possible)
     if chosen is None:
         return [f]

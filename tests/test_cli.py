@@ -286,6 +286,16 @@ def test_factor_negative_constant_after_double_dash(capsys):
     assert doc["factors"] == [{"coeffs": ["-2", "0", "1"], "multiplicity": 1}]
 
 
+def test_factor_binomial_in_a_power_of_x(capsys):
+    # X^22 - 81 = (X^11 - 9)(X^11 + 9), found at Y^2 - 81 with Y = X^11
+    rc = main(["factor", "--", ",".join(["-81"] + ["0"] * 21 + ["1"])])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["factors"] == [
+        {"coeffs": [c] + ["0"] * 10 + ["1"], "multiplicity": 1}
+        for c in ("-9", "9")]
+
+
 def test_factor_past_recombination_budget_is_a_cap(capsys):
     # the degree-64 Swinnerton-Dyer polynomial splits into quadratics
     # modulo every prime, so recombination runs out of its subset budget

@@ -507,6 +507,78 @@ def test_factor_pool_work_counts(monkeypatch):
     assert musser <= 452 and hensel <= 406
 
 
+def in_x_power(cs, e):
+    """The coefficients of h(X^e) for h given by its coefficients cs."""
+    out = [0] * ((len(cs) - 1) * e + 1)
+    out[::e] = cs
+    return out
+
+
+def test_deflation_matches_the_general_pipeline(monkeypatch):
+    # factor_poly with _deflated_split switched off, which splits each input
+    # modularly at its full degree, is the oracle
+    radicands = perfbench_workloads().CAPELLI_POOL
+    binomials = [(M, c) for M in range(1, 49) for c in radicands]
+    inputs = [UniPoly.binomial(M, c) for M, c in binomials]
+    # X^(4j) + 4y^4 splits at Y^4 + 4y^4 (Capelli's quartic case)
+    inputs += [P(*in_x_power([4 * y ** 4, 1], 4 * j))
+               for j in range(1, 7) for y in range(1, 4)]
+    inputs.append(P(*in_x_power([9, 6, 4], 8)))
+    rng = random.Random(7)
+    for _ in range(40):
+        e = rng.choice((2, 3, 4, 6))
+        f = UniPoly.one()
+        for _ in range(2):
+            h = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))]
+            f = f * P(*in_x_power(h + [rng.randint(1, 3)], e))
+        inputs.append(f)
+    split = []
+
+    def deflated_split(f, rng, deflate=polyfactor._deflated_split):
+        pieces = deflate(f, rng)
+        split.append(pieces is not None)
+        return pieces
+    monkeypatch.setattr(polyfactor, "_deflated_split", deflated_split)
+    got = [factor_poly(f) for f in inputs]
+    assert sum(split) > 300
+    for (M, c), factors in zip(binomials, got):
+        assert (len(factors) > 1) == capelli_reducible(M, c).reducible, (M, c)
+    monkeypatch.setattr(polyfactor, "_deflated_split", lambda f, rng: None)
+    for f, factors in zip(inputs, got):
+        assert factor_poly(f) == factors, f
+
+
+def test_deflation_hand_case(monkeypatch):
+    # X^22 - 81 splits at Y^2 - 81, Y = X^11, so Musser's prime choice only
+    # sees degree 2; the polygons at 3 prove X^11 -+ 9 irreducible
+    degrees = []
+    choose = polyfactor._good_prime_factorization
+    monkeypatch.setattr(
+        polyfactor, "_good_prime_factorization",
+        lambda f, *args: degrees.append(len(f) - 1) or choose(f, *args))
+    assert factor_poly(UniPoly.binomial(22, 81)) == [
+        (P(-9, *[0] * 10, 1), 1), (P(9, *[0] * 10, 1), 1)]
+    assert degrees == [2]
+
+
+def test_deflation_work_count(monkeypatch):
+    # sum of deg^2 over the _distinct_degree inputs of the 1200 seed-0
+    # binomials: 422,276 with each reducible one split at full degree,
+    # 127,496 with the split found at degree n/e
+    total = 0
+    split = polyfactor._distinct_degree
+
+    def counted(f, *args):
+        nonlocal total
+        total += (len(f) - 1) ** 2
+        return split(f, *args)
+    monkeypatch.setattr(polyfactor, "_distinct_degree", counted)
+    for op in perfbench_workloads().factor_pool(0).ops:
+        if op.label.startswith("X^"):
+            op.fn()
+    assert total <= 130_000
+
+
 def test_polygon_certified_ops_skip_the_squarefree_certificate(monkeypatch):
     # an input the polygons prove irreducible is squarefree, so no prime is
     # tried: the 798 such ops of degree >= 2 made 1291 _squarefree_mod calls
