@@ -12,9 +12,9 @@ a repeated prime in -S and, as it reads no degree cap, one other than 512),
 budget of the class stream, an OverflowGuard size or step budget, or an
 output number past the int-to-text digit limit), 4 internal invariant
 violation.  A scan stopped by its node cap (a count of classes) or the root
-budget, or holding an uncertified verdict or a Gamma residual above --tol,
-still writes its partial report, marked "truncated", and exits 3; every
-other cap ends the command with no output.
+budget, or holding a Gamma residual above --tol, still writes its partial
+report, marked "truncated", and exits 3; every other cap ends the command
+with no output.
 """
 
 from __future__ import annotations

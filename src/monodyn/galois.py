@@ -390,20 +390,18 @@ def _aurifeuillian_factor(q: int, f: int) -> tuple[int, ...]:
     n, m = euler_phi(q), 2 * q
     # d, and sqrt(d f): sqrt(d) times the Gauss sum
     d, root_df = (f, f) if f % 2 else (f // 4, f // 2)
-
-    def mobius(k):
-        return dict(moebius_divisors(k)).get(k, 0)
     sums = [0]
     for j in range(1, n + 1):
         g = math.gcd(m, j)
         mj = m // g
-        if j % 2 == 0:
-            val = mobius(mj) * d ** (j // 2)
-        elif mj % f:
-            val = 0
-        else:
-            val = (kronecker(f, j // g) * mobius(mj // f)
-                   * kronecker(f, mj // f) * d ** (j // 2) * root_df)
+        if j % 2 and mj % f:
+            sums.append(0)
+            continue
+        k = mj // f if j % 2 else mj
+        rad, mu = moebius_divisors(k)[-1]       # mu(k) = mu if k = rad k
+        val = mu * d ** (j // 2) if rad == k else 0
+        if j % 2:
+            val *= kronecker(f, j // g) * kronecker(f, k) * root_df
         sums.append(val * n // euler_phi(mj))
     a = [1]                     # B = y^n + a_1 y^(n-1) + ... + a_n
     for k in range(1, n + 1):

@@ -6,8 +6,8 @@ either both are non-integral at p, or both are integral and some conjugate
 is congruent to beta.  The congruence case is decided through valuations of
 the conjugate norm Nm(beta - alpha), which the Galois layer delivers without
 materializing anything large; whether meets exist outside the scan set S is
-decided by an integer-log balance on the norm (its outside-S part is a
-positive integer, trivial iff the balance gap stays below log 2).
+decided exactly, by the primitive divisors of A^n' - B^n' (Bang, Zsigmondy)
+or else on the integers of the norm's part outside the table's primes.
 Every rule reads integer valuations, the table of one (class, beta)
 record (galois.ClassNormData.table), built in one pass over S and the
 primes of c0 and beta; beta is factored once per base point, and each
@@ -32,12 +32,10 @@ from .galois import (DEGREE_CAP, ClassNormData, beta_exponents,
 from .orbits import is_preperiodic
 from .places import INF, Place, height_rational
 from .preper import collision_binomial, minimal_polynomial
-from .primes import factorint, is_prime
+from .primes import euler_phi, factorint, is_prime, moebius_divisors
 from .radical import RadicalPoint
 from .semigroup import Semigroup, Word, format_word
 
-LOG2 = math.log(2)
-BALANCE_SLACK = 0.2   # certified float error headroom for the log-2 gap test
 GATE_DEPTH = 8        # orbit depth of beta's non-preperiodicity certificate
 ROOT_BUDGET = 2 * 10 ** 7   # roots walked; depth 9 of {2z^2, 3z^3} walks 19.7 M
 
@@ -65,65 +63,78 @@ def meets_at_prime(alpha: RadicalPoint, beta: Fraction, p: int) -> bool:
     return _meets(*nd.table((p,))[p])
 
 
-def _bounded_factor(n: int) -> dict[int, int]:
-    """factorint (FactorBudgetExceeded past its Pollard rho budget), and
-    FactorBudgetExceeded at once for |n| > 10^120."""
-    if abs(n) > 10 ** 120:
-        raise FactorBudgetExceeded(f"{n.bit_length()}-bit norm value")
-    return factorint(n)
-
-
 def bad_primes(alpha: RadicalPoint, beta: Fraction) -> list[int]:
     """All primes where some conjugate of alpha meets beta.
 
     Candidates: support primes of alpha and beta plus the primes of the
     conjugate norm Nm(beta - alpha) = minpoly(beta), each confirmed by the
-    meet test.  Desk-scale only: the norm numerator gets factored.
+    meet test.  Desk-scale only: the norm gets factored (factorint's
+    FactorBudgetExceeded, and at once past 10^120).
     """
     beta = Fraction(beta)
     nd = class_norm_data(class_of_point(alpha), beta)
     value = minimal_polynomial(nd.cls.representative)(beta)
-    norm_primes = (_bounded_factor(value.numerator).keys()
-                   | _bounded_factor(value.denominator).keys())
+    if max(abs(value.numerator), value.denominator) > 10 ** 120:
+        raise FactorBudgetExceeded("a norm value past 10^120")
+    norm_primes = factorint(value.numerator).keys() | factorint(
+        value.denominator).keys()
     return [p for p, row in nd.table(norm_primes).items() if _meets(*row)]
 
 
 @dataclass(frozen=True)
 class SIntegrality:
     s_integral: bool
-    known_bad: tuple[int, ...]     # confirmed meets (complete when certified)
-    outside_clean_gap: float       # integer-log balance gap, < log 2 certifies
-    certified: bool                # False when the gap lands in the float band
+    known_bad: tuple[int, ...]     # the meets at the table's primes
 
 
 def class_s_integrality(nd: ClassNormData, S: list[Place]) -> SIntegrality:
     """Decide bad_primes(alpha, beta) inside S without factoring the norm,
-    for alpha in the class nd.cls and beta = nd.beta, in one table pass."""
+    for alpha in the class nd.cls and beta = nd.beta, in one table pass:
+    S-integral iff its meets in the table lie in S and R = 1, R the norm's
+    part prime to the table's primes (an integer; its primes all meet).
+
+    A full class, x = beta^M0 / c0 = +-A / B != +-1 in lowest terms, has
+    |W(beta)| = c0^phi |Phi_n'(A, B)| / B^phi, phi = phi(n'), n' = q' for
+    x > 0 and 2q', q'/2 or q' for x < 0 and q' odd, 2 mod 4 or 0 mod 4, as
+    Phi_q'(-y) = +-Phi_n'(y).  If n' > 2, (n', AB) != (6, 2) and no p in S
+    is 1 mod n', a primitive prime p of A^n' - B^n' (Bang 1886, Zsigmondy
+    1892) divides Phi_n'(A, B), not AB, and is 1 mod n', so not in S; as
+    ord_p x = 0, p is a unit of both with ord_p W > 0 or has ord_p c0 =
+    M0 ord_p beta != 0: a meet outside S.  Else R = 1 is decided on
+    integers: |Phi_n'(A, B)| = prod |A^(n'/d) - B^(n'/d)|^mu(d) against the
+    p^(ord_p W - phi min(oc, ob)) > 1 (c0^phi / B^phi is the product of the
+    p^(phi min(oc, ob))), or the numerator of a twin's or x = +-1's exact
+    nd.value against the p^(ord_p W) > 1.  OverflowGuard before pieces of
+    n' 2^omega(n') times max(A, B)'s bits could pass 10^8, the budget of
+    PosReal._power_ints."""
     s_primes = {v.p for v in S if not v.is_archimedean}
+    q, a, B = nd.cls.qprime, nd.x.numerator, nd.x.denominator
+    A, k = abs(a), 0
+    n = q if a > 0 else 2 * q if q % 2 else q // 2 if q % 4 else q
+    if nd.value is not None:
+        ints = [abs(nd.value.numerator), 1]
+    elif n > 2 and (n, A * B) != (6, 2) and all((p - 1) % n for p in s_primes):
+        ints = [0, 1]                 # a primitive prime meets outside S
+    else:
+        pieces, k, ints = moebius_divisors(n), euler_phi(n), [1, 1]
+        if n * len(pieces) * max(A, B).bit_length() > 10 ** 8:
+            raise OverflowGuard("an exact class norm past the 10^8-bit budget")
+        for d, mu in pieces:                # Phi_n'(A, B) = ints[0] / ints[1]
+            ints[mu < 0] *= abs(A ** (n // d) - B ** (n // d))
     known_bad = []
-    # outside part of the norm numerator: a positive integer, so the true
-    # balance gap is 0 or at least log 2; the numeric error stays far below
-    # the slack, making both sides of the band certain
-    gap = nd.log_w()
     for p, (oc, ob, ow) in nd.table(s_primes).items():
         if oc or ob or p in s_primes:
             if _meets(oc, ob, ow):
                 known_bad.append(p)
-            gap -= ow * math.log(p)
-    outside_clean = gap < BALANCE_SLACK   # conservative in the (unreached) band
-    certified = outside_clean or gap > LOG2 - BALANCE_SLACK
-    s_integral = outside_clean and all(p in s_primes for p in known_bad)
-    return SIntegrality(s_integral, tuple(known_bad), gap, certified)
+            if ints[0] and ow > k * min(oc, ob):
+                ints[1] *= p ** (ow - k * min(oc, ob))
+    s_integral = ints[0] == ints[1] and all(p in s_primes for p in known_bad)
+    return SIntegrality(s_integral, tuple(known_bad))
 
 
 def is_S_integral(alpha: RadicalPoint, beta: Fraction, S: list[Place]) -> bool:
-    res = class_s_integrality(class_norm_data(class_of_point(alpha), beta), S)
-    if not res.certified:
-        raise FactorBudgetExceeded(
-            f"outside-S balance gap {res.outside_clean_gap:.3f} falls in the "
-            f"uncertified band between {BALANCE_SLACK} and log 2 - "
-            f"{BALANCE_SLACK}")
-    return res.s_integral
+    return class_s_integrality(
+        class_norm_data(class_of_point(alpha), beta), S).s_integral
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +191,14 @@ def gamma_decomposition(alpha: RadicalPoint, beta: Fraction,
         raise NotSIntegral("decomposition requires S-integrality")
     s_primes = {v.p for v in S if not v.is_archimedean}
     non_s_terms = []
-    non_s = 0.0
     witness = max(alpha.modulus, PosReal.of(beta)).log()
     table = nd.table(s_primes)
     for p, (oc, ob, _) in table.items():
         m = Fraction(min(oc, ob), nd.cls.M0)    # min(ord_p alpha, ord_p beta)
-        if m != 0:
-            witness += -float(m) * math.log(p)
-        if p not in s_primes and m != 0:
+        witness += -float(m) * math.log(p)
+        if m and p not in s_primes:
             non_s_terms.append((p, -m))
-            non_s += -float(m) * math.log(p)
+    non_s = float(sum(float(e) * math.log(p) for p, e in non_s_terms))
     s_part = nd.arch()[0]
     for p in sorted(s_primes):
         s_part += -table[p][2] / nd.cls.degree * math.log(p)
@@ -233,11 +242,11 @@ class ClassVerdict:
     prefix: int
     s_integral: bool
     bad_primes: tuple[int, ...]
-    certified: bool
     gamma_residual: float
     distance_checks: tuple[tuple[str, bool], ...]
     discrepancy: float
     progressions: int
+    certified = True    # every verdict is exact; schema monodyn/1 keeps it
 
     def to_json(self) -> dict:
         d = self.point.to_json()
@@ -334,15 +343,12 @@ def _scan_distance_checks(nd: ClassNormData,
 def zero_infinity_verdict(beta: Fraction, S: list[Place]) -> dict:
     """The always-preperiodic fixed points of the chart, reported separately."""
     s_primes = {v.p for v in S if not v.is_archimedean}
-    exps = beta_exponents(beta)
-    num_primes = [p for p, e in exps.items() if e > 0]
-    den_primes = [p for p, e in exps.items() if e < 0]
-    return {
-        "zero": {"bad_primes": num_primes,
-                 "s_integral": all(p in s_primes for p in num_primes)},
-        "infinity": {"bad_primes": den_primes,
-                     "s_integral": all(p in s_primes for p in den_primes)},
-    }
+    out = {}
+    for point, sign in (("zero", 1), ("infinity", -1)):
+        bad = [p for p, e in beta_exponents(beta).items() if e * sign > 0]
+        out[point] = {"bad_primes": bad,
+                      "s_integral": all(p in s_primes for p in bad)}
+    return out
 
 
 class _ClassTable:
@@ -467,18 +473,14 @@ def run_scan(config: ScanConfig) -> ScanReport:
             integ = class_s_integrality(nd, config.S)
             gamma = class_gamma(nd)
             dist = _scan_distance_checks(nd, certs, h_beta, bounds)
-            if not integ.certified:
-                truncated = True
-                notes.append(f"uncertified verdict at degree {cls.degree}")
             if abs(gamma.residual) > config.tol:
                 truncated = True
                 notes.append(f"gamma residual {gamma.residual:.2e} above tol "
                              f"at degree {cls.degree}")
             verdicts.append(ClassVerdict(
                 cls.representative, cls.degree, w, m,
-                integ.s_integral, integ.known_bad, integ.certified,
-                gamma.residual, dist, float(cls.discrepancy),
-                cls.progressions()))
+                integ.s_integral, integ.known_bad, gamma.residual, dist,
+                float(cls.discrepancy), cls.progressions()))
     except EnumerationCap as exc:
         truncated = True
         notes.append(str(exc))

@@ -7,8 +7,9 @@ rational apart from preper.structure_decompose, the classes of X^N = a
 through the general PosReal route, and the kernel and conductor of
 Q(sqrt(c0)) by the Fraction rule, apart from the integers of
 galois.decompose_binomial_roots and galois.entanglement, the argument
-scaling that chains the closed-form class polynomial, and the class norm's
-log with each log taken where it is used, and the small radical-point and
+scaling that chains the closed-form class polynomial, the class norm's
+log with each log taken where it is used, the float balance decision of
+S-integrality that the exact one replaced, and the small radical-point and
 polynomial helpers only tests call (roots of unity, complex values, integer
 powers, the least rational power, the zero polynomial).
 
@@ -41,6 +42,7 @@ from monodyn.polynomials import UniPoly
 from monodyn.primes import (divisors, factor_fraction, moebius_divisors,
                             power_product, quadratic_conductor)
 from monodyn.radical import RadicalPoint
+from monodyn.scan import _meets
 from monodyn.semigroup import Semigroup, Word, check_printable
 
 
@@ -409,6 +411,25 @@ def log_w_by_piece(nd: galois.ClassNormData) -> float:
         total += mu * galois._log_abs_power_minus_one(
             nd.x, j, _log_fraction(abs(nd.x)))
     return total
+
+
+def s_integrality_by_balance(nd: galois.ClassNormData, S
+                             ) -> tuple[bool, tuple[int, ...], bool]:
+    """(s_integral, known_bad, certified) by the float balance: the norm's
+    part outside the primes of c0, beta and S is a positive integer, so its
+    log gap = log_w() - sum ord_p W log p is 0 or at least log 2; the gap is
+    read as 0 below 0.2, and certified unless it falls in [0.2, log 2 - 0.2]."""
+    s_primes = {v.p for v in S if not v.is_archimedean}
+    known_bad = []
+    gap = nd.log_w()
+    for p, (oc, ob, ow) in nd.table(s_primes).items():
+        if oc or ob or p in s_primes:
+            if _meets(oc, ob, ow):
+                known_bad.append(p)
+            gap -= ow * math.log(p)
+    clean = gap < 0.2
+    return (clean and all(p in s_primes for p in known_bad), tuple(known_bad),
+            clean or gap > math.log(2) - 0.2)
 
 
 def zero_poly() -> UniPoly:

@@ -11,8 +11,8 @@ import pytest
 
 from monodyn.bounds import (LinFormInstance, discrepancy_exact,
                             distance_lower_bound, verify_linform)
-from monodyn.errors import DegenerateDegree
-from monodyn.galois import class_of_point
+from monodyn.errors import DegenerateDegree, InvalidConfig
+from monodyn.galois import class_norm_data, class_of_point
 from monodyn.heights import (SequenceSpec, canonical_height_closed,
                              canonical_height_iterative, jensen_check,
                              witness_sequence_height)
@@ -280,3 +280,34 @@ def test_c14_finiteness_stabilization():
     assert rep9.s_integral_points == rep7.s_integral_points
     _finish(14, f"S-integral set stabilizes: {rep6.s_integral_points} points "
             f"at depths 5, 6, 7 and 9", t0, 300.0)
+
+
+def test_c15_uniformity_in_beta():
+    # every beta = a/b with 0 < |a| <= 6 and 1 <= b <= 6: the gate refuses
+    # the preperiodic +-1/2, and every other scan stabilizes.  By the
+    # primitive divisors of A^n' - B^n', an S-integral full class (x =
+    # beta^M0 / c0 != +-1) has n' in {1, 2, 6} or n' | p - 1 for a p in S
+    t0 = _begin()
+    betas = sorted({F(a, b) for a in range(-6, 7) if a for b in range(1, 7)})
+    refused, most_classes, most_points, orders = [], 0, 0, set()
+    for beta in betas:
+        try:
+            rep = run_scan(ScanConfig(G2, S4, beta, 6))
+        except InvalidConfig:
+            refused.append(beta)
+            continue
+        assert rep.stabilization and not rep.truncated, beta
+        most_classes = max(most_classes, rep.s_integral_classes)
+        most_points = max(most_points, rep.s_integral_points)
+        for v in rep.verdicts:
+            nd = class_norm_data(class_of_point(v.point), beta)
+            if v.s_integral and nd.value is None:
+                q = nd.cls.qprime
+                orders.add(q if nd.x > 0 else 2 * q if q % 2
+                           else q // 2 if q % 4 else q)
+    assert len(betas) == 46 and refused == [F(-1, 2), F(1, 2)]
+    assert (most_classes, most_points) == (10, 24)
+    assert orders == {1, 2, 4, 6}
+    _finish(15, f"{len(betas) - 2} base points stabilize at depth 6, at most "
+            f"{most_classes} S-integral classes ({most_points} points)", t0,
+            60.0)

@@ -23,8 +23,9 @@ from monodyn.semigroup import Semigroup
 
 def test_s_integrality_matches_norm_factoring():
     # class_s_integrality decides through lifting-the-exponent valuations and
-    # an integer-log balance; bad_primes factors the materialized norm.  The
-    # two must agree on every class over a pool of binomials, betas and sets.
+    # primitive divisors or the exact outside part; bad_primes factors the
+    # materialized norm.  The two must agree on every class over a pool of
+    # binomials, betas and sets.
     pool_a = [F(x) for x in ("2", "-4", "1/2", "9", "-27", "4/9", "12",
                              "-8", "1/24", "-64", "5", "18", "50", "-50",
                              "7/10", "-121", "1/3", "72")]
@@ -45,10 +46,9 @@ def test_s_integrality_matches_norm_factoring():
                         continue
                     expect = all(p in s_primes for p in bad)
                     got = class_s_integrality(class_norm_data(cls, beta), S)
-                    assert got.certified
                     assert got.s_integral == expect, (N, a, beta, S, bad, got)
                     if got.s_integral:
-                        # certified verdicts carry the complete bad-prime set
+                        # S-integral verdicts carry the complete bad-prime set
                         assert set(bad) == set(got.known_bad)
                     checked += 1
     assert checked > 350

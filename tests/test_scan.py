@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -23,7 +24,7 @@ from monodyn.scan import (ScanConfig, _meets, bad_primes, class_gamma,
                           is_S_integral, meets_at_prime, report_to_csv,
                           run_scan, word_pair_classes, zero_infinity_verdict)
 from monodyn.semigroup import Semigroup
-from oracles import root_of_unity, word_pairs
+from oracles import root_of_unity, s_integrality_by_balance, word_pairs
 from test_cross_validation import PINNED_REPORTS, raw_report_digest
 from test_galois import TEST_SEMIGROUPS
 
@@ -79,6 +80,79 @@ def test_s_integrality_monotone_in_S():
             cur = is_S_integral(pt, F(3), S)
             assert cur or not prev   # once integral, enlarging S keeps it
             prev = cur
+
+
+@pytest.mark.parametrize("point, beta, prime", [
+    # the (6, 2, 1) exception: Phi_6(2) = 3 and Phi_6(1/2) = 3/4
+    (root_of_unity(F(1, 6)), F(2), 3), (root_of_unity(F(1, 6)), F(1, 2), 3),
+    # x < 0 with q' odd: n' = 2q', Phi_3(-2) = Phi_6(2) = 3 and
+    # Phi_5(-2) = Phi_10(2) = 11
+    (root_of_unity(F(1, 3)), F(-2), 3), (root_of_unity(F(1, 5)), F(-2), 11),
+    # x < 0 with q' = 2 mod 4: n' = q'/2, Phi_6(-2) = Phi_3(2) = 7
+    (root_of_unity(F(1, 6)), F(-2), 7),
+    # x < 0 with 4 | q': n' = q', Phi_4(-2) = Phi_4(2) = 5
+    (root_of_unity(F(1, 4)), F(-2), 5),
+    # n' = 2 with A + B a power of 2: Phi_2(3) = 4
+    (RadicalPoint.from_rational(F(-1)), F(3), 2)])
+def test_s_integrality_hand_cases(point, beta, prime):
+    # each class meets beta at one prime only, so it is S-integral exactly
+    # when that prime is in S
+    assert bad_primes(point, beta) == [prime]
+    other = 3 if prime == 2 else 2
+    for extra in ((), (prime,), (other,), (other, prime)):
+        S = [INF] + [Place(p) for p in extra]
+        assert is_S_integral(point, beta, S) == (prime in extra), (point, S)
+
+
+S_GRID = [[INF], [INF, Place(2)], [INF, Place(3), Place(7)], S_DEFAULT,
+          [INF, Place(5), Place(13)],
+          [INF] + [Place(p) for p in (2, 3, 5, 7, 11, 13)]]
+
+
+def _against_balance(pairs, sets):
+    """(verdicts, S-integral ones) over the (class, beta) pairs and sets,
+    each equal to the float balance decision, which certifies all of them."""
+    checked = integral = 0
+    for cls, beta in pairs:
+        try:
+            nd = class_norm_data(cls, beta)
+        except BetaIsConjugate:
+            continue
+        for S in sets:
+            got = class_s_integrality(nd, S)
+            assert s_integrality_by_balance(nd, S) \
+                == (got.s_integral, got.known_bad, True), (cls, beta, S)
+            checked += 1
+            integral += got.s_integral
+    return checked, integral
+
+
+def test_s_integrality_matches_the_float_balance():
+    # oracle: the float balance gap the exact decision replaced
+    betas = (F(2), F(1, 2), F(-3, 7), F(5), F(7, 4), F(-27, 5), F(11, 9))
+    assert _against_balance(
+        ((cls, beta) for cls in _classes_to_depth_4() for beta in betas),
+        S_GRID) == (15828, 305)
+    betas = (F(2), F(-3, 7), F(5), F(1, 2), F(7, 4), F(-1), F(3))
+    semigroups = [G2] + [Semigroup.from_pairs(pairs) for pairs in (
+        [("1", 2), ("3", -3)], [("1", 2)], [("1/2", 2), ("5", 3)])]
+    grid = [(cls, beta) for G in semigroups
+            for cls, _, _ in word_pair_classes(G, 5) for beta in betas]
+    assert _against_balance(grid, S_GRID) == (41388, 1090)
+    deep = [(cls, beta) for cls, _, _ in word_pair_classes(G2, 7)
+            for beta in (F(2), F(-3, 7))]
+    assert _against_balance(deep, [S_DEFAULT]) == (4542, 3)
+
+
+def test_exact_norm_past_the_size_budget_fails_fast():
+    # a primitive 65536-th root of unity at 2^4000: 65537 = 1 mod 65536
+    # sends it to the exact route, whose norm would pass 1.3 10^8 bits
+    nd = class_norm_data(class_of_point(root_of_unity(F(1, 65536))),
+                         F(2 ** 4000))
+    t0 = time.perf_counter()
+    with pytest.raises(OverflowGuard, match="10\\^8-bit"):
+        class_s_integrality(nd, [INF, Place(65537)])
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_gamma_exact_and_numeric():
