@@ -385,27 +385,27 @@ def _aurifeuillian_factor(q: int, f: int) -> tuple[int, ...]:
 
     Its power sums s_j are integers: Ramanujan sums mod m = 2q for even j,
     Gauss sums of chi for odd j, both in closed form from g = gcd(m, j);
-    Newton's identities give the coefficients with exact integer division.
+    most are 0, as mu vanishes off squarefree values and an odd j needs
+    f | m / g.  Newton's identity for a_j, summed over the nonzero s_i with
+    i <= j only, gives the coefficients with exact integer division.
     """
     n, m = euler_phi(q), 2 * q
     # d, and sqrt(d f): sqrt(d) times the Gauss sum
     d, root_df = (f, f) if f % 2 else (f // 4, f // 2)
-    sums = [0]
+    sums = []                   # the nonzero (i, s_i), i <= j
+    a = [1]                     # B = y^n + a_1 y^(n-1) + ... + a_n
     for j in range(1, n + 1):
         g = math.gcd(m, j)
         mj = m // g
-        if j % 2 and mj % f:
-            sums.append(0)
-            continue
-        k = mj // f if j % 2 else mj
-        rad, mu = moebius_divisors(k)[-1]       # mu(k) = mu if k = rad k
-        val = mu * d ** (j // 2) if rad == k else 0
-        if j % 2:
-            val *= kronecker(f, j // g) * kronecker(f, k) * root_df
-        sums.append(val * n // euler_phi(mj))
-    a = [1]                     # B = y^n + a_1 y^(n-1) + ... + a_n
-    for k in range(1, n + 1):
-        a.append(-sum(sums[i] * a[k - i] for i in range(1, k + 1)) // k)
+        if j % 2 == 0 or mj % f == 0:
+            k = mj // f if j % 2 else mj
+            rad, mu = moebius_divisors(k)[-1]       # mu(k) = mu if k = rad k
+            val = mu * d ** (j // 2) if rad == k else 0
+            if j % 2:
+                val *= kronecker(f, j // g) * kronecker(f, k) * root_df
+            if val:
+                sums.append((j, val * n // euler_phi(mj)))
+        a.append(-sum(s * a[j - i] for i, s in sums) // j)
     return tuple(reversed(a))
 
 
@@ -413,18 +413,11 @@ def _aurifeuillian_factor(q: int, f: int) -> tuple[int, ...]:
 # class norms |Nm(beta - alpha)| = |f(beta)| for the class polynomial f
 
 
-def _phi_at_pm1(n: int, sign: int) -> int:
-    """Phi_n(sign) in closed form: Phi_m(1) is p for m = p^k, 0 for m = 1
-    and 1 otherwise; Phi_1(-1) = -2, and Phi_n(-1) = Phi_{n/2}(1) for even
-    n and Phi_{2n}(1) for odd n > 1."""
-    if sign == -1:
-        if n == 1:
-            return -2
-        n = n // 2 if n % 2 == 0 else 2 * n
-    if n == 1:
-        return 0
-    fac = factorint(n)
-    return next(iter(fac)) if len(fac) == 1 else 1
+def norm_order(q: int, x: Fraction) -> int:
+    """The order n' with |Phi_q(x)| = |Phi_n'(|x|)|: q for x > 0, and 2q,
+    q/2 or q for x < 0 and q odd, 2 mod 4 or 0 mod 4, as Phi_q(-y) =
+    +-Phi_n'(y)."""
+    return q if x > 0 else 2 * q if q % 2 else q // 2 if q % 4 else q
 
 
 @lru_cache(maxsize=64)
@@ -446,14 +439,17 @@ class ClassNormData:
     c0^phi(q') Phi_{q'}(x), x = beta^M0 / c0: ord_p W takes the closed form
     of _ord_full_norm from the row and x, and log_w sums the logs of the
     Moebius pieces x^j - 1 in floats.  value holds the norm exactly where
-    that is cheap: a genuine twin's from its Aurifeuillian factor, and
-    c0^phi(q') Phi_{q'}(+-1) for x = +-1.
+    that is cheap: a genuine twin's from its Aurifeuillian factor, and for
+    x = +-1 c0^phi(q') Phi_n'(1), exact up to sign, with n' =
+    norm_order(q', x), the one definition of that order (the scan's
+    S-integrality reads it too).  No reader takes value's sign: it is read
+    through ord_p, log|.| and |numerator|.
     """
 
     cls: ConjugacyClass
     beta: Fraction
     x: Fraction                 # beta^M0 / c0
-    value: Fraction | None      # the exact norm (twin or x = +-1), else None
+    value: Fraction | None      # the norm, twin or x = +-1 (up to sign)
 
     def table(self, primes=()) -> dict[int, tuple[int, int, int]]:
         """{p: (ord_p c0, M0 ord_p beta, ord_p W)} in increasing p, over the
@@ -479,19 +475,14 @@ class ClassNormData:
         return self.table((p,))[p][2]
 
     def log_w(self) -> float:
-        """log of the norm's absolute value; computed once."""
-        total = self.__dict__.get("_log")
-        if total is not None:
-            return total
+        """log of the norm's absolute value."""
         if self.value is not None:
-            total = _log_fraction(self.value)
-        else:
-            q = self.cls.qprime
-            total = euler_phi(q) * self.cls.log_c0
-            log_x = _log_fraction(self.x)
-            for d, mu in moebius_divisors(q):
-                total += mu * _log_abs_power_minus_one(self.x, q // d, log_x)
-        self.__dict__["_log"] = total
+            return _log_fraction(self.value)
+        q = self.cls.qprime
+        total = euler_phi(q) * self.cls.log_c0
+        log_x = _log_fraction(self.x)
+        for d, mu in moebius_divisors(q):
+            total += mu * _log_abs_power_minus_one(self.x, q // d, log_x)
         return total
 
     def arch(self) -> tuple[float, float]:
@@ -549,7 +540,9 @@ def class_norm_data(cls: ConjugacyClass, beta: Fraction) -> ClassNormData:
             vk *= v
         value = Fraction(h, (r.denominator * z.denominator) ** n)
     elif x.denominator == 1 and x.numerator in (1, -1):
-        value = cls.c0 ** n * _phi_at_pm1(qprime, x.numerator)
+        # Phi_m(1) is p for m = p^k, 0 for m = 1 and 1 otherwise
+        ps = list(factorint(norm_order(qprime, x)))
+        value = c0 ** n * (ps[0] if len(ps) == 1 else 1 if ps else 0)
     if value == 0:
         raise BetaIsConjugate("beta lies in the orbit")
     return ClassNormData(cls, beta, x, value)

@@ -253,14 +253,10 @@ def quadratic_conductor(d: int) -> int:
 
 
 def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a/n)."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
+    """Kronecker symbol (a/n) for n >= 1."""
+    if n < 1:
+        raise ValueError("kronecker expects n >= 1")
     result = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            result = -result
     v = 0
     while n % 2 == 0:
         n //= 2

@@ -7,7 +7,8 @@ is congruent to beta.  The congruence case is decided through valuations of
 the conjugate norm Nm(beta - alpha), which the Galois layer delivers without
 materializing anything large; whether meets exist outside the scan set S is
 decided exactly, by the primitive divisors of A^n' - B^n' (Bang, Zsigmondy)
-or else on the integers of the norm's part outside the table's primes.
+or else on one integer of the norm: R, what is left of it once the table's
+primes are stripped, must be 1.
 Every rule reads integer valuations, the table of one (class, beta)
 record (galois.ClassNormData.table), built in one pass over S and the
 primes of c0 and beta; beta is factored once per base point, and each
@@ -28,11 +29,12 @@ from .errors import (EnumerationCap, FactorBudgetExceeded, InvalidConfig,
                      NotSIntegral, OverflowGuard)
 from .exactreal import PosReal
 from .galois import (DEGREE_CAP, ClassNormData, beta_exponents,
-                     class_norm_data, class_of_point, decompose_binomial_roots)
+                     class_norm_data, class_of_point, decompose_binomial_roots,
+                     norm_order)
 from .orbits import is_preperiodic
 from .places import INF, Place, height_rational
 from .preper import collision_binomial, minimal_polynomial
-from .primes import euler_phi, factorint, is_prime, moebius_divisors
+from .primes import _strip, factorint, is_prime, moebius_divisors
 from .radical import RadicalPoint
 from .semigroup import Semigroup, Word, format_word
 
@@ -90,45 +92,44 @@ class SIntegrality:
 def class_s_integrality(nd: ClassNormData, S: list[Place]) -> SIntegrality:
     """Decide bad_primes(alpha, beta) inside S without factoring the norm,
     for alpha in the class nd.cls and beta = nd.beta, in one table pass:
-    S-integral iff its meets in the table lie in S and R = 1, R the norm's
-    part prime to the table's primes (an integer; its primes all meet).
+    S-integral iff its meets in the table lie in S and R = 1, R what is
+    left of an integer once every table prime of c0, beta or S is stripped
+    from it (its other primes all meet).
 
     A full class, x = beta^M0 / c0 = +-A / B != +-1 in lowest terms, has
-    |W(beta)| = c0^phi |Phi_n'(A, B)| / B^phi, phi = phi(n'), n' = q' for
-    x > 0 and 2q', q'/2 or q' for x < 0 and q' odd, 2 mod 4 or 0 mod 4, as
-    Phi_q'(-y) = +-Phi_n'(y).  If n' > 2, (n', AB) != (6, 2) and no p in S
+    |W(beta)| = c0^phi |Phi_n'(A, B)| / B^phi, phi = phi(n'), n' =
+    galois.norm_order(q', x).  If n' > 2, (n', AB) != (6, 2) and no p in S
     is 1 mod n', a primitive prime p of A^n' - B^n' (Bang 1886, Zsigmondy
     1892) divides Phi_n'(A, B), not AB, and is 1 mod n', so not in S; as
     ord_p x = 0, p is a unit of both with ord_p W > 0 or has ord_p c0 =
-    M0 ord_p beta != 0: a meet outside S.  Else R = 1 is decided on
-    integers: |Phi_n'(A, B)| = prod |A^(n'/d) - B^(n'/d)|^mu(d) against the
-    p^(ord_p W - phi min(oc, ob)) > 1 (c0^phi / B^phi is the product of the
-    p^(phi min(oc, ob))), or the numerator of a twin's or x = +-1's exact
-    nd.value against the p^(ord_p W) > 1.  OverflowGuard before pieces of
-    n' 2^omega(n') times max(A, B)'s bits could pass 10^8, the budget of
+    M0 ord_p beta != 0: a meet outside S.  Else R is taken on integers,
+    from |Phi_n'(A, B)| = prod |A^(n'/d) - B^(n'/d)|^mu(d), whose primes
+    off the table are those of W, or from the numerator of a twin's or
+    x = +-1's exact nd.value.  OverflowGuard before pieces of n' 2^omega(n')
+    times max(A, B)'s bits could pass 10^8, the budget of
     PosReal._power_ints."""
     s_primes = {v.p for v in S if not v.is_archimedean}
-    q, a, B = nd.cls.qprime, nd.x.numerator, nd.x.denominator
-    A, k = abs(a), 0
-    n = q if a > 0 else 2 * q if q % 2 else q // 2 if q % 4 else q
+    A, B = abs(nd.x.numerator), nd.x.denominator
+    n = norm_order(nd.cls.qprime, nd.x)
     if nd.value is not None:
-        ints = [abs(nd.value.numerator), 1]
+        rest = abs(nd.value.numerator)
     elif n > 2 and (n, A * B) != (6, 2) and all((p - 1) % n for p in s_primes):
-        ints = [0, 1]                 # a primitive prime meets outside S
+        rest = 0                      # a primitive prime meets outside S
     else:
-        pieces, k, ints = moebius_divisors(n), euler_phi(n), [1, 1]
+        pieces, ints = moebius_divisors(n), [1, 1]
         if n * len(pieces) * max(A, B).bit_length() > 10 ** 8:
             raise OverflowGuard("an exact class norm past the 10^8-bit budget")
-        for d, mu in pieces:                # Phi_n'(A, B) = ints[0] / ints[1]
+        for d, mu in pieces:
             ints[mu < 0] *= abs(A ** (n // d) - B ** (n // d))
+        rest = ints[0] // ints[1]     # |Phi_n'(A, B)|
     known_bad = []
     for p, (oc, ob, ow) in nd.table(s_primes).items():
         if oc or ob or p in s_primes:
             if _meets(oc, ob, ow):
                 known_bad.append(p)
-            if ints[0] and ow > k * min(oc, ob):
-                ints[1] *= p ** (ow - k * min(oc, ob))
-    s_integral = ints[0] == ints[1] and all(p in s_primes for p in known_bad)
+            if rest and rest % p == 0:
+                rest = _strip(rest, p)[0]
+    s_integral = rest == 1 and all(p in s_primes for p in known_bad)
     return SIntegrality(s_integral, tuple(known_bad))
 
 

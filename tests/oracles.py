@@ -9,7 +9,9 @@ Q(sqrt(c0)) by the Fraction rule, apart from the integers of
 galois.decompose_binomial_roots and galois.entanglement, the argument
 scaling that chains the closed-form class polynomial, the class norm's
 log with each log taken where it is used, the float balance decision of
-S-integrality that the exact one replaced, and the small radical-point and
+S-integrality that the exact one replaced, the Aurifeuillian factor by
+Newton's identities over every power sum, zeros included, and the small
+radical-point and
 polynomial helpers only tests call (roots of unity, complex values, integer
 powers, the least rational power, the zero polynomial).
 
@@ -39,8 +41,9 @@ from monodyn.polyfactor import (_distinct_degree, _equal_degree_split,
                                 _pgcdext, _pmul, _psub, _squarefree_mod,
                                 _subset_sums, factor_poly)
 from monodyn.polynomials import UniPoly
-from monodyn.primes import (divisors, factor_fraction, moebius_divisors,
-                            power_product, quadratic_conductor)
+from monodyn.primes import (divisors, euler_phi, factor_fraction, kronecker,
+                            moebius_divisors, power_product,
+                            quadratic_conductor)
 from monodyn.radical import RadicalPoint
 from monodyn.scan import _meets
 from monodyn.semigroup import Semigroup, Word, check_printable
@@ -430,6 +433,30 @@ def s_integrality_by_balance(nd: galois.ClassNormData, S
     clean = gap < 0.2
     return (clean and all(p in s_primes for p in known_bad), tuple(known_bad),
             clean or gap > math.log(2) - 0.2)
+
+
+def aurifeuillian_factor_dense(q: int, f: int) -> tuple[int, ...]:
+    """galois._aurifeuillian_factor with every power sum s_1 .. s_n kept
+    and each Newton identity summed over all of them, the zeros too."""
+    n, m = euler_phi(q), 2 * q
+    d, root_df = (f, f) if f % 2 else (f // 4, f // 2)
+    sums = [0]
+    for j in range(1, n + 1):
+        g = math.gcd(m, j)
+        mj = m // g
+        if j % 2 and mj % f:
+            sums.append(0)
+            continue
+        k = mj // f if j % 2 else mj
+        rad, mu = moebius_divisors(k)[-1]
+        val = mu * d ** (j // 2) if rad == k else 0
+        if j % 2:
+            val *= kronecker(f, j // g) * kronecker(f, k) * root_df
+        sums.append(val * n // euler_phi(mj))
+    a = [1]
+    for k in range(1, n + 1):
+        a.append(-sum(sums[i] * a[k - i] for i in range(1, k + 1)) // k)
+    return tuple(reversed(a))
 
 
 def zero_poly() -> UniPoly:

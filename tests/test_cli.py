@@ -150,6 +150,19 @@ def test_scan_json_and_exit_codes(config, tmp_path, capsys):
     assert json.loads(out2.read_text())["truncated"]
 
 
+def test_scan_past_the_gamma_tolerance_is_a_cap(config, tmp_path, capsys):
+    # a gamma residual above --tol truncates the scan: exit 3, and the
+    # report is still written, with one note per residual
+    out = tmp_path / "r.json"
+    rc = main(["--config", config, "scan", "--beta", "2", "--depth", "3",
+               "--tol", "1e-300", "--out", str(out)])
+    assert rc == 3
+    doc = json.loads(out.read_text())
+    assert doc["truncated"] and len(doc["verdicts"]) == 38
+    assert len(doc["notes"]) == 17
+    assert all(n.startswith("gamma residual ") for n in doc["notes"])
+
+
 @pytest.mark.parametrize("command", ["preper", "equid"])
 def test_depth_zero_is_invalid_config(config, command, capsys):
     rc = main(["--config", config, command, "--depth", "0"])

@@ -22,8 +22,10 @@ from monodyn.primes import (euler_phi, factor_fraction, kronecker, ord_p,
 from monodyn.radical import RadicalPoint
 from monodyn.scan import word_pair_classes
 from monodyn.semigroup import Semigroup
-from oracles import (decompose_by_radical_form, entanglement_by_fraction,
-                     log_w_by_piece, quadratic_kernel, rational_binomial,
+from monodyn.places import _log_fraction
+from oracles import (aurifeuillian_factor_dense, decompose_by_radical_form,
+                     entanglement_by_fraction, log_w_by_piece,
+                     quadratic_kernel, rational_binomial, root_of_unity,
                      scale_arg, word_pairs)
 
 POOL = [F(x) for x in ("2", "3", "4", "-2", "-3", "-4", "8", "9", "-8", "16",
@@ -193,6 +195,21 @@ def test_aurifeuillian_factors():
         assert factor_poly(B) == [(B, 1)], (q, d)
 
 
+def test_sparse_newton_identities_match_the_dense_sums():
+    # oracle: Newton's identities over every power sum; on each genuine-twin
+    # (q', f) of {2z^2, 3z^3} to depth 9 and of the other two to depth 7
+    pairs = set()
+    for semigroup, depth in zip(TEST_SEMIGROUPS, (9, 7, 7)):
+        G = Semigroup.from_pairs(semigroup)
+        pairs |= {(cls.qprime, cls.conductor)
+                  for cls, _, _ in word_pair_classes(G, depth)
+                  if _is_genuine_twin(cls)}
+    assert len(pairs) >= 25
+    for q, f in sorted(pairs):
+        assert galois._aurifeuillian_factor(q, f) \
+            == aurifeuillian_factor_dense(q, f), (q, f)
+
+
 def test_known_splits():
     # the quartic special case splits into two conjugate quadratics
     classes = decompose_binomial_roots(4, F(-4))
@@ -297,9 +314,33 @@ def test_full_norm_valuations_closed_form():
 
 
 def test_phi_at_pm1_closed_form():
+    # |Phi_n(+-1)| = Phi_n'(1) for n' = norm_order(n, +-1), the value of
+    # the class of order n at beta = +-1 up to sign, or BetaIsConjugate
     for n in range(1, 80):
+        cls = class_of_point(root_of_unity(F(1, n) % 1))
         for sign in (1, -1):
-            assert galois._phi_at_pm1(n, sign) == cyclotomic_poly(n)(sign)
+            value = cyclotomic_poly(n)(sign)
+            m = galois.norm_order(n, F(sign))
+            assert abs(value) == cyclotomic_poly(m)(1), (n, sign)
+            if value == 0:
+                with pytest.raises(BetaIsConjugate):
+                    class_norm_data(cls, F(sign))
+            else:
+                assert abs(class_norm_data(cls, F(sign)).value) == abs(value)
+
+
+def test_log_power_minus_one_next_to_one():
+    # |x| - 1 below 2^-57 (no float holds it for the 10^400 one): then
+    # log|x^j - 1| = log(j |x - 1|); oracle: the exact x^j - 1
+    checked = 0
+    for den in (2 ** 80, 10 ** 400):
+        for x in (F(den + 1, den), F(den - 1, den)):
+            for y, j in [(x, 2), (x, 3), (x, 5), (-x, 2), (-x, 4)]:
+                got = galois._log_abs_power_minus_one(y, j, _log_fraction(y))
+                want = _log_fraction(y ** j - 1)
+                assert abs(got - want) <= 1e-15 * abs(want), (y, j)
+                checked += 1
+    assert checked == 20
 
 
 TEST_SEMIGROUPS = ([("2", 2), ("3", 3)], [("-5/2", 3), ("4", -2)],

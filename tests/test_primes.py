@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -135,6 +136,35 @@ def test_kronecker_against_legendre():
             expect = 1 if a in residues else -1
             assert kronecker(a, p) == expect
     assert [kronecker(2, k) for k in (1, 3, 5, 7)] == [1, -1, -1, 1]
+
+
+@pytest.mark.parametrize("n", [0, -1, -8])
+def test_kronecker_needs_a_positive_modulus(n):
+    # every caller passes n >= 1: a twin's residue, 1 + q', j / gcd(2q', j)
+    with pytest.raises(ValueError):
+        kronecker(5, n)
+
+
+def test_factorint_peels_perfect_powers(monkeypatch):
+    # q = 2^64 - 59 and r = 2^61 - 1 are prime; their powers are no prime
+    # past the trial divisors, and rho alone spends its budget on q^2
+    # (FactorBudgetExceeded after seconds), so the peel must take them
+    q, r = 2 ** 64 - 59, 2 ** 61 - 1
+    peeled = []
+    inner = primes._perfect_power
+
+    def spy(n):
+        root = inner(n)
+        peeled.append(root)
+        return root
+    monkeypatch.setattr(primes, "_perfect_power", spy)
+    for n, expect in ((q ** 2, {q: 2}), (r ** 5, {r: 5}),
+                      (3 * r ** 2, {3: 1, r: 2})):
+        peeled.clear()
+        t0 = time.perf_counter()
+        assert factorint(n) == expect
+        assert time.perf_counter() - t0 < 1.0
+        assert peeled[0] is not None, n
 
 
 def test_quadratic_kernel_conductor():

@@ -503,6 +503,21 @@ def test_scan_truncation_marker():
     assert not rep.stabilization
 
 
+def test_scan_truncates_past_the_gamma_tolerance():
+    # a tolerance below every nonzero float residual: each of the 17
+    # nonzero residuals among the 38 classes to |w| = 3 leaves a note, the
+    # scan is marked truncated, and every verdict is kept as at the default
+    rep = run_scan(ScanConfig(G2, S_DEFAULT, F(2), 3, tol=1e-300))
+    default = run_scan(ScanConfig(G2, S_DEFAULT, F(2), 3))
+    assert rep.truncated and not default.truncated and not default.notes
+    residuals = [v.gamma_residual for v in rep.verdicts]
+    assert residuals == [v.gamma_residual for v in default.verdicts]
+    assert len(residuals) == 38 and sum(map(bool, residuals)) == 17
+    assert len(rep.notes) == 17
+    assert all(n.startswith("gamma residual ") and " above tol at degree " in n
+               for n in rep.notes)
+
+
 def test_scan_report_stops_at_the_root_budget(monkeypatch):
     # the binomials up to |w| = 4 hold 2430 roots; with that budget the
     # stream stops at the first pair of length 5 and the scan keeps the

@@ -1,0 +1,130 @@
+"""Record the untraced scan times of one revision in BENCH_<short rev>.json.
+
+    python3 tools/bench_record.py [REV]
+
+REV (a git revision, HEAD by default) is exported with git archive into a
+temporary directory, so no bytecode or other file of the working tree is
+read.  From there fresh interpreters, with PYTHONDONTWRITEBYTECODE=1 and
+PYTHONPATH=src, run run_scan of G = {2z^2, 3z^3}, S = {inf, 2, 3, 5},
+beta = 2 untraced at word lengths 4 to 9, three rounds over the depths, one
+process per scan.  Each process times run_scan alone and reports its class
+count, its raw digest (the sha256 prefix of the sorted report JSON, the
+formula of tests/test_cross_validation.raw_report_digest) and its own peak
+RSS, which includes building that JSON.
+
+Per depth the record holds the median wall time with the three times, the
+class count, the digest and the peak RSS (median, with the three values);
+a digest or class count that differs between the rounds stops the script.
+It also holds REV, the commit it names, the Python version, the CPU model
+and the sha256 of `cat src/monodyn/*.py` at REV.  The file is written to
+the root of the checkout that holds this script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DEPTHS = range(4, 10)
+ROUNDS = 3
+
+CHILD = """
+import hashlib, json, resource, sys, time
+from fractions import Fraction
+from monodyn.places import INF, Place
+from monodyn.scan import ScanConfig, run_scan
+from monodyn.semigroup import Semigroup
+G = Semigroup.from_pairs([("2", 2), ("3", 3)])
+cfg = ScanConfig(G, [INF, Place(2), Place(3), Place(5)], Fraction(2),
+                 int(sys.argv[1]))
+t0 = time.perf_counter()
+report = run_scan(cfg)
+wall = time.perf_counter() - t0
+raw = json.dumps(report.to_json(), sort_keys=True)
+print(json.dumps({
+    "wall_s": wall, "classes": len(report.verdicts),
+    "digest": hashlib.sha256(raw.encode()).hexdigest()[:12],
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True).stdout
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return "unknown"
+
+
+def scan_once(tree: Path, depth: int) -> dict:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
+    out = subprocess.run([sys.executable, "-c", CHILD, str(depth)], cwd=tree,
+                         env=env, check=True, capture_output=True, text=True,
+                         timeout=900)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def record(rev: str) -> dict:
+    commit = git("rev-parse", "--verify", rev + "^{commit}").decode().strip()
+    runs: dict[int, list[dict]] = {d: [] for d in DEPTHS}
+    with tempfile.TemporaryDirectory(prefix="bench_record_") as tmp:
+        tree = Path(tmp)
+        subprocess.run(["tar", "-x", "-C", tmp], check=True,
+                       input=git("archive", "--format=tar", commit))
+        src = b"".join(p.read_bytes()
+                       for p in sorted((tree / "src" / "monodyn").glob("*.py")))
+        for _ in range(ROUNDS):
+            for depth in DEPTHS:
+                runs[depth].append(scan_once(tree, depth))
+                print(f"depth {depth}: {runs[depth][-1]}", file=sys.stderr)
+    rows = []
+    for depth, rs in runs.items():
+        if len({(r["classes"], r["digest"]) for r in rs}) != 1:
+            raise SystemExit(f"depth {depth}: the rounds disagree: {rs}")
+        walls = [r["wall_s"] for r in rs]
+        rss = [r["peak_rss_mb"] for r in rs]
+        rows.append({"depth": depth, "wall_s": statistics.median(walls),
+                     "wall_s_runs": walls, "classes": rs[0]["classes"],
+                     "digest": rs[0]["digest"],
+                     "peak_rss_mb": statistics.median(rss),
+                     "peak_rss_mb_runs": rss})
+    return {
+        "rev": rev, "commit": commit,
+        "python": sys.version.split()[0], "cpu": cpu_model(),
+        "src_sha256": hashlib.sha256(src).hexdigest(),
+        "scan": {"semigroup": [["2", 2], ["3", 3]], "S": [0, 2, 3, 5],
+                 "beta": "2", "rounds": ROUNDS, "untraced": True},
+        "depths": rows,
+    }
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("rev", nargs="?", default="HEAD")
+    rev = ap.parse_args().rev
+    doc = record(rev)
+    short = git("rev-parse", "--short", doc["commit"]).decode().strip()
+    path = ROOT / f"BENCH_{short}.json"
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    print(path)
+
+
+if __name__ == "__main__":
+    main()
