@@ -11,9 +11,9 @@ scaling that chains the closed-form class polynomial, the class norm's
 log with each log taken where it is used, the float balance decision of
 S-integrality that the exact one replaced, the Aurifeuillian factor by
 Newton's identities over every power sum, zeros included, and the small
-radical-point and
-polynomial helpers only tests call (roots of unity, complex values, integer
-powers, the least rational power, the zero polynomial).
+radical-point and polynomial helpers only tests call (roots of unity,
+complex values, integer powers, the least rational power, the zero
+polynomial).
 
 Simultaneous (Durand-Kerner) iteration in mpmath arithmetic.  The a
 posteriori certificate is the classical Weierstrass inclusion: for monic f of

@@ -14,6 +14,7 @@ from monodyn.exactreal import PosReal
 from monodyn.galois import (ClassNormData, class_norm_data,
                             class_of_point, class_polynomial,
                             decompose_binomial_roots, unit_group_generators)
+from monodyn.places import _log_fraction
 from monodyn.polyfactor import factor_poly
 from monodyn.polynomials import UniPoly, cyclotomic_poly
 from monodyn.preper import collision_binomial, minimal_polynomial
@@ -22,7 +23,6 @@ from monodyn.primes import (euler_phi, factor_fraction, kronecker, ord_p,
 from monodyn.radical import RadicalPoint
 from monodyn.scan import word_pair_classes
 from monodyn.semigroup import Semigroup
-from monodyn.places import _log_fraction
 from oracles import (aurifeuillian_factor_dense, decompose_by_radical_form,
                      entanglement_by_fraction, log_w_by_piece,
                      quadratic_kernel, rational_binomial, root_of_unity,
