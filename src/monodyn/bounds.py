@@ -222,14 +222,15 @@ def class_min_log_distances(nd: ClassNormData,
     p's row (oc, ob, ow) of nd.table() has ord_p alpha = oc / M0 and ord_p
     beta = ob / M0; when they differ: -min of the two times log p (exact).
 
-    With equal valuations o and p prime to M0 q': the ratios
-    sigma(alpha) / beta are p-units differing by roots of unity of order
-    dividing M0 q', so they are distinct mod p and at most one conjugate
-    is closer to beta than o; it carries all of ord_p Nm beyond deg o, and
-    log|Nm|_p - (deg - 1) log|beta|_p is exact at every degree.  At
-    p | M0 q' (ramified): _ramified_slope up to EXACT_DEGREE, past it that
-    same norm expression as a sound lower bound, as no term exceeds
-    log|beta|_p.  Each slope is an integer over M0, divided once."""
+    With equal valuations o, each ord_p(sigma(alpha) - beta) is >= o and
+    they sum to ow = ord_p Nm.  At p prime to M0 q' the ratios sigma(alpha)
+    / beta are p-units differing by roots of unity of order dividing M0 q',
+    so they are distinct mod p and at most one conjugate is closer to beta
+    than o; it carries all of ow beyond deg o, and log|Nm|_p - (deg - 1)
+    log|beta|_p is exact at every degree, as at a ramified p | M0 q' when
+    ow = deg o.  Past that: _ramified_slope up to EXACT_DEGREE, then that
+    norm expression, sound as no term exceeds log|beta|_p.  Each slope is
+    an integer over M0, divided once."""
     cls, M0 = nd.cls, nd.cls.M0
     table = nd.table([v.p for v in places if not v.is_archimedean])
     out = []
@@ -241,7 +242,8 @@ def class_min_log_distances(nd: ClassNormData,
         oc, ob, ow = table[p]
         if oc != ob:
             slope = -min(oc, ob) / M0
-        elif M0 * cls.qprime % p == 0 and cls.degree <= EXACT_DEGREE:
+        elif (M0 * cls.qprime % p == 0 and cls.degree <= EXACT_DEGREE
+              and ow > cls.degree * (ob // M0)):
             slope = float(_ramified_slope(nd, p, ob // M0))
         else:
             slope = ((cls.degree - 1) * oc - M0 * ow) / M0

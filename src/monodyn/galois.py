@@ -139,6 +139,14 @@ def _residues(q: int, f: int, sign: int) -> tuple[int, ...]:
                  if math.gcd(r, q) == 1 and _twin_sign(r, q, f) == sign)
 
 
+@lru_cache(maxsize=1024)
+def _squares(rs: tuple[int, ...], P: int, cos: bool) -> tuple[float, ...]:
+    """trig(pi r / P)^2 over the residues rs, trig = cos or sin: the fiber
+    terms of ClassNormData.arch, one tuple per residue set."""
+    trig = math.cos if cos else math.sin
+    return tuple(trig(math.pi * (r / P)) ** 2 for r in rs)
+
+
 @dataclass(frozen=True)
 class ConjugacyClass:
     """A Galois orbit of roots of a rational binomial X^N = a, fixed by
@@ -198,14 +206,6 @@ class ConjugacyClass:
         return RadicalPoint(self.modulus, self.first_angle)
 
     @cached_property
-    def log_modulus(self) -> float:
-        return self.modulus.log()
-
-    @cached_property
-    def log_c0(self) -> float:
-        return _log_fraction(self.c0)
-
-    @cached_property
     def c0_exponents(self) -> dict[int, int]:
         """ord_p(c0) at the primes of c0 = modulus^M0, as ints."""
         return {p: int(e * self.M0) for p, e in self.modulus.exps.items()}
@@ -217,6 +217,28 @@ class ConjugacyClass:
         its discrepancy."""
         rs = self.residues()
         return _discrepancy(rs, self.period) / (self.degree // len(rs))
+
+    @cached_property
+    def log_w_plan(self) -> tuple[float, tuple[tuple[int, int], ...]]:
+        """(phi(q') log c0, moebius_divisors(q')): log_w's part free of beta."""
+        return (euler_phi(self.qprime) * _log_fraction(self.c0),
+                moebius_divisors(self.qprime))
+
+    def arch_plan(self, negative: bool) -> tuple:
+        """arch()'s class terms for beta of that sign, once per sign: log rho,
+        the fiber terms and trig(pi v / D)^2 at the nearest angle v / D."""
+        key = "_arch_neg" if negative else "_arch_pos"
+        if key not in self.__dict__:
+            rs, P, D = self.residues(), self.period, self.M0 * self.qprime
+            v = rs[0]
+            if negative:
+                base, off = divmod(-(-D // 2), P)
+                i = bisect.bisect_left(rs, off)
+                v = base * P + rs[i] if i < len(rs) else (base + 1) * P + rs[0]
+            self.__dict__[key] = (self.modulus.log(), _squares(
+                rs, P, negative and self.degree // len(rs) % 2),
+                (math.cos if negative else math.sin)(math.pi * (v / D)) ** 2)
+        return self.__dict__[key]
 
     def progressions(self) -> int:
         """Number of step-1/M0 arithmetic progressions forming the angles:
@@ -420,20 +442,26 @@ def norm_order(q: int, x: Fraction) -> int:
     return q if x > 0 else 2 * q if q % 2 else q // 2 if q % 4 else q
 
 
-@lru_cache(maxsize=64)
-def beta_exponents(beta: Fraction) -> dict[int, int]:
-    """factor_fraction(beta), {p: ord_p beta}, cached per base point:
-    callers share the one map and only read it."""
-    return factor_fraction(beta)
+class BasePoint(Fraction):
+    """A rational base point that takes what each (class, beta) record reads
+    of it once: exponents, {p: ord_p beta} (read only), and log|beta|."""
+
+    @cached_property
+    def exponents(self) -> dict[int, int]:
+        return factor_fraction(self)
+
+    @cached_property
+    def log_abs(self) -> float:
+        return _log_fraction(self)
 
 
 @dataclass(frozen=True)
 class ClassNormData:
     """The record of one (class, beta) pair, beta outside the orbit: the
-    class cls, beta and the local terms of |Nm(beta - alpha)|, each computed
-    once: table(), the integer rows (ord_p c0, M0 ord_p beta, ord_p W), whose
-    first two are M0 times ord_p alpha and ord_p beta; log_w(), the log of
-    the norm; arch(), the archimedean row.
+    class cls, beta (a BasePoint) and the local terms of |Nm(beta - alpha)|,
+    each computed once: table(), the integer rows (ord_p c0, M0 ord_p beta,
+    ord_p W), whose first two are M0 times ord_p alpha and ord_p beta;
+    log_w(), the log of the norm; arch(), the archimedean row.
 
     For a class of full degree M0 phi(q') the norm is W(beta) =
     c0^phi(q') Phi_{q'}(x), x = beta^M0 / c0: ord_p W takes the closed form
@@ -447,7 +475,7 @@ class ClassNormData:
     """
 
     cls: ConjugacyClass
-    beta: Fraction
+    beta: BasePoint
     x: Fraction                 # beta^M0 / c0
     value: Fraction | None      # the norm, twin or x = +-1 (up to sign)
 
@@ -460,7 +488,7 @@ class ClassNormData:
         if old is not None and all(map(old.__contains__, primes)):
             return old
         cls, old = self.cls, old or {}
-        c_exps, b_exps = cls.c0_exponents, beta_exponents(self.beta)
+        c_exps, b_exps = cls.c0_exponents, self.beta.exponents
         rows = {}
         for p in sorted({*old, *primes, *c_exps, *b_exps}):
             oc, ob = c_exps.get(p, 0), cls.M0 * b_exps.get(p, 0)
@@ -478,10 +506,9 @@ class ClassNormData:
         """log of the norm's absolute value."""
         if self.value is not None:
             return _log_fraction(self.value)
-        q = self.cls.qprime
-        total = euler_phi(q) * self.cls.log_c0
+        (total, pieces), q = self.cls.log_w_plan, self.cls.qprime
         log_x = _log_fraction(self.x)
-        for d, mu in moebius_divisors(q):
+        for d, mu in pieces:
             total += mu * _log_abs_power_minus_one(self.x, q // d, log_x)
         return total
 
@@ -491,25 +518,16 @@ class ClassNormData:
         conjugates rho e((r / P + m) / K) of residue r are the roots of
         X^K = rho^K e(r / P), so their distances to beta multiply to
         |beta^K - rho^K e(r / P)|.  The nearest conjugate has the angle
-        closest to 0 (beta > 0) or 1/2 (beta < 0), found from one side: the
-        orbit is closed under t -> -t."""
+        closest to 0 (beta > 0) or 1/2 (beta < 0), found from one side (the
+        orbit is closed under t -> -t) by the class's arch_plan."""
         row = self.__dict__.get("_arch")
         if row is not None:
             return row
-        cls, negative = self.cls, self.beta.numerator < 0
-        rs, P = cls.residues(), cls.period
-        K = cls.degree // len(rs)
-        la, lb = cls.log_modulus, _log_fraction(self.beta)
-        fibers = math.fsum(_log_distances(K * la, K * lb, [r / P for r in rs],
-                                          negative and K % 2))
-        D = cls.M0 * cls.qprime             # angles are v / D
-        if not negative:
-            v = rs[0]
-        else:
-            base, off = divmod(-(-D // 2), P)
-            i = bisect.bisect_left(rs, off)
-            v = base * P + rs[i] if i < len(rs) else (base + 1) * P + rs[0]
-        nearest, = _log_distances(la, lb, (v / D,), negative)
+        cls = self.cls
+        la, squares, nearest = cls.arch_plan(self.beta.numerator < 0)
+        K, lb = cls.degree // len(squares), self.beta.log_abs
+        fibers = math.fsum(_log_distances(K * la, K * lb, squares))
+        nearest, = _log_distances(la, lb, (nearest,))
         row = self.__dict__["_arch"] = fibers / cls.degree, nearest
         return row
 
@@ -521,8 +539,7 @@ def class_norm_data(cls: ConjugacyClass, beta: Fraction) -> ClassNormData:
     z = beta^(M0/2), n = phi(q') (_twin_factor); with z / r = u / v in
     integers it is H / (den(r) den(z))^n for H = sum B_i u^i v^(n - i),
     by homogeneous Horner."""
-    if not isinstance(beta, Fraction):
-        beta = Fraction(beta)
+    beta = beta if isinstance(beta, BasePoint) else BasePoint(beta)
     if beta == 0:
         raise ZeroInput("beta must be nonzero")
     qprime, M0, c0 = cls.qprime, cls.M0, cls.c0
@@ -561,10 +578,12 @@ def _ord_full_norm(q: int, x: Fraction, p: int, v: int, oc: int) -> int:
     except that Phi_2(x) = x + 1 at p = 2.  Then x mod p^j comes from the
     numerator and denominator of x, both p-units.
     """
-    phi = euler_phi(q)
+    phi, q0, k, ells = _unit_norm_plan(q, p)
     if v:
         return phi * (oc + min(v, 0))
     base = phi * oc
+    if ells is None:
+        return base
     n, d = x.numerator, x.denominator
 
     def ord_diff(e, s):
@@ -579,16 +598,21 @@ def _ord_full_norm(q: int, x: Fraction, p: int, v: int, oc: int) -> int:
             j *= 2
     if p == 2 and q == 2:
         return base + ord_diff(1, -1)
-    q0, k = q, 0                # q = q0 p^k, p prime to q0
-    while q0 % p == 0:
-        q0, k = q0 // p, k + 1
-    if (p - 1) % q0:
-        return base
     xb = n * pow(d, -1, p) % p
     if pow(xb, q0, p) != 1 or any(pow(xb, q0 // ell, p) == 1
-                                  for ell in factorint(q0)):
+                                  for ell in ells):
         return base
     return base + (ord_diff(q0, 1) if k == 0 else 1)
+
+
+@lru_cache(maxsize=4096)
+def _unit_norm_plan(q: int, p: int):
+    """(phi(q), q0, k, q0's primes or None if p != 1 mod q0), q = q0 p^k."""
+    q0, k = q, 0
+    while q0 % p == 0:
+        q0, k = q0 // p, k + 1
+    return (euler_phi(q), q0, k,
+            None if (p - 1) % q0 else tuple(factorint(q0)))
 
 
 def _log_abs_power_minus_one(x: Fraction, j: int, log_x: float) -> float:
@@ -618,15 +642,13 @@ def _log_abs_power_minus_one(x: Fraction, j: int, log_x: float) -> float:
     return math.log1p(math.exp(z))
 
 
-def _log_distances(la: float, lb: float, ts, negative: bool):
-    """Each log|e^la e(t) - s e^lb|, t in ts, s = -1 if negative else 1, at
+def _log_distances(la: float, lb: float, squares) -> list[float]:
+    """Each log|e^la e(t) - s e^lb|, s = +-1, from trig(pi t)^2 in squares at
     the scale m = max(e^la, e^lb) so that no float overflows: with a = e^la
     / m, b = e^lb / m, |a e(t) - s b|^2 = (a - b)^2 + 4ab sin^2(pi t) (cos
     for s = -1), free of cancellation near s b.  -inf where that is 0."""
     lm = max(la, lb)
     a, b = math.exp(la - lm), math.exp(lb - lm)
-    trig = math.cos if negative else math.sin
     square, ab4 = (a - b) ** 2, 4 * a * b
-    for t in ts:
-        d2 = square + ab4 * trig(math.pi * t) ** 2
-        yield lm + 0.5 * math.log(d2) if d2 else -math.inf
+    return [lm + 0.5 * math.log(d2) if d2 else -math.inf
+            for d2 in [square + ab4 * s for s in squares]]

@@ -443,40 +443,47 @@ def _good_prime_factorization(f: list[int], rng: random.Random, primes,
                for h in _equal_degree_split(g, d, p, rng, rows)], possible
 
 
-def _factor_whole(f: list[int], rng: random.Random) -> list[list[int]]:
+def _factor_whole(f: list[int], rng: random.Random,
+                  irreducible: set) -> list[list[int]]:
     """_factor_squarefree_z with f's own polygon degrees and prime walk."""
-    return _factor_squarefree_z(f, rng, _primes_mod(f), _polygon_degrees(f))
+    return _factor_squarefree_z(f, rng, _primes_mod(f), _polygon_degrees(f),
+                                irreducible)
 
 
-def _deflated_split(f: list[int], rng: random.Random
+def _deflated_split(f: list[int], rng: random.Random, irreducible: set
                     ) -> list[list[int]] | None:
     """The pieces h(X^e) of f = H(X^e), h over the irreducible factors of H,
     at the first e that splits H, or None.  With k the gcd of f's exponents,
     e = k/l for each l | k that is prime or 4, e > 1: by Capelli a reducible
-    X^k - c has some Y^l - c reducible, and H has degree n/e."""
+    X^k - c has some Y^l - c reducible, and H has degree n/e.  An H in
+    irreducible is not factored again: l = 4's H2(Y^2) deflates to H2."""
     k = math.gcd(*(i for i, c in enumerate(f) if c))
     for ell in range(2, k):
         if k % ell == 0 and (is_prime(ell) or ell == 4):
             e = k // ell
-            factors = _factor_whole(f[::e], rng)
+            if (H := tuple(f[::e])) in irreducible:
+                continue
+            factors = _factor_whole(list(H), rng, irreducible)
             if len(factors) > 1:
                 return [[0 if i % e else h[i // e]
                          for i in range((len(h) - 1) * e + 1)]
                         for h in factors]
+            irreducible.add(H)
     return None
 
 
 def _factor_squarefree_z(f: list[int], rng: random.Random, primes,
-                         possible: set[int]) -> list[list[int]]:
+                         possible: set[int], irreducible: set
+                         ) -> list[list[int]]:
     """Irreducible factors over Z of a squarefree primitive f, deg >= 1, with
     the polygon degrees `possible` and the prime walk `primes`, as
     _good_prime_factorization takes them.  Past the polygon certificate, a
     split of f in X^e at degree n/e (_deflated_split) comes first."""
     if possible == {0, len(f) - 1}:
         return [f]
-    pieces = _deflated_split(f, rng)
+    pieces = _deflated_split(f, rng, irreducible)
     if pieces is not None:
-        return [g for h in pieces for g in _factor_whole(h, rng)]
+        return [g for h in pieces for g in _factor_whole(h, rng, irreducible)]
     chosen = _good_prime_factorization(f, rng, primes, possible)
     if chosen is None:
         return [f]
@@ -535,7 +542,7 @@ def factor_poly(f: UniPoly, degree_cap: int = DEGREE_CAP,
         raise ZeroInput("factor_poly expects degree >= 1")
     if f.degree > degree_cap:
         raise DegreeCapExceeded(f"degree {f.degree} exceeds cap {degree_cap}")
-    rng = random.Random(seed or 0xC0FFEE)
+    rng, irreducible = random.Random(seed or 0xC0FFEE), set()
     out: list[tuple[UniPoly, int]] = []
     k = 0
     cs = list(f.coeffs)
@@ -562,7 +569,8 @@ def factor_poly(f: UniPoly, degree_cap: int = DEGREE_CAP,
                     h = sqf.content_and_primitive()[1].int_coeffs()
                     parts.append((h, mult, _primes_mod(h), _polygon_degrees(h)))
         for sqf, mult, primes, possible in parts:
-            for piece in _factor_squarefree_z(sqf, rng, primes, possible):
+            for piece in _factor_squarefree_z(sqf, rng, primes, possible,
+                                              irreducible):
                 out.append((UniPoly.from_coeffs(piece), mult))
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     return out

@@ -10,9 +10,11 @@ decided exactly, by the primitive divisors of A^n' - B^n' (Bang, Zsigmondy)
 or else on one integer of the norm: R, what is left of it once the table's
 primes are stripped, must be 1.
 Every rule reads integer valuations, the table of one (class, beta)
-record (galois.ClassNormData.table), built in one pass over S and the
-primes of c0 and beta; beta is factored once per base point, and each
-place's distance bound once per degree (and MQ at degree 1).
+record (galois.ClassNormData.table) built in one pass over S and the
+primes of c0 and of beta, factored once per scan (galois.BasePoint).  The
+distances read it too, shifting no polynomial at a ramified p where ord_p
+W = deg ord_p beta; each place's bound is formed once per degree (and MQ
+at degree 1).
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from .bounds import (DistanceBoundCert, class_min_log_distances,
 from .errors import (EnumerationCap, FactorBudgetExceeded, InvalidConfig,
                      NotSIntegral, OverflowGuard)
 from .exactreal import PosReal
-from .galois import (DEGREE_CAP, ClassNormData, beta_exponents,
-                     class_norm_data, class_of_point, decompose_binomial_roots,
-                     norm_order)
+from .galois import (DEGREE_CAP, BasePoint, ClassNormData, class_norm_data,
+                     class_of_point, decompose_binomial_roots, norm_order)
 from .orbits import is_preperiodic
 from .places import INF, Place, height_rational
 from .preper import collision_binomial, minimal_polynomial
@@ -107,8 +108,8 @@ def class_s_integrality(nd: ClassNormData, S: list[Place]) -> SIntegrality:
     off the table are those of W, or from the numerator of a twin's or
     x = +-1's exact nd.value.  OverflowGuard before pieces of n' 2^omega(n')
     times max(A, B)'s bits could pass 10^8, the budget of
-    PosReal._power_ints."""
-    s_primes = {v.p for v in S if not v.is_archimedean}
+    PosReal._power_ints.  S may be the frozenset of its finite primes."""
+    s_primes = S if isinstance(S, frozenset) else {v.p for v in S if v.p}
     A, B = abs(nd.x.numerator), nd.x.denominator
     n = norm_order(nd.cls.qprime, nd.x)
     if nd.value is not None:
@@ -344,9 +345,10 @@ def _scan_distance_checks(nd: ClassNormData,
 def zero_infinity_verdict(beta: Fraction, S: list[Place]) -> dict:
     """The always-preperiodic fixed points of the chart, reported separately."""
     s_primes = {v.p for v in S if not v.is_archimedean}
+    beta = beta if isinstance(beta, BasePoint) else BasePoint(beta)
     out = {}
     for point, sign in (("zero", 1), ("infinity", -1)):
-        bad = [p for p, e in beta_exponents(beta).items() if e * sign > 0]
+        bad = [p for p, e in beta.exponents.items() if e * sign > 0]
         out[point] = {"bad_primes": bad,
                       "s_integral": all(p in s_primes for p in bad)}
     return out
@@ -357,13 +359,15 @@ class _ClassTable:
     stream, the suspended walk, has yielded: (cls, w, m) for each class once
     with its first witness in (|w|, lex, m) order, and None after the last
     pair of each word length; once the walk ends, its EnumerationCap or
-    OverflowGuard is the last row.  walked counts the roots walked.
+    OverflowGuard is the last row.  walked counts the roots walked; orders
+    maps k to run_scan's report order of the first k classes.
     The walk holds G: a cycle through G._memo, which the collector frees."""
 
     def __init__(self, limits: tuple[int, int], G: Semigroup):
         self.limits = limits          # (ROOT_BUDGET, int-to-text digit limit)
         self.rows: list = []
         self.walked = 0
+        self.orders: dict[int, list[int]] = {}
         self.stream = self._walk(G)
 
     def _walk(self, G: Semigroup):
@@ -461,6 +465,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
         raise InvalidConfig(
             f"beta = {beta} lacks a non-preperiodicity certificate "
             f"(status {status.tag}); refusing to scan")
+    point, s_primes = BasePoint(beta), frozenset(v.p for v in config.S if v.p)
     certs = [(v, distance_bound_constant(G, v)) for v in config.S]
     h_beta = height_rational(beta)
     bounds: dict = {}
@@ -470,8 +475,8 @@ def run_scan(config: ScanConfig) -> ScanReport:
     try:
         for cls, w, m in capped_classes(G, config.max_wordlen,
                                         config.node_cap, lambda cls: 1):
-            nd = class_norm_data(cls, beta)
-            integ = class_s_integrality(nd, config.S)
+            nd = class_norm_data(cls, point)
+            integ = class_s_integrality(nd, s_primes)
             gamma = class_gamma(nd)
             dist = _scan_distance_checks(nd, certs, h_beta, bounds)
             if abs(gamma.residual) > config.tol:
@@ -485,23 +490,26 @@ def run_scan(config: ScanConfig) -> ScanReport:
     except EnumerationCap as exc:
         truncated = True
         notes.append(str(exc))
-    verdicts.sort(key=_verdict_order(verdicts))
+    orders, k = G._memo["classes"].orders, len(verdicts)
+    if k not in orders:               # the order of k classes, free of beta
+        orders[k] = _verdict_order(verdicts)
+    verdicts = [verdicts[i] for i in orders[k]]
     si = [v for v in verdicts if v.s_integral]
     si_classes = _by_length(si)
     last = config.max_wordlen
     stab = not (truncated or si_classes.get(last) or si_classes.get(last - 1))
     return ScanReport(config, status.certificate or "", verdicts,
-                      zero_infinity_verdict(beta, config.S),
+                      zero_infinity_verdict(point, config.S),
                       _by_length(verdicts), _by_length(verdicts, True),
                       si_classes, _by_length(si, True), stab,
                       max((v.degree for v in si), default=0), truncated, notes)
 
 
-def _verdict_order(verdicts: list[ClassVerdict]):
-    """The report's sort key (degree, point.key()) on integers: each
-    modulus exponent times the lcm L of the M0 (the denominators of the
-    exponents) and each angle times the lcm T of the angle denominators, a
-    scale by a positive constant that keeps the order."""
+def _verdict_order(verdicts: list[ClassVerdict]) -> list[int]:
+    """The permutation sorting the verdicts by (degree, point.key()) on
+    integers: each modulus exponent times the lcm L of the M0 (the exponents'
+    denominators) and each angle times the lcm T of the angle denominators,
+    a scale by a positive constant that keeps the order."""
     L = math.lcm(*(v.point.modulus.radical_form()[1] for v in verdicts))
     T = math.lcm(*(v.point.angle.denominator for v in verdicts))
 
@@ -510,7 +518,7 @@ def _verdict_order(verdicts: list[ClassVerdict]):
         return (v.degree,
                 tuple((p, e.numerator * (L // e.denominator)) for p, e in mod),
                 t.numerator * (T // t.denominator))
-    return key
+    return sorted(range(len(verdicts)), key=lambda i: key(verdicts[i]))
 
 
 def _by_length(verdicts: list[ClassVerdict], points=False) -> dict[int, int]:

@@ -11,7 +11,7 @@ from monodyn import galois
 from monodyn.errors import (BetaIsConjugate, DegreeCapExceeded, OverflowGuard,
                            ZeroInput)
 from monodyn.exactreal import PosReal
-from monodyn.galois import (ClassNormData, class_norm_data,
+from monodyn.galois import (BasePoint, ClassNormData, class_norm_data,
                             class_of_point, class_polynomial,
                             decompose_binomial_roots, unit_group_generators)
 from monodyn.places import _log_fraction
@@ -377,8 +377,8 @@ def test_twin_norms_past_the_degree_cap():
         class_polynomial(twins[0])
     for beta in (F(2), F(5, 3), F(-7, 2), F(6, 35)):
         nds = [class_norm_data(c, beta) for c in twins]
-        full = ClassNormData(replace(twins[0], sign=0), beta, beta ** 2 / 3,
-                             None)
+        full = ClassNormData(replace(twins[0], sign=0), BasePoint(beta),
+                             beta ** 2 / 3, None)
         for p in (2, 3, 5, 7):
             assert sum(nd.ord_w(p) for nd in nds) == full.ord_w(p), (beta, p)
         assert abs(sum(nd.log_w() for nd in nds) - full.log_w()) < 1e-9

@@ -534,8 +534,9 @@ def test_deflation_matches_the_general_pipeline(monkeypatch):
         inputs.append(f)
     split = []
 
-    def deflated_split(f, rng, deflate=polyfactor._deflated_split):
-        pieces = deflate(f, rng)
+    def deflated_split(f, rng, irreducible,
+                       deflate=polyfactor._deflated_split):
+        pieces = deflate(f, rng, irreducible)
         split.append(pieces is not None)
         return pieces
     monkeypatch.setattr(polyfactor, "_deflated_split", deflated_split)
@@ -543,7 +544,8 @@ def test_deflation_matches_the_general_pipeline(monkeypatch):
     assert sum(split) > 300
     for (M, c), factors in zip(binomials, got):
         assert (len(factors) > 1) == capelli_reducible(M, c).reducible, (M, c)
-    monkeypatch.setattr(polyfactor, "_deflated_split", lambda f, rng: None)
+    monkeypatch.setattr(polyfactor, "_deflated_split",
+                        lambda f, rng, irreducible: None)
     for f, factors in zip(inputs, got):
         assert factor_poly(f) == factors, f
 
@@ -559,6 +561,25 @@ def test_deflation_hand_case(monkeypatch):
     assert factor_poly(UniPoly.binomial(22, 81)) == [
         (P(-9, *[0] * 10, 1), 1), (P(9, *[0] * 10, 1), 1)]
     assert degrees == [2]
+
+
+def test_deflation_factors_each_h_once(monkeypatch):
+    # X^24 + 4: H = Y^2 + 4 (l = 2) and Y^3 + 4 (l = 3) are irreducible,
+    # Y^4 + 4 (l = 4) splits, and its own l = 2 is Y^2 + 4 again; X^24 - 16
+    # splits at Y^2 - 16, and its piece X^12 + 4 meets Y^2 + 4 the same way.
+    # Each _factor_whole call is counted with its input: 6 and 12 calls
+    # when Y^2 + 4 was factored twice
+    calls = []
+    whole = polyfactor._factor_whole
+
+    def counted(f, *args):
+        calls.append(tuple(f))
+        return whole(f, *args)
+    monkeypatch.setattr(polyfactor, "_factor_whole", counted)
+    for c, count, factors in ((-4, 5, 2), (16, 11, 4)):
+        calls.clear()
+        assert len(factor_poly(UniPoly.binomial(24, c))) == factors
+        assert len(calls) == len(set(calls)) == count, (c, calls)
 
 
 def test_deflation_work_count(monkeypatch):

@@ -330,6 +330,54 @@ def test_ramified_slope_on_the_p_part_matches_the_full_shift():
                        "1 < m < M0": 432, "(m - 1) o != 0": 18}
 
 
+def test_zero_excess_ramified_distance_is_the_first_slope():
+    # oracle: the first Newton slope of the beta-shifted class polynomial,
+    # for every class to depth 5 of the test semigroups up to degree 256,
+    # at each ramified p (p | M0 q') with equal valuations o where ord_p W
+    # = deg o: every conjugate sits at exactly o, so the routine takes the
+    # norm expression, -o log p, with no shift, at every degree
+    checked = {"full": 0, "twin": 0, "past EXACT_DEGREE": 0}
+    for pairs in TEST_SEMIGROUPS:
+        G = Semigroup.from_pairs(pairs)
+        for cls, _, _ in word_pair_classes(G, 5):
+            if cls.degree > 256:
+                continue
+            poly = class_polynomial(cls)
+            for beta in (F(2), F(1, 2), F(-3, 7), F(5), F(7, 4), F(6)):
+                if poly(beta) == 0:
+                    continue
+                nd = class_norm_data(cls, beta)
+                for p in (2, 3, 5, 7):
+                    o = ord_p(beta, p)
+                    if (cls.M0 * cls.qprime % p or cls.modulus.ord_at(p) != o
+                            or nd.ord_w(p) != cls.degree * o):
+                        continue
+                    slope = first_newton_slope(poly.shift(beta), p)
+                    assert class_min_log_distances(nd, [Place(p)])[0] \
+                        == float(slope) * math.log(p), (cls, beta, p)
+                    checked["twin" if cls.sign else "full"] += 1
+                    checked["past EXACT_DEGREE"] += \
+                        cls.degree > bounds.EXACT_DEGREE
+    assert checked == {"full": 1760, "twin": 62, "past EXACT_DEGREE": 367}
+
+
+def test_ramified_shift_only_past_zero_excess(monkeypatch):
+    # _ramified_slope runs only where ord_p W exceeds deg o: at depth 5 of
+    # {2z^2, 3z^3} at beta = 2 on 10 of the 74 ramified rows with equal
+    # valuations up to EXACT_DEGREE, which all took it before
+    calls = []
+    ramified = bounds._ramified_slope
+
+    def counted(nd, p, o):
+        calls.append((nd, p, o))
+        return ramified(nd, p, o)
+    monkeypatch.setattr(bounds, "_ramified_slope", counted)
+    rep = run_scan(ScanConfig(_g2(), S_DEFAULT, F(2), 5))
+    assert len(rep.verdicts) == 333
+    assert all(nd.ord_w(p) > nd.cls.degree * o for nd, p, o in calls)
+    assert len(calls) == 10
+
+
 def test_scan_distance_rows_match_the_direct_bound():
     # oracle: class_min_log_distances of a fresh record against the
     # certificate's bound at h(beta), the degree and MQ, for every verdict
@@ -551,7 +599,8 @@ def test_scan_builds_norm_data_once_per_class(monkeypatch):
 
 def test_scan_factors_beta_once_and_takes_no_beta_valuation(monkeypatch):
     # ord_p(beta) is a lookup in beta's exponent map, factored once per
-    # scan: the verdict path calls ord_p only on twin norm values, on the
+    # scan into its galois.BasePoint, which no cache keeps past the scan:
+    # the verdict path calls ord_p only on twin norm values, on the
     # coefficients first_newton_slope reads and on ord_diff's residues
     import sys
 
@@ -572,10 +621,11 @@ def test_scan_factors_beta_once_and_takes_no_beta_valuation(monkeypatch):
         factored.append(x)
         return factor(x)
     monkeypatch.setattr(galois, "factor_fraction", counted_factor)
-    galois.beta_exponents.cache_clear()
     beta = F(2)
     rep = run_scan(ScanConfig(G2, S_DEFAULT, beta, 4))
     assert len(rep.verdicts) > 100 and factored == [beta]
+    run_scan(ScanConfig(G2, S_DEFAULT, beta, 3))
+    assert factored == [beta, beta]
     assert not any(caller == "_ord_full_norm" for caller, _, _ in calls)
     assert {caller for caller, _, _ in calls} <= {
         "table", "first_newton_slope", "ord_diff"}
@@ -803,7 +853,15 @@ def test_equal_semigroups_keep_their_own_streams():
 @pytest.mark.parametrize("beta", [F(2), F(-3, 7)])
 def test_verdict_order_is_the_fraction_key_order(beta):
     # oracle: the sort on (degree, point.key()), Fractions and all, that the
-    # integer order of the report replaces
-    verdicts = run_scan(ScanConfig(_g2(), S_DEFAULT, beta, 6)).verdicts
-    by_fractions = sorted(verdicts, key=lambda v: (v.degree, v.point.key()))
-    assert [id(v) for v in verdicts] == [id(v) for v in by_fractions]
+    # integer order of the report replaces.  One G scanned at depth 4, 6
+    # and 4 again, at beta and at a second base point, reuses the order of
+    # the stream's first k classes kept on its table
+    G = _g2()
+    for depth in (4, 6, 4):
+        for b in (beta, F(5, 3)):
+            verdicts = run_scan(ScanConfig(G, S_DEFAULT, b, depth)).verdicts
+            by_fractions = sorted(verdicts,
+                                  key=lambda v: (v.degree, v.point.key()))
+            assert [id(v) for v in verdicts] \
+                == [id(v) for v in by_fractions], (depth, b)
+    assert sorted(G._memo["classes"].orders) == [119, 890]

@@ -15,7 +15,19 @@ RSS, which includes building that JSON.
 Per depth the record holds the median wall time with the three times, the
 class count, the digest and the peak RSS (median, with the three values);
 a digest or class count that differs between the rounds stops the script.
-It also holds REV, the commit it names, the Python version, the CPU model
+
+It also records the c15 base-point sweep (tests/test_acceptance.py
+test_c15_uniformity_in_beta): one process per round scans the same
+{2z^2, 3z^3}, S = {inf, 2, 3, 5} at depth 6 at every beta = a/b with
+0 < |a| <= 6 and 1 <= b <= 6, in increasing order, timing each run_scan
+untraced; the gate refuses +-1/2.  Per round it takes the median time of a
+scanned base point and the total time of the sweep (the cold first scan
+included); the record holds the median of each over the rounds, with the
+round values, the counts of scanned and refused base points, and the
+sha256 prefix of the per-beta counts (classes, S-integral classes and
+points, stabilization), which must agree between the rounds.
+
+The record also holds REV, the commit it names, the Python version, the CPU model
 and the sha256 of `cat src/monodyn/*.py` at REV.  The file is written to
 the root of the checkout that holds this script.
 """
@@ -55,6 +67,37 @@ print(json.dumps({
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
+SWEEP_CHILD = """
+import hashlib, json, statistics, time
+from fractions import Fraction
+from monodyn.errors import InvalidConfig
+from monodyn.places import INF, Place
+from monodyn.scan import ScanConfig, run_scan
+from monodyn.semigroup import Semigroup
+G = Semigroup.from_pairs([("2", 2), ("3", 3)])
+S = [INF, Place(2), Place(3), Place(5)]
+betas = sorted({Fraction(a, b)
+                for a in range(-6, 7) if a for b in range(1, 7)})
+times, counts, refused = [], [], 0
+t_all = time.perf_counter()
+for beta in betas:
+    t0 = time.perf_counter()
+    try:
+        rep = run_scan(ScanConfig(G, S, beta, 6))
+    except InvalidConfig:
+        refused += 1
+        continue
+    times.append(time.perf_counter() - t0)
+    counts.append([str(beta), len(rep.verdicts), rep.s_integral_classes,
+                   rep.s_integral_points, rep.stabilization])
+total = time.perf_counter() - t_all
+print(json.dumps({
+    "per_beta_s": statistics.median(times), "total_s": total,
+    "scanned": len(times), "refused": refused,
+    "counts_digest": hashlib.sha256(
+        json.dumps(counts).encode()).hexdigest()[:12]}))
+"""
+
 
 def git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True,
@@ -72,10 +115,11 @@ def cpu_model() -> str:
     return "unknown"
 
 
-def scan_once(tree: Path, depth: int) -> dict:
+def child(tree: Path, code: str, *args: str) -> dict:
+    """Run code in a fresh interpreter on tree's src; its last line."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
-    out = subprocess.run([sys.executable, "-c", CHILD, str(depth)], cwd=tree,
+    out = subprocess.run([sys.executable, "-c", code, *args], cwd=tree,
                          env=env, check=True, capture_output=True, text=True,
                          timeout=900)
     return json.loads(out.stdout.strip().splitlines()[-1])
@@ -84,6 +128,7 @@ def scan_once(tree: Path, depth: int) -> dict:
 def record(rev: str) -> dict:
     commit = git("rev-parse", "--verify", rev + "^{commit}").decode().strip()
     runs: dict[int, list[dict]] = {d: [] for d in DEPTHS}
+    sweeps: list[dict] = []
     with tempfile.TemporaryDirectory(prefix="bench_record_") as tmp:
         tree = Path(tmp)
         subprocess.run(["tar", "-x", "-C", tmp], check=True,
@@ -92,8 +137,10 @@ def record(rev: str) -> dict:
                        for p in sorted((tree / "src" / "monodyn").glob("*.py")))
         for _ in range(ROUNDS):
             for depth in DEPTHS:
-                runs[depth].append(scan_once(tree, depth))
+                runs[depth].append(child(tree, CHILD, str(depth)))
                 print(f"depth {depth}: {runs[depth][-1]}", file=sys.stderr)
+            sweeps.append(child(tree, SWEEP_CHILD))
+            print(f"sweep: {sweeps[-1]}", file=sys.stderr)
     rows = []
     for depth, rs in runs.items():
         if len({(r["classes"], r["digest"]) for r in rs}) != 1:
@@ -105,6 +152,13 @@ def record(rev: str) -> dict:
                      "digest": rs[0]["digest"],
                      "peak_rss_mb": statistics.median(rss),
                      "peak_rss_mb_runs": rss})
+    keys = ("scanned", "refused", "counts_digest")
+    if len({tuple(r[k] for k in keys) for r in sweeps}) != 1:
+        raise SystemExit(f"sweep: the rounds disagree: {sweeps}")
+    sweep = {"depth": 6, "height": 6, **{k: sweeps[0][k] for k in keys}}
+    for k in ("per_beta_s", "total_s"):
+        sweep[k] = statistics.median(r[k] for r in sweeps)
+        sweep[k + "_runs"] = [r[k] for r in sweeps]
     return {
         "rev": rev, "commit": commit,
         "python": sys.version.split()[0], "cpu": cpu_model(),
@@ -112,6 +166,7 @@ def record(rev: str) -> dict:
         "scan": {"semigroup": [["2", 2], ["3", 3]], "S": [0, 2, 3, 5],
                  "beta": "2", "rounds": ROUNDS, "untraced": True},
         "depths": rows,
+        "sweep": sweep,
     }
 
 
