@@ -208,7 +208,8 @@ class ConjugacyClass:
     @cached_property
     def c0_exponents(self) -> dict[int, int]:
         """ord_p(c0) at the primes of c0 = modulus^M0, as ints."""
-        return {p: int(e * self.M0) for p, e in self.modulus.exps.items()}
+        return {p: e.numerator * (self.M0 // e.denominator)
+                for p, e in self.modulus.exps.items()}
 
     @cached_property
     def discrepancy(self) -> Fraction:
@@ -291,22 +292,24 @@ def decompose_binomial_roots(N: int, a: Fraction) -> list[ConjugacyClass]:
     """Conjugacy classes of the N roots of X^N = a (N >= 1, a != 0), sorted
     by first angle, on the integers first_angle * 2N = r0 * 2n / q' (r0 the
     least residue): classes of one binomial have disjoint angles, so the
-    order is strict.  With e_p the exponents of |a| and n = gcd(N, e_p ...),
-    |a|^(1/N) has the radical form c0 = prod p^(e_p / n), M0 = N / n, and
-    the conductor f = entanglement(modulus, M0) of Q(sqrt(c0)) (0 for odd
-    M0 or rational sqrt(c0)).  M0 t has order q' = 2n / gcd(num, 2n)
-    at t = num / 2N (num even for a > 0, odd for a < 0): q' | n for a > 0,
-    2n / g for odd g | n for a < 0.  _qprime_set gives each q'-set's
-    classes, with f taken at the class's level M0 lcm(2, q').  OverflowGuard
-    when c0 cannot be printed, read off its integers."""
-    a = Fraction(a)
+    order is strict.  With e_p the exponents of |a| (a.exponents: factored
+    only for a plain rational; a collision binomial's BasePoint keeps them)
+    and n = gcd(N, e_p ...), |a|^(1/N) has the radical form c0 =
+    prod p^(e_p / n), M0 = N / n, and the conductor f = entanglement(modulus,
+    M0) of Q(sqrt(c0)) (0 for odd M0 or rational sqrt(c0)).  M0 t has order
+    q' = 2n / gcd(num, 2n) at t = num / 2N (num even for a > 0, odd for
+    a < 0): q' | n for a > 0, 2n / g for odd g | n for a < 0.  _qprime_set
+    gives each q'-set's classes, with f taken at the class's level
+    M0 lcm(2, q').  OverflowGuard when c0 cannot be printed, read off its
+    integers."""
+    a = a if isinstance(a, BasePoint) else BasePoint(a)
     if N < 1 or a == 0:
         raise ZeroInput("binomial needs N >= 1 and a != 0")
     cached = _decompose_cache.get((N, a))
     if cached is not None:
         check_printable(cached[0].c0)   # the digit limit may have dropped
         return cached
-    exps = factor_fraction(a)
+    exps = a.exponents
     n = math.gcd(N, *exps.values())
     M0 = N // n
     num, den = power_product((p, e // n) for p, e in exps.items())
@@ -322,7 +325,7 @@ def decompose_binomial_roots(N: int, a: Fraction) -> list[ConjugacyClass]:
                  key=lambda c: c.residues()[0] * (2 * n // c.qprime))
     if len(_decompose_cache) > 4096:
         _decompose_cache.clear()
-    _decompose_cache[(N, a)] = out
+    _decompose_cache[(N, Fraction(a))] = out     # keeps no exponents
     return out
 
 
@@ -443,8 +446,17 @@ def norm_order(q: int, x: Fraction) -> int:
 
 
 class BasePoint(Fraction):
-    """A rational base point that takes what each (class, beta) record reads
-    of it once: exponents, {p: ord_p beta} (read only), and log|beta|."""
+    """A rational, base point or radicand, that keeps its factorization and
+    equals and hashes as its Fraction: exponents ({p: ord_p x}, increasing p,
+    read only; factored on use or preset by from_exponents) and log|x|."""
+
+    @classmethod
+    def from_exponents(cls, sign: int, exps: dict[int, int]) -> "BasePoint":
+        """sign prod p^e over exps, nonzero e in increasing p, unfactored."""
+        num, den = power_product(exps.items())
+        x = cls(sign * num, den)
+        x.__dict__["exponents"] = exps
+        return x
 
     @cached_property
     def exponents(self) -> dict[int, int]:

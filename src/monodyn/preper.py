@@ -17,7 +17,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from .errors import DegenerateCollision, NoRationalBElement, RootOfUnityInput
-from .galois import (DEGREE_CAP, ConjugacyClass, class_of_point,
+from .galois import (DEGREE_CAP, BasePoint, ConjugacyClass, class_of_point,
                      class_polynomial)
 from .places import Place, height_exact_arg
 from .polynomials import UniPoly
@@ -40,7 +40,7 @@ class CollisionBinomial:
 
 
 def collision_binomial(G: Semigroup, w: Word, m: int) -> CollisionBinomial:
-    """The binomial satisfied by nonzero points with f_w = f_{w[:m]}."""
+    """The binomial X^N = a of f_w = f_{w[:m]}: a from k, never factored."""
     if not 0 <= m < len(w):
         raise ValueError("need 0 <= m < |w|")
     kw, Dw = word_coefficient_exponents(G, w)
@@ -55,10 +55,17 @@ def collision_binomial(G: Semigroup, w: Word, m: int) -> CollisionBinomial:
     return CollisionBinomial(N, tuple(k), _coefficient_power(G, k))
 
 
-def _coefficient_power(G: Semigroup, exps) -> Fraction:
-    """prod a_i^(e_i) over the generators a_i z^(d_i) of G, exactly."""
-    return math.prod((g.a ** e for g, e in zip(G.generators, exps)),
-                     start=Fraction(1))
+def _coefficient_power(G: Semigroup, exps) -> BasePoint:
+    """prod a_i^(e_i) over the generators a_i z^(d_i) of G, a BasePoint: its
+    sign from the odd e_i of negative a_i, its exponents sum_i e_i ord_p a_i
+    from the a_i's factorizations, made once (see Semigroup._memo)."""
+    facs = G._memo.get("coefficients") or G._memo.setdefault(
+        "coefficients", tuple(factor_fraction(g.a) for g in G.generators))
+    total = {p: sum(e * fac.get(p, 0) for e, fac in zip(exps, facs))
+             for p in sorted({p for fac in facs for p in fac})}
+    odd = sum(e for g, e in zip(G.generators, exps) if g.a < 0) % 2
+    return BasePoint.from_exponents(
+        -1 if odd else 1, {p: k for p, k in total.items() if k})
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ through the general PosReal route, and the kernel and conductor of
 Q(sqrt(c0)) by the Fraction rule, apart from the integers of
 galois.decompose_binomial_roots and galois.entanglement, the argument
 scaling that chains the closed-form class polynomial, the class norm's
-log with each log taken where it is used, the float balance decision of
+log with each log taken where it is used, a collision binomial's
+radicand as a product of Fraction powers, the float balance decision of
 S-integrality that the exact one replaced, the Aurifeuillian factor by
 Newton's identities over every power sum, zeros included, and the small
 radical-point and polynomial helpers only tests call (roots of unity,
@@ -326,6 +327,14 @@ def word_pairs(G: Semigroup, n_max: int):
         for w in level:
             for m in range(len(w)):
                 yield w, m
+
+
+def coefficient_power(G: Semigroup, exps) -> Fraction:
+    """prod a_i^(e_i) over the generators a_i z^(d_i) of G, as a product of
+    Fraction powers: the radicand of a collision binomial, apart from the
+    generators' exponent maps of preper.collision_binomial."""
+    return math.prod((g.a ** e for g, e in zip(G.generators, exps)),
+                     start=Fraction(1))
 
 
 # ---------------------------------------------------------------------------

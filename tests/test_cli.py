@@ -210,8 +210,9 @@ def test_scan_hard_to_factor_beta_is_a_cap(config, capsys):
                                   ["scan", "--beta", "2"]), ids=" ".join)
 def test_hard_to_factor_coefficient_is_a_cap(tmp_path, argv, capsys):
     # the coefficient p q has 222 bits, p and q the next primes after 2^110
-    # and 2^111: factoring the first collision binomial's a spends rho's
-    # budget, and each command exits 3 with no output
+    # and 2^111: factoring the coefficients, which the first collision
+    # binomial needs, spends rho's budget, and each command exits 3 with no
+    # output
     p, q = 2 ** 110 + 27, 2 ** 111 + 51
     assert [n for n in range(2 ** 110, p + 1) if is_prime(n)] == [p]
     assert [n for n in range(2 ** 111, q + 1) if is_prime(n)] == [q]

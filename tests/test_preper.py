@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from monodyn import galois
 from monodyn.errors import DegreeCapExceeded, EnumerationCap, RootOfUnityInput
-from monodyn.galois import class_of_point
+from monodyn.galois import class_of_point, decompose_binomial_roots
 from monodyn.places import INF, Place
 from monodyn.polyfactor import factor_poly
 from monodyn.polynomials import UniPoly, newton_polygon_root_valuations
@@ -12,10 +13,11 @@ from monodyn.preper import (CollisionBinomial, capelli_reducible,
                             collision_binomial, conjugates,
                             degree_lower_bound, enumerate_preperiodic,
                             minimal_polynomial, structure_decompose)
+from monodyn.primes import factor_fraction
 from monodyn.radical import RadicalPoint
 from monodyn.semigroup import Semigroup
-from oracles import (max_power_exponent, rational_binomial, root_of_unity,
-                     word_pairs)
+from oracles import (coefficient_power, max_power_exponent, rational_binomial,
+                     root_of_unity, word_pairs)
 
 
 def G(*pairs):
@@ -43,6 +45,27 @@ def test_collision_examples():
     for gen, e in zip(gneg.generators, cb.exponents):
         prod *= gen.a ** e
     assert prod == cb.a
+
+
+@pytest.mark.parametrize("pairs", [
+    (("2", 2), ("3", 3)), (("-5/2", 3), ("4", -2)), (("4", 2), ("9", 3)),
+    (("1/2", 2), ("5", 3)), (("1", 2), ("3", -3))])
+def test_radicands_from_generator_exponents(pairs, monkeypatch):
+    # a is built from the generators' exponent maps, never factored: it
+    # must equal the Fraction product, carry a's own factorization, and
+    # decompose as the plain rational does when that is factored afresh
+    monkeypatch.setattr(galois, "_decompose_cache", {})
+    g = G(*pairs)
+    for w, m in word_pairs(g, 6):
+        cb = collision_binomial(g, w, m)
+        assert cb.a == coefficient_power(g, cb.exponents), (w, m)
+        assert cb.a.exponents == factor_fraction(cb.a), (w, m)
+        rows = []
+        for a in (cb.a, F(cb.a)):
+            galois._decompose_cache.clear()
+            rows.append([(cls.key, cls.c0_exponents)
+                         for cls in decompose_binomial_roots(cb.N, a)])
+        assert rows[0] == rows[1], (w, m)
 
 
 def test_collision_roots_satisfy_witness():

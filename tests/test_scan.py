@@ -665,6 +665,39 @@ def _count_walks(monkeypatch):
     return lengths, degrees
 
 
+def test_stream_factors_only_the_coefficients(monkeypatch):
+    # a fresh depth-5 stream of {2z^2, 3z^3} walks 258 distinct binomials
+    # and factors none of their radicands: only its two coefficients
+    import monodyn.galois as galois
+    import monodyn.primes as primes
+    calls = []
+    factor_fraction = primes.factor_fraction
+
+    def counted(x):
+        calls.append(x)
+        return factor_fraction(x)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("monodyn") and \
+                getattr(module, "factor_fraction", None) is factor_fraction:
+            monkeypatch.setattr(module, "factor_fraction", counted)
+    monkeypatch.setattr(galois, "_decompose_cache", {})
+    assert len(list(word_pair_classes(_g2(), 5))) == 333
+    assert sorted(calls) == [2, 3]
+
+
+def test_hard_to_factor_coefficient_leaves_no_memo(monkeypatch):
+    # the coefficient p q (222 bits, rho's budget made small here) fails
+    # to factor for each reader, and no partial factorization is kept
+    import monodyn.primes as primes
+    monkeypatch.setattr(primes, "RHO_WORD_BUDGET", 1 << 16)
+    p, q = 2 ** 110 + 27, 2 ** 111 + 51
+    G = Semigroup.from_pairs([(str(p * q), 2), ("3", 3)])
+    for _ in range(2):
+        with pytest.raises(FactorBudgetExceeded):
+            next(word_pair_classes(G, 2))
+        assert "coefficients" not in G._memo
+
+
 def test_second_beta_replays_the_class_stream(monkeypatch):
     G = _g2()
     run_scan(ScanConfig(G, S_DEFAULT, F(2), 4))

@@ -12,9 +12,16 @@ count, its raw digest (the sha256 prefix of the sorted report JSON, the
 formula of tests/test_cross_validation.raw_report_digest) and its own peak
 RSS, which includes building that JSON.
 
+In each round one more fresh process per depth times the first stage
+alone: it drains scan.word_pair_classes(G, depth) on a new G, the class
+stream (word pairs to collision binomials to classes), and reports
+stream_s and the classes it read.
+
 Per depth the record holds the median wall time with the three times, the
-class count, the digest and the peak RSS (median, with the three values);
-a digest or class count that differs between the rounds stops the script.
+median stream_s with its three values, the class count, the digest and the
+peak RSS (median, with the three values); a digest or class count that
+differs between the rounds, or a stream whose class count is not the
+scan's, stops the script.
 
 It also records the c15 base-point sweep (tests/test_acceptance.py
 test_c15_uniformity_in_beta): one process per round scans the same
@@ -27,6 +34,11 @@ round values, the counts of scanned and refused base points, and the
 sha256 prefix of the per-beta counts (classes, S-integral classes and
 points, stabilization), which must agree between the rounds.
 
+Once, after the rounds, the Tier-1 suite runs on the same copy
+(`python -m pytest -q --continue-on-collection-errors`, PYTHONPATH=src);
+the record holds its wall time, its passed, failed and error counts and
+its summary line.
+
 The record also holds REV, the commit it names, the Python version, the CPU model
 and the sha256 of `cat src/monodyn/*.py` at REV.  The file is written to
 the root of the checkout that holds this script.
@@ -38,10 +50,12 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,6 +79,16 @@ print(json.dumps({
     "wall_s": wall, "classes": len(report.verdicts),
     "digest": hashlib.sha256(raw.encode()).hexdigest()[:12],
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+STREAM_CHILD = """
+import json, sys, time
+from monodyn.scan import word_pair_classes
+from monodyn.semigroup import Semigroup
+G = Semigroup.from_pairs([("2", 2), ("3", 3)])
+t0 = time.perf_counter()
+classes = sum(1 for _ in word_pair_classes(G, int(sys.argv[1])))
+print(json.dumps({"stream_s": time.perf_counter() - t0, "classes": classes}))
 """
 
 SWEEP_CHILD = """
@@ -115,19 +139,40 @@ def cpu_model() -> str:
     return "unknown"
 
 
+def child_env(tree: Path) -> dict:
+    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
+
+
 def child(tree: Path, code: str, *args: str) -> dict:
     """Run code in a fresh interpreter on tree's src; its last line."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
     out = subprocess.run([sys.executable, "-c", code, *args], cwd=tree,
-                         env=env, check=True, capture_output=True, text=True,
-                         timeout=900)
+                         env=child_env(tree), check=True, capture_output=True,
+                         text=True, timeout=900)
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def tier1(tree: Path) -> dict:
+    """Wall time and outcome counts of the Tier-1 suite run on tree."""
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q",
+                          "--continue-on-collection-errors"], cwd=tree,
+                         env=child_env(tree), capture_output=True, text=True,
+                         timeout=3600)
+    wall = time.perf_counter() - t0
+    summary = out.stdout.strip().splitlines()[-1]
+    counts = {kind: int(n) for n, kind in
+              re.findall(r"(\d+) (passed|failed|errors?)\b", summary)}
+    return {"wall_s": wall, "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0),
+            "errors": counts.get("error", 0) + counts.get("errors", 0),
+            "returncode": out.returncode, "summary": summary}
 
 
 def record(rev: str) -> dict:
     commit = git("rev-parse", "--verify", rev + "^{commit}").decode().strip()
     runs: dict[int, list[dict]] = {d: [] for d in DEPTHS}
+    streams: dict[int, list[dict]] = {d: [] for d in DEPTHS}
     sweeps: list[dict] = []
     with tempfile.TemporaryDirectory(prefix="bench_record_") as tmp:
         tree = Path(tmp)
@@ -138,17 +183,26 @@ def record(rev: str) -> dict:
         for _ in range(ROUNDS):
             for depth in DEPTHS:
                 runs[depth].append(child(tree, CHILD, str(depth)))
-                print(f"depth {depth}: {runs[depth][-1]}", file=sys.stderr)
+                streams[depth].append(child(tree, STREAM_CHILD, str(depth)))
+                print(f"depth {depth}: {runs[depth][-1]} "
+                      f"{streams[depth][-1]}", file=sys.stderr)
             sweeps.append(child(tree, SWEEP_CHILD))
             print(f"sweep: {sweeps[-1]}", file=sys.stderr)
+        suite = tier1(tree)
+        print(f"tier1: {suite}", file=sys.stderr)
     rows = []
     for depth, rs in runs.items():
-        if len({(r["classes"], r["digest"]) for r in rs}) != 1:
-            raise SystemExit(f"depth {depth}: the rounds disagree: {rs}")
+        ss = streams[depth]
+        if len({(r["classes"], r["digest"]) for r in rs}) != 1 or \
+                {r["classes"] for r in ss} != {rs[0]["classes"]}:
+            raise SystemExit(f"depth {depth}: the rounds disagree: {rs} {ss}")
         walls = [r["wall_s"] for r in rs]
+        stream_s = [r["stream_s"] for r in ss]
         rss = [r["peak_rss_mb"] for r in rs]
         rows.append({"depth": depth, "wall_s": statistics.median(walls),
-                     "wall_s_runs": walls, "classes": rs[0]["classes"],
+                     "wall_s_runs": walls,
+                     "stream_s": statistics.median(stream_s),
+                     "stream_s_runs": stream_s, "classes": rs[0]["classes"],
                      "digest": rs[0]["digest"],
                      "peak_rss_mb": statistics.median(rss),
                      "peak_rss_mb_runs": rss})
@@ -167,6 +221,7 @@ def record(rev: str) -> dict:
                  "beta": "2", "rounds": ROUNDS, "untraced": True},
         "depths": rows,
         "sweep": sweep,
+        "tier1": suite,
     }
 
 
