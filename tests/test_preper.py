@@ -59,7 +59,9 @@ def test_radicands_from_generator_exponents(pairs, monkeypatch):
     for w, m in word_pairs(g, 6):
         cb = collision_binomial(g, w, m)
         assert cb.a == coefficient_power(g, cb.exponents), (w, m)
-        assert cb.a.exponents == factor_fraction(cb.a), (w, m)
+        # in increasing p, as PosReal.of_radical takes them
+        assert list(cb.a.exponents.items()) == \
+            list(factor_fraction(cb.a).items()), (w, m)
         rows = []
         for a in (cb.a, F(cb.a)):
             galois._decompose_cache.clear()
