@@ -21,9 +21,9 @@ from .errors import (BadWindow, BetaIsConjugate, DegenerateDegree, LambdaZero,
 from .galois import (ClassNormData, _discrepancy, class_norm_data,
                      class_of_point, cyclotomic_radical_polynomial)
 from .places import Place, height_rational, log_abs
-from .polynomials import UniPoly
+from .polynomials import UniPoly, newton_polygon_root_valuations
 from .preper import minimal_polynomial
-from .primes import euler_phi, ord_p
+from .primes import euler_phi
 from .radical import RadicalPoint
 from .semigroup import Semigroup
 
@@ -198,16 +198,11 @@ class DistanceBoundCert:
 
 
 def distance_bound_constant(G: Semigroup, v: Place) -> DistanceBoundCert:
-    s = G.s
     fl = theta_floor(1)
-    theta_cap = max(1.0, fl)
-    total = 0.0
-    for g in G.generators:
-        h = height_rational(g.a)
-        theta_cap *= max(h, fl)
-        total += h
-    theta_cap *= max(total, fl)
-    c1 = linform_degree_constant(s + 2, 1)
+    total = sum(height_rational(g.a) for g in G.generators)
+    theta_cap = (max(1.0, fl) * theta([g.a for g in G.generators], 1)
+                 * max(total, fl))
+    c1 = linform_degree_constant(G.s + 2, 1)
     Nv = v.residue_norm()
     nv = Nv / math.log(Nv)
     C2 = c1 * nv * theta_cap * 11 + 25
@@ -228,9 +223,10 @@ def class_min_log_distances(nd: ClassNormData,
     so they are distinct mod p and at most one conjugate is closer to beta
     than o; it carries all of ow beyond deg o, and log|Nm|_p - (deg - 1)
     log|beta|_p is exact at every degree, as at a ramified p | M0 q' when
-    ow = deg o.  Past that: _ramified_slope up to EXACT_DEGREE, then that
-    norm expression, sound as no term exceeds log|beta|_p.  Each slope is
-    an integer over M0, divided once."""
+    ow = deg o.  Past that: _ramified_slope, the first slope read off the
+    Newton polygon, up to EXACT_DEGREE, then that norm expression, sound
+    as no term exceeds log|beta|_p.  Each other slope is an integer over
+    M0, divided once."""
     cls, M0 = nd.cls, nd.cls.M0
     table = nd.table([v.p for v in places if not v.is_archimedean])
     out = []
@@ -264,8 +260,9 @@ def _ramified_slope(nd: ClassNormData, p: int, o: int) -> Fraction:
     class, the first slope of that polynomial shifted by beta^m, plus
     (m - 1) o, is that of the class polynomial shifted by beta.  A genuine
     twin keeps m = 1: a shift by an m-th root of unity can flip its sign.
-    Each call shifts its polynomial: the minimal polynomial at m = 1, else
-    the cyclotomic radical polynomial at k = M0/m."""
+    Each call shifts its polynomial, the minimal polynomial at m = 1, else
+    the cyclotomic radical polynomial at k = M0/m, and reads the slope off
+    its Newton polygon (first_newton_slope)."""
     cls = nd.cls
     m = 1 if cls.sign else cls.M0
     while m % p == 0:
@@ -277,30 +274,13 @@ def _ramified_slope(nd: ClassNormData, p: int, o: int) -> Fraction:
 
 def first_newton_slope(f: UniPoly, p: int) -> Fraction:
     """The first slope of f's Newton polygon at p, min over i >= 1 with
-    c_i != 0 of (ord_p c_i - ord_p c_0) / i, in one integer pass: minus the
-    largest root valuation.  For f the class polynomial moved by beta (roots
-    sigma(alpha) - beta), times log p it is the least log|sigma(alpha) -
-    beta|_p.  BetaIsConjugate when c_0 = 0."""
-    cs = f.coeffs
-    if not cs or cs[0] == 0:
+    c_i != 0 of (ord_p c_i - ord_p c_0) / i: minus the largest root
+    valuation of newton_polygon_root_valuations.  For f the class
+    polynomial moved by beta (roots sigma(alpha) - beta), times log p it is
+    the least log|sigma(alpha) - beta|_p.  BetaIsConjugate when c_0 = 0."""
+    if not f.coeffs or f.coeffs[0] == 0:
         raise BetaIsConjugate("beta lies in the orbit")
-    o0 = ord_p(cs[0], p)
-    n = len(cs) - 1
-    num, den = ord_p(cs[n], p) - o0, n       # the slope so far, num / den
-    for i in range(1, n):
-        c = cs[i]
-        if not c:
-            continue
-        # c_i lowers the slope only if ord_p c_i < k = ceil(o0 + i num/den);
-        # ord_p c_i >= k is one divisibility test
-        k = o0 - (-num * i) // den
-        if k > 0:
-            if c.numerator % p ** k == 0:
-                continue
-        elif c.denominator % p ** (1 - k):
-            continue
-        num, den = ord_p(c, p) - o0, i
-    return Fraction(num, den)
+    return -max(newton_polygon_root_valuations(f, p))
 
 
 def distance_lower_bound(G: Semigroup, beta: Fraction, alpha: RadicalPoint,

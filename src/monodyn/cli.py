@@ -24,6 +24,7 @@ import functools
 import json
 import random
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .bounds import LinFormInstance, linform_bound, verify_linform
@@ -215,7 +216,10 @@ def _cmd_scan(args) -> int:
     if args.format == "csv":
         _emit(report_to_csv(report), args.out)
     else:
-        _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
+        doc = report.to_json()      # built first: a cap here leaves no output
+        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
     return 3 if report.truncated else 0
 
 

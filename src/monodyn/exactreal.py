@@ -15,6 +15,8 @@ from fractions import Fraction
 from .errors import OverflowGuard, ZeroInput
 from .primes import factor_fraction, power_product
 
+BIT_BUDGET = 10 ** 8    # bits of the exact integers one decision may build
+
 
 class PosReal:
     """Immutable factored positive real: prod p^{exps[p]}.  _radical keeps
@@ -130,11 +132,11 @@ class PosReal:
         """(num, den, M) with self^M = num / den, M the least positive such
         power and num, den coprime: primes.power_product, no gcd.
         OverflowGuard, read off the exponents before any power is built,
-        when num and den would pass 10^8 bits together."""
+        when num and den would pass BIT_BUDGET bits together."""
         M = math.lcm(*(e.denominator for e in self.exps.values()))
         powers = [(p, e.numerator * (M // e.denominator))
                   for p, e in self.exps.items()]
-        if sum(abs(k) * p.bit_length() for p, k in powers) > 10 ** 8:
+        if sum(abs(k) * p.bit_length() for p, k in powers) > BIT_BUDGET:
             raise OverflowGuard("an exact power past the 10^8-bit size budget")
         num, den = power_product(powers)
         return num, den, M

@@ -92,10 +92,6 @@ class PreperStatus:
     place: Place | None = None
     depth: int = 0
 
-    @property
-    def is_preperiodic(self) -> bool:
-        return self.tag == "preperiodic"
-
 
 def is_preperiodic(G: Semigroup, x: RadicalPoint, depth: int) -> PreperStatus:
     """Semi-decide preperiodicity by pruned breadth-first orbit search."""

@@ -284,8 +284,10 @@ def newton_polygon_root_valuations(f: UniPoly, p: int) -> list[Fraction]:
     Lower convex hull of the integer points (i, ord_p(c_i)) over the nonzero
     c_i; each hull segment of slope s and horizontal length L contributes L
     roots of valuation -s.  Zero roots (low zero coefficients) leave no
-    point and are not reported.  factor_poly reads the segments from it
-    for its irreducibility certificate (polyfactor._newton_degrees).
+    point and are not reported.  Its readers: factor_poly, the segments
+    for its irreducibility certificate (polyfactor._newton_degrees), and
+    bounds.first_newton_slope, the largest valuation for the ramified
+    distances of the scan.
     """
     if f.is_zero:
         raise ZeroInput("Newton polygon of the zero polynomial")

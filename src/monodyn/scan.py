@@ -29,7 +29,7 @@ from .bounds import (DistanceBoundCert, class_min_log_distances,
                      distance_bound_constant)
 from .errors import (EnumerationCap, FactorBudgetExceeded, InvalidConfig,
                      NotSIntegral, OverflowGuard)
-from .exactreal import PosReal
+from .exactreal import BIT_BUDGET, PosReal
 from .galois import (DEGREE_CAP, BasePoint, ClassNormData, class_norm_data,
                      class_of_point, decompose_binomial_roots, norm_order)
 from .orbits import is_preperiodic
@@ -107,7 +107,7 @@ def class_s_integrality(nd: ClassNormData, S: list[Place]) -> SIntegrality:
     from |Phi_n'(A, B)| = prod |A^(n'/d) - B^(n'/d)|^mu(d), whose primes
     off the table are those of W, or from the numerator of a twin's or
     x = +-1's exact nd.value.  OverflowGuard before pieces of n' 2^omega(n')
-    times max(A, B)'s bits could pass 10^8, the budget of
+    times max(A, B)'s bits could pass exactreal.BIT_BUDGET, the budget of
     PosReal._power_ints.  S may be the frozenset of its finite primes."""
     s_primes = S if isinstance(S, frozenset) else {v.p for v in S if v.p}
     A, B = abs(nd.x.numerator), nd.x.denominator
@@ -118,7 +118,7 @@ def class_s_integrality(nd: ClassNormData, S: list[Place]) -> SIntegrality:
         rest = 0                      # a primitive prime meets outside S
     else:
         pieces, ints = moebius_divisors(n), [1, 1]
-        if n * len(pieces) * max(A, B).bit_length() > 10 ** 8:
+        if n * len(pieces) * max(A, B).bit_length() > BIT_BUDGET:
             raise OverflowGuard("an exact class norm past the 10^8-bit budget")
         for d, mu in pieces:
             ints[mu < 0] *= abs(A ** (n // d) - B ** (n // d))
@@ -492,7 +492,8 @@ def run_scan(config: ScanConfig) -> ScanReport:
         notes.append(str(exc))
     orders, k = G._memo["classes"].orders, len(verdicts)
     if k not in orders:               # the order of k classes, free of beta
-        orders[k] = _verdict_order(verdicts)
+        orders[k] = sorted(range(k), key=lambda i: (verdicts[i].degree,
+                                                    verdicts[i].point.key()))
     verdicts = [verdicts[i] for i in orders[k]]
     si = [v for v in verdicts if v.s_integral]
     si_classes = _by_length(si)
@@ -503,22 +504,6 @@ def run_scan(config: ScanConfig) -> ScanReport:
                       _by_length(verdicts), _by_length(verdicts, True),
                       si_classes, _by_length(si, True), stab,
                       max((v.degree for v in si), default=0), truncated, notes)
-
-
-def _verdict_order(verdicts: list[ClassVerdict]) -> list[int]:
-    """The permutation sorting the verdicts by (degree, point.key()) on
-    integers: each modulus exponent times the lcm L of the M0 (the exponents'
-    denominators) and each angle times the lcm T of the angle denominators,
-    a scale by a positive constant that keeps the order."""
-    L = math.lcm(*(v.point.modulus.radical_form()[1] for v in verdicts))
-    T = math.lcm(*(v.point.angle.denominator for v in verdicts))
-
-    def key(v: ClassVerdict):
-        mod, t = v.point.key()
-        return (v.degree,
-                tuple((p, e.numerator * (L // e.denominator)) for p, e in mod),
-                t.numerator * (T // t.denominator))
-    return sorted(range(len(verdicts)), key=lambda i: key(verdicts[i]))
 
 
 def _by_length(verdicts: list[ClassVerdict], points=False) -> dict[int, int]:

@@ -7,7 +7,8 @@ rational apart from preper.structure_decompose, the classes of X^N = a
 through the general PosReal route, and the kernel and conductor of
 Q(sqrt(c0)) by the Fraction rule, apart from the integers of
 galois.decompose_binomial_roots and galois.entanglement, the argument
-scaling that chains the closed-form class polynomial, the class norm's
+scaling that chains the closed-form class polynomial, the first Newton
+slope by its definition, apart from the polygon, the class norm's
 log with each log taken where it is used, a collision binomial's
 radicand as a product of Fraction powers, the float balance decision of
 S-integrality that the exact one replaced, the Aurifeuillian factor by
@@ -43,7 +44,7 @@ from monodyn.polyfactor import (_distinct_degree, _equal_degree_split,
                                 _subset_sums, factor_poly)
 from monodyn.polynomials import UniPoly
 from monodyn.primes import (divisors, euler_phi, factor_fraction, kronecker,
-                            moebius_divisors, power_product,
+                            moebius_divisors, ord_p, power_product,
                             quadratic_conductor)
 from monodyn.radical import RadicalPoint
 from monodyn.scan import _meets
@@ -408,6 +409,15 @@ def scale_arg(f: UniPoly, r) -> UniPoly:
     """f(r * X)."""
     r = Fraction(r)
     return UniPoly.from_coeffs([c * r ** i for i, c in enumerate(f.coeffs)])
+
+
+def first_slope_by_definition(f: UniPoly, p: int) -> Fraction:
+    """The first slope of f's Newton polygon at p, read off no polygon: the
+    min over i >= 1 with c_i != 0 of (ord_p c_i - ord_p c_0) / i."""
+    cs = f.coeffs
+    o0 = ord_p(cs[0], p)
+    return min(Fraction(ord_p(c, p) - o0, i)
+               for i, c in enumerate(cs) if i and c)
 
 
 def log_w_by_piece(nd: galois.ClassNormData) -> float:

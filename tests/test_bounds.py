@@ -18,7 +18,7 @@ from monodyn.places import INF, Place
 from monodyn.polynomials import UniPoly, newton_polygon_root_valuations
 from monodyn.radical import RadicalPoint
 from monodyn.semigroup import Semigroup
-from oracles import discrepancy_brute
+from oracles import discrepancy_brute, first_slope_by_definition
 
 
 def test_degree_constant():
@@ -113,8 +113,9 @@ def test_discrepancy_exact_equals_brute_on_raw_angles():
 
 
 def test_observed_distance_first_slope_on_random_polynomials():
-    # oracle: the full Newton polygon; coefficients with prime-power
-    # numerators and denominators put valuations on both sides of zero
+    # oracles: the full Newton polygon and the slope's definition, which
+    # reads no polygon; coefficients with prime-power numerators and
+    # denominators put valuations on both sides of zero
     rng = random.Random(58)
     sizes = (1, 2, 3, 4, 5, 7, 8, 9, 25, 27, 49, 125, 243, 1024)
     for _ in range(400):
@@ -127,7 +128,8 @@ def test_observed_distance_first_slope_on_random_polynomials():
         f = UniPoly.from_coeffs(cs)
         for p in (2, 3, 5, 7):
             vals = newton_polygon_root_valuations(f, p)
-            assert first_newton_slope(f, p) == -max(vals), (cs, p)
+            assert first_newton_slope(f, p) == -max(vals) \
+                == first_slope_by_definition(f, p), (cs, p)
 
 
 def test_disc_measure_and_count():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -15,8 +16,10 @@ from monodyn.bounds import discrepancy_exact
 from monodyn.cli import main
 from monodyn.errors import OverflowGuard
 from monodyn.galois import class_of_point
+from monodyn.places import INF, Place
 from monodyn.preper import enumerate_preperiodic
 from monodyn.primes import is_prime
+from monodyn.scan import ScanConfig, run_scan
 from monodyn.semigroup import Semigroup
 from test_polyfactor import swinnerton_dyer
 
@@ -148,6 +151,20 @@ def test_scan_json_and_exit_codes(config, tmp_path, capsys):
                "--node-cap", "50", "--out", str(out2)])
     assert rc == 3
     assert json.loads(out2.read_text())["truncated"]
+
+
+def test_scan_json_is_the_report_byte_for_byte(config, tmp_path, capsys):
+    # the report is streamed to stdout or to --out, not built as one string
+    G = Semigroup.from_pairs([("2", 2), ("3", 3)])
+    report = run_scan(ScanConfig(G, [INF, Place(2), Place(3), Place(5)],
+                                 Fraction(2), 4))
+    expect = json.dumps(report.to_json(), indent=2) + "\n"
+    assert main(["--config", config, "scan", "--beta", "2", "--depth", "4"]) == 0
+    assert capsys.readouterr().out == expect
+    out = tmp_path / "scan.json"
+    assert main(["--config", config, "scan", "--beta", "2", "--depth", "4",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == expect
 
 
 def test_scan_past_the_gamma_tolerance_is_a_cap(config, tmp_path, capsys):

@@ -51,7 +51,7 @@ def test_pruned_search_agrees_with_brute_force():
         depth = 4
         st = is_preperiodic(G, x, depth)
         brute = _brute_preperiodic(G, x, depth)
-        if st.is_preperiodic:
+        if st.tag == "preperiodic":
             assert brute
         elif st.tag == "not_preperiodic":
             # soundness: no collision may exist at any depth; spot-check deeper

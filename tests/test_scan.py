@@ -24,7 +24,8 @@ from monodyn.scan import (ScanConfig, _meets, bad_primes, class_gamma,
                           is_S_integral, meets_at_prime, report_to_csv,
                           run_scan, word_pair_classes, zero_infinity_verdict)
 from monodyn.semigroup import Semigroup
-from oracles import root_of_unity, s_integrality_by_balance, word_pairs
+from oracles import (first_slope_by_definition, root_of_unity,
+                     s_integrality_by_balance, word_pairs)
 from test_cross_validation import PINNED_REPORTS, raw_report_digest
 from test_galois import TEST_SEMIGROUPS
 
@@ -232,10 +233,11 @@ def test_class_norms_are_per_class(monkeypatch):
 
 
 def test_observed_distance_is_the_top_newton_slope():
-    # oracle: the full Newton polygon of the beta-shifted minimal polynomial;
-    # the first-slope kernel at every degree, the distance routine wherever
-    # it is exact (unequal valuations, p prime to M0 q', or degree <=
-    # EXACT_DEGREE)
+    # oracles: the full Newton polygon of the beta-shifted minimal
+    # polynomial and the first slope by its definition, for
+    # first_newton_slope at every degree; the polygon for the distance
+    # routine wherever it is exact (unequal valuations, p prime to M0 q',
+    # or degree <= EXACT_DEGREE)
     checked = routine = 0
     for cls in _classes_to_depth_4():
         poly = minimal_polynomial(cls.representative)
@@ -246,8 +248,8 @@ def test_observed_distance_is_the_top_newton_slope():
             nd = class_norm_data(cls, beta)
             for p in (2, 3, 5, 7):
                 vals = newton_polygon_root_valuations(shifted, p)
-                assert first_newton_slope(shifted, p) == -max(vals), \
-                    (cls, beta, p)
+                assert first_newton_slope(shifted, p) == -max(vals) \
+                    == first_slope_by_definition(shifted, p), (cls, beta, p)
                 checked += 1
                 if (cls.degree <= bounds.EXACT_DEGREE
                         or cls.M0 * cls.qprime % p
@@ -600,8 +602,9 @@ def test_scan_builds_norm_data_once_per_class(monkeypatch):
 def test_scan_factors_beta_once_and_takes_no_beta_valuation(monkeypatch):
     # ord_p(beta) is a lookup in beta's exponent map, factored once per
     # scan into its galois.BasePoint, which no cache keeps past the scan:
-    # the verdict path calls ord_p only on twin norm values, on the
-    # coefficients first_newton_slope reads and on ord_diff's residues
+    # the verdict path calls ord_p only on twin norm values and on
+    # ord_diff's residues; on the shifted coefficients first_newton_slope
+    # reads it runs inside polynomials, whose binding is not counted
     import sys
 
     import monodyn.galois as galois
@@ -627,8 +630,7 @@ def test_scan_factors_beta_once_and_takes_no_beta_valuation(monkeypatch):
     run_scan(ScanConfig(G2, S_DEFAULT, beta, 3))
     assert factored == [beta, beta]
     assert not any(caller == "_ord_full_norm" for caller, _, _ in calls)
-    assert {caller for caller, _, _ in calls} <= {
-        "table", "first_newton_slope", "ord_diff"}
+    assert {caller for caller, _, _ in calls} <= {"table", "ord_diff"}
     assert not any(x == beta and caller == "table" for caller, x, _ in calls)
 
 
@@ -885,10 +887,10 @@ def test_equal_semigroups_keep_their_own_streams():
 
 @pytest.mark.parametrize("beta", [F(2), F(-3, 7)])
 def test_verdict_order_is_the_fraction_key_order(beta):
-    # oracle: the sort on (degree, point.key()), Fractions and all, that the
-    # integer order of the report replaces.  One G scanned at depth 4, 6
-    # and 4 again, at beta and at a second base point, reuses the order of
-    # the stream's first k classes kept on its table
+    # the report's order, the sort on (degree, point.key()), is kept on the
+    # stream's table per class count k: one G scanned at depth 4, 6 and 4
+    # again, at beta and at a second base point, reuses the order of its
+    # first k classes, which must be that sort at every base point
     G = _g2()
     for depth in (4, 6, 4):
         for b in (beta, F(5, 3)):

@@ -150,19 +150,19 @@ def test_posreal_float_views_ignore_insertion_order():
 def test_preperiodic_examples():
     g1 = G(("2", 2))
     st = is_preperiodic(g1, RadicalPoint.from_rational(F(1, 2)), 5)
-    assert st.is_preperiodic and st.witness_word == (0,) and st.witness_prefix == 0
+    assert st.tag == "preperiodic" and st.witness_word == (0,) and st.witness_prefix == 0
     st = is_preperiodic(g1, RadicalPoint.from_rational(F(2)), 5)
     assert st.tag == "not_preperiodic"
     gz = G(("1", 2))
     st = is_preperiodic(gz, root_of_unity(F(1, 3)), 5)
-    assert st.is_preperiodic and st.witness_word == (0, 0) and st.witness_prefix == 0
+    assert st.tag == "preperiodic" and st.witness_word == (0, 0) and st.witness_prefix == 0
 
 
 def test_preperiodic_is_not_forward_invariant():
     # 1/2 collides for <z^2, 16 z^3> though its image 2 escapes
     g = G(("1", 2), ("16", 3))
     st = is_preperiodic(g, RadicalPoint.from_rational(F(1, 2)), 4)
-    assert st.is_preperiodic and st.witness_word == (0, 1) and st.witness_prefix == 1
+    assert st.tag == "preperiodic" and st.witness_word == (0, 1) and st.witness_prefix == 1
     st2 = is_preperiodic(g, RadicalPoint.from_rational(F(2)), 6)
     assert st2.tag == "not_preperiodic"
 
@@ -172,7 +172,7 @@ def test_preperiodic_witness_replays():
     for x in (RadicalPoint.from_rational(F(1, 2)),
               RadicalPoint.from_binomial_root(F(1, 3), 2, 0)):
         st = is_preperiodic(g, x, 4)
-        assert st.is_preperiodic
+        assert st.tag == "preperiodic"
         y = x
         path = [x]
         for i in st.witness_word:

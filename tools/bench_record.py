@@ -23,16 +23,18 @@ peak RSS (median, with the three values); a digest or class count that
 differs between the rounds, or a stream whose class count is not the
 scan's, stops the script.
 
-It also records the c15 base-point sweep (tests/test_acceptance.py
-test_c15_uniformity_in_beta): one process per round scans the same
-{2z^2, 3z^3}, S = {inf, 2, 3, 5} at depth 6 at every beta = a/b with
-0 < |a| <= 6 and 1 <= b <= 6, in increasing order, timing each run_scan
-untraced; the gate refuses +-1/2.  Per round it takes the median time of a
-scanned base point and the total time of the sweep (the cold first scan
-included); the record holds the median of each over the rounds, with the
-round values, the counts of scanned and refused base points, and the
-sha256 prefix of the per-beta counts (classes, S-integral classes and
-points, stabilization), which must agree between the rounds.
+It also records two c15 base-point sweeps (tests/test_acceptance.py
+test_c15_uniformity_in_beta): in each round one process per sweep scans the
+same {2z^2, 3z^3}, S = {inf, 2, 3, 5} at every beta = a/b with 0 < |a| <= H
+and 1 <= b <= H, in increasing order, timing each run_scan untraced; the
+gate refuses the preperiodic +-1/2.  "sweep" is H = 6 at depth 6 (44 of 46
+base points scanned), "sweep_height" H = 12 at depth 7 (180 of 182).  Per
+round a sweep takes the median time of a scanned base point and its total
+time (the cold first scan included); the record holds the median of each
+over the rounds, with the round values, the counts of scanned and refused
+base points, and the sha256 prefix of the per-beta counts (classes,
+S-integral classes and points, stabilization), which must agree between
+the rounds.
 
 Once, after the rounds, the Tier-1 suite runs on the same copy
 (`python -m pytest -q --continue-on-collection-errors`, PYTHONPATH=src);
@@ -61,6 +63,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DEPTHS = range(4, 10)
 ROUNDS = 3
+SWEEPS = (("sweep", 6, 6), ("sweep_height", 12, 7))   # (key, H, depth)
 
 CHILD = """
 import hashlib, json, resource, sys, time
@@ -92,7 +95,7 @@ print(json.dumps({"stream_s": time.perf_counter() - t0, "classes": classes}))
 """
 
 SWEEP_CHILD = """
-import hashlib, json, statistics, time
+import hashlib, json, statistics, sys, time
 from fractions import Fraction
 from monodyn.errors import InvalidConfig
 from monodyn.places import INF, Place
@@ -100,14 +103,15 @@ from monodyn.scan import ScanConfig, run_scan
 from monodyn.semigroup import Semigroup
 G = Semigroup.from_pairs([("2", 2), ("3", 3)])
 S = [INF, Place(2), Place(3), Place(5)]
+H, depth = int(sys.argv[1]), int(sys.argv[2])
 betas = sorted({Fraction(a, b)
-                for a in range(-6, 7) if a for b in range(1, 7)})
+                for a in range(-H, H + 1) if a for b in range(1, H + 1)})
 times, counts, refused = [], [], 0
 t_all = time.perf_counter()
 for beta in betas:
     t0 = time.perf_counter()
     try:
-        rep = run_scan(ScanConfig(G, S, beta, 6))
+        rep = run_scan(ScanConfig(G, S, beta, depth))
     except InvalidConfig:
         refused += 1
         continue
@@ -173,7 +177,7 @@ def record(rev: str) -> dict:
     commit = git("rev-parse", "--verify", rev + "^{commit}").decode().strip()
     runs: dict[int, list[dict]] = {d: [] for d in DEPTHS}
     streams: dict[int, list[dict]] = {d: [] for d in DEPTHS}
-    sweeps: list[dict] = []
+    sweeps: dict[str, list[dict]] = {key: [] for key, _, _ in SWEEPS}
     with tempfile.TemporaryDirectory(prefix="bench_record_") as tmp:
         tree = Path(tmp)
         subprocess.run(["tar", "-x", "-C", tmp], check=True,
@@ -186,8 +190,10 @@ def record(rev: str) -> dict:
                 streams[depth].append(child(tree, STREAM_CHILD, str(depth)))
                 print(f"depth {depth}: {runs[depth][-1]} "
                       f"{streams[depth][-1]}", file=sys.stderr)
-            sweeps.append(child(tree, SWEEP_CHILD))
-            print(f"sweep: {sweeps[-1]}", file=sys.stderr)
+            for key, height, depth in SWEEPS:
+                sweeps[key].append(child(tree, SWEEP_CHILD, str(height),
+                                         str(depth)))
+                print(f"{key}: {sweeps[key][-1]}", file=sys.stderr)
         suite = tier1(tree)
         print(f"tier1: {suite}", file=sys.stderr)
     rows = []
@@ -207,12 +213,17 @@ def record(rev: str) -> dict:
                      "peak_rss_mb": statistics.median(rss),
                      "peak_rss_mb_runs": rss})
     keys = ("scanned", "refused", "counts_digest")
-    if len({tuple(r[k] for k in keys) for r in sweeps}) != 1:
-        raise SystemExit(f"sweep: the rounds disagree: {sweeps}")
-    sweep = {"depth": 6, "height": 6, **{k: sweeps[0][k] for k in keys}}
-    for k in ("per_beta_s", "total_s"):
-        sweep[k] = statistics.median(r[k] for r in sweeps)
-        sweep[k + "_runs"] = [r[k] for r in sweeps]
+    summaries = {}
+    for key, height, depth in SWEEPS:
+        rs = sweeps[key]
+        if len({tuple(r[k] for k in keys) for r in rs}) != 1:
+            raise SystemExit(f"{key}: the rounds disagree: {rs}")
+        sweep = {"depth": depth, "height": height,
+                 **{k: rs[0][k] for k in keys}}
+        for k in ("per_beta_s", "total_s"):
+            sweep[k] = statistics.median(r[k] for r in rs)
+            sweep[k + "_runs"] = [r[k] for r in rs]
+        summaries[key] = sweep
     return {
         "rev": rev, "commit": commit,
         "python": sys.version.split()[0], "cpu": cpu_model(),
@@ -220,7 +231,7 @@ def record(rev: str) -> dict:
         "scan": {"semigroup": [["2", 2], ["3", 3]], "S": [0, 2, 3, 5],
                  "beta": "2", "rounds": ROUNDS, "untraced": True},
         "depths": rows,
-        "sweep": sweep,
+        **summaries,
         "tier1": suite,
     }
 
